@@ -7,7 +7,6 @@ no convergence, 3 erection plan fails, 4 I/O or syntax error.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -25,7 +24,7 @@ from .errors import (
 )
 from .erection import run_plan
 from .model import validate
-from .reporting import build_diagram, compare, compare_dict, render_svg, write_report
+from .reporting import build_diagram, compare, compare_dict, json_text, plan_report_dict, render_svg, write_report
 from .solver import tension_only_analyze
 from .textio import parse_model_file, parse_plan_file, serialize_model
 
@@ -190,22 +189,7 @@ def _cmd_stage(args) -> int:
           + ("" if report.minimal_verified else " (not verified)"))
 
     if args.report:
-        payload = {
-            "stages": [
-                {
-                    "index": s.index,
-                    "verdict": s.verdict.value,
-                    "overturning_factor": None if math.isinf(s.overturning_factor) else s.overturning_factor,
-                    "max_utilization": None if math.isinf(s.max_utilization) else s.max_utilization,
-                    "max_deflection": None if math.isinf(s.max_deflection) else s.max_deflection,
-                }
-                for s in report.stages
-            ],
-            "stable": report.stable,
-            "minimal_counterweight": report.minimal_counterweight,
-            "minimal_verified": report.minimal_verified,
-        }
-        _write_atomic(args.report, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+        _write_atomic(args.report, json_text(plan_report_dict(report)))
         print(f"wrote {args.report}")
 
     if not report.stable:
@@ -231,10 +215,7 @@ def _cmd_compare(args) -> int:
     labels = (os.path.basename(args.model_a), os.path.basename(args.model_b))
     print(compare(result_a, result_b, labels), end="")
     if args.report:
-        _write_atomic(
-            args.report,
-            json.dumps(compare_dict(result_a, result_b, labels), indent=2, allow_nan=False) + "\n",
-        )
+        _write_atomic(args.report, json_text(compare_dict(result_a, result_b, labels)))
         print(f"wrote {args.report}")
     return EXIT_OK
 

@@ -9,7 +9,7 @@ in -x, and the counterweight sits on a shore bearing at x = +lever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .catalog import DECK_SECTION
@@ -187,22 +187,18 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
     return tuple(stages)
 
 
-def _vertical_reactions(result: AnalysisResult) -> list[float]:
-    dm = result.dofs
-    out = []
-    for nid, comp in sorted(dm.restrained):
-        if comp == 1:  # DOF_Y
-            out.append(result.reactions[nid][1])
-    return out
+def _vertical_reactions(result: AnalysisResult, shift: float) -> list[float]:
+    """Vertical bearing reactions, with ``shift`` added at the ballast node."""
+    return [
+        result.reactions[nid][1] + (shift if nid == 1 else 0.0)
+        for nid, comp in sorted(result.dofs.restrained)
+        if comp == 1  # DOF_Y
+    ]
 
 
-def _total_vertical_load(plan: ErectionPlan, stage: Stage) -> float:
-    deck = sum(stage.model.element_length(b) for b in stage.model.beams)
-    return plan.deck_weight_per_length * deck + plan.counterweight
-
-
-def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult | None) -> float:
-    """Overturning factor; >= safety_factor means the stage cannot tip.
+def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult, counterweight: float) -> float:
+    """Overturning factor at ``counterweight`` of a stage solved under
+    ``plan``; >= safety_factor means the stage cannot tip.
 
     Pure cantilever stages use the rigid-body ballast balance
     (W*a)/(w*c^2/2) about the abutment edge; the stabilizing self-weight
@@ -217,35 +213,37 @@ def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult
         if c <= 0:
             return math.inf
         overturning = plan.deck_weight_per_length * c * c / 2.0
-        return plan.counterweight * plan.counterweight_lever / overturning
-    if result is None:
-        return 0.0
-    r_min = min(_vertical_reactions(result))
-    total = _total_vertical_load(plan, stage)
+        return counterweight * plan.counterweight_lever / overturning
+    r_min = min(_vertical_reactions(result, counterweight - plan.counterweight))
+    deck = sum(stage.model.element_length(b) for b in stage.model.beams)
+    total = plan.deck_weight_per_length * deck + counterweight
     if r_min >= -EPS_FORCE:
         return math.inf
     return 1.0 + r_min / total
 
 
-def overturning_factor(stage: Stage, plan: ErectionPlan) -> float:
-    """See ``_factor_from_result``; runs the stage analysis when needed."""
-    if stage.pure_cantilever:
-        return _factor_from_result(stage, plan, None)
+def _solve(stage: Stage) -> AnalysisResult | None:
+    """The stage analysis; None when its statics model is a mechanism."""
     try:
-        result = analyze(stage.model)
+        return analyze(stage.model)
     except SingularSystem:
-        return 0.0
-    return _factor_from_result(stage, plan, result)
+        return None
 
 
-def analyze_stage(stage: Stage, plan: ErectionPlan) -> StageReport:
-    """Full structural check of one stage: overturning, stress, deflection."""
-    try:
-        result = analyze(stage.model)
-    except SingularSystem:
+def _judge(stage: Stage, plan: ErectionPlan, result: AnalysisResult | None, counterweight: float) -> StageReport:
+    """Report of ``stage``, solved under ``plan``, with the ballast set to
+    ``counterweight``.
+
+    The counterweight is a nodal force on node 1's restrained vertical
+    dof, so it never enters the free-dof load vector: displacements,
+    member forces and utilization do not depend on it, and only node 1's
+    vertical reaction moves with it, one for one. One solve therefore
+    judges the stage at any counterweight.
+    """
+    if result is None:
         # An unstable statics model at this stage is itself the finding.
         return StageReport(stage.index, 0.0, math.inf, math.inf, Verdict.OVERTURNS)
-    factor = _factor_from_result(stage, plan, result)
+    factor = _factor_from_result(stage, plan, result, counterweight)
     util = result.max_utilization
     if factor < plan.safety_factor * (1.0 - _FACTOR_RTOL):
         verdict = Verdict.OVERTURNS
@@ -256,31 +254,41 @@ def analyze_stage(stage: Stage, plan: ErectionPlan) -> StageReport:
     return StageReport(stage.index, factor, util, result.max_deflection, verdict)
 
 
-def minimal_counterweight(plan: ErectionPlan) -> float:
-    """Closed-form smallest counterweight keeping every pure-cantilever
-    stage at the safety factor: W_min = safety * max(w*c^2/2) / lever."""
-    _check_plan(plan)
-    worst = 0.0
-    for stage in expand_plan(plan):
-        if stage.pure_cantilever and stage.cantilever_length > 0:
-            c = stage.cantilever_length
-            worst = max(worst, plan.deck_weight_per_length * c * c / 2.0)
+def analyze_stage(stage: Stage, plan: ErectionPlan) -> StageReport:
+    """Full structural check of one stage: overturning, stress, deflection."""
+    return _judge(stage, plan, _solve(stage), plan.counterweight)
+
+
+def overturning_factor(stage: Stage, plan: ErectionPlan) -> float:
+    """The overturning factor of ``analyze_stage``; see ``_factor_from_result``."""
+    return analyze_stage(stage, plan).overturning_factor
+
+
+def _minimal_counterweight(plan: ErectionPlan, stages: tuple[Stage, ...]) -> float:
+    worst = max(
+        (plan.deck_weight_per_length * s.cantilever_length * s.cantilever_length / 2.0
+         for s in stages if s.pure_cantilever),
+        default=0.0,
+    )
     return plan.safety_factor * worst / plan.counterweight_lever
 
 
-def run_plan(plan: ErectionPlan) -> PlanReport:
-    """Analyze every stage and report the overall feasibility."""
-    stages = expand_plan(plan)
-    reports = tuple(analyze_stage(stage, plan) for stage in stages)
-    stable = all(r.verdict is Verdict.STABLE for r in reports)
+def minimal_counterweight(plan: ErectionPlan) -> float:
+    """Closed-form smallest counterweight keeping every pure-cantilever
+    stage at the safety factor: W_min = safety * max(w*c^2/2) / lever."""
+    return _minimal_counterweight(plan, expand_plan(plan))
 
-    w_min = minimal_counterweight(plan)
-    if w_min > 0:
-        verify = replace(plan, counterweight=w_min)
-        verified = all(
-            analyze_stage(stage, verify).verdict is Verdict.STABLE
-            for stage in expand_plan(verify)
-        )
-    else:
-        verified = True
-    return PlanReport(reports, stable, w_min, verified)
+
+def run_plan(plan: ErectionPlan) -> PlanReport:
+    """Analyze every stage once and report the overall feasibility, and
+    whether the plan holds at its minimal counterweight."""
+    stages = expand_plan(plan)
+    w_min = _minimal_counterweight(plan, stages)
+    reports, verified = [], True
+    for stage in stages:
+        result = _solve(stage)
+        reports.append(_judge(stage, plan, result, plan.counterweight))
+        if w_min > 0:
+            verified &= _judge(stage, plan, result, w_min).verdict is Verdict.STABLE
+    stable = all(r.verdict is Verdict.STABLE for r in reports)
+    return PlanReport(tuple(reports), stable, w_min, verified)

@@ -11,6 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 
+from .erection import PlanReport
 from .model import StructureModel
 from .solver import AnalysisResult
 
@@ -106,11 +107,35 @@ def report_dict(result: AnalysisResult) -> dict:
     }
 
 
+def json_text(payload: dict) -> str:
+    """Deterministic JSON text of a report dictionary; inf becomes null."""
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+
+
 def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:
     """Serialize the analysis result as deterministic JSON text."""
     if model is not None and model is not result.model:
         raise ValueError("report model does not match the analyzed model")
-    return json.dumps(_jsonable(report_dict(result)), indent=2, allow_nan=False) + "\n"
+    return json_text(report_dict(result))
+
+
+def plan_report_dict(report: PlanReport) -> dict:
+    """The erection plan report as one JSON-ready dictionary."""
+    return {
+        "stages": [
+            {
+                "index": s.index,
+                "verdict": s.verdict.value,
+                "overturning_factor": s.overturning_factor,
+                "max_utilization": s.max_utilization,
+                "max_deflection": s.max_deflection,
+            }
+            for s in report.stages
+        ],
+        "stable": report.stable,
+        "minimal_counterweight": report.minimal_counterweight,
+        "minimal_verified": report.minimal_verified,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -123,48 +148,44 @@ def _total_material_volume(model: StructureModel) -> float:
     return volume
 
 
+# (key, label, getter) of every compared metric.
+_METRICS = (
+    ("max_deflection", "max deflection [m]", lambda r: r.max_deflection),
+    ("max_utilization", "max utilization [-]", lambda r: r.max_utilization),
+    ("total_cable_tension", "total cable tension [N]", lambda r: r.total_cable_tension),
+    ("total_material_volume", "total material volume [m^3]", lambda r: _total_material_volume(r.model)),
+)
+
+
+def _metric_rows(result_a: AnalysisResult, result_b: AnalysisResult):
+    """(key, label, A, B, B/A) per metric; the ratio is 1 for equal values
+    and None when only A is zero."""
+    for key, label, metric in _METRICS:
+        va, vb = metric(result_a), metric(result_b)
+        ratio = 1.0 if va == vb else (vb / va if va != 0 else None)
+        yield key, label, va, vb, ratio
+
+
 def compare(result_a: AnalysisResult, result_b: AnalysisResult, labels: tuple[str, str] = ("A", "B")) -> str:
     """Side-by-side metric table for two analyses, with B/A ratios."""
-    rows = [
-        ("max deflection [m]", result_a.max_deflection, result_b.max_deflection),
-        ("max utilization [-]", result_a.max_utilization, result_b.max_utilization),
-        ("total cable tension [N]", result_a.total_cable_tension, result_b.total_cable_tension),
-        (
-            "total material volume [m^3]",
-            _total_material_volume(result_a.model),
-            _total_material_volume(result_b.model),
-        ),
-    ]
     label_a, label_b = labels
     header = f"{'metric':<28} {label_a:>14} {label_b:>14} {'ratio ' + label_b + '/' + label_a:>16}"
     lines = [header, "-" * len(header)]
-    for name, va, vb in rows:
-        if va == vb:
-            ratio = 1.0
-        elif va != 0:
-            ratio = vb / va
-        else:
-            ratio = math.inf
-        ratio_text = f"{ratio:.6g}" if math.isfinite(ratio) else "inf"
+    for _, name, va, vb, ratio in _metric_rows(result_a, result_b):
+        ratio_text = "inf" if ratio is None else f"{ratio:.6g}"
         lines.append(f"{name:<28} {va:>14.6g} {vb:>14.6g} {ratio_text:>16}")
     return "\n".join(lines) + "\n"
 
 
 def compare_dict(result_a: AnalysisResult, result_b: AnalysisResult, labels: tuple[str, str] = ("A", "B")) -> dict:
-    metrics = {
-        "max_deflection": (result_a.max_deflection, result_b.max_deflection),
-        "max_utilization": (result_a.max_utilization, result_b.max_utilization),
-        "total_cable_tension": (result_a.total_cable_tension, result_b.total_cable_tension),
-        "total_material_volume": (
-            _total_material_volume(result_a.model),
-            _total_material_volume(result_b.model),
-        ),
+    """The comparison as one JSON-ready dictionary; an infinite ratio is None."""
+    return {
+        "labels": list(labels),
+        "metrics": {
+            key: {labels[0]: va, labels[1]: vb, "ratio": ratio}
+            for key, _, va, vb, ratio in _metric_rows(result_a, result_b)
+        },
     }
-    out = {"labels": list(labels), "metrics": {}}
-    for name, (va, vb) in metrics.items():
-        ratio = 1.0 if va == vb else (vb / va if va != 0 else None)
-        out["metrics"][name] = {labels[0]: va, labels[1]: vb, "ratio": ratio}
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InvalidModel, NoConvergence, NonPositiveProperty, SingularSystem
 from .model import (
-    DOF_X,
-    DOF_Y,
     BeamElement,
     CableElement,
     DofMap,
@@ -430,36 +428,6 @@ def member_end_forces(
     return out
 
 
-def reactions(
-    model: StructureModel, u: np.ndarray, active_cables: frozenset[int] | None = None
-) -> dict[int, tuple[float, float, float]]:
-    """Support forces (fx, fy, mz) per supported node.
-
-    Components that are not restrained report 0. Global equilibrium holds:
-    the reactions balance the applied loads in every direction.
-    """
-    if active_cables is None:
-        active_cables = frozenset(c.id for c in model.cables)
-    dm = dof_map(model)
-    full_u = _expand_displacements(model, dm, np.asarray(u, dtype=float))
-    K, F = _assemble_full(model, frozenset(active_cables))
-    residual = K @ full_u - F
-    pos = _node_positions(model)
-
-    out: dict[int, tuple[float, float, float]] = {}
-    for nid, comp in sorted(dm.restrained):
-        fx, fy, mz = out.get(nid, (0.0, 0.0, 0.0))
-        value = residual[pos[nid] + comp]
-        if comp == DOF_X:
-            fx = value
-        elif comp == DOF_Y:
-            fy = value
-        else:
-            mz = value
-        out[nid] = (fx, fy, mz)
-    return out
-
-
 def utilization(forces: MemberForces, material, section=None, area: float | None = None) -> float:
     """Demand/capacity ratio of one member; >= 1 is the red-alarm class.
 
@@ -547,7 +515,12 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     taut = frozenset(cid for cid in active if axial[cid] > EPS_FORCE)
 
     forces = member_end_forces(model, u, taut)
-    full_u = _expand_displacements(model, dm, u)
+    # Support forces from the converged stiffness: the residual K u - F
+    # on the restrained dofs. Unrestrained components report 0.
+    residual = K_full @ full_u - F_full
+    support: dict[int, list[float]] = {}
+    for nid, comp in sorted(dm.restrained):
+        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[pos[nid] + comp]
     node_disp = {
         n.id: (float(full_u[pos[n.id]]), float(full_u[pos[n.id] + 1]), float(full_u[pos[n.id] + 2]))
         for n in model.nodes
@@ -558,7 +531,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
         displacements=u,
         node_displacements=node_disp,
         member_forces=forces,
-        reactions=reactions(model, u, active),
+        reactions={nid: tuple(r) for nid, r in support.items()},
         active_cables=taut,
         utilization=_utilization_map(model, forces),
         iterations_used=iterations,

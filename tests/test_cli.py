@@ -108,6 +108,7 @@ class TestStage:
         assert data["stable"] is False
         assert data["stages"][2]["verdict"] == "Overturns"
         assert data["minimal_counterweight"] == 4000.0
+        assert data["stages"][0]["overturning_factor"] is None
 
     def test_stable_plan_exit_0(self, tmp_path, capsys):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2 COUNT=4 W=500 CW=8000 LEVER=1\n")

@@ -1,9 +1,12 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from pytest import approx
 
+import ponte.erection
+from ponte import solver
 from ponte.erection import (
     ErectionPlan,
     Verdict,
@@ -171,3 +174,43 @@ class TestRunPlan:
             for a, b in zip(prev, nxt):
                 if a is Verdict.STABLE:
                     assert b is Verdict.STABLE
+
+    def test_one_solve_per_stage(self, monkeypatch):
+        calls = []
+        solve = ponte.erection.analyze
+        monkeypatch.setattr(ponte.erection, "analyze", lambda model: calls.append(model) or solve(model))
+        run_plan(PLAN)
+        assert len(calls) == len(expand_plan(PLAN))
+
+    def test_counterweight_moves_only_the_ballast_reaction(self):
+        # The premise of the single solve: the ballast bears on node 1's
+        # restrained vertical dof, so it changes no displacement and shifts
+        # only node 1's vertical reaction, one for one.
+        light, heavy = PLAN, replace(PLAN, counterweight=9000.0)
+        for stage_l, stage_h in zip(expand_plan(light), expand_plan(heavy)):
+            a, b = solver.analyze(stage_l.model), solver.analyze(stage_h.model)
+            assert np.array_equal(a.displacements, b.displacements)
+            assert a.utilization == b.utilization
+            assert b.reactions[1][1] - a.reactions[1][1] == approx(7000.0, rel=1e-12)
+            assert {n: r for n, r in a.reactions.items() if n != 1} == {
+                n: r for n, r in b.reactions.items() if n != 1
+            }
+
+    @pytest.mark.parametrize(
+        "plan,verified",
+        [
+            (PLAN, True),
+            # A pillar every three modules: the landed stage asks a bearing
+            # to hold down, so the plan fails even at W_min.
+            (replace(PLAN, module_count=4, pillar_interval=3), False),
+            (replace(PLAN, module_count=6, pillar_interval=1), True),
+            (replace(PLAN, module_count=5, safety_factor=1.5), True),
+            (replace(PLAN, module_count=3, counterweight=50000.0), True),
+        ],
+    )
+    def test_minimal_verified_matches_a_solve_at_w_min(self, plan, verified):
+        # The W_min verdict is derived from the solve at the plan's own
+        # counterweight; a full run at W_min must agree with it.
+        report = run_plan(plan)
+        assert report.minimal_verified is verified
+        assert run_plan(replace(plan, counterweight=report.minimal_counterweight)).stable is verified

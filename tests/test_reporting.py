@@ -112,6 +112,16 @@ class TestCompare:
         data = compare_dict(replica, grounded, ("replica", "grounded"))
         assert data["metrics"]["max_deflection"]["ratio"] < 1.0
 
+    def test_ratio_from_zero_is_none_in_dict_and_inf_in_table(self):
+        bare = analyze(with_deck_udl(generate_preset(PresetId.BARE_DECK), 1000.0))
+        grounded = analyze(with_deck_udl(generate_preset(PresetId.GROUNDED_STAYED), 1000.0))
+        assert bare.total_cable_tension == 0.0
+        assert grounded.total_cable_tension > 0.1
+        data = compare_dict(bare, grounded, ("bare", "grounded"))
+        assert data["metrics"]["total_cable_tension"]["ratio"] is None
+        row = next(line for line in compare(bare, grounded).splitlines() if line.startswith("total cable tension"))
+        assert row.split()[-1] == "inf"
+
     def test_table_has_expected_rows(self, grande_result):
         table = compare(grande_result, grande_result)
         assert "max deflection" in table

@@ -30,7 +30,6 @@ from ponte.solver import (
     cable_stiffness_global,
     fixed_end_forces,
     member_end_forces,
-    reactions,
     solve_linear,
     tension_only_analyze,
     utilization,
