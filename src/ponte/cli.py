@@ -185,8 +185,9 @@ def _cmd_stage(args) -> int:
             f"stage {stage.index}: {stage.verdict.value:<12} factor={factor:>10} "
             f"util={stage.max_utilization:.4g} defl={stage.max_deflection:.4g} m"
         )
-    print(f"minimal stable counterweight: {report.minimal_counterweight:.6g} N"
-          + ("" if report.minimal_verified else " (not verified)"))
+    w_min = (f"{report.minimal_counterweight:.6g} N" if report.minimal_verified
+             else "none (no counterweight passes every stage)")
+    print(f"minimal stable counterweight: {w_min}")
 
     if args.report:
         _write_atomic(args.report, json_text(plan_report_dict(report)))

@@ -83,6 +83,11 @@ class StageReport:
 
 @dataclass(frozen=True)
 class PlanReport:
+    """``minimal_verified`` False means no counterweight makes the plan
+    stable: pure cantilevers pass at ``W_min`` by construction, and every
+    other failure (overstress, a mechanism, a hold-down demand, which is
+    never at the ballast node 1 since node 2 is clamped) persists at any."""
+
     stages: tuple[StageReport, ...]
     stable: bool
     minimal_counterweight: float

@@ -15,8 +15,6 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InvalidModel, NoConvergence, NonPositiveProperty, SingularSystem
 from .model import (
-    BeamElement,
-    CableElement,
     DofMap,
     NodalForce,
     SelfWeight,
@@ -152,7 +150,7 @@ def _fixed_end_local(p: float, q: float, L: float, pin_i: bool, pin_j: bool) -> 
 
 
 # ---------------------------------------------------------------------------
-# Assembly
+# Element table and assembly
 
 
 def _geometry(model: StructureModel, element) -> tuple[float, float, float]:
@@ -163,94 +161,116 @@ def _geometry(model: StructureModel, element) -> tuple[float, float, float]:
     return L, dx / L, dy / L
 
 
-def _node_positions(model: StructureModel) -> dict[int, int]:
-    return {n.id: 3 * k for k, n in enumerate(model.nodes)}
+@dataclass(frozen=True)
+class _Beam:
+    id: int
+    dofs: list[int]
+    k_global: np.ndarray
+    T: np.ndarray
+    k_local: np.ndarray
+    fixed_end: np.ndarray | None  # local fixed-end vector of its uniform loads
 
 
-def _element_loads(model: StructureModel) -> dict[int, float]:
-    """Total uniform-load intensity per beam id."""
-    w: dict[int, float] = {}
+@dataclass(frozen=True)
+class _Cable:
+    id: int
+    dofs: list[int]
+    ea_l: float
+    cx: float
+    cy: float
+    pretension: float
+
+    def axial(self, full_u: np.ndarray) -> float:
+        """Axial force the cable would carry at the given displacements."""
+        ix, iy, jx, jy = self.dofs
+        elongation = (full_u[jx] - full_u[ix]) * self.cx + (full_u[jy] - full_u[iy]) * self.cy
+        return self.ea_l * elongation + self.pretension
+
+
+@dataclass(frozen=True)
+class _Elements:
+    """What one analysis derives from the model, built once and read by
+    assembly, the taut/slack check and force recovery. Dofs index the 3*n
+    candidate vector; ``free`` picks the free ones in ``dm`` order."""
+
+    dm: DofMap
+    pos: dict[int, int]
+    free: np.ndarray
+    beams: tuple[_Beam, ...]
+    cables: tuple[_Cable, ...]
+    loads: np.ndarray  # uniform, nodal and self-weight loads, all dofs
+
+    def expand(self, u: np.ndarray) -> np.ndarray:
+        full = np.zeros(len(self.loads))
+        full[self.free] = u
+        return full
+
+
+def _elements(model: StructureModel) -> _Elements:
+    dm = dof_map(model)
+    pos = {n.id: 3 * k for k, n in enumerate(model.nodes)}
+    free = np.array([pos[nid] + comp for nid, comp in dm.entries], dtype=int)
+    loads = np.zeros(3 * len(model.nodes))
+    udl: dict[int, float] = {}  # total uniform-load intensity per beam id
     for load in model.loads:
         if isinstance(load, UniformLoad):
-            w[load.beam] = w.get(load.beam, 0.0) + load.w
-    return w
+            udl[load.beam] = udl.get(load.beam, 0.0) + load.w
 
+    beams = []
+    for beam in model.beams:
+        sec, E = model.section(beam.section), model.material(beam.material).elastic_modulus
+        L, cx, cy = _geometry(model, beam)
+        kl = _beam_local(E, sec.area, sec.second_moment, L, beam.pin_i, beam.pin_j)
+        T = _transformation(cx, cy)
+        ix, jx = pos[beam.node_i], pos[beam.node_j]
+        dofs = [ix, ix + 1, ix + 2, jx, jx + 1, jx + 2]
+        w = udl.get(beam.id, 0.0)
+        fl = None
+        if w != 0.0:
+            # Project the global (0, -w) line load on the member axes.
+            fl = _fixed_end_local(-w * cy, -w * cx, L, beam.pin_i, beam.pin_j)
+            loads[dofs] += T.T @ fl
+        beams.append(_Beam(beam.id, dofs, T.T @ kl @ T, T, kl, fl))
 
-def _nodal_load_records(model: StructureModel) -> list[NodalForce]:
+    cables = []
+    for cable in model.cables:
+        L, cx, cy = _geometry(model, cable)
+        ix, jx = pos[cable.node_i], pos[cable.node_j]
+        ea_l = model.material(cable.material).elastic_modulus * cable.area / L
+        cables.append(_Cable(cable.id, [ix, ix + 1, jx, jx + 1], ea_l, cx, cy, cable.pretension))
+
     records = [l for l in model.loads if isinstance(l, NodalForce)]
     for load in model.loads:
         if isinstance(load, SelfWeight):
             records.extend(self_weight_loads(model, load.g))
-    return records
+    for rec in records:
+        loads[pos[rec.node] : pos[rec.node] + 3] += (rec.fx, rec.fy, rec.mz)
+
+    return _Elements(dm, pos, free, tuple(beams), tuple(cables), loads)
 
 
-def _beam_global(model: StructureModel, beam: BeamElement) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k_global 6x6, T, k_local) for one beam."""
-    mat = model.material(beam.material)
-    sec = model.section(beam.section)
-    L, cx, cy = _geometry(model, beam)
-    kl = _beam_local(mat.elastic_modulus, sec.area, sec.second_moment, L, beam.pin_i, beam.pin_j)
-    T = _transformation(cx, cy)
-    return T.T @ kl @ T, T, kl
-
-
-def _assemble_full(
-    model: StructureModel, active_cables: frozenset[int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and load vector over all 3*n candidate dofs.
-
-    Only taut cables contribute stiffness and pretension forces; uniform
-    loads enter through their (release-aware) fixed-end vectors.
-    """
-    pos = _node_positions(model)
-    n = 3 * len(model.nodes)
+def _stiffness(el: _Elements, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Full-dof (K, F): only taut cables add stiffness and pretension, and
+    uniform loads enter through their release-aware fixed-end vectors. Beam
+    blocks are scattered afresh, so no full-size K outlives an iteration."""
+    n = len(el.loads)
     K = np.zeros((n, n))
-    F = np.zeros(n)
-    udl = _element_loads(model)
-
-    for beam in model.beams:
-        kg, T, _ = _beam_global(model, beam)
-        ix = pos[beam.node_i]
-        jx = pos[beam.node_j]
-        dofs = [ix, ix + 1, ix + 2, jx, jx + 1, jx + 2]
-        K[np.ix_(dofs, dofs)] += kg
-        w = udl.get(beam.id, 0.0)
-        if w != 0.0:
-            L, cx, cy = _geometry(model, beam)
-            # Project the global (0, -w) line load on the member axes.
-            p = -w * cy
-            q = -w * cx
-            fl = _fixed_end_local(p, q, L, beam.pin_i, beam.pin_j)
-            F[dofs] += T.T @ fl
-
-    for cable in model.cables:
+    F = el.loads.copy()
+    for beam in el.beams:
+        K[np.ix_(beam.dofs, beam.dofs)] += beam.k_global
+    for cable in el.cables:
         if cable.id not in active_cables:
             continue
-        mat = model.material(cable.material)
-        L, cx, cy = _geometry(model, cable)
-        kg = cable_stiffness_global(mat.elastic_modulus, cable.area, L, cx, cy)
-        ix = pos[cable.node_i]
-        jx = pos[cable.node_j]
-        dofs = [ix, ix + 1, jx, jx + 1]
-        K[np.ix_(dofs, dofs)] += kg
+        d = np.array([-cable.cx, -cable.cy, cable.cx, cable.cy])
+        K[np.ix_(cable.dofs, cable.dofs)] += cable.ea_l * np.outer(d, d)
         if cable.pretension:
-            F[ix] += cable.pretension * cx
-            F[ix + 1] += cable.pretension * cy
-            F[jx] -= cable.pretension * cx
-            F[jx + 1] -= cable.pretension * cy
-
-    for rec in _nodal_load_records(model):
-        ix = pos[rec.node]
-        F[ix] += rec.fx
-        F[ix + 1] += rec.fy
-        F[ix + 2] += rec.mz
-
+            F[cable.dofs] -= cable.pretension * d
     return K, F
 
 
-def _free_indices(model: StructureModel, dm: DofMap) -> np.ndarray:
-    pos = _node_positions(model)
-    return np.array([pos[nid] + comp for nid, comp in dm.entries], dtype=int)
+def _assemble_full(model: StructureModel, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Stiffness and load vector over all 3*n candidate dofs."""
+    return _stiffness(_elements(model), active_cables)
 
 
 def assemble(
@@ -263,10 +283,9 @@ def assemble(
     """
     if active_cables is None:
         active_cables = frozenset(c.id for c in model.cables)
-    dm = dof_map(model)
-    K, F = _assemble_full(model, frozenset(active_cables))
-    free = _free_indices(model, dm)
-    return K[np.ix_(free, free)], F[free]
+    el = _elements(model)
+    K, F = _stiffness(el, frozenset(active_cables))
+    return K[np.ix_(el.free, el.free)], F[el.free]
 
 
 # ---------------------------------------------------------------------------
@@ -376,19 +395,18 @@ class AnalysisResult:
         return sum(f.axial for f in self.member_forces.values() if f.kind == "cable")
 
 
-def _expand_displacements(model: StructureModel, dm: DofMap, u: np.ndarray) -> np.ndarray:
-    full = np.zeros(3 * len(model.nodes))
-    full[_free_indices(model, dm)] = u
-    return full
-
-
-def _cable_axial(model: StructureModel, cable: CableElement, full_u: np.ndarray, pos: dict[int, int]) -> float:
-    """Axial force a cable would carry at the given displacements."""
-    mat = model.material(cable.material)
-    L, cx, cy = _geometry(model, cable)
-    ix, jx = pos[cable.node_i], pos[cable.node_j]
-    elongation = (full_u[jx] - full_u[ix]) * cx + (full_u[jx + 1] - full_u[ix + 1]) * cy
-    return mat.elastic_modulus * cable.area / L * elongation + cable.pretension
+def _member_forces(el: _Elements, full_u: np.ndarray, active_cables: frozenset[int]) -> dict[int, MemberForces]:
+    out: dict[int, MemberForces] = {}
+    for beam in el.beams:
+        f = beam.k_local @ (beam.T @ full_u[beam.dofs])
+        if beam.fixed_end is not None:
+            f = f - beam.fixed_end
+        shear = f[1] if abs(f[1]) >= abs(f[4]) else -f[4]
+        out[beam.id] = MemberForces(kind="beam", axial=f[3], shear=shear, moment_i=f[2], moment_j=f[5])
+    for cable in el.cables:
+        n_axial = cable.axial(full_u)
+        out[cable.id] = MemberForces(kind="cable", axial=n_axial if cable.id in active_cables else max(0.0, n_axial))
+    return out
 
 
 def member_end_forces(
@@ -399,33 +417,8 @@ def member_end_forces(
     Beam forces are k_local * T * u minus the fixed-end corrections of any
     uniform loads; inactive cables are clamped to zero force.
     """
-    dm = dof_map(model)
-    full = _expand_displacements(model, dm, np.asarray(u, dtype=float))
-    pos = _node_positions(model)
-    udl = _element_loads(model)
-    out: dict[int, MemberForces] = {}
-
-    for beam in model.beams:
-        _, T, kl = _beam_global(model, beam)
-        ix, jx = pos[beam.node_i], pos[beam.node_j]
-        ue = full[[ix, ix + 1, ix + 2, jx, jx + 1, jx + 2]]
-        f = kl @ (T @ ue)
-        w = udl.get(beam.id, 0.0)
-        if w != 0.0:
-            L, cx, cy = _geometry(model, beam)
-            f = f - _fixed_end_local(-w * cy, -w * cx, L, beam.pin_i, beam.pin_j)
-        shear = f[1] if abs(f[1]) >= abs(f[4]) else -f[4]
-        out[beam.id] = MemberForces(
-            kind="beam", axial=f[3], shear=shear, moment_i=f[2], moment_j=f[5]
-        )
-
-    for cable in model.cables:
-        n_axial = _cable_axial(model, cable, full, pos)
-        if cable.id not in active_cables:
-            n_axial = max(0.0, n_axial)
-        out[cable.id] = MemberForces(kind="cable", axial=n_axial)
-
-    return out
+    el = _elements(model)
+    return _member_forces(el, el.expand(u), active_cables)
 
 
 def utilization(forces: MemberForces, material, section=None, area: float | None = None) -> float:
@@ -467,16 +460,12 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     would stretch, and repeats until the active set is stable. Cycles are
     detected by active-set history and reported, never broken silently.
     """
-    dm = dof_map(model)
-    pos = _node_positions(model)
-    free = _free_indices(model, dm)
-    all_ids = frozenset(c.id for c in model.cables)
+    el = _elements(model)
+    all_ids = frozenset(c.id for c in el.cables)
 
     active = all_ids
     seen: dict[frozenset[int], int] = {active: 0}
     history = [active]
-    u = np.zeros(dm.n_free)
-    axial: dict[int, float] = {}
     iterations = 0
 
     while True:
@@ -486,11 +475,11 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
                 cycle=history,
             )
         iterations += 1
-        K_full, F_full = _assemble_full(model, active)
-        u = _solve_tolerating_unloaded_mechanisms(K_full[np.ix_(free, free)], F_full[free])
-        full_u = _expand_displacements(model, dm, u)
+        K_full, F_full = _stiffness(el, active)
+        u = _solve_tolerating_unloaded_mechanisms(K_full[np.ix_(el.free, el.free)], F_full[el.free])
+        full_u = el.expand(u)
 
-        axial = {c.id: _cable_axial(model, c, full_u, pos) for c in model.cables}
+        axial = {c.id: c.axial(full_u) for c in el.cables}
         next_active = frozenset(
             cid
             for cid in all_ids
@@ -514,20 +503,17 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     # they do not alter, but only genuinely taut cables are reported.
     taut = frozenset(cid for cid in active if axial[cid] > EPS_FORCE)
 
-    forces = member_end_forces(model, u, taut)
+    forces = _member_forces(el, full_u, taut)
     # Support forces from the converged stiffness: the residual K u - F
     # on the restrained dofs. Unrestrained components report 0.
     residual = K_full @ full_u - F_full
     support: dict[int, list[float]] = {}
-    for nid, comp in sorted(dm.restrained):
-        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[pos[nid] + comp]
-    node_disp = {
-        n.id: (float(full_u[pos[n.id]]), float(full_u[pos[n.id] + 1]), float(full_u[pos[n.id] + 2]))
-        for n in model.nodes
-    }
+    for nid, comp in sorted(el.dm.restrained):
+        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[el.pos[nid] + comp]
+    node_disp = {n.id: tuple(float(v) for v in full_u[el.pos[n.id] : el.pos[n.id] + 3]) for n in model.nodes}
     return AnalysisResult(
         model=model,
-        dofs=dm,
+        dofs=el.dm,
         displacements=u,
         node_displacements=node_disp,
         member_forces=forces,

@@ -165,6 +165,12 @@ def _expect(tokens: list[str], lineno: int, n: int, usage: str) -> None:
         raise ParseError(lineno, f"expected {usage}")
 
 
+def _check_unit(tokens: list[str], lineno: int) -> None:
+    _expect(tokens, lineno, 2, "UNIT SI")
+    if tokens[1] != "SI":
+        raise ParseError(lineno, f"only SI units are supported, got {tokens[1]!r}")
+
+
 class _ModelAccumulator:
     def __init__(self):
         self.nodes: list[Node] = []
@@ -191,9 +197,7 @@ def _parse_line(acc: _ModelAccumulator, lineno: int, tokens: list[str]) -> None:
     keyword = tokens[0]
     rest = tokens[1:]
     if keyword == "UNIT":
-        _expect(tokens, lineno, 2, "UNIT SI")
-        if rest[0] != "SI":
-            raise ParseError(lineno, f"only SI units are supported, got {rest[0]!r}")
+        _check_unit(tokens, lineno)
     elif keyword == "NODE":
         _expect(tokens, lineno, 4, "NODE <id> <x> <y>")
         acc.nodes.append(
@@ -347,9 +351,7 @@ def parse_plan_file(text: str):
     for lineno, tokens in _content_lines(text):
         keyword = tokens[0]
         if keyword == "UNIT":
-            _expect(tokens, lineno, 2, "UNIT SI")
-            if tokens[1] != "SI":
-                raise ParseError(lineno, f"only SI units are supported, got {tokens[1]!r}")
+            _check_unit(tokens, lineno)
         elif keyword == "PLAN":
             if plan is not None:
                 raise ParseError(lineno, "more than one PLAN line")

@@ -104,6 +104,7 @@ class TestStage:
         assert main(["stage", path, "--report", str(report_path)]) == 3
         out = capsys.readouterr().out
         assert "FAILS at stage 2" in out
+        assert "minimal stable counterweight: 4000 N\n" in out
         data = json.loads(report_path.read_text())
         assert data["stable"] is False
         assert data["stages"][2]["verdict"] == "Overturns"
@@ -114,6 +115,18 @@ class TestStage:
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2 COUNT=4 W=500 CW=8000 LEVER=1\n")
         assert main(["stage", path]) == 0
         assert "overall: Stable" in capsys.readouterr().out
+
+    def test_unverified_plan_names_no_counterweight(self, tmp_path, capsys):
+        # The landed stage asks the far shore to hold down, which no
+        # counterweight fixes, so no W_min is printed.
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=2 COUNT=4 W=500 CW=9000 LEVER=1 INTERVAL=3\n")
+        report_path = tmp_path / "s.json"
+        assert main(["stage", path, "--report", str(report_path)]) == 3
+        out = capsys.readouterr().out
+        assert "minimal stable counterweight: none (no counterweight passes every stage)\n" in out
+        data = json.loads(report_path.read_text())
+        assert data["minimal_verified"] is False
+        assert data["minimal_counterweight"] == 9000.0
 
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")

@@ -214,3 +214,15 @@ class TestRunPlan:
         report = run_plan(plan)
         assert report.minimal_verified is verified
         assert run_plan(replace(plan, counterweight=report.minimal_counterweight)).stable is verified
+
+    def test_unverified_plan_fails_at_any_counterweight(self):
+        # Node 2 is clamped, so the ballast reaction at node 1 is never the
+        # hold-down one: more counterweight cannot save the landed stage.
+        plan = replace(PLAN, counterweight=9000.0, pillar_interval=3)
+        base = run_plan(plan)
+        assert not base.minimal_verified
+        w_min = base.minimal_counterweight
+        for counterweight in (w_min, 10.0 * w_min, 1e7):
+            report = run_plan(replace(plan, counterweight=counterweight))
+            assert not report.stable
+            assert report.stages[-1].verdict is Verdict.OVERTURNS

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from ponte import solver
+from ponte.catalog import generate_preset
 from ponte.errors import NonPositiveProperty, SingularSystem
 from ponte.model import (
     BeamElement,
@@ -311,6 +313,32 @@ class TestTensionOnly:
         assert result.reactions[1][0] == approx(-250.0)
         assert result.reactions[2][0] == approx(250.0)
 
+    def test_pretension_and_nodal_load_on_one_free_node(self):
+        # Bar 1-2 clamped at 1, pretensioned rope 2-3 pinned at 3, a push
+        # at 2: both loads act on node 2's x dof, against k_bar + k_cable.
+        P, Fx = 5000.0, 1000.0
+        model = build_model(
+            [Node(1, 0, 0), Node(2, 2, 0), Node(3, 6, 0)], [MAT, ROPE], [SEC],
+            [BeamElement(1, 1, 2, "timber", "deck")],
+            cables=[CableElement(2, 2, 3, "rope", 5e-4, pretension=P)],
+            supports=[
+                Support(1, restrain_x=True, restrain_y=True, restrain_rz=True),
+                Support(3, restrain_x=True, restrain_y=True),
+            ],
+            loads=[NodalForce(2, fx=Fx)],
+        )
+        k_bar, k_cable = E * A / 2.0, ROPE.elastic_modulus * 5e-4 / 4.0
+        result = tension_only_analyze(model)
+        u2 = result.node_displacements[2][0]
+        axial = result.member_forces[2].axial
+        assert u2 == approx((Fx + P) / (k_bar + k_cable), rel=1e-12)
+        assert axial == approx(P - k_cable * u2, rel=1e-12)
+        assert result.active_cables == frozenset({2})
+        assert result.reactions[1][0] == approx(-k_bar * u2, rel=1e-12)
+        assert result.reactions[3][0] == approx(axial, rel=1e-12)
+        assert result.reactions[1][0] + result.reactions[3][0] + Fx == approx(0.0, abs=1e-12 * (Fx + P))
+        assert result.reactions[1][1] == result.reactions[3][1] == 0.0
+
     def test_complementarity_on_random_models(self, random_models):
         for model in random_models[:30]:
             result = tension_only_analyze(model)
@@ -320,6 +348,24 @@ class TestTensionOnly:
                     assert force >= -EPS_FORCE
                 else:
                     assert force <= EPS_FORCE
+
+
+class TestElementTable:
+    # One analysis numbers the dofs once and builds each beam's geometry
+    # and matrices once, shared by every iteration and by force recovery.
+    def test_one_dof_numbering_per_analysis(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(solver, "dof_map", lambda model: calls.append(model) or dof_map(model))
+        tension_only_analyze(generate_preset("GRANDE"))
+        assert len(calls) == 1
+
+    def test_one_transformation_per_beam(self, monkeypatch):
+        model = generate_preset("GRANDE")
+        calls = []
+        transformation = solver._transformation
+        monkeypatch.setattr(solver, "_transformation", lambda cx, cy: calls.append(cx) or transformation(cx, cy))
+        assert tension_only_analyze(model).iterations_used > 1
+        assert len(calls) == len(model.beams)
 
 
 class TestForceRecovery:
