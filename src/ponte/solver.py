@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
 from .errors import InvalidModel, NoConvergence, NonPositiveProperty, SingularSystem
 from .model import (
@@ -205,6 +206,11 @@ class _Elements:
         full[self.free] = u
         return full
 
+    def reduce(self, K: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The free-dof block of a full-dof system (rows, then columns:
+        several times faster than one ``np.ix_`` gather)."""
+        return K[self.free][:, self.free], F[self.free]
+
 
 def _elements(model: StructureModel) -> _Elements:
     dm = dof_map(model)
@@ -284,19 +290,94 @@ def assemble(
     if active_cables is None:
         active_cables = frozenset(c.id for c in model.cables)
     el = _elements(model)
-    K, F = _stiffness(el, frozenset(active_cables))
-    return K[np.ix_(el.free, el.free)], F[el.free]
+    return el.reduce(*_stiffness(el, frozenset(active_cables)))
 
 
 # ---------------------------------------------------------------------------
 # Linear solve
 
+_COMPONENTS = ("x", "y", "rz")
+
+
+def _dof_names(dofs: np.ndarray, entries: tuple[tuple[int, int], ...] | None) -> str:
+    """'node 2 y, node 5 rz', or 'dof 3' without a dof map; cut after six."""
+    names = [
+        f"node {entries[k][0]} {_COMPONENTS[entries[k][1]]}" if entries is not None else f"dof {k}"
+        for k in sorted(int(k) for k in dofs)[:6]
+    ]
+    if len(dofs) > 6:
+        names.append(f"and {len(dofs) - 6} more")
+    return ", ".join(names)
+
+
+def _solve(
+    K: np.ndarray, F: np.ndarray, entries: tuple[tuple[int, int], ...] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution of the positive semi-definite system K u = F,
+    and the dofs whose pivots the factorization dropped (one per
+    zero-energy mode, so n - rank of them).
+
+    K = P L L^T P^T by Cholesky with complete pivoting (LAPACK dpstrf;
+    Higham 1990), whose default tolerance n * eps * max(diag K) scales with
+    the problem. A full-rank K is solved on its factor. A rank-deficient K
+    is one where slack cables leave a part free to swing (e.g. a pinned
+    pillar whose ropes all went slack): the particular solution from L11 is
+    projected off the null basis N = P [-L11^-T L21^T; I], which gives the
+    minimum-norm solution. It is an equilibrium only if the loads do no
+    work on the mechanism, so ``SingularSystem`` is raised, naming the
+    dropped dofs through ``entries`` (the dof map), unless
+    ||K u - F|| <= 1e-8 * max(||F||, 1).
+    """
+    n = len(F)
+    if n == 0:
+        return np.zeros(0), np.zeros(0, dtype=int)
+    c, piv, rank, _ = dpstrf(K, lower=1)
+    piv -= 1
+    if rank < n:
+        # Keep L11 and make the dropped rows those of the identity, so that
+        # solving on c gives [(L11 L11^T)^-1 b1; b2] with no copy of L11.
+        L21 = c[rank:, :rank].copy()
+        c[rank:, :] = 0.0
+        c[range(rank, n), range(rank, n)] = 1.0
+        # Null basis N = [-L11^-T L21^T; I] in pivot order, and the Cholesky
+        # factor of N^T N (the identity plus a Gram matrix, so well
+        # conditioned) to project off it.
+        N = -solve_triangular(c, np.vstack([L21.T, np.zeros((n - rank, n - rank))]), lower=True, trans="T",
+                              check_finite=False)
+        N[rank:] = np.eye(n - rank)
+        g, _ = dpotrf(N.T @ N, lower=1)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        """Minimum-norm solution for one load vector, in dof order."""
+        x = b[piv]
+        x[rank:] = 0.0
+        x, _ = dpotrs(c, x, lower=1)
+        if rank < n:
+            x -= N @ dpotrs(g, N.T @ x, lower=1)[0]
+        u = np.empty(n)
+        u[piv] = x
+        return u
+
+    u = solve(F)
+    residual = F - K @ u
+    # Written so a NaN residual also fails.
+    if not np.linalg.norm(residual) <= RESIDUAL_RTOL * max(np.linalg.norm(F), 1.0):
+        if rank == n:
+            raise SingularSystem("stiffness system is numerically singular (residual too large)")
+        raise SingularSystem(
+            f"stiffness matrix is singular: loaded mechanism at {_dof_names(piv[rank:], entries)}"
+        )
+    # One step of iterative refinement: pivoting scatters the band of K and
+    # fills the factor, which costs accuracy that this step wins back.
+    return u + solve(residual), piv[rank:]
+
 
 def solve_linear(K: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve the symmetric system K u = F by Cholesky factorization.
+    """Solve the symmetric positive definite system K u = F by pivoted
+    Cholesky factorization.
 
-    Raises ``SingularSystem`` when K is not positive definite (a mechanism)
-    or the residual exceeds 1e-8 * ||F||.
+    Raises ``SingularSystem`` when K is rank-deficient (a mechanism, loaded
+    or not) or the residual exceeds 1e-8 * max(||F||, 1).
     """
     K = np.asarray(K, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -307,36 +388,13 @@ def solve_linear(K: np.ndarray, F: np.ndarray) -> np.ndarray:
     scale = np.abs(K).max()
     if scale > 0 and np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
         raise ValueError("K is not symmetric")
-    try:
-        factor = cho_factor(K, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise SingularSystem(f"stiffness matrix is singular: {exc}") from None
-    u = cho_solve(factor, F, check_finite=False)
-    fnorm = np.linalg.norm(F)
-    # Written so a NaN residual also fails.
-    if fnorm > 0 and not np.linalg.norm(K @ u - F) <= RESIDUAL_RTOL * fnorm:
-        raise SingularSystem("stiffness system is numerically singular (residual too large)")
+    u, dropped = _solve(K, F)
+    if len(dropped):
+        raise SingularSystem(
+            f"stiffness matrix is singular: rank {len(F) - len(dropped)} of {len(F)}, "
+            f"dropped {_dof_names(dropped, None)}"
+        )
     return u
-
-
-def _solve_tolerating_unloaded_mechanisms(K: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve, allowing zero-energy modes that carry no load.
-
-    When slack cables leave an appendage free to swing (e.g. a pinned
-    pillar whose ropes all went slack), K is singular but the loads do no
-    work on the mechanism. The minimum-norm solution is then a valid
-    equilibrium; a genuinely loaded mechanism still raises.
-    """
-    try:
-        return solve_linear(K, F)
-    except SingularSystem:
-        if K.size == 0:
-            return np.zeros(0)
-        u, *_ = np.linalg.lstsq(K, F, rcond=None)
-        fnorm = np.linalg.norm(F)
-        if np.linalg.norm(K @ u - F) <= RESIDUAL_RTOL * max(fnorm, 1.0):
-            return u
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +430,7 @@ class AnalysisResult:
     active_cables: frozenset[int]
     utilization: dict[int, float] = field(repr=False)
     iterations_used: int
+    mechanisms: int  # zero-energy modes of the converged solve (n - rank of K)
 
     @property
     def max_deflection(self) -> float:
@@ -386,9 +445,13 @@ class AnalysisResult:
 
     @property
     def max_utilization_member(self) -> int | None:
+        """The most utilized member; among members within 1e-9 of the
+        maximum (mirror images, say) the lowest id, so rounding in the
+        solve cannot pick between them."""
         if not self.utilization:
             return None
-        return max(sorted(self.utilization), key=lambda eid: self.utilization[eid])
+        top = self.max_utilization
+        return min(eid for eid, u in self.utilization.items() if u >= top - 1e-9 * abs(top))
 
     @property
     def total_cable_tension(self) -> float:
@@ -476,7 +539,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
             )
         iterations += 1
         K_full, F_full = _stiffness(el, active)
-        u = _solve_tolerating_unloaded_mechanisms(K_full[np.ix_(el.free, el.free)], F_full[el.free])
+        u, dropped = _solve(*el.reduce(K_full, F_full), el.dm.entries)
         full_u = el.expand(u)
 
         axial = {c.id: c.axial(full_u) for c in el.cables}
@@ -521,6 +584,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
         active_cables=taut,
         utilization=_utilization_map(model, forces),
         iterations_used=iterations,
+        mechanisms=len(dropped),
     )
 
 

@@ -85,7 +85,10 @@ class TestAnalyze:
         )
         path = write(tmp_path / "mech.txt", text)
         assert main(["analyze", path]) == 2
-        assert "singular" in capsys.readouterr().err.lower()
+        err = capsys.readouterr().err
+        assert "singular" in err.lower()
+        # The dropped pivot is node 2's vertical dof.
+        assert "node 2 y" in err
 
     def test_scale_flag(self, tmp_path):
         model_path = tmp_path / "m.txt"

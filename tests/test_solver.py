@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from ponte import solver
-from ponte.catalog import generate_preset
+from ponte.catalog import BridgeKind, BridgeSpec, deck_node_ids, generate, generate_preset, strip_to_bare_deck
 from ponte.errors import NonPositiveProperty, SingularSystem
 from ponte.model import (
     BeamElement,
@@ -16,10 +16,12 @@ from ponte.model import (
     NodalForce,
     Node,
     Section,
+    SelfWeight,
     Support,
     UniformLoad,
     build_model,
     dof_map,
+    self_weight_loads,
     validate,
 )
 from ponte.solver import (
@@ -51,6 +53,25 @@ def ss_beam(n_elements: int, length: float = 12.0, loads=()):
     beams = [BeamElement(k + 1, k + 1, k + 2, "timber", "deck") for k in range(n_elements)]
     supports = [Support(1, restrain_x=True, restrain_y=True), Support(n_elements + 1, restrain_y=True)]
     return build_model(nodes, [MAT], [SEC], beams, supports=supports, loads=loads)
+
+
+def applied_force(model) -> tuple[float, float]:
+    """Resultant (fx, fy) of every load on the model."""
+    fx = fy = 0.0
+    for load in model.loads:
+        if isinstance(load, NodalForce):
+            fx += load.fx
+            fy += load.fy
+        elif isinstance(load, UniformLoad):
+            fy -= load.w * model.element_length(model.beam(load.beam))
+        elif isinstance(load, SelfWeight):
+            fy += sum(f.fy for f in self_weight_loads(model, load.g))
+    return fx, fy
+
+
+def replica(kind: BridgeKind, pillars: int, crosswise: bool = False):
+    """A generated replica with 2 m bays, as ``ponte generate`` makes it."""
+    return generate(BridgeSpec(kind, span=2.0 * (pillars + 1), pillar_count=pillars, crosswise_top_ropes=crosswise))
 
 
 def cantilever(n_elements: int, length: float = 3.0, loads=()):
@@ -224,6 +245,34 @@ class TestSolveLinear:
         with pytest.raises(ValueError):
             solve_linear(K, np.array([1.0, 1.0]))
 
+    @staticmethod
+    def grounded_replica_slack():
+        # With every rope slack, each of the 23 pinned pillars of the
+        # grounded replica swings freely and unloaded.
+        K, F = assemble(replica(BridgeKind.LEONARDO_GROUNDED, 23), frozenset())
+        return K, F, 23
+
+    @staticmethod
+    def random_semidefinite():
+        # A dense K whose null space every dof shares, so the particular
+        # solution (dropped dofs at 0) is not the minimum-norm one.
+        a = np.random.default_rng(5).standard_normal((40, 31))
+        K = a @ a.T
+        return K, K @ np.linspace(-1.0, 1.0, 40), 9
+
+    @pytest.mark.parametrize("system", ["grounded_replica_slack", "random_semidefinite"])
+    def test_minimum_norm_solution_of_unloaded_mechanisms(self, system):
+        # K is singular, the load does no work on its null space, and the
+        # solve returns the minimum-norm solution, as lstsq does.
+        K, F, deficiency = getattr(self, system)()
+        u, dropped = solver._solve(K, F)
+        assert len(dropped) == deficiency
+        assert np.linalg.norm(K @ u - F) <= 1e-12 * np.linalg.norm(F)
+        reference, *_ = np.linalg.lstsq(K, F, rcond=None)
+        assert np.linalg.norm(u - reference) <= 1e-12 * np.linalg.norm(reference)
+        with pytest.raises(SingularSystem, match="singular"):
+            solve_linear(K, F)
+
     def test_rigid_body_rank_oracle_then_singular_solve(self):
         # Rank check on an unconstrained 2-node beam: exactly 3 rigid modes.
         model = build_model(
@@ -350,6 +399,47 @@ class TestTensionOnly:
                     assert force <= EPS_FORCE
 
 
+class TestUnloadedMechanisms:
+    # Slack ropes leave pinned pillars free to swing; the solve accepts
+    # these zero-energy modes when the loads do no work on them.
+    @pytest.mark.parametrize(
+        "preset_id, mechanisms", [("BARE_DECK", 0), ("UNDERSLUNG", 0), ("GROUNDED_STAYED", 5)]
+    )
+    def test_mechanisms_of_the_converged_solve(self, preset_id, mechanisms):
+        assert tension_only_analyze(generate_preset(preset_id)).mechanisms == mechanisms
+
+    def check_all_slack(self, model):
+        result = analyze(model)
+        assert result.active_cables == frozenset()
+        _, fy = applied_force(model)
+        ry = sum(r[1] for r in result.reactions.values())
+        assert abs(fy + ry) <= 1e-8 * (abs(fy) + 1.0)
+        return result
+
+    def check_bare_deck_deflection(self, model, result):
+        oracle = analyze(strip_to_bare_deck(model))
+        scale = oracle.max_deflection
+        for nid in deck_node_ids(model):
+            assert result.node_displacements[nid][1] == approx(
+                oracle.node_displacements[nid][1], rel=1e-9, abs=1e-9 * scale
+            )
+
+    def test_floating_crosswise_replica_converges_in_three_iterations(self):
+        model = replica(BridgeKind.LEONARDO_REPLICA, 24, crosswise=True)
+        result = self.check_all_slack(model)
+        assert result.iterations_used <= 3
+        self.check_bare_deck_deflection(model, result)
+
+    def test_floating_replica_of_32_pillars(self):
+        model = replica(BridgeKind.LEONARDO_REPLICA, 32)
+        self.check_bare_deck_deflection(model, self.check_all_slack(model))
+
+    def test_grounded_replica_of_2301_dofs(self):
+        model = replica(BridgeKind.LEONARDO_GROUNDED, 383)
+        assert dof_map(model).n_free == 2301
+        assert self.check_all_slack(model).mechanisms == 383
+
+
 class TestElementTable:
     # One analysis numbers the dofs once and builds each beam's geometry
     # and matrices once, shared by every iteration and by force recovery.
@@ -429,20 +519,21 @@ class TestReactions:
         assert result.reactions[1][2] == approx(P * L, rel=1e-9)
         assert result.reactions[1][1] == approx(P, rel=1e-9)
 
-    def test_equilibrium_random_models(self, random_models):
-        from ponte.model import SelfWeight, self_weight_loads
+    def test_long_beam_bridge_reactions_are_half_its_weight(self):
+        # 96 bays of 1 m: K is ill conditioned (cond 5e8), and the
+        # pivoted factor alone leaves reactions off by 2e-9 of the load.
+        model = generate(BridgeSpec(BridgeKind.BEAM, span=96.0, deck_segments=96))
+        _, fy = applied_force(model)
+        result = analyze(model)
+        ends = sorted(result.reactions)
+        assert len(ends) == 2
+        for nid in ends:
+            assert result.reactions[nid][1] == approx(-fy / 2, rel=1e-9)
 
+    def test_equilibrium_random_models(self, random_models):
         for model in random_models:
             result = tension_only_analyze(model)
-            fx = fy = 0.0
-            for load in model.loads:
-                if isinstance(load, NodalForce):
-                    fx += load.fx
-                    fy += load.fy
-                elif isinstance(load, UniformLoad):
-                    fy -= load.w * model.element_length(model.beam(load.beam))
-                elif isinstance(load, SelfWeight):
-                    fy += sum(f.fy for f in self_weight_loads(model, load.g))
+            fx, fy = applied_force(model)
             rx = sum(r[0] for r in result.reactions.values())
             ry = sum(r[1] for r in result.reactions.values())
             total = abs(fx) + abs(fy) + 1.0
