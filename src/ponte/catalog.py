@@ -246,6 +246,8 @@ def _check_spec(spec: BridgeSpec) -> int:
             raise InvalidSpec("pillar_height must be non-zero for replica kinds")
     if spec.mid_support and nseg % 2 != 0:
         raise InvalidSpec("mid_support needs an even number of deck segments")
+    if spec.kind is BridgeKind.TRUSS and nseg < 2:
+        raise InvalidSpec(f"TrussBridge needs deck_segments >= 2 for a top chord node, got {nseg}")
     return nseg
 
 

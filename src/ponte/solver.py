@@ -7,14 +7,13 @@ utilization. All functions are pure; models are shared read-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
-from .errors import InvalidModel, NoConvergence, NonPositiveProperty, SingularSystem
+from .errors import InvalidModel, NoConvergence, SingularSystem
 from .model import (
     DofMap,
     NodalForce,
@@ -33,172 +32,74 @@ SYMMETRY_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
-# Element matrices
-
-
-def beam_stiffness_local(E: float, A: float, I: float, L: float) -> np.ndarray:
-    """6x6 local stiffness of a 2D frame element (no end releases).
-
-    Dof order: [u_i, v_i, rz_i, u_j, v_j, rz_j].
-    """
-    for name, val in (("E", E), ("A", A), ("I", I), ("L", L)):
-        if not (val > 0 and math.isfinite(val)):
-            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
-    return _beam_local(E, A, I, L, False, False)
-
-
-def _beam_local(E: float, A: float, I: float, L: float, pin_i: bool, pin_j: bool) -> np.ndarray:
-    k = np.zeros((6, 6))
-    ax = E * A / L
-    k[0, 0] = k[3, 3] = ax
-    k[0, 3] = k[3, 0] = -ax
-
-    b = E * I / L**3
-    if not pin_i and not pin_j:
-        kb = b * np.array(
-            [
-                [12.0, 6.0 * L, -12.0, 6.0 * L],
-                [6.0 * L, 4.0 * L**2, -6.0 * L, 2.0 * L**2],
-                [-12.0, -6.0 * L, 12.0, -6.0 * L],
-                [6.0 * L, 2.0 * L**2, -6.0 * L, 4.0 * L**2],
-            ]
-        )
-        rows = (1, 2, 4, 5)
-    elif pin_i and not pin_j:
-        # Hinge at i: theta_i statically condensed out.
-        kb = 3.0 * b * np.array(
-            [
-                [1.0, -1.0, L],
-                [-1.0, 1.0, -L],
-                [L, -L, L**2],
-            ]
-        )
-        rows = (1, 4, 5)
-    elif pin_j and not pin_i:
-        kb = 3.0 * b * np.array(
-            [
-                [1.0, L, -1.0],
-                [L, L**2, -L],
-                [-1.0, -L, 1.0],
-            ]
-        )
-        rows = (1, 2, 4)
-    else:
-        # Hinges at both ends: pure axial member.
-        return k
-    for a_, ra in enumerate(rows):
-        for b_, rb in enumerate(rows):
-            k[ra, rb] = kb[a_, b_]
-    return k
-
-
-def _transformation(cx: float, cy: float) -> np.ndarray:
-    """Global -> local rotation for the 6 frame dofs."""
-    T = np.zeros((6, 6))
-    T[0, 0] = T[1, 1] = T[3, 3] = T[4, 4] = cx
-    T[0, 1] = T[3, 4] = cy
-    T[1, 0] = T[4, 3] = -cy
-    T[2, 2] = T[5, 5] = 1.0
-    return T
-
-
-def cable_stiffness_global(E: float, A: float, L: float, cx: float, cy: float) -> np.ndarray:
-    """4x4 global stiffness of a taut cable over [x_i, y_i, x_j, y_j].
-
-    Rank-1 outer product (EA/L) * d d^T with d = [-cx, -cy, cx, cy].
-    """
-    for name, val in (("E", E), ("A", A), ("L", L)):
-        if not (val > 0 and math.isfinite(val)):
-            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
-    if abs(math.hypot(cx, cy) - 1.0) > 1e-9:
-        raise ValueError(f"direction cosines must be a unit vector, got ({cx}, {cy})")
-    d = np.array([-cx, -cy, cx, cy])
-    return (E * A / L) * np.outer(d, d)
-
-
-def fixed_end_forces(w: float, L: float) -> np.ndarray:
-    """Equivalent nodal loads of a uniform load w (positive down) on a
-    horizontal beam: end shears wL/2 and end moments +/- wL^2/12.
-
-    With these consistent loads, nodal displacements under uniform loads
-    are exact for Euler-Bernoulli theory.
-    """
-    if not (L > 0 and math.isfinite(L)):
-        raise ValueError(f"L must be > 0, got {L}")
-    return _fixed_end_local(0.0, -w, L, False, False)
-
-
-def _fixed_end_local(p: float, q: float, L: float, pin_i: bool, pin_j: bool) -> np.ndarray:
-    """Equivalent nodal loads in local axes for axial intensity p and
-    transverse intensity q (N/m), honouring end releases."""
-    f = np.zeros(6)
-    f[0] = f[3] = p * L / 2.0
-    if not pin_i and not pin_j:
-        f[1] = f[4] = q * L / 2.0
-        f[2] = q * L**2 / 12.0
-        f[5] = -q * L**2 / 12.0
-    elif pin_i and not pin_j:
-        f[1] = 3.0 * q * L / 8.0
-        f[4] = 5.0 * q * L / 8.0
-        f[5] = -q * L**2 / 8.0
-    elif pin_j and not pin_i:
-        f[1] = 5.0 * q * L / 8.0
-        f[2] = q * L**2 / 8.0
-        f[4] = 3.0 * q * L / 8.0
-    else:
-        f[1] = f[4] = q * L / 2.0
-    return f
-
-
-# ---------------------------------------------------------------------------
 # Element table and assembly
 
-
-def _geometry(model: StructureModel, element) -> tuple[float, float, float]:
-    ni = model.node(element.node_i)
-    nj = model.node(element.node_j)
-    dx, dy = nj.x - ni.x, nj.y - ni.y
-    L = math.hypot(dx, dy)
-    return L, dx / L, dy / L
-
-
-@dataclass(frozen=True)
-class _Beam:
-    id: int
-    dofs: list[int]
-    k_global: np.ndarray
-    T: np.ndarray
-    k_local: np.ndarray
-    fixed_end: np.ndarray | None  # local fixed-end vector of its uniform loads
+# The clamped frame element in local axes, dofs [u_i, v_i, rz_i, u_j, v_j,
+# rz_j]: EA/L * _AXIAL + EI/L^3 * D _BENDING D with D = diag(1, 1, L, 1, 1, L).
+# The consistent loads of uniform axial and transverse intensities p and q
+# (N/m) are p L _AXIAL_UDL + q L D _BENDING_UDL.
+_AXIAL = np.zeros((6, 6))
+_AXIAL[np.ix_((0, 3), (0, 3))] = ((1.0, -1.0), (-1.0, 1.0))
+_BENDING = np.zeros((6, 6))
+_BENDING[np.ix_((1, 2, 4, 5), (1, 2, 4, 5))] = (
+    (12.0, 6.0, -12.0, 6.0),
+    (6.0, 4.0, -6.0, 2.0),
+    (-12.0, -6.0, 12.0, -6.0),
+    (6.0, 2.0, -6.0, 4.0),
+)
+_AXIAL_UDL = np.array([0.5, 0.0, 0.0, 0.5, 0.0, 0.0])
+_BENDING_UDL = np.array([0.0, 0.5, 1.0 / 12.0, 0.0, 0.5, -1.0 / 12.0])
 
 
-@dataclass(frozen=True)
-class _Cable:
-    id: int
-    dofs: list[int]
-    ea_l: float
-    cx: float
-    cy: float
-    pretension: float
+def _frame_local(E, A, I, L, p, q, pin_i, pin_j) -> tuple[np.ndarray, np.ndarray]:
+    """Local stiffness (n, 6, 6) and fixed-end vectors (n, 6) of n frame
+    elements under uniform axial and transverse loads p and q (N/m). Every
+    argument is an array of length n; ``pin_i``/``pin_j`` are boolean.
 
-    def axial(self, full_u: np.ndarray) -> float:
-        """Axial force the cable would carry at the given displacements."""
-        ix, iy, jx, jy = self.dofs
-        elongation = (full_u[jx] - full_u[ix]) * self.cx + (full_u[jy] - full_u[iy]) * self.cy
-        return self.ea_l * elongation + self.pretension
+    A released end rotation r is statically condensed out of the clamped
+    element, i end first: k -= k[:, r] k[r, :] / k[r, r], the same Schur
+    complement on the loads, and row and column r set to 0. This is done on
+    the dimensionless coefficients, before D scales them, so a member
+    released at both ends keeps exactly no bending stiffness.
+    """
+    n = len(L)
+    c = np.repeat(_BENDING[None], n, axis=0)
+    g = np.repeat(_BENDING_UDL[None], n, axis=0)
+    for r, pinned in ((2, pin_i), (5, pin_j)):
+        cr = c[pinned, :, r]
+        c[pinned] -= cr[:, :, None] * cr[:, None, :] / cr[:, r, None, None]
+        g[pinned] -= cr * (g[pinned, r] / cr[:, r])[:, None]
+        c[pinned, r] = c[pinned, :, r] = g[pinned, r] = 0.0
+    d = np.ones((n, 6))
+    d[:, 2] = d[:, 5] = L
+    k = (E * A / L)[:, None, None] * _AXIAL + (E * I / L**3)[:, None, None] * (c * d[:, :, None] * d[:, None, :])
+    f = (p * L)[:, None] * _AXIAL_UDL + (q * L)[:, None] * (g * d)
+    return k, f
 
 
 @dataclass(frozen=True)
 class _Elements:
-    """What one analysis derives from the model, built once and read by
-    assembly, the taut/slack check and force recovery. Dofs index the 3*n
-    candidate vector; ``free`` picks the free ones in ``dm`` order."""
+    """What one analysis derives from the model, as arrays built once and
+    read by assembly, the taut/slack check and force recovery. Dofs index
+    the 3*n candidate vector; ``free`` picks the free ones in ``dm`` order.
+    Beam ``fixed_end`` vectors are local, and exactly 0 without a uniform
+    load."""
 
     dm: DofMap
     pos: dict[int, int]
     free: np.ndarray
-    beams: tuple[_Beam, ...]
-    cables: tuple[_Cable, ...]
+    beam_ids: list[int]
+    beam_dofs: np.ndarray  # (beams, 6)
+    k_local: np.ndarray  # (beams, 6, 6)
+    T: np.ndarray  # (beams, 6, 6), global -> local
+    k_global: np.ndarray  # (beams, 6, 6)
+    fixed_end: np.ndarray  # (beams, 6)
+    cable_ids: np.ndarray
+    cable_dofs: np.ndarray  # (cables, 4)
+    ea_l: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+    pretension: np.ndarray
     loads: np.ndarray  # uniform, nodal and self-weight loads, all dofs
 
     def expand(self, u: np.ndarray) -> np.ndarray:
@@ -211,39 +112,66 @@ class _Elements:
         several times faster than one ``np.ix_`` gather)."""
         return K[self.free][:, self.free], F[self.free]
 
+    def cable_mask(self, ids) -> np.ndarray:
+        return np.isin(self.cable_ids, np.fromiter(ids, dtype=int))
+
+    def ids(self, mask: np.ndarray) -> frozenset[int]:
+        return frozenset(self.cable_ids[mask].tolist())
+
+    def axial(self, full_u: np.ndarray) -> np.ndarray:
+        """Axial force each cable would carry at the given displacements."""
+        u = full_u[self.cable_dofs]
+        elongation = (u[:, 2] - u[:, 0]) * self.cx + (u[:, 3] - u[:, 1]) * self.cy
+        return self.ea_l * elongation + self.pretension
+
 
 def _elements(model: StructureModel) -> _Elements:
     dm = dof_map(model)
-    pos = {n.id: 3 * k for k, n in enumerate(model.nodes)}
+    index = {n.id: k for k, n in enumerate(model.nodes)}
+    pos = {nid: 3 * k for nid, k in index.items()}
     free = np.array([pos[nid] + comp for nid, comp in dm.entries], dtype=int)
+    xy = np.array([(n.x, n.y) for n in model.nodes]).reshape(-1, 2)
     loads = np.zeros(3 * len(model.nodes))
+
+    def members(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """First dof of each end node, length and direction cosines."""
+        ends = np.array([(index[e.node_i], index[e.node_j]) for e in elements], dtype=int).reshape(-1, 2)
+        dx, dy = (xy[ends[:, 1]] - xy[ends[:, 0]]).T
+        L = np.hypot(dx, dy)
+        return 3 * ends, L, dx / L, dy / L
+
     udl: dict[int, float] = {}  # total uniform-load intensity per beam id
     for load in model.loads:
         if isinstance(load, UniformLoad):
             udl[load.beam] = udl.get(load.beam, 0.0) + load.w
+    beams = model.beams
+    at, L, cx, cy = members(beams)
+    E, A, I, w = np.array(
+        [
+            (model.material(b.material).elastic_modulus, model.section(b.section).area,
+             model.section(b.section).second_moment, udl.get(b.id, 0.0))
+            for b in beams
+        ]
+    ).reshape(-1, 4).T
+    pin_i, pin_j = np.array([(b.pin_i, b.pin_j) for b in beams], dtype=bool).reshape(-1, 2).T
+    T = np.zeros((len(beams), 6, 6))
+    T[:, [0, 1, 3, 4], [0, 1, 3, 4]] = cx[:, None]
+    T[:, [0, 3], [1, 4]] = cy[:, None]
+    T[:, [1, 4], [0, 3]] = -cy[:, None]
+    T[:, [2, 5], [2, 5]] = 1.0
+    Tt = T.transpose(0, 2, 1)
+    # Project the global (0, -w) line load on the member axes.
+    k_local, fixed_end = _frame_local(E, A, I, L, -w * cy, -w * cx, pin_i, pin_j)
+    loaded = w != 0.0
+    fixed_end[~loaded] = 0.0
+    beam_dofs = at[:, [0, 0, 0, 1, 1, 1]] + [0, 1, 2, 0, 1, 2]
+    np.add.at(loads, beam_dofs[loaded], (Tt[loaded] @ fixed_end[loaded, :, None])[:, :, 0])
 
-    beams = []
-    for beam in model.beams:
-        sec, E = model.section(beam.section), model.material(beam.material).elastic_modulus
-        L, cx, cy = _geometry(model, beam)
-        kl = _beam_local(E, sec.area, sec.second_moment, L, beam.pin_i, beam.pin_j)
-        T = _transformation(cx, cy)
-        ix, jx = pos[beam.node_i], pos[beam.node_j]
-        dofs = [ix, ix + 1, ix + 2, jx, jx + 1, jx + 2]
-        w = udl.get(beam.id, 0.0)
-        fl = None
-        if w != 0.0:
-            # Project the global (0, -w) line load on the member axes.
-            fl = _fixed_end_local(-w * cy, -w * cx, L, beam.pin_i, beam.pin_j)
-            loads[dofs] += T.T @ fl
-        beams.append(_Beam(beam.id, dofs, T.T @ kl @ T, T, kl, fl))
-
-    cables = []
-    for cable in model.cables:
-        L, cx, cy = _geometry(model, cable)
-        ix, jx = pos[cable.node_i], pos[cable.node_j]
-        ea_l = model.material(cable.material).elastic_modulus * cable.area / L
-        cables.append(_Cable(cable.id, [ix, ix + 1, jx, jx + 1], ea_l, cx, cy, cable.pretension))
+    cables = model.cables
+    at, L, ccx, ccy = members(cables)
+    ea, pretension = np.array(
+        [(model.material(c.material).elastic_modulus * c.area, c.pretension) for c in cables]
+    ).reshape(-1, 2).T
 
     records = [l for l in model.loads if isinstance(l, NodalForce)]
     for load in model.loads:
@@ -252,31 +180,41 @@ def _elements(model: StructureModel) -> _Elements:
     for rec in records:
         loads[pos[rec.node] : pos[rec.node] + 3] += (rec.fx, rec.fy, rec.mz)
 
-    return _Elements(dm, pos, free, tuple(beams), tuple(cables), loads)
+    return _Elements(
+        dm=dm, pos=pos, free=free,
+        beam_ids=[b.id for b in beams], beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=Tt @ k_local @ T,
+        fixed_end=fixed_end,
+        cable_ids=np.array([c.id for c in cables], dtype=int), cable_dofs=at[:, [0, 0, 1, 1]] + [0, 1, 0, 1],
+        ea_l=ea / L, cx=ccx, cy=ccy, pretension=pretension,
+        loads=loads,
+    )
 
 
-def _stiffness(el: _Elements, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Full-dof (K, F): only taut cables add stiffness and pretension, and
-    uniform loads enter through their release-aware fixed-end vectors. Beam
-    blocks are scattered afresh, so no full-size K outlives an iteration."""
+def _stiffness(el: _Elements, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full-dof (K, F) with the cables of the mask ``active`` taut: only
+    they add stiffness and pretension. Uniform loads enter through their
+    release-aware fixed-end vectors. One sequential scatter of the beam
+    blocks, then the taut cables' rank-1 blocks, in element order, fixes
+    the summation order; K is built afresh, so no full-size K outlives an
+    iteration."""
     n = len(el.loads)
+    d = np.stack([-el.cx, -el.cy, el.cx, el.cy], axis=1)
+    taut_dofs, taut_d = el.cable_dofs[active], d[active]
+    blocks = (el.k_global, el.ea_l[active, None, None] * (taut_d[:, :, None] * taut_d[:, None, :]))
+    rows = np.concatenate([np.repeat(el.beam_dofs, 6, axis=1).ravel(), np.repeat(taut_dofs, 4, axis=1).ravel()])
+    cols = np.concatenate([np.tile(el.beam_dofs, 6).ravel(), np.tile(taut_dofs, 4).ravel()])
     K = np.zeros((n, n))
+    np.add.at(K, (rows, cols), np.concatenate([b.ravel() for b in blocks]))
     F = el.loads.copy()
-    for beam in el.beams:
-        K[np.ix_(beam.dofs, beam.dofs)] += beam.k_global
-    for cable in el.cables:
-        if cable.id not in active_cables:
-            continue
-        d = np.array([-cable.cx, -cable.cy, cable.cx, cable.cy])
-        K[np.ix_(cable.dofs, cable.dofs)] += cable.ea_l * np.outer(d, d)
-        if cable.pretension:
-            F[cable.dofs] -= cable.pretension * d
+    pre = active & (el.pretension != 0.0)
+    np.subtract.at(F, el.cable_dofs[pre], el.pretension[pre, None] * d[pre])
     return K, F
 
 
 def _assemble_full(model: StructureModel, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
     """Stiffness and load vector over all 3*n candidate dofs."""
-    return _stiffness(_elements(model), active_cables)
+    el = _elements(model)
+    return _stiffness(el, el.cable_mask(active_cables))
 
 
 def assemble(
@@ -290,7 +228,7 @@ def assemble(
     if active_cables is None:
         active_cables = frozenset(c.id for c in model.cables)
     el = _elements(model)
-    return el.reduce(*_stiffness(el, frozenset(active_cables)))
+    return el.reduce(*_stiffness(el, el.cable_mask(active_cables)))
 
 
 # ---------------------------------------------------------------------------
@@ -458,30 +396,19 @@ class AnalysisResult:
         return sum(f.axial for f in self.member_forces.values() if f.kind == "cable")
 
 
-def _member_forces(el: _Elements, full_u: np.ndarray, active_cables: frozenset[int]) -> dict[int, MemberForces]:
-    out: dict[int, MemberForces] = {}
-    for beam in el.beams:
-        f = beam.k_local @ (beam.T @ full_u[beam.dofs])
-        if beam.fixed_end is not None:
-            f = f - beam.fixed_end
-        shear = f[1] if abs(f[1]) >= abs(f[4]) else -f[4]
-        out[beam.id] = MemberForces(kind="beam", axial=f[3], shear=shear, moment_i=f[2], moment_j=f[5])
-    for cable in el.cables:
-        n_axial = cable.axial(full_u)
-        out[cable.id] = MemberForces(kind="cable", axial=n_axial if cable.id in active_cables else max(0.0, n_axial))
+def _member_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> dict[int, MemberForces]:
+    """Local end forces k_local T u minus the fixed-end vectors of the
+    uniform loads; cables outside the mask ``taut`` are clamped to zero."""
+    f = (el.k_local @ (el.T @ full_u[el.beam_dofs][:, :, None]))[:, :, 0] - el.fixed_end
+    shear = np.where(np.abs(f[:, 1]) >= np.abs(f[:, 4]), f[:, 1], -f[:, 4])
+    axial = el.axial(full_u)
+    axial = np.where(taut | (axial > 0.0), axial, 0.0)
+    out = {
+        eid: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
+        for eid, n, v, mi, mj in zip(el.beam_ids, f[:, 3].tolist(), shear.tolist(), f[:, 2].tolist(), f[:, 5].tolist())
+    }
+    out.update((cid, MemberForces(kind="cable", axial=n)) for cid, n in zip(el.cable_ids.tolist(), axial.tolist()))
     return out
-
-
-def member_end_forces(
-    model: StructureModel, u: np.ndarray, active_cables: frozenset[int]
-) -> dict[int, MemberForces]:
-    """Per-element local end forces recovered from the free-dof solution.
-
-    Beam forces are k_local * T * u minus the fixed-end corrections of any
-    uniform loads; inactive cables are clamped to zero force.
-    """
-    el = _elements(model)
-    return _member_forces(el, el.expand(u), active_cables)
 
 
 def utilization(forces: MemberForces, material, section=None, area: float | None = None) -> float:
@@ -524,10 +451,8 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     detected by active-set history and reported, never broken silently.
     """
     el = _elements(model)
-    all_ids = frozenset(c.id for c in el.cables)
-
-    active = all_ids
-    seen: dict[frozenset[int], int] = {active: 0}
+    active = np.ones(len(el.cable_ids), dtype=bool)
+    seen = {active.tobytes(): 0}
     history = [active]
     iterations = 0
 
@@ -535,28 +460,24 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
         if iterations >= MAX_ACTIVE_SET_ITERATIONS:
             raise NoConvergence(
                 f"active set did not stabilize in {MAX_ACTIVE_SET_ITERATIONS} iterations",
-                cycle=history,
+                cycle=[el.ids(a) for a in history],
             )
         iterations += 1
         K_full, F_full = _stiffness(el, active)
         u, dropped = _solve(*el.reduce(K_full, F_full), el.dm.entries)
         full_u = el.expand(u)
 
-        axial = {c.id: c.axial(full_u) for c in el.cables}
-        next_active = frozenset(
-            cid
-            for cid in all_ids
-            if (cid in active and axial[cid] >= -EPS_FORCE)
-            or (cid not in active and axial[cid] > EPS_FORCE)
-        )
-        if next_active == active:
+        axial = el.axial(full_u)
+        next_active = np.where(active, axial >= -EPS_FORCE, axial > EPS_FORCE)
+        if np.array_equal(next_active, active):
             break
-        if next_active in seen:
-            cycle = history[seen[next_active]:] + [next_active]
+        key = next_active.tobytes()
+        if key in seen:
+            cycle = history[seen[key]:] + [next_active]
             raise NoConvergence(
-                f"active set cycles with period {len(cycle) - 1}", cycle=cycle
+                f"active set cycles with period {len(cycle) - 1}", cycle=[el.ids(a) for a in cycle]
             )
-        seen[next_active] = len(history)
+        seen[key] = len(history)
         history.append(next_active)
         active = next_active
 
@@ -564,7 +485,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     # on a pinned pillar that cannot react its pull settles at exactly
     # zero force). They stay engaged in the converged stiffness, which
     # they do not alter, but only genuinely taut cables are reported.
-    taut = frozenset(cid for cid in active if axial[cid] > EPS_FORCE)
+    taut = active & (axial > EPS_FORCE)
 
     forces = _member_forces(el, full_u, taut)
     # Support forces from the converged stiffness: the residual K u - F
@@ -581,7 +502,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
         node_displacements=node_disp,
         member_forces=forces,
         reactions={nid: tuple(r) for nid, r in support.items()},
-        active_cables=taut,
+        active_cables=el.ids(taut),
         utilization=_utilization_map(model, forces),
         iterations_used=iterations,
         mechanisms=len(dropped),

@@ -1,0 +1,126 @@
+"""Closed-form element matrices, written out case by case.
+
+They are independent of the solver's element table, which derives every
+release pattern by static condensation of the clamped element, and the
+tests compare the two.
+"""
+
+import math
+
+import numpy as np
+
+from ponte.errors import NonPositiveProperty
+
+
+def beam_stiffness_local(E: float, A: float, I: float, L: float) -> np.ndarray:
+    """6x6 local stiffness of a 2D frame element (no end releases).
+
+    Dof order: [u_i, v_i, rz_i, u_j, v_j, rz_j].
+    """
+    for name, val in (("E", E), ("A", A), ("I", I), ("L", L)):
+        if not (val > 0 and math.isfinite(val)):
+            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
+    return beam_local(E, A, I, L, False, False)
+
+
+def beam_local(E: float, A: float, I: float, L: float, pin_i: bool, pin_j: bool) -> np.ndarray:
+    k = np.zeros((6, 6))
+    ax = E * A / L
+    k[0, 0] = k[3, 3] = ax
+    k[0, 3] = k[3, 0] = -ax
+
+    b = E * I / L**3
+    if not pin_i and not pin_j:
+        kb = b * np.array(
+            [
+                [12.0, 6.0 * L, -12.0, 6.0 * L],
+                [6.0 * L, 4.0 * L**2, -6.0 * L, 2.0 * L**2],
+                [-12.0, -6.0 * L, 12.0, -6.0 * L],
+                [6.0 * L, 2.0 * L**2, -6.0 * L, 4.0 * L**2],
+            ]
+        )
+        rows = (1, 2, 4, 5)
+    elif pin_i and not pin_j:
+        # Hinge at i: theta_i statically condensed out.
+        kb = 3.0 * b * np.array(
+            [
+                [1.0, -1.0, L],
+                [-1.0, 1.0, -L],
+                [L, -L, L**2],
+            ]
+        )
+        rows = (1, 4, 5)
+    elif pin_j and not pin_i:
+        kb = 3.0 * b * np.array(
+            [
+                [1.0, L, -1.0],
+                [L, L**2, -L],
+                [-1.0, -L, 1.0],
+            ]
+        )
+        rows = (1, 2, 4)
+    else:
+        # Hinges at both ends: pure axial member.
+        return k
+    for a_, ra in enumerate(rows):
+        for b_, rb in enumerate(rows):
+            k[ra, rb] = kb[a_, b_]
+    return k
+
+
+def transformation(cx: float, cy: float) -> np.ndarray:
+    """Global -> local rotation for the 6 frame dofs."""
+    T = np.zeros((6, 6))
+    T[0, 0] = T[1, 1] = T[3, 3] = T[4, 4] = cx
+    T[0, 1] = T[3, 4] = cy
+    T[1, 0] = T[4, 3] = -cy
+    T[2, 2] = T[5, 5] = 1.0
+    return T
+
+
+def cable_stiffness_global(E: float, A: float, L: float, cx: float, cy: float) -> np.ndarray:
+    """4x4 global stiffness of a taut cable over [x_i, y_i, x_j, y_j].
+
+    Rank-1 outer product (EA/L) * d d^T with d = [-cx, -cy, cx, cy].
+    """
+    for name, val in (("E", E), ("A", A), ("L", L)):
+        if not (val > 0 and math.isfinite(val)):
+            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
+    if abs(math.hypot(cx, cy) - 1.0) > 1e-9:
+        raise ValueError(f"direction cosines must be a unit vector, got ({cx}, {cy})")
+    d = np.array([-cx, -cy, cx, cy])
+    return (E * A / L) * np.outer(d, d)
+
+
+def fixed_end_forces(w: float, L: float) -> np.ndarray:
+    """Equivalent nodal loads of a uniform load w (positive down) on a
+    horizontal beam: end shears wL/2 and end moments +/- wL^2/12.
+
+    With these consistent loads, nodal displacements under uniform loads
+    are exact for Euler-Bernoulli theory.
+    """
+    if not (L > 0 and math.isfinite(L)):
+        raise ValueError(f"L must be > 0, got {L}")
+    return fixed_end_local(0.0, -w, L, False, False)
+
+
+def fixed_end_local(p: float, q: float, L: float, pin_i: bool, pin_j: bool) -> np.ndarray:
+    """Equivalent nodal loads in local axes for axial intensity p and
+    transverse intensity q (N/m), honouring end releases."""
+    f = np.zeros(6)
+    f[0] = f[3] = p * L / 2.0
+    if not pin_i and not pin_j:
+        f[1] = f[4] = q * L / 2.0
+        f[2] = q * L**2 / 12.0
+        f[5] = -q * L**2 / 12.0
+    elif pin_i and not pin_j:
+        f[1] = 3.0 * q * L / 8.0
+        f[4] = 5.0 * q * L / 8.0
+        f[5] = -q * L**2 / 8.0
+    elif pin_j and not pin_i:
+        f[1] = 5.0 * q * L / 8.0
+        f[2] = q * L**2 / 8.0
+        f[4] = 3.0 * q * L / 8.0
+    else:
+        f[1] = f[4] = q * L / 2.0
+    return f

@@ -115,6 +115,11 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             generate(BridgeSpec(BridgeKind.BEAM, deck_segments=5, mid_support=True))
 
+    def test_truss_needs_two_segments(self):
+        with pytest.raises(InvalidSpec, match="TrussBridge"):
+            generate(BridgeSpec(BridgeKind.TRUSS, deck_segments=1))
+        assert validate(generate(BridgeSpec(BridgeKind.TRUSS, deck_segments=2))).ok
+
     def test_symmetric_displacements_under_symmetric_load(self):
         model = generate_preset(PresetId.GRANDE)
         result = analyze(model)

@@ -36,6 +36,10 @@ class TestGenerate:
     def test_bad_spec_is_invalid(self, tmp_path):
         assert main(["generate", "BeamBridge", "-o", str(tmp_path / "x.txt"), "--span", "-3"]) == 1
 
+    def test_truss_of_one_segment_is_invalid(self, tmp_path, capsys):
+        assert main(["generate", "TrussBridge", "-o", str(tmp_path / "x.txt"), "--segments", "1"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestAnalyze:
     def test_pipeline(self, tmp_path, capsys):

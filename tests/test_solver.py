@@ -27,16 +27,23 @@ from ponte.model import (
 from ponte.solver import (
     EPS_FORCE,
     _assemble_full,
-    _beam_local,
+    _elements,
+    _frame_local,
+    _member_forces,
     analyze,
     assemble,
-    beam_stiffness_local,
-    cable_stiffness_global,
-    fixed_end_forces,
-    member_end_forces,
     solve_linear,
     tension_only_analyze,
     utilization,
+)
+
+from oracles import (
+    beam_local,
+    beam_stiffness_local,
+    cable_stiffness_global,
+    fixed_end_forces,
+    fixed_end_local,
+    transformation,
 )
 
 E, A, I = 10e9, 0.06, 4.5e-4
@@ -81,9 +88,27 @@ def cantilever(n_elements: int, length: float = 3.0, loads=()):
     return build_model(nodes, [MAT], [SEC], beams, supports=supports, loads=loads)
 
 
+RELEASES = [(False, False), (True, False), (False, True), (True, True)]
+
+
+def table_local(e, a, i, l, pin_i=False, pin_j=False) -> np.ndarray:
+    """The element table's local stiffness of one frame element."""
+    k, _ = _frame_local(*(np.array([v], dtype=float) for v in (e, a, i, l, 0.0, 0.0)),
+                        np.array([pin_i]), np.array([pin_j]))
+    return k[0]
+
+
+def rigid_body_modes(l: float) -> list[np.ndarray]:
+    return [
+        np.array([1.0, 0, 0, 1.0, 0, 0]),
+        np.array([0, 1.0, 0, 0, 1.0, 0]),
+        np.array([0, 0, 1.0, 0, l, 1.0]),  # rotation about node i
+    ]
+
+
 class TestBeamStiffness:
     def test_unit_entries(self):
-        k = beam_stiffness_local(1.0, 1.0, 1.0, 1.0)
+        k = table_local(1.0, 1.0, 1.0, 1.0)
         assert k[0, 0] == approx(1.0)
         assert k[1, 1] == approx(12.0)
         assert k[2, 2] == approx(4.0)
@@ -92,21 +117,18 @@ class TestBeamStiffness:
     @given(positive, positive, positive, positive)
     @settings(max_examples=60, deadline=None)
     def test_symmetric_exactly(self, e, a, i, l):
-        k = beam_stiffness_local(e, a, i, l)
-        assert np.array_equal(k, k.T)
+        for pins in RELEASES:
+            k = table_local(e, a, i, l, *pins)
+            assert np.array_equal(k, k.T)
 
     @given(positive, positive, positive, positive)
     @settings(max_examples=60, deadline=None)
     def test_rigid_body_modes_annihilated(self, e, a, i, l):
-        k = beam_stiffness_local(e, a, i, l)
-        modes = [
-            np.array([1.0, 0, 0, 1.0, 0, 0]),
-            np.array([0, 1.0, 0, 0, 1.0, 0]),
-            np.array([0, 0, 1.0, 0, l, 1.0]),  # rotation about node i
-        ]
-        scale = np.abs(k).max()
-        for r in modes:
-            assert np.abs(k @ r).max() <= 1e-9 * scale * max(np.abs(r).max(), 1.0)
+        for pins in RELEASES:
+            k = table_local(e, a, i, l, *pins)
+            scale = np.abs(k).max()
+            for r in rigid_body_modes(l):
+                assert np.abs(k @ r).max() <= 1e-9 * scale * max(np.abs(r).max(), 1.0)
 
     def test_nonpositive_rejected(self):
         for bad in [(0, 1, 1, 1), (1, -1, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)]:
@@ -116,10 +138,50 @@ class TestBeamStiffness:
     def test_released_ends_have_exact_nullity(self):
         # Hinged variants still annihilate rigid-body motion.
         L = 2.5
-        for pin_i, pin_j in [(True, False), (False, True), (True, True)]:
-            k = _beam_local(E, A, I, L, pin_i, pin_j)
+        for pin_i, pin_j in RELEASES[1:]:
+            k = table_local(E, A, I, L, pin_i, pin_j)
             rot = np.array([0, 0, 1.0, 0, L, 1.0])
             assert np.abs(k @ rot).max() <= 1e-9 * np.abs(k).max()
+
+    @given(
+        st.floats(min_value=1e6, max_value=1e12),
+        positive,
+        positive,
+        st.floats(min_value=0.1, max_value=100.0),
+        st.floats(min_value=0.0, max_value=2 * math.pi),
+        st.just(0.0) | st.floats(min_value=1e-3, max_value=1e4) | st.floats(min_value=-1e4, max_value=-1e-3),
+        st.sampled_from(RELEASES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_condensed_table_matches_closed_forms(self, e, a, i, length, angle, w, pins):
+        # One member of the element table against the case-by-case closed
+        # forms: the local and global stiffness and the global loads of a
+        # uniform load w, for every release pattern.
+        pin_i, pin_j = pins
+        model = build_model(
+            [Node(1, 0.0, 0.0), Node(2, length * math.cos(angle), length * math.sin(angle))],
+            [Material("m", e, 0.0, 1e6)], [Section("s", a, i, 0.1)],
+            [BeamElement(1, 1, 2, "m", "s", pin_i=pin_i, pin_j=pin_j)],
+            loads=[UniformLoad(1, w)],
+        )
+        el = _elements(model)
+        L = model.element_length(model.beam(1))
+        cx, cy = model.node(2).x / L, model.node(2).y / L
+        k = beam_local(e, a, i, L, pin_i, pin_j)
+        T = transformation(cx, cy)
+        loads = T.T @ fixed_end_local(-w * cy, -w * cx, L, pin_i, pin_j)
+
+        def close(table, oracle):
+            return np.abs(table - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+        assert close(el.k_local[0], k)
+        assert close(el.k_global[0], T.T @ k @ T)
+        assert close(el.loads, loads)
+        released = [r for r, pinned in ((2, pin_i), (5, pin_j)) if pinned]
+        assert not el.k_local[0][released].any() and not el.k_local[0][:, released].any()
+        assert not el.fixed_end[0][released].any()
+        for r in rigid_body_modes(L):
+            assert np.abs(el.k_local[0] @ r).max() <= 1e-9 * np.abs(el.k_local[0]).max() * max(L, 1.0)
 
 
 class TestCableStiffness:
@@ -143,6 +205,19 @@ class TestCableStiffness:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError):
             cable_stiffness_global(1.0, 1.0, 1.0, 1.0, 1.0)
+
+    @given(positive, positive, st.floats(min_value=0.1, max_value=100.0), st.floats(min_value=0.0, max_value=2 * math.pi))
+    @settings(max_examples=60, deadline=None)
+    def test_assembled_block_matches_outer_product(self, e, a, length, angle):
+        model = build_model(
+            [Node(1, 0.0, 0.0), Node(2, length * math.cos(angle), length * math.sin(angle))],
+            [Material("m", e, 0.0, 1e6)], [SEC], cables=[CableElement(1, 1, 2, "m", a)],
+        )
+        K, _ = _assemble_full(model, frozenset({1}))
+        L = model.element_length(model.cable(1))
+        oracle = cable_stiffness_global(e, a, L, model.node(2).x / L, model.node(2).y / L)
+        block = K[np.ix_([0, 1, 3, 4], [0, 1, 3, 4])]
+        assert np.abs(block - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 class TestFixedEndForces:
@@ -449,19 +524,18 @@ class TestElementTable:
         tension_only_analyze(generate_preset("GRANDE"))
         assert len(calls) == 1
 
-    def test_one_transformation_per_beam(self, monkeypatch):
-        model = generate_preset("GRANDE")
-        calls = []
-        transformation = solver._transformation
-        monkeypatch.setattr(solver, "_transformation", lambda cx, cy: calls.append(cx) or transformation(cx, cy))
-        assert tension_only_analyze(model).iterations_used > 1
-        assert len(calls) == len(model.beams)
+    def test_one_element_table_per_analysis(self, monkeypatch):
+        tables, frames = [], []
+        monkeypatch.setattr(solver, "_elements", lambda model: tables.append(model) or _elements(model))
+        monkeypatch.setattr(solver, "_frame_local", lambda *args: frames.append(args) or _frame_local(*args))
+        assert tension_only_analyze(generate_preset("GRANDE")).iterations_used > 1
+        assert len(tables) == len(frames) == 1
 
 
 class TestForceRecovery:
     def test_zero_displacements_zero_forces(self):
-        model = ss_beam(2)
-        forces = member_end_forces(model, np.zeros(dof_map(model).n_free), frozenset())
+        el = _elements(ss_beam(2))
+        forces = _member_forces(el, el.expand(np.zeros(el.dm.n_free)), np.zeros(len(el.cable_ids), dtype=bool))
         for f in forces.values():
             assert f.axial == 0 and f.shear == 0 and f.moment_i == 0 and f.moment_j == 0
 
