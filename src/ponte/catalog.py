@@ -32,7 +32,10 @@ from .textio import quantize
 
 DECK_SECTION = Section("timber-deck", area=0.06, second_moment=4.5e-4, depth=0.30)
 PILLAR_SECTION = Section("timber-pillar", area=0.0225, second_moment=4.21875e-5, depth=0.15)
+DECK_MATERIAL = "timber"  # deck, pillars and struts
+ROPE_MATERIAL = "hemp-rope"
 ROPE_AREA = 5e-4  # m^2
+WHEEL_MASS = 300.0  # kg: each wheel, and each shore counterweight of a cantilever
 DEFAULT_G = 9.81
 
 
@@ -70,12 +73,8 @@ class BridgeSpec:
     pillar_count: int = 0
     pillar_height: float = 1.5
     wheels: Wheels = Wheels.NONE
-    wheel_mass: float = 300.0
     mid_support: bool = False
     crosswise_top_ropes: bool = False
-    deck_material: str = "timber"
-    rope_material: str = "hemp-rope"
-    rope_area: float = ROPE_AREA
 
     def resolved_deck_segments(self) -> int:
         if self.deck_segments is not None:
@@ -231,8 +230,6 @@ def _check_spec(spec: BridgeSpec) -> int:
         raise InvalidSpec(f"span must be > 0, got {spec.span}")
     if spec.pillar_count < 0:
         raise InvalidSpec(f"pillar_count must be >= 0, got {spec.pillar_count}")
-    if spec.wheel_mass < 0:
-        raise InvalidSpec(f"wheel_mass must be >= 0, got {spec.wheel_mass}")
     nseg = spec.resolved_deck_segments()
     if nseg < spec.pillar_count + 1:
         raise InvalidSpec(f"deck_segments ({nseg}) must be >= pillar_count + 1 ({spec.pillar_count + 1})")
@@ -255,7 +252,7 @@ def _deck(spec: BridgeSpec, ids: _Ids, nseg: int):
     """Deck chain on pin + roller shore supports."""
     nodes = [Node(ids.node(), quantize(spec.span * k / nseg), 0.0) for k in range(nseg + 1)]
     beams = [
-        BeamElement(ids.element(), nodes[k].id, nodes[k + 1].id, spec.deck_material, DECK_SECTION.name)
+        BeamElement(ids.element(), nodes[k].id, nodes[k + 1].id, DECK_MATERIAL, DECK_SECTION.name)
         for k in range(nseg)
     ]
     supports = [
@@ -268,10 +265,10 @@ def _deck(spec: BridgeSpec, ids: _Ids, nseg: int):
 def _wheel_loads(spec: BridgeSpec, deck_nodes) -> list[Load]:
     loads: list[Load] = []
     if spec.wheels is Wheels.RIGHT_ONLY:
-        loads.append(PointMass(deck_nodes[-1].id, spec.wheel_mass))
+        loads.append(PointMass(deck_nodes[-1].id, WHEEL_MASS))
     elif spec.wheels is Wheels.BOTH_SIDES:
-        loads.append(PointMass(deck_nodes[-1].id, spec.wheel_mass))
-        loads.append(PointMass(deck_nodes[0].id, spec.wheel_mass))
+        loads.append(PointMass(deck_nodes[-1].id, WHEEL_MASS))
+        loads.append(PointMass(deck_nodes[0].id, WHEEL_MASS))
     return loads
 
 
@@ -292,7 +289,7 @@ def _replica(spec: BridgeSpec, ids: _Ids, nseg: int, grounded: bool):
         tops.append(top)
         # Pillar pin-connected at its base: moment release toward the deck.
         beams.append(
-            BeamElement(ids.element(), base.id, top.id, spec.deck_material, PILLAR_SECTION.name, pin_i=True)
+            BeamElement(ids.element(), base.id, top.id, DECK_MATERIAL, PILLAR_SECTION.name, pin_i=True)
         )
     nodes.extend(tops)
 
@@ -305,7 +302,7 @@ def _replica(spec: BridgeSpec, ids: _Ids, nseg: int, grounded: bool):
             # and at the deck joint.
             beams.append(
                 BeamElement(
-                    ids.element(), bed.id, base.id, spec.deck_material, PILLAR_SECTION.name,
+                    ids.element(), bed.id, base.id, DECK_MATERIAL, PILLAR_SECTION.name,
                     pin_i=True, pin_j=True,
                 )
             )
@@ -314,13 +311,13 @@ def _replica(spec: BridgeSpec, ids: _Ids, nseg: int, grounded: bool):
     for k, top in zip(stations, tops):
         for anchor_idx in (k - 1, k + 1):
             cables.append(
-                CableElement(ids.element(), top.id, nodes[anchor_idx].id, spec.rope_material, spec.rope_area)
+                CableElement(ids.element(), top.id, nodes[anchor_idx].id, ROPE_MATERIAL, ROPE_AREA)
             )
     if spec.crosswise_top_ropes:
         for (ka, ta), (kb, tb) in zip(zip(stations, tops), zip(stations[1:], tops[1:])):
-            cables.append(CableElement(ids.element(), ta.id, tb.id, spec.rope_material, spec.rope_area))
-            cables.append(CableElement(ids.element(), ta.id, nodes[kb].id, spec.rope_material, spec.rope_area))
-            cables.append(CableElement(ids.element(), tb.id, nodes[ka].id, spec.rope_material, spec.rope_area))
+            cables.append(CableElement(ids.element(), ta.id, tb.id, ROPE_MATERIAL, ROPE_AREA))
+            cables.append(CableElement(ids.element(), ta.id, nodes[kb].id, ROPE_MATERIAL, ROPE_AREA))
+            cables.append(CableElement(ids.element(), tb.id, nodes[ka].id, ROPE_MATERIAL, ROPE_AREA))
 
     return nodes, beams, cables, supports, loads
 
@@ -333,8 +330,8 @@ def _cantilever(spec: BridgeSpec, ids: _Ids, nseg: int):
     supports.append(Support(nodes[nseg // 3].id, restrain_y=True))
     supports.append(Support(nodes[2 * nseg // 3].id, restrain_y=True))
     loads: list[Load] = [
-        PointMass(nodes[0].id, spec.wheel_mass),
-        PointMass(nodes[-1].id, spec.wheel_mass),
+        PointMass(nodes[0].id, WHEEL_MASS),
+        PointMass(nodes[-1].id, WHEEL_MASS),
     ]
     return nodes, beams, [], supports, loads
 
@@ -349,16 +346,16 @@ def _truss(spec: BridgeSpec, ids: _Ids, nseg: int):
         return tops[k - 1]
 
     for k in range(1, nseg - 1):
-        beams.append(BeamElement(ids.element(), top(k).id, top(k + 1).id, spec.deck_material, PILLAR_SECTION.name))
+        beams.append(BeamElement(ids.element(), top(k).id, top(k + 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
     for k in range(1, nseg):
-        beams.append(BeamElement(ids.element(), nodes[k].id, top(k).id, spec.deck_material, PILLAR_SECTION.name))
-    beams.append(BeamElement(ids.element(), nodes[0].id, top(1).id, spec.deck_material, PILLAR_SECTION.name))
-    beams.append(BeamElement(ids.element(), nodes[nseg].id, top(nseg - 1).id, spec.deck_material, PILLAR_SECTION.name))
+        beams.append(BeamElement(ids.element(), nodes[k].id, top(k).id, DECK_MATERIAL, PILLAR_SECTION.name))
+    beams.append(BeamElement(ids.element(), nodes[0].id, top(1).id, DECK_MATERIAL, PILLAR_SECTION.name))
+    beams.append(BeamElement(ids.element(), nodes[nseg].id, top(nseg - 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
     for k in range(1, nseg - 1):
         if top(k).x < spec.span / 2.0:
-            beams.append(BeamElement(ids.element(), top(k).id, nodes[k + 1].id, spec.deck_material, PILLAR_SECTION.name))
+            beams.append(BeamElement(ids.element(), top(k).id, nodes[k + 1].id, DECK_MATERIAL, PILLAR_SECTION.name))
         else:
-            beams.append(BeamElement(ids.element(), nodes[k].id, top(k + 1).id, spec.deck_material, PILLAR_SECTION.name))
+            beams.append(BeamElement(ids.element(), nodes[k].id, top(k + 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
     return nodes, beams, [], supports, []
 
 
@@ -370,10 +367,10 @@ def _cable_stayed(spec: BridgeSpec, ids: _Ids, nseg: int):
         base = Node(ids.node(), nodes[shore].x, 0.0)
         topn = Node(ids.node(), nodes[shore].x, height)
         nodes.extend([base, topn])
-        beams.append(BeamElement(ids.element(), base.id, topn.id, spec.deck_material, PILLAR_SECTION.name))
+        beams.append(BeamElement(ids.element(), base.id, topn.id, DECK_MATERIAL, PILLAR_SECTION.name))
         supports.append(Support(base.id, restrain_x=True, restrain_y=True, restrain_rz=True))
         for k in fan:
-            cables.append(CableElement(ids.element(), topn.id, nodes[k].id, spec.rope_material, spec.rope_area))
+            cables.append(CableElement(ids.element(), topn.id, nodes[k].id, ROPE_MATERIAL, ROPE_AREA))
     return nodes, beams, cables, supports, []
 
 
@@ -389,7 +386,7 @@ def _suspension(spec: BridgeSpec, ids: _Ids, nseg: int):
         base = Node(ids.node(), nodes[shore].x, 0.0)
         topn = Node(ids.node(), nodes[shore].x, height)
         nodes.extend([base, topn])
-        beams.append(BeamElement(ids.element(), base.id, topn.id, spec.deck_material, PILLAR_SECTION.name))
+        beams.append(BeamElement(ids.element(), base.id, topn.id, DECK_MATERIAL, PILLAR_SECTION.name))
         supports.append(Support(base.id, restrain_x=True, restrain_y=True, restrain_rz=True))
         towers.append(topn)
 
@@ -403,16 +400,16 @@ def _suspension(spec: BridgeSpec, ids: _Ids, nseg: int):
         chain.append(pt)
     chain.append(towers[1])
     for a, b in zip(chain, chain[1:]):
-        cables.append(CableElement(ids.element(), a.id, b.id, spec.rope_material, spec.rope_area))
+        cables.append(CableElement(ids.element(), a.id, b.id, ROPE_MATERIAL, ROPE_AREA))
     for k in range(1, nseg):
-        cables.append(CableElement(ids.element(), chain[k].id, nodes[k].id, spec.rope_material, spec.rope_area))
+        cables.append(CableElement(ids.element(), chain[k].id, nodes[k].id, ROPE_MATERIAL, ROPE_AREA))
 
     for shore, x_anchor in ((0, quantize(-back)), (nseg, quantize(spec.span + back))):
         anchor = Node(ids.node(), x_anchor, 0.0)
         nodes.append(anchor)
         supports.append(Support(anchor.id, restrain_x=True, restrain_y=True))
         tower_top = towers[0] if shore == 0 else towers[1]
-        cables.append(CableElement(ids.element(), tower_top.id, anchor.id, spec.rope_material, spec.rope_area))
+        cables.append(CableElement(ids.element(), tower_top.id, anchor.id, ROPE_MATERIAL, ROPE_AREA))
     return nodes, beams, cables, supports, []
 
 
@@ -447,9 +444,9 @@ def generate(spec: BridgeSpec) -> StructureModel:
         # Deck nodes are allocated first, so the central one is nseg//2 + 1.
         supports = list(supports) + [Support(nseg // 2 + 1, restrain_y=True)]
     loads = list(loads) + [SelfWeight(DEFAULT_G)]
-    materials = [MATERIAL_PRESETS[spec.deck_material]]
-    if cables and spec.rope_material != spec.deck_material:
-        materials.append(MATERIAL_PRESETS[spec.rope_material])
+    materials = [MATERIAL_PRESETS[DECK_MATERIAL]]
+    if cables:
+        materials.append(MATERIAL_PRESETS[ROPE_MATERIAL])
     sections = [DECK_SECTION]
     if any(b.section == PILLAR_SECTION.name for b in beams):
         sections.append(PILLAR_SECTION)

@@ -1,7 +1,10 @@
 """Command line interface: analyze, generate, stage, compare.
 
 Exit codes: 0 success, 1 invalid model/spec, 2 singular system or
-no convergence, 3 erection plan fails, 4 I/O or syntax error.
+no convergence, 3 erection plan fails, 4 I/O or syntax error: a file
+that cannot be read, parsed or written, or a command line that does not
+parse. compare reports the first failure in the order parse A, parse B,
+analyze A, analyze B.
 """
 
 from __future__ import annotations
@@ -11,10 +14,12 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 
 from . import catalog
 from .errors import (
     DuplicateId,
+    InvalidModel,
     InvalidPlan,
     InvalidSpec,
     NoConvergence,
@@ -23,9 +28,8 @@ from .errors import (
     UnknownReference,
 )
 from .erection import run_plan
-from .model import validate
 from .reporting import build_diagram, compare, compare_dict, json_text, plan_report_dict, render_svg, write_report
-from .solver import tension_only_analyze
+from .solver import analyze
 from .textio import parse_model_file, parse_plan_file, serialize_model
 
 EXIT_OK = 0
@@ -35,62 +39,45 @@ EXIT_PLAN_FAILS = 3
 EXIT_IO = 4
 
 
+class _FileError(Exception):
+    """A file could not be read, parsed or written; the message names it
+    and ``__cause__`` is the original error."""
+
+
+def _read(path: str, parse):
+    """``parse`` applied to the text of ``path``."""
+    try:
+        with open(path, "r") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _FileError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except (ParseError, DuplicateId, UnknownReference) as exc:
+        raise _FileError(f"{path}: {exc}") from exc
+
+
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ponte-", suffix=".tmp")
+    """Replace ``path`` with ``text`` in one step, leaving no temporary file."""
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _read(path: str) -> str:
-    with open(path, "r") as handle:
-        return handle.read()
-
-
-def _load_model(path: str):
-    """Parse and validate, printing problems; returns (model, exit_code)."""
-    try:
-        text = _read(path)
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ponte-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    try:
-        model = parse_model_file(text)
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    except (DuplicateId, UnknownReference) as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_INVALID
-    report = validate(model)
-    if not report.ok:
-        for issue in report:
-            print(f"{issue.severity}: {issue.code} at {issue.location}: {issue.message}", file=sys.stderr)
-        return None, EXIT_INVALID
-    return model, EXIT_OK
-
-
-def _analyzed(model):
-    try:
-        return tension_only_analyze(model), EXIT_OK
-    except (SingularSystem, NoConvergence) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, EXIT_SINGULAR
+        raise _FileError(f"cannot write {path}: {exc}") from exc
 
 
 def _cmd_analyze(args) -> int:
-    model, code = _load_model(args.model)
-    if model is None:
-        return code
-    result, code = _analyzed(model)
-    if result is None:
-        return code
+    if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
+        raise InvalidSpec(f"scale must be finite and > 0, got {args.scale}")
+    model = _read(args.model, parse_model_file)
+    result = analyze(model)
 
     member = result.max_utilization_member
     print(f"model: {len(model.nodes)} nodes, {len(model.beams)} beams, {len(model.cables)} cables")
@@ -108,14 +95,13 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _resolve_spec(args):
-    name = args.what
+def _resolve_spec(name: str) -> catalog.BridgeSpec:
     try:
-        return catalog.preset(name).spec, None
+        return catalog.preset(name).spec
     except ValueError:
         pass
     try:
-        kind = catalog.BridgeKind(name)
+        return catalog.BridgeSpec(catalog.BridgeKind(name))
     except ValueError:
         raise InvalidSpec(
             f"unknown preset or bridge kind {name!r}; presets: "
@@ -123,38 +109,20 @@ def _resolve_spec(args):
             + "; kinds: "
             + ", ".join(k.value for k in catalog.BridgeKind)
         ) from None
-    return catalog.BridgeSpec(kind), kind
 
 
 def _cmd_generate(args) -> int:
-    from dataclasses import replace
-
-    try:
-        spec, _ = _resolve_spec(args)
-        overrides = {}
-        if args.pillars is not None:
-            overrides["pillar_count"] = args.pillars
-        if args.wheels is not None:
-            overrides["wheels"] = catalog.Wheels(args.wheels)
-        if args.span is not None:
-            overrides["span"] = args.span
-        if args.segments is not None:
-            overrides["deck_segments"] = args.segments
-        if args.mid_support:
-            overrides["mid_support"] = True
-        if args.crosswise:
-            overrides["crosswise_top_ropes"] = True
-        if overrides:
-            spec = replace(spec, **overrides)
-        model = catalog.generate(spec)
-    except InvalidSpec as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    try:
-        _write_atomic(args.output, serialize_model(model))
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    overrides = {
+        "pillar_count": args.pillars,
+        "wheels": None if args.wheels is None else catalog.Wheels(args.wheels),
+        "span": args.span,
+        "deck_segments": args.segments,
+        "mid_support": args.mid_support or None,
+        "crosswise_top_ropes": args.crosswise or None,
+    }
+    spec = replace(_resolve_spec(args.what), **{k: v for k, v in overrides.items() if v is not None})
+    model = catalog.generate(spec)
+    _write_atomic(args.output, serialize_model(model))
     print(
         f"wrote {args.output}: {spec.kind.value}, "
         f"{len(model.nodes)} nodes, {len(model.beams)} beams, {len(model.cables)} cables"
@@ -163,21 +131,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stage(args) -> int:
-    try:
-        text = _read(args.plan)
-    except OSError as exc:
-        print(f"error: cannot read {args.plan}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        plan = parse_plan_file(text)
-    except ParseError as exc:
-        print(f"error: {args.plan}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        report = run_plan(plan)
-    except InvalidPlan as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+    report = run_plan(_read(args.plan, parse_plan_file))
 
     for stage in report.stages:
         factor = "inf" if math.isinf(stage.overturning_factor) else f"{stage.overturning_factor:.6g}"
@@ -201,18 +155,9 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    model_a, code = _load_model(args.model_a)
-    if model_a is None:
-        return code
-    model_b, code = _load_model(args.model_b)
-    if model_b is None:
-        return code
-    result_a, code = _analyzed(model_a)
-    if result_a is None:
-        return code
-    result_b, code = _analyzed(model_b)
-    if result_b is None:
-        return code
+    model_a = _read(args.model_a, parse_model_file)
+    model_b = _read(args.model_b, parse_model_file)
+    result_a, result_b = analyze(model_a), analyze(model_b)
     labels = (os.path.basename(args.model_a), os.path.basename(args.model_b))
     print(compare(result_a, result_b, labels), end="")
     if args.report:
@@ -221,8 +166,17 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits with EXIT_IO on a usage error; argparse's own 2 means a
+    singular system here. Subparsers are made from the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="ponte", description=__doc__)
+    parser = _Parser(prog="ponte", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="analyze a model file")
@@ -258,8 +212,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command. Every error a command raises is turned into its
+    exit code and stderr text here, and nowhere else."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidModel as exc:
+        for issue in exc.report:
+            print(f"{issue.severity}: {issue.code} at {issue.location}: {issue.message}", file=sys.stderr)
+        return EXIT_INVALID
+    except _FileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID if isinstance(exc.__cause__, (DuplicateId, UnknownReference)) else EXIT_IO
+    except (InvalidSpec, InvalidPlan) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except (SingularSystem, NoConvergence) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SINGULAR
 
 
 if __name__ == "__main__":  # pragma: no cover

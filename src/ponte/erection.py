@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .catalog import DECK_SECTION
+from .catalog import DECK_MATERIAL, DECK_SECTION
 from .errors import InvalidPlan, SingularSystem
 from .model import (
     MATERIAL_PRESETS,
@@ -62,7 +62,6 @@ class Stage:
     index: int
     model: StructureModel
     cantilever_length: float  # m beyond the outermost support
-    description: str
     planted_modules: tuple[int, ...] = ()
     landed: bool = False
 
@@ -128,7 +127,7 @@ def _stage_model(plan: ErectionPlan, built: int, planted: tuple[int, ...], lande
     nodes = [Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0)]
     nodes.extend(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, built + 1))
     beams = [
-        BeamElement(k, k, k + 1, "timber", DECK_SECTION.name)
+        BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name)
         for k in range(1, built + 2)
     ]
     supports = [
@@ -141,7 +140,7 @@ def _stage_model(plan: ErectionPlan, built: int, planted: tuple[int, ...], lande
     loads = [UniformLoad(b.id, plan.deck_weight_per_length) for b in beams]
     loads.append(NodalForce(1, fy=-plan.counterweight))
     return build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
-                       materials=[MATERIAL_PRESETS["timber"]], sections=[DECK_SECTION])
+                       materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
 
 
 def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
@@ -152,7 +151,7 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
     lands the tip on the far shore.
     """
     _check_plan(plan)
-    stages = [Stage(0, _stage_model(plan, 0, (), False), 0.0, "counterweighted abutment")]
+    stages = [Stage(0, _stage_model(plan, 0, (), False), 0.0)]
     planted: tuple[int, ...] = ()
     built = 0
     while built < plan.module_count:
@@ -163,7 +162,6 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
                 len(stages),
                 _stage_model(plan, built, planted, False),
                 (built - last) * plan.module_length,
-                f"module {built} cantilevered",
                 planted_modules=planted,
             )
         )
@@ -174,7 +172,6 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
                     len(stages),
                     _stage_model(plan, built, planted, False),
                     0.0,
-                    f"pillar planted at module {built}",
                     planted_modules=planted,
                 )
             )
@@ -184,7 +181,6 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
                 len(stages),
                 _stage_model(plan, built, planted, True),
                 0.0,
-                "tip landed on the far shore",
                 planted_modules=planted,
                 landed=True,
             )

@@ -58,7 +58,8 @@ class NoConvergence(PonteError):
 
 
 class InvalidSpec(PonteError):
-    """A bridge spec violates its own constraints."""
+    """A bridge spec, or a command-line setting such as the diagram
+    scale, violates its own constraints."""
 
 
 class NotAReplica(PonteError):

@@ -41,18 +41,6 @@ def color_class(utilization: float) -> str:
 # JSON report
 
 
-def _jsonable(value):
-    if isinstance(value, float):
-        if math.isinf(value):
-            return None
-        return value
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def report_dict(result: AnalysisResult) -> dict:
     """The analysis result as one JSON-ready dictionary."""
     model = result.model
@@ -108,8 +96,9 @@ def report_dict(result: AnalysisResult) -> dict:
 
 
 def json_text(payload: dict) -> str:
-    """Deterministic JSON text of a report dictionary; inf becomes null."""
-    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text of a report dictionary; a non-finite float
+    raises ValueError, so a producer that can hold inf maps it first."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:
@@ -119,16 +108,21 @@ def write_report(result: AnalysisResult, model: StructureModel | None = None) ->
     return json_text(report_dict(result))
 
 
+def _finite_or_none(value: float) -> float | None:
+    return None if math.isinf(value) else value
+
+
 def plan_report_dict(report: PlanReport) -> dict:
-    """The erection plan report as one JSON-ready dictionary."""
+    """The erection plan report as one JSON-ready dictionary; a stage's
+    infinite factor, utilization or deflection becomes None."""
     return {
         "stages": [
             {
                 "index": s.index,
                 "verdict": s.verdict.value,
-                "overturning_factor": s.overturning_factor,
-                "max_utilization": s.max_utilization,
-                "max_deflection": s.max_deflection,
+                "overturning_factor": _finite_or_none(s.overturning_factor),
+                "max_utilization": _finite_or_none(s.max_utilization),
+                "max_deflection": _finite_or_none(s.max_deflection),
             }
             for s in report.stages
         ],

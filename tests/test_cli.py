@@ -1,9 +1,30 @@
 import json
 
+import pytest
+
 from ponte import textio
 from ponte.cli import main
 
 PLAN_TEXT = "PLAN MODULE=2 COUNT=4 W=500 CW=2000 LEVER=1\n"
+
+# Parses fine but fails validation: only one restrained dof.
+INVALID_TEXT = (
+    "NODE 1 0 0\nNODE 2 5 0\n"
+    "MATERIAL m E=1e10 RHO=0 SIGMA=1e7\n"
+    "SECTION s A=0.01 I=1e-5 H=0.1\n"
+    "BEAM 1 1 2 m s\nSUPPORT 1 Y\n"
+)
+
+# Valid by counting, but the loaded midspan node hangs on two collinear
+# cables: a mechanism.
+MECHANISM_TEXT = (
+    "NODE 1 0 0\nNODE 2 5 0\nNODE 3 10 0\n"
+    "MATERIAL rope E=1.5e9 RHO=0 SIGMA=2e7\n"
+    "SECTION s A=0.01 I=1e-5 H=0.1\n"
+    "CABLE 1 1 2 rope A=0.0005\nCABLE 2 2 3 rope A=0.0005\n"
+    "SUPPORT 1 XY\nSUPPORT 3 XY\n"
+    "LOAD NODE 2 FY=-100\n"
+)
 
 
 def write(path, text):
@@ -59,35 +80,24 @@ class TestAnalyze:
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing.txt")]) == 4
 
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(bytes(range(256)))
+        assert main(["analyze", str(path)]) == 4
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
     def test_syntax_error_is_io_error(self, tmp_path, capsys):
         path = write(tmp_path / "bad.txt", "NODE 1 zero 0\n")
         assert main(["analyze", path]) == 4
         assert "line 1" in capsys.readouterr().err
 
     def test_invalid_model_is_exit_1(self, tmp_path, capsys):
-        # Parses fine but fails validation: only one restrained dof.
-        text = (
-            "NODE 1 0 0\nNODE 2 5 0\n"
-            "MATERIAL m E=1e10 RHO=0 SIGMA=1e7\n"
-            "SECTION s A=0.01 I=1e-5 H=0.1\n"
-            "BEAM 1 1 2 m s\nSUPPORT 1 Y\n"
-        )
-        path = write(tmp_path / "invalid.txt", text)
+        path = write(tmp_path / "invalid.txt", INVALID_TEXT)
         assert main(["analyze", path]) == 1
         assert "InsufficientRestraint" in capsys.readouterr().err
 
     def test_mechanism_is_exit_2(self, tmp_path, capsys):
-        # Valid by counting, but the loaded midspan node hangs on two
-        # collinear cables: a mechanism.
-        text = (
-            "NODE 1 0 0\nNODE 2 5 0\nNODE 3 10 0\n"
-            "MATERIAL rope E=1.5e9 RHO=0 SIGMA=2e7\n"
-            "SECTION s A=0.01 I=1e-5 H=0.1\n"
-            "CABLE 1 1 2 rope A=0.0005\nCABLE 2 2 3 rope A=0.0005\n"
-            "SUPPORT 1 XY\nSUPPORT 3 XY\n"
-            "LOAD NODE 2 FY=-100\n"
-        )
-        path = write(tmp_path / "mech.txt", text)
+        path = write(tmp_path / "mech.txt", MECHANISM_TEXT)
         assert main(["analyze", path]) == 2
         err = capsys.readouterr().err
         assert "singular" in err.lower()
@@ -102,6 +112,27 @@ class TestAnalyze:
         assert main(["analyze", str(model_path), "--svg", str(svg_a), "--scale", "1"]) == 0
         assert main(["analyze", str(model_path), "--svg", str(svg_b), "--scale", "100"]) == 0
         assert svg_a.read_text() != svg_b.read_text()
+
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "-inf", "0", "-1"])
+    def test_bad_scale_is_invalid(self, tmp_path, capsys, scale):
+        model_path = tmp_path / "m.txt"
+        main(["generate", "GRANDE", "-o", str(model_path)])
+        svg = tmp_path / "d.svg"
+        assert main(["analyze", str(model_path), "--svg", str(svg), f"--scale={scale}"]) == 1
+        assert capsys.readouterr().err.startswith("error: scale must be finite and > 0")
+        assert not svg.exists()
+
+    def test_suspension_with_mid_support_is_exit_2(self, tmp_path, capsys):
+        # The prop drives every hanger into compression on the first
+        # iteration; with the hangers slack the main cable's free nodes
+        # carry weight with no transverse stiffness (physics, not a defect).
+        model_path = tmp_path / "s.txt"
+        assert main(["generate", "SuspensionBridge", "--mid-support", "-o", str(model_path)]) == 0
+        assert main(["analyze", str(model_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: stiffness matrix is singular")
+        assert "node 14 y" in err
 
 
 class TestStage:
@@ -155,7 +186,63 @@ class TestCompare:
             "max_deflection", "max_utilization", "total_cable_tension", "total_material_volume",
         }
 
+    @pytest.mark.parametrize("a, b, code", [
+        # parse A, parse B, analyze A, analyze B: A's mechanism is found
+        # before B's validation, and B's syntax error before A's.
+        ("mech.txt", "invalid.txt", 2),
+        ("invalid.txt", "bad.txt", 4),
+        ("invalid.txt", "mech.txt", 1),
+    ])
+    def test_compare_reports_the_first_failure(self, tmp_path, a, b, code):
+        write(tmp_path / "mech.txt", MECHANISM_TEXT)
+        write(tmp_path / "invalid.txt", INVALID_TEXT)
+        write(tmp_path / "bad.txt", "NODE 1 zero 0\n")
+        assert main(["compare", str(tmp_path / a), str(tmp_path / b)]) == code
+
     def test_compare_missing_file(self, tmp_path):
         a = tmp_path / "bare.txt"
         main(["generate", "BARE_DECK", "-o", str(a)])
         assert main(["compare", str(a), str(tmp_path / "nope.txt")]) == 4
+
+
+class TestFailurePath:
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["analyze"],
+        ["analyze", "m.txt", "--bogus"],
+        ["frobnicate"],
+        ["generate", "BeamBridge", "-o", "x.txt", "--span", "abc"],
+    ])
+    def test_usage_error_is_exit_4(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 4
+        assert capsys.readouterr().err.startswith("usage: ponte")
+
+    def test_help_is_exit_0(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["analyze", "--help"])
+        assert exit_.value.code == 0
+        assert "usage: ponte analyze" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["generate", "analyze --report", "analyze --svg", "stage", "compare"])
+    @pytest.mark.parametrize("target", ["nodir/out", "adir"])
+    def test_unwritable_output_is_exit_4(self, tmp_path, capsys, command, target):
+        # A missing directory fails before the temporary file exists; an
+        # existing directory as the target fails on the final rename.
+        (tmp_path / "adir").mkdir()
+        model = tmp_path / "m.txt"
+        main(["generate", "BARE_DECK", "-o", str(model)])
+        plan = write(tmp_path / "plan.txt", PLAN_TEXT)
+        capsys.readouterr()
+        out = str(tmp_path / target)
+        argv = {
+            "generate": ["generate", "GRANDE", "-o", out],
+            "analyze --report": ["analyze", str(model), "--report", out],
+            "analyze --svg": ["analyze", str(model), "--svg", out],
+            "stage": ["stage", plan, "--report", out],
+            "compare": ["compare", str(model), str(model), "--report", out],
+        }[command]
+        assert main(argv) == 4
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert not list(tmp_path.rglob(".ponte-*.tmp"))
