@@ -70,7 +70,8 @@ def _write_atomic(path: str, text: str) -> None:
                 os.unlink(tmp)
             raise
     except OSError as exc:
-        raise _FileError(f"cannot write {path}: {exc}") from exc
+        # Name the target, not the temporary file the OS error may carry.
+        raise _FileError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _cmd_analyze(args) -> int:

@@ -388,6 +388,9 @@ def validate(model: StructureModel) -> ValidationReport:
     def err(code: str, location: str, message: str) -> None:
         issues.append(ValidationIssue(code, "error", location, message))
 
+    if not model.nodes:
+        err("EmptyModel", "model", "model has no nodes")
+
     for n in model.nodes:
         if not (math.isfinite(n.x) and math.isfinite(n.y)):
             err("NonFiniteCoordinate", f"node {n.id}", f"node {n.id} has non-finite coordinates")

@@ -1,15 +1,18 @@
-"""Closed-form element matrices, written out case by case.
+"""Closed-form element matrices, written out case by case, and a dense
+rank-revealing solve.
 
 They are independent of the solver's element table, which derives every
-release pattern by static condensation of the clamped element, and the
-tests compare the two.
+release pattern by static condensation of the clamped element, and of its
+banded factorization, and the tests compare the two.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
 
-from ponte.errors import NonPositiveProperty
+from ponte.errors import NonPositiveProperty, SingularSystem
 
 
 def beam_stiffness_local(E: float, A: float, I: float, L: float) -> np.ndarray:
@@ -124,3 +127,42 @@ def fixed_end_local(p: float, q: float, L: float, pin_i: bool, pin_j: bool) -> n
     else:
         f[1] = f[4] = q * L / 2.0
     return f
+
+
+def dense_minimum_norm_solve(K: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, int]:
+    """Minimum-norm solution of the positive semi-definite K u = F and the
+    number of pivots dropped, by dense Cholesky with complete pivoting
+    (LAPACK dpstrf, tolerance n eps max diag K; Higham 1990).
+
+    The rank-deficient case projects the particular solution from L11 off
+    the null basis N = P [-L11^-T L21^T; I]. Raises ``SingularSystem`` when
+    ||K u - F|| > 1e-8 max(||F||, 1), and refines u once.
+    """
+    n = len(F)
+    c, piv, rank, _ = dpstrf(K, lower=1)
+    piv -= 1
+    if rank < n:
+        # Keep L11 and make the dropped rows those of the identity, so that
+        # solving on c gives [(L11 L11^T)^-1 b1; b2] with no copy of L11.
+        L21 = c[rank:, :rank].copy()
+        c[rank:, :] = 0.0
+        c[range(rank, n), range(rank, n)] = 1.0
+        N = -solve_triangular(c, np.vstack([L21.T, np.zeros((n - rank, n - rank))]), lower=True, trans="T")
+        N[rank:] = np.eye(n - rank)
+        g, _ = dpotrf(N.T @ N, lower=1)
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        x = b[piv]
+        x[rank:] = 0.0
+        x, _ = dpotrs(c, x, lower=1)
+        if rank < n:
+            x -= N @ dpotrs(g, N.T @ x, lower=1)[0]
+        u = np.empty(n)
+        u[piv] = x
+        return u
+
+    u = solve(F)
+    residual = F - K @ u
+    if not np.linalg.norm(residual) <= 1e-8 * max(np.linalg.norm(F), 1.0):
+        raise SingularSystem("residual too large")
+    return u + solve(residual), n - rank

@@ -96,6 +96,14 @@ class TestAnalyze:
         assert main(["analyze", path]) == 1
         assert "InsufficientRestraint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", ["UNIT SI\n", "# nothing but a comment\n", ""])
+    def test_empty_model_is_exit_1(self, tmp_path, capsys, text):
+        path = write(tmp_path / "empty.txt", text)
+        assert main(["analyze", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: EmptyModel at model: model has no nodes\n"
+        assert captured.out == ""
+
     def test_mechanism_is_exit_2(self, tmp_path, capsys):
         path = write(tmp_path / "mech.txt", MECHANISM_TEXT)
         assert main(["analyze", path]) == 2
@@ -244,5 +252,8 @@ class TestFailurePath:
             "compare": ["compare", str(model), str(model), "--report", out],
         }[command]
         assert main(argv) == 4
-        assert f"error: cannot write {out}: " in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: cannot write {out}: " in err
+        # The message names the target, never the temporary file.
+        assert ".ponte-" not in err
         assert not list(tmp_path.rglob(".ponte-*.tmp"))

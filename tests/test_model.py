@@ -111,6 +111,10 @@ class TestValidate:
     def test_simply_supported_beam_is_clean(self):
         assert validate(simple_beam()).ok
 
+    def test_model_without_nodes_is_empty(self):
+        report = validate(build_model(materials=[MAT], sections=[SEC]))
+        assert [(i.code, i.location) for i in report] == [("EmptyModel", "model")]
+
     def test_zero_length_element(self):
         nodes = [Node(1, 0, 0), Node(2, 5, 0)]
         model = build_model(
