@@ -10,6 +10,7 @@ analyze A, analyze B.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -176,7 +177,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and reused: parsing
+    leaves it as it was, and building it costs about a millisecond."""
     parser = _Parser(prog="ponte", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -215,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one command. Every error a command raises is turned into its
     exit code and stderr text here, and nowhere else."""
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidModel as exc:

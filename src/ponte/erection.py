@@ -116,31 +116,45 @@ def _check_plan(plan: ErectionPlan) -> None:
             raise InvalidPlan(f"{name} out of range: {value}")
 
 
-def _stage_model(plan: ErectionPlan, built: int, planted: tuple[int, ...], landed: bool) -> StructureModel:
-    """Deck chain from the ballast node (x=+lever) out to module ``built``.
+@dataclass(frozen=True)
+class _Deck:
+    """The parts every stage of a plan shares, built once: the nodes from
+    the ballast node (x=+lever) out to the last module, the beams joining
+    them with their self-weight, the ballast force and a bearing for each
+    module's tip. Stage ``built`` takes the first built + 2 nodes and the
+    first built + 1 beams and uniform loads.
 
     The abutment clamps the deck at x=0 (pin plus rotation: the deck is
-    held between the shore block and the ballast span); planted pillars
-    are ideal vertical bearings.
+    held between the shore block and the ballast span); planted pillars,
+    and the far shore once the tip lands, are ideal vertical bearings.
     """
-    mod = plan.module_length
-    nodes = [Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0)]
-    nodes.extend(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, built + 1))
-    beams = [
-        BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name)
-        for k in range(1, built + 2)
-    ]
-    supports = [
-        Support(2, restrain_x=True, restrain_y=True, restrain_rz=True),
-        Support(1, restrain_y=True),
-    ]
-    supports.extend(Support(2 + m, restrain_y=True) for m in planted)
-    if landed:
-        supports.append(Support(2 + built, restrain_y=True))
-    loads = [UniformLoad(b.id, plan.deck_weight_per_length) for b in beams]
-    loads.append(NodalForce(1, fy=-plan.counterweight))
-    return build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
-                       materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
+
+    nodes: tuple[Node, ...]
+    beams: tuple[BeamElement, ...]
+    loads: tuple[NodalForce | UniformLoad, ...]  # the ballast force, then the uniform loads
+    bearings: tuple[Support, ...]  # the ballast and abutment supports, then one per module tip
+
+    @classmethod
+    def of(cls, plan: ErectionPlan) -> _Deck:
+        mod, count = plan.module_length, plan.module_count
+        nodes = (Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0),
+                 *(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, count + 1)))
+        beams = tuple(BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name) for k in range(1, count + 2))
+        loads = (NodalForce(1, fy=-plan.counterweight),
+                 *(UniformLoad(b.id, plan.deck_weight_per_length) for b in beams))
+        bearings = (Support(1, restrain_y=True), Support(2, restrain_x=True, restrain_y=True, restrain_rz=True),
+                    *(Support(2 + m, restrain_y=True) for m in range(1, count + 1)))
+        return cls(nodes, beams, loads, bearings)
+
+    def model(self, built: int, planted: tuple[int, ...], landed: bool) -> StructureModel:
+        """Deck chain out to module ``built``, with pillars under the
+        modules ``planted`` and, if ``landed``, a bearing under the tip."""
+        supports = [*self.bearings[:2], *(self.bearings[1 + m] for m in planted)]
+        if landed:
+            supports.append(self.bearings[1 + built])
+        return build_model(nodes=self.nodes[: built + 2], beams=self.beams[: built + 1], supports=supports,
+                           loads=self.loads[: built + 2], materials=[MATERIAL_PRESETS[DECK_MATERIAL]],
+                           sections=[DECK_SECTION])
 
 
 def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
@@ -148,10 +162,12 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
 
     Stage 0 is the counterweighted abutment alone; each later stage either
     appends one module, plants the current tip as a riverbed pillar, or
-    lands the tip on the far shore.
+    lands the tip on the far shore. Every stage's model is built from the
+    plan's deck parts, made once.
     """
     _check_plan(plan)
-    stages = [Stage(0, _stage_model(plan, 0, (), False), 0.0)]
+    deck = _Deck.of(plan)
+    stages = [Stage(0, deck.model(0, (), False), 0.0)]
     planted: tuple[int, ...] = ()
     built = 0
     while built < plan.module_count:
@@ -160,7 +176,7 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
         stages.append(
             Stage(
                 len(stages),
-                _stage_model(plan, built, planted, False),
+                deck.model(built, planted, False),
                 (built - last) * plan.module_length,
                 planted_modules=planted,
             )
@@ -170,7 +186,7 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
             stages.append(
                 Stage(
                     len(stages),
-                    _stage_model(plan, built, planted, False),
+                    deck.model(built, planted, False),
                     0.0,
                     planted_modules=planted,
                 )
@@ -179,7 +195,7 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
         stages.append(
             Stage(
                 len(stages),
-                _stage_model(plan, built, planted, True),
+                deck.model(built, planted, True),
                 0.0,
                 planted_modules=planted,
                 landed=True,
@@ -216,11 +232,10 @@ def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult
         overturning = plan.deck_weight_per_length * c * c / 2.0
         return counterweight * plan.counterweight_lever / overturning
     r_min = min(_vertical_reactions(result, counterweight - plan.counterweight))
-    deck = sum(stage.model.element_length(b) for b in stage.model.beams)
-    total = plan.deck_weight_per_length * deck + counterweight
     if r_min >= -EPS_FORCE:
         return math.inf
-    return 1.0 + r_min / total
+    deck = sum(stage.model.element_length(b) for b in stage.model.beams)
+    return 1.0 + r_min / (plan.deck_weight_per_length * deck + counterweight)
 
 
 def _solve(stage: Stage) -> AnalysisResult | None:

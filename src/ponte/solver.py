@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
@@ -70,12 +71,16 @@ def _frame_local(E, A, I, L, p, q, pin_i, pin_j) -> tuple[np.ndarray, np.ndarray
     element, i end first: k -= k[:, r] k[r, :] / k[r, r], the same Schur
     complement on the loads, and row and column r set to 0. This is done on
     the dimensionless coefficients, before D scales them, so a member
-    released at both ends keeps exactly no bending stiffness.
+    released at both ends keeps exactly no bending stiffness. An end that
+    no member releases is not condensed at all, and without any release
+    every member shares the clamped coefficients.
     """
     n = len(L)
-    c = np.repeat(_BENDING[None], n, axis=0)
-    g = np.repeat(_BENDING_UDL[None], n, axis=0)
-    for r, pinned in ((2, pin_i), (5, pin_j)):
+    released = [(r, pinned) for r, pinned in ((2, pin_i), (5, pin_j)) if pinned.any()]
+    c, g = _BENDING, _BENDING_UDL
+    if released:
+        c, g = np.repeat(c[None], n, axis=0), np.repeat(g[None], n, axis=0)
+    for r, pinned in released:
         cr = c[pinned, :, r]
         c[pinned] -= cr[:, :, None] * cr[:, None, :] / cr[:, r, None, None]
         g[pinned] -= cr * (g[pinned, r] / cr[:, r])[:, None]
@@ -91,30 +96,32 @@ def _frame_local(E, A, I, L, p, q, pin_i, pin_j) -> tuple[np.ndarray, np.ndarray
 class _Elements:
     """What one analysis derives from the model, as arrays built once and
     read by assembly, the taut/slack check and force recovery. Dofs index
-    the 3*n candidate vector; ``free`` lists the free ones in ``dm`` order
-    and ``dofs`` in band order, ``free[order]``. ``beam_at``/``beam_k`` and
+    the 3*n candidate vector, node ``index[id]`` owning 3*index[id] to
+    3*index[id] + 2; ``free`` lists the free ones in ``dm`` order and
+    ``dofs`` in band order, ``free[order]``. ``beam_at``/``beam_k`` and
     ``cable_at`` place the element matrices in lower band storage.
     Beam ``fixed_end`` vectors are local, and exactly 0 without a uniform
     load."""
 
     dm: DofMap
-    pos: dict[int, int]
+    index: dict[int, int]  # node id -> position in model.nodes
     free: np.ndarray
     order: np.ndarray  # dm index of each band position
     dofs: np.ndarray  # candidate dof of each band position
     bandwidth: int  # of K over the free dofs in band order, every cable taut
-    beam_ids: list[int]
     beam_dofs: np.ndarray  # (beams, 6)
     k_local: np.ndarray  # (beams, 6, 6)
     T: np.ndarray  # (beams, 6, 6), global -> local
     k_global: np.ndarray  # (beams, 6, 6)
     fixed_end: np.ndarray  # (beams, 6)
+    beam_strength: np.ndarray  # (beams, 4): area, depth / 2, second moment, allowable stress
     beam_at: np.ndarray  # band positions of the k_global entries inside the band, element order
     beam_k: np.ndarray  # those entries
     cable_ids: np.ndarray
     cable_dofs: np.ndarray  # (cables, 4)
     cable_k: np.ndarray  # (cables, 4, 4), EA/L d d^T with d = [-cx, -cy, cx, cy]
     cable_at: np.ndarray  # (cables, 4, 4), band position of each entry or -1
+    cable_strength: np.ndarray  # area * allowable stress
     ea_l: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
@@ -143,87 +150,122 @@ class _Elements:
         return self.ea_l * elongation + self.pretension
 
 
+# Global -> local rotation of a frame element: the (row, column) entries
+# holding cx, cx, cx, cx, cy, cy, -cy, -cy; the two rotation dofs hold 1.
+_ROTATION_AT = ((0, 1, 3, 4, 0, 3, 1, 4), (0, 1, 3, 4, 1, 4, 0, 3))
+# Each element's dofs, as offsets from the first dof of its end node.
+_BEAM_DOFS = np.array([0, 1, 2, 0, 1, 2])
+_CABLE_DOFS = np.array([0, 1, 0, 1])
+
+
+def _placement(p: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Lower band storage position of each entry (r, c) of the element
+    blocks whose dofs have the band positions ``p`` (elements, m), -1 for
+    a restrained dof or an upper-triangle entry. Entry (r, c) with r >= c
+    sits at [r - c, c] of the band: position r + bandwidth * c of its
+    Fortran-order buffer."""
+    r, c = p[:, :, None], p[:, None, :]
+    return np.where((c >= 0) & (r >= c), r + bandwidth * c, -1)
+
+
+def _spread(p: np.ndarray) -> int:
+    """The widest spread of free band positions (>= 0) within one row of ``p``."""
+    p = np.where(p >= 0, p, p.max(axis=1, keepdims=True))
+    return int((p.max(axis=1) - p.min(axis=1)).max(initial=0))
+
+
 def _elements(model: StructureModel) -> _Elements:
     dm = dof_map(model)
-    index = {n.id: k for k, n in enumerate(model.nodes)}
-    pos = {nid: 3 * k for nid, k in index.items()}
-    free = np.array([pos[nid] + comp for nid, comp in dm.entries], dtype=int)
-    xy = np.array([(n.x, n.y) for n in model.nodes]).reshape(-1, 2)
-    loads = np.zeros(3 * len(model.nodes))
-
-    def members(elements) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """First dof of each end node, length and direction cosines."""
-        ends = np.array([(index[e.node_i], index[e.node_j]) for e in elements], dtype=int).reshape(-1, 2)
-        dx, dy = (xy[ends[:, 1]] - xy[ends[:, 0]]).T
-        L = np.hypot(dx, dy)
-        return 3 * ends, L, dx / L, dy / L
+    nodes, beams, cables = model.nodes, model.beams, model.cables
+    index = {n.id: k for k, n in enumerate(nodes)}
+    free = np.array([3 * index[nid] + comp for nid, comp in dm.entries], dtype=int)
+    x, y = np.array([[n.x for n in nodes], [n.y for n in nodes]]).reshape(2, -1)
 
     udl: dict[int, float] = {}  # total uniform-load intensity per beam id
     for load in model.loads:
         if isinstance(load, UniformLoad):
             udl[load.beam] = udl.get(load.beam, 0.0) + load.w
-    beams = model.beams
-    at, L, cx, cy = members(beams)
-    E, A, I, w = np.array(
-        [
-            (model.material(b.material).elastic_modulus, model.section(b.section).area,
-             model.section(b.section).second_moment, udl.get(b.id, 0.0))
-            for b in beams
-        ]
-    ).reshape(-1, 4).T
-    pin_i, pin_j = np.array([(b.pin_i, b.pin_j) for b in beams], dtype=bool).reshape(-1, 2).T
+    # Columns gathered per beam; material and section looked up once per pair.
+    kinds: dict[tuple[str, str], int] = {}
+    i, j, kind, w, pin_i, pin_j = np.array(
+        [[index[b.node_i] for b in beams], [index[b.node_j] for b in beams],
+         [kinds.setdefault((b.material, b.section), len(kinds)) for b in beams],
+         [udl.get(b.id, 0.0) for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams]],
+        dtype=float,
+    ).reshape(6, -1)
+    i, j = i.astype(int), j.astype(int)
+    props = np.array(
+        [(model.material(m).elastic_modulus, model.section(s).area, model.section(s).depth / 2.0,
+          model.section(s).second_moment, model.material(m).allowable_stress) for m, s in kinds]
+    ).reshape(-1, 5)[kind.astype(int)]
+    E, A, I = props[:, 0], props[:, 1], props[:, 3]
+    dx, dy = x[j] - x[i], y[j] - y[i]
+    L = np.hypot(dx, dy)
+    cx, cy = dx / L, dy / L
     T = np.zeros((len(beams), 6, 6))
-    T[:, [0, 1, 3, 4], [0, 1, 3, 4]] = cx[:, None]
-    T[:, [0, 3], [1, 4]] = cy[:, None]
-    T[:, [1, 4], [0, 3]] = -cy[:, None]
-    T[:, [2, 5], [2, 5]] = 1.0
+    T.transpose(1, 2, 0)[_ROTATION_AT] = (cx, cx, cx, cx, cy, cy, -cy, -cy)
+    T[:, 2, 2] = T[:, 5, 5] = 1.0
     Tt = T.transpose(0, 2, 1)
     # Project the global (0, -w) line load on the member axes.
-    k_local, fixed_end = _frame_local(E, A, I, L, -w * cy, -w * cx, pin_i, pin_j)
+    k_local, fixed_end = _frame_local(E, A, I, L, -w * cy, -w * cx, pin_i != 0.0, pin_j != 0.0)
     k_global = Tt @ k_local @ T
     loaded = w != 0.0
     fixed_end[~loaded] = 0.0
-    beam_dofs = at[:, [0, 0, 0, 1, 1, 1]] + [0, 1, 2, 0, 1, 2]
+    beam_dofs = 3 * np.stack([i, j], axis=1).repeat(3, axis=1) + _BEAM_DOFS
+    loads = np.zeros(3 * len(nodes))
     np.add.at(loads, beam_dofs[loaded], (Tt[loaded] @ fixed_end[loaded, :, None])[:, :, 0])
-
-    cables = model.cables
-    at, L, ccx, ccy = members(cables)
-    ea, pretension = np.array(
-        [(model.material(c.material).elastic_modulus * c.area, c.pretension) for c in cables]
-    ).reshape(-1, 2).T
-    cable_dofs = at[:, [0, 0, 1, 1]] + [0, 1, 0, 1]
-    d = np.stack([-ccx, -ccy, ccx, ccy], axis=1)
-    cable_k = (ea / L)[:, None, None] * (d[:, :, None] * d[:, None, :])
-
     records = [l for l in model.loads if isinstance(l, NodalForce)]
     for load in model.loads:
         if isinstance(load, SelfWeight):
             records.extend(self_weight_loads(model, load.g))
     for rec in records:
-        loads[pos[rec.node] : pos[rec.node] + 3] += (rec.fx, rec.fy, rec.mz)
+        at = 3 * index[rec.node]
+        loads[at : at + 3] += (rec.fx, rec.fy, rec.mz)
 
     # Band order: the nodes by x, then y (a stable sort, so ties keep model
     # order), and each node's free dofs in x, y, rz order. Along a bridge an
     # element then joins dofs a few places apart, whatever the node ids.
-    rank = np.empty(len(xy), dtype=int)
-    rank[np.lexsort((xy[:, 1], xy[:, 0]))] = np.arange(len(xy))
-    order = np.lexsort((free % 3, rank[free // 3]))
+    rank = np.empty(len(nodes), dtype=int)
+    rank[np.lexsort((y, x))] = np.arange(len(nodes))
+    order = np.argsort(3 * rank[free // 3] + free % 3, kind="stable")
     band = np.full(len(loads), -1)
     band[free[order]] = np.arange(len(free))
-    # Entry (r, c) of K with r >= c sits at [r - c, c] of the lower band
-    # storage: position r + bandwidth * c of its Fortran-order buffer.
-    blocks = [(p[:, :, None], p[:, None, :]) for p in (band[beam_dofs], band[cable_dofs])]
-    lower = [(r, c, (c >= 0) & (r >= c)) for r, c in blocks]
-    bandwidth = max(int((r - c)[inside].max(initial=0)) for r, c, inside in lower)
-    beam_at, cable_at = (np.where(inside, r + bandwidth * c, -1) for r, c, inside in lower)
+    beam_band = band[beam_dofs]
+    bandwidth = _spread(beam_band)  # of every element, each cable taut
+
+    if cables:
+        i, j, ea, pretension, cable_strength = np.array(
+            [[index[c.node_i] for c in cables], [index[c.node_j] for c in cables],
+             [model.material(c.material).elastic_modulus * c.area for c in cables],
+             [c.pretension for c in cables],
+             [c.area * model.material(c.material).allowable_stress for c in cables]]
+        )
+        i, j = i.astype(int), j.astype(int)
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        cable_L = np.hypot(dx, dy)
+        ccx, ccy = dx / cable_L, dy / cable_L
+        cable_dofs = 3 * np.stack([i, j], axis=1).repeat(2, axis=1) + _CABLE_DOFS
+        d = np.stack([-ccx, -ccy, ccx, ccy], axis=1)
+        ea_l = ea / cable_L
+        cable_k = ea_l[:, None, None] * (d[:, :, None] * d[:, None, :])
+        cable_band = band[cable_dofs]
+        bandwidth = max(bandwidth, _spread(cable_band))
+        cable_at = _placement(cable_band, bandwidth)
+    else:
+        ea_l = ccx = ccy = pretension = cable_strength = np.zeros(0)
+        cable_dofs = np.zeros((0, 4), dtype=int)
+        cable_k = np.zeros((0, 4, 4))
+        cable_at = np.zeros((0, 4, 4), dtype=int)
+    beam_at = _placement(beam_band, bandwidth)
     kept = beam_at >= 0
 
     return _Elements(
-        dm=dm, pos=pos, free=free, order=order, dofs=free[order], bandwidth=bandwidth,
-        beam_ids=[b.id for b in beams], beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
-        fixed_end=fixed_end, beam_at=beam_at[kept], beam_k=k_global[kept],
+        dm=dm, index=index, free=free, order=order, dofs=free[order], bandwidth=bandwidth,
+        beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
+        fixed_end=fixed_end, beam_strength=props[:, 1:],
+        beam_at=beam_at[kept], beam_k=k_global[kept],
         cable_ids=np.array([c.id for c in cables], dtype=int), cable_dofs=cable_dofs, cable_k=cable_k,
-        cable_at=cable_at, ea_l=ea / L, cx=ccx, cy=ccy, pretension=pretension,
+        cable_at=cable_at, cable_strength=cable_strength, ea_l=ea_l, cx=ccx, cy=ccy, pretension=pretension,
         loads=loads,
     )
 
@@ -479,29 +521,46 @@ class MemberForces:
 
 @dataclass(frozen=True, eq=False)
 class AnalysisResult:
-    """Everything recovered from one converged analysis."""
+    """Everything recovered from one converged analysis.
+
+    The maxima are computed in the analysis, from arrays. The per-node and
+    per-member dicts (``node_displacements``, ``member_forces``,
+    ``utilization``) are built from the same arrays on first access and
+    kept, so a caller that reads only the maxima and the reactions never
+    pays for them."""
 
     model: StructureModel
     dofs: DofMap
     displacements: np.ndarray = field(repr=False)  # per free dof
-    node_displacements: dict[int, tuple[float, float, float]] = field(repr=False)
-    member_forces: dict[int, MemberForces] = field(repr=False)
     reactions: dict[int, tuple[float, float, float]] = field(repr=False)
     active_cables: frozenset[int]
-    utilization: dict[int, float] = field(repr=False)
     iterations_used: int
     mechanisms: int  # zero-energy modes of the converged solve (n - rank of K)
+    max_deflection: float  # largest vertical nodal displacement magnitude
+    max_utilization: float
+    _node_u: np.ndarray = field(repr=False)  # (nodes, 3), model order
+    _beam_forces: np.ndarray = field(repr=False)  # (beams, 4): axial, shear, moment_i, moment_j
+    _cable_axial: np.ndarray = field(repr=False)
+    _utilization: np.ndarray = field(repr=False)  # beams, then cables, model order
 
-    @property
-    def max_deflection(self) -> float:
-        """Largest vertical nodal displacement magnitude."""
-        if not self.node_displacements:
-            return 0.0
-        return max(abs(d[1]) for d in self.node_displacements.values())
+    @cached_property
+    def node_displacements(self) -> dict[int, tuple[float, float, float]]:
+        return dict(zip((n.id for n in self.model.nodes), map(tuple, self._node_u.tolist())))
 
-    @property
-    def max_utilization(self) -> float:
-        return max(self.utilization.values(), default=0.0)
+    @cached_property
+    def member_forces(self) -> dict[int, MemberForces]:
+        out = {
+            b.id: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
+            for b, (n, v, mi, mj) in zip(self.model.beams, self._beam_forces.tolist())
+        }
+        cables = zip(self.model.cables, self._cable_axial.tolist())
+        out.update((c.id, MemberForces(kind="cable", axial=n)) for c, n in cables)
+        return out
+
+    @cached_property
+    def utilization(self) -> dict[int, float]:
+        ids = [b.id for b in self.model.beams] + [c.id for c in self.model.cables]
+        return dict(zip(ids, self._utilization.tolist()))
 
     @property
     def max_utilization_member(self) -> int | None:
@@ -518,19 +577,16 @@ class AnalysisResult:
         return sum(f.axial for f in self.member_forces.values() if f.kind == "cable")
 
 
-def _member_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> dict[int, MemberForces]:
-    """Local end forces k_local T u minus the fixed-end vectors of the
-    uniform loads; cables outside the mask ``taut`` are clamped to zero."""
+def _end_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Beam end forces (beams, 4) as ``MemberForces`` reports them (axial,
+    shear, moment_i, moment_j) and cable axial forces. Local end forces
+    are k_local T u minus the fixed-end vectors of the uniform loads;
+    cables outside the mask ``taut`` are clamped to zero."""
     f = (el.k_local @ (el.T @ full_u[el.beam_dofs][:, :, None]))[:, :, 0] - el.fixed_end
     shear = np.where(np.abs(f[:, 1]) >= np.abs(f[:, 4]), f[:, 1], -f[:, 4])
     axial = el.axial(full_u)
     axial = np.where(taut | (axial > 0.0), axial, 0.0)
-    out = {
-        eid: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
-        for eid, n, v, mi, mj in zip(el.beam_ids, f[:, 3].tolist(), shear.tolist(), f[:, 2].tolist(), f[:, 5].tolist())
-    }
-    out.update((cid, MemberForces(kind="cable", axial=n)) for cid, n in zip(el.cable_ids.tolist(), axial.tolist()))
-    return out
+    return np.stack([f[:, 3], shear, f[:, 2], f[:, 5]], axis=1), axial
 
 
 def _reactions(el: _Elements, full_u: np.ndarray, active: np.ndarray, F: np.ndarray) -> dict[int, tuple]:
@@ -544,8 +600,17 @@ def _reactions(el: _Elements, full_u: np.ndarray, active: np.ndarray, F: np.ndar
     residual = np.bincount(ends, np.concatenate([beam.ravel(), cable.ravel()]), minlength=len(F)) - F
     support: dict[int, list[float]] = {}
     for nid, comp in sorted(el.dm.restrained):
-        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[el.pos[nid] + comp]
+        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[3 * el.index[nid] + comp]
     return {nid: tuple(r) for nid, r in support.items()}
+
+
+def _member_utilization(el: _Elements, beam: np.ndarray, cable: np.ndarray) -> np.ndarray:
+    """``utilization`` of every beam, then every cable, from ``_end_forces``:
+    the same operations in the same order, so the same values bit for bit."""
+    area, half_depth, inertia, sigma = el.beam_strength.T
+    m_max = np.maximum(np.abs(beam[:, 2]), np.abs(beam[:, 3]))
+    stress = np.abs(beam[:, 0]) / area + m_max * half_depth / inertia
+    return np.concatenate([stress / sigma, cable / el.cable_strength])
 
 
 def utilization(forces: MemberForces, material, section=None, area: float | None = None) -> float:
@@ -564,15 +629,6 @@ def utilization(forces: MemberForces, material, section=None, area: float | None
     if area is None:
         raise ValueError("cable utilization needs an area")
     return forces.axial / (area * sigma)
-
-
-def _utilization_map(model: StructureModel, forces: dict[int, MemberForces]) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for beam in model.beams:
-        out[beam.id] = utilization(forces[beam.id], model.material(beam.material), section=model.section(beam.section))
-    for cable in model.cables:
-        out[cable.id] = utilization(forces[cable.id], model.material(cable.material), area=cable.area)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -624,19 +680,22 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     # they do not alter, but only genuinely taut cables are reported.
     taut = active & (axial > EPS_FORCE)
 
-    forces = _member_forces(el, full_u, taut)
-    node_disp = {n.id: tuple(float(v) for v in full_u[el.pos[n.id] : el.pos[n.id] + 3]) for n in model.nodes}
+    beam, cable = _end_forces(el, full_u, taut)
+    util = _member_utilization(el, beam, cable)
     return AnalysisResult(
         model=model,
         dofs=el.dm,
         displacements=full_u[el.free],
-        node_displacements=node_disp,
-        member_forces=forces,
         reactions=_reactions(el, full_u, active, F),
         active_cables=el.ids(taut),
-        utilization=_utilization_map(model, forces),
         iterations_used=iterations,
         mechanisms=len(dropped),
+        max_deflection=float(np.abs(full_u[1::3]).max()) if len(full_u) else 0.0,
+        max_utilization=float(util.max()) if len(util) else 0.0,
+        _node_u=full_u.reshape(-1, 3),
+        _beam_forces=beam,
+        _cable_axial=cable,
+        _utilization=util,
     )
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -257,3 +260,55 @@ class TestFailurePath:
         # The message names the target, never the temporary file.
         assert ".ponte-" not in err
         assert not list(tmp_path.rglob(".ponte-*.tmp"))
+
+
+class TestOneParser:
+    # main builds its argument parser on the first call and reuses it, so no
+    # call may leave anything behind that changes the next one.
+    def test_repeated_calls_keep_their_outcomes(self, tmp_path, capsys):
+        model = str(tmp_path / "m.txt")
+        plan = write(tmp_path / "plan.txt", PLAN_TEXT)
+        invalid = write(tmp_path / "invalid.txt", INVALID_TEXT)
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exit_:
+                code = exit_.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        calls = [
+            ["frobnicate"],
+            ["--help"],
+            ["generate", "BARE_DECK", "-o", model],
+            ["analyze", "--help"],
+            ["analyze", model],
+            ["analyze", invalid],
+            ["stage", plan],
+            ["stage", str(tmp_path / "nope.txt")],
+            ["compare", model, model],
+            ["compare", model],
+            ["generate", "NOPE", "-o", model + ".x"],
+        ]
+        first = [outcome(argv) for argv in calls]
+        assert [code for code, _, _ in first] == [4, 0, 0, 0, 0, 1, 3, 4, 0, 4, 1]
+        assert first[0][2].startswith("usage: ponte") and "usage: ponte analyze" in first[3][1]
+        assert [outcome(argv) for argv in calls] == first
+        assert [outcome(argv) for argv in reversed(calls)] == first[::-1]
+
+    def test_parser_is_built_on_the_first_call(self):
+        # Not at import, so starting the program does not pay for it.
+        import ponte
+
+        script = (
+            "import ponte.cli as cli\n"
+            "assert cli._parser.cache_info().currsize == 0\n"
+            "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "parser = cli._parser()\n"
+            "try:\n    cli.main(['--help'])\nexcept SystemExit:\n    pass\n"
+            "assert cli._parser() is parser and cli._parser.cache_info().misses == 1\n"
+        )
+        src = os.path.dirname(os.path.dirname(ponte.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)

@@ -7,8 +7,10 @@ from pytest import approx
 
 import ponte.erection
 from ponte import solver
+from ponte.catalog import DECK_MATERIAL, DECK_SECTION
 from ponte.erection import (
     ErectionPlan,
+    Stage,
     Verdict,
     analyze_stage,
     expand_plan,
@@ -17,7 +19,17 @@ from ponte.erection import (
     run_plan,
 )
 from ponte.errors import InvalidPlan
-from ponte.model import NodalForce
+from ponte.model import (
+    MATERIAL_PRESETS,
+    BeamElement,
+    NodalForce,
+    Node,
+    Support,
+    UniformLoad,
+    build_model,
+)
+from ponte.reporting import json_text, plan_report_dict
+from ponte.textio import quantize
 
 PLAN = ErectionPlan(
     module_length=2.0,
@@ -68,6 +80,71 @@ class TestExpandPlan:
             expand_plan(replace(PLAN, pillar_interval=0))
         with pytest.raises(InvalidPlan):
             expand_plan(replace(PLAN, safety_factor=0.5))
+
+
+def stages_one_by_one(plan: ErectionPlan) -> tuple[Stage, ...]:
+    """The stages of ``expand_plan`` with every model built on its own,
+    as they were before the stages shared the plan's deck parts."""
+
+    def model(built, planted, landed):
+        mod = plan.module_length
+        nodes = [Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0)]
+        nodes.extend(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, built + 1))
+        beams = [BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name) for k in range(1, built + 2)]
+        supports = [Support(2, restrain_x=True, restrain_y=True, restrain_rz=True), Support(1, restrain_y=True)]
+        supports.extend(Support(2 + m, restrain_y=True) for m in planted)
+        if landed:
+            supports.append(Support(2 + built, restrain_y=True))
+        loads = [UniformLoad(b.id, plan.deck_weight_per_length) for b in beams]
+        loads.append(NodalForce(1, fy=-plan.counterweight))
+        return build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
+                           materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
+
+    stages = [Stage(0, model(0, (), False), 0.0)]
+    planted, built = (), 0
+    while built < plan.module_count:
+        built += 1
+        stages.append(Stage(len(stages), model(built, planted, False),
+                            (built - max(planted, default=0)) * plan.module_length, planted))
+        if built < plan.module_count and built % plan.pillar_interval == 0:
+            planted += (built,)
+            stages.append(Stage(len(stages), model(built, planted, False), 0.0, planted))
+    if plan.module_count > 0:
+        stages.append(Stage(len(stages), model(built, planted, True), 0.0, planted, landed=True))
+    return tuple(stages)
+
+
+class TestSharedDeckParts:
+    # expand_plan builds a plan's nodes, beams and loads once and gives each
+    # stage prefixes of them; the stages must be the ones built one by one.
+    PLANS = [
+        replace(PLAN, module_count=0),
+        replace(PLAN, module_count=1),
+        replace(PLAN, module_count=6, pillar_interval=1),
+        replace(PLAN, module_count=3, pillar_interval=5),
+        replace(PLAN, module_count=4, pillar_interval=3),
+        replace(PLAN, module_length=1.37, module_count=9, counterweight_lever=2.71, deck_weight_per_length=1234.5),
+    ]
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_stages_equal_the_ones_built_one_by_one(self, plan):
+        shared, reference = expand_plan(plan), stages_one_by_one(plan)
+        assert len(shared) == len(reference)
+        assert shared[-1].landed is (plan.module_count > 0)
+        for a, b in zip(shared, reference):
+            assert (a.index, a.cantilever_length, a.planted_modules, a.landed) == (
+                b.index, b.cantilever_length, b.planted_modules, b.landed)
+            assert [(n.id, n.x.hex(), n.y.hex()) for n in a.model.nodes] == [
+                (n.id, n.x.hex(), n.y.hex()) for n in b.model.nodes]
+            for part in ("beams", "supports", "loads", "materials", "sections", "cables"):
+                assert getattr(a.model, part) == getattr(b.model, part), part
+            assert a.model == b.model
+
+    @pytest.mark.parametrize("plan", PLANS)
+    def test_plan_report_is_unchanged(self, plan, monkeypatch):
+        shared = json_text(plan_report_dict(run_plan(plan)))
+        monkeypatch.setattr(ponte.erection, "expand_plan", stages_one_by_one)
+        assert json_text(plan_report_dict(run_plan(plan))) == shared
 
 
 class TestOverturningFactor:

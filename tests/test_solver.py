@@ -35,12 +35,13 @@ from ponte.model import (
     self_weight_loads,
     validate,
 )
+from ponte.reporting import write_report
 from ponte.solver import (
     EPS_FORCE,
     _assemble_full,
     _elements,
     _frame_local,
-    _member_forces,
+    _end_forces,
     analyze,
     assemble,
     solve_linear,
@@ -194,6 +195,63 @@ class TestBeamStiffness:
         assert not el.fixed_end[0][released].any()
         for r in rigid_body_modes(L):
             assert np.abs(el.k_local[0] @ r).max() <= 1e-9 * np.abs(el.k_local[0]).max() * max(L, 1.0)
+
+    @given(
+        # The release patterns a table may hold: none released (neither end
+        # is condensed), only j-ends, only i-ends, or both ends released.
+        st.sampled_from([
+            ((False, False),),
+            ((False, True),),
+            ((False, False), (False, True)),
+            ((True, False),),
+            ((True, True),),
+            ((False, False), (True, True)),
+            tuple(RELEASES),
+        ]),
+        st.lists(
+            st.tuples(
+                st.floats(min_value=1e6, max_value=1e12), positive, positive,
+                st.floats(min_value=0.1, max_value=100.0), st.floats(min_value=0.0, max_value=2 * math.pi),
+                st.just(0.0) | st.floats(min_value=1e-3, max_value=1e4) | st.floats(min_value=-1e4, max_value=-1e-3),
+                st.integers(min_value=0, max_value=6),
+            ),
+            min_size=1, max_size=6,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_tables_of_several_members_match_closed_forms(self, patterns, members):
+        # A table of several members, each on its own two nodes, whose
+        # release patterns are drawn from ``patterns``: an end that no
+        # member releases is not condensed at all.
+        nodes, materials, sections, beams, loads, pins = [], [], [], [], [], []
+        for k, (e, a, i, length, angle, w, pick) in enumerate(members):
+            pin_i, pin_j = patterns[pick % len(patterns)]
+            nodes += [Node(2 * k + 1, 3.0 * k, 0.5 * k),
+                      Node(2 * k + 2, 3.0 * k + length * math.cos(angle), 0.5 * k + length * math.sin(angle))]
+            materials.append(Material(f"m{k}", e, 0.0, 1e6))
+            sections.append(Section(f"s{k}", a, i, 0.1))
+            beams.append(BeamElement(k + 1, 2 * k + 1, 2 * k + 2, f"m{k}", f"s{k}", pin_i=pin_i, pin_j=pin_j))
+            loads.append(UniformLoad(k + 1, w))
+            pins.append((pin_i, pin_j))
+        model = build_model(nodes, materials, sections, beams, loads=loads)
+        el = _elements(model)
+
+        def close(table, oracle):
+            return np.abs(table - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+        for k, ((e, a, i, _, _, w, _), (pin_i, pin_j)) in enumerate(zip(members, pins)):
+            beam = model.beam(k + 1)
+            ni, nj = model.node(beam.node_i), model.node(beam.node_j)
+            L = model.element_length(beam)
+            T = transformation((nj.x - ni.x) / L, (nj.y - ni.y) / L)
+            cx, cy = T[0, 0], T[0, 1]
+            local = beam_local(e, a, i, L, pin_i, pin_j)
+            assert close(el.k_local[k], local)
+            assert close(el.k_global[k], T.T @ local @ T)
+            assert close(el.loads[6 * k : 6 * k + 6], T.T @ fixed_end_local(-w * cy, -w * cx, L, pin_i, pin_j))
+            released = [r for r, pinned in ((2, pin_i), (5, pin_j)) if pinned]
+            assert not el.k_local[k][released].any() and not el.k_local[k][:, released].any()
+            assert not el.fixed_end[k][released].any()
 
 
 class TestCableStiffness:
@@ -717,12 +775,75 @@ class TestElementTable:
         assert len(tables) == len(frames) == 1
 
 
+class TestResultArrays:
+    # The maxima are computed in the analysis from arrays, and the per-node
+    # and per-member dicts are built from the same arrays on first access:
+    # the two must agree bit for bit.
+    PLANS = [
+        erection.ErectionPlan(2.0, 4, 500.0, 2000.0, 1.0, pillar_interval=2),
+        erection.ErectionPlan(1.5, 12, 1200.0, 4e4, 2.0, pillar_interval=3),
+        erection.ErectionPlan(6.0, 3, 30000.0, 4e6, 2.0, pillar_interval=1),
+    ]
+
+    @classmethod
+    def models(cls):
+        yield from (generate_preset(p.id) for p in presets())
+        for kind in BridgeKind:
+            if kind in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED):
+                yield replica(kind, 7, crosswise=kind is BridgeKind.LEONARDO_REPLICA)
+            else:
+                yield generate(BridgeSpec(kind))
+        for plan in cls.PLANS:
+            yield from (stage.model for stage in erection.expand_plan(plan))
+
+    @staticmethod
+    def same(a, b) -> bool:
+        return float(a).hex() == float(b).hex()
+
+    def test_maxima_and_dicts_agree(self):
+        seen = set()
+        for model in self.models():
+            result = analyze(model)
+            util = result.utilization
+            assert self.same(result.max_utilization, max(util.values(), default=0.0))
+            deflections = [abs(d[1]) for d in result.node_displacements.values()]
+            assert self.same(result.max_deflection, max(deflections, default=0.0))
+            top = max(util.values(), default=0.0)
+            member = min((eid for eid, u in util.items() if u >= top - 1e-9 * abs(top)), default=None)
+            assert result.max_utilization_member == member
+            # The utilization array uses utilization()'s operations in its order.
+            forces = result.member_forces
+            for beam in model.beams:
+                expected = utilization(forces[beam.id], model.material(beam.material), model.section(beam.section))
+                assert self.same(util[beam.id], expected)
+            for cable in model.cables:
+                expected = utilization(forces[cable.id], model.material(cable.material), area=cable.area)
+                assert self.same(util[cable.id], expected)
+            assert list(util) == list(forces) == [e.id for e in (*model.beams, *model.cables)]
+            assert list(result.node_displacements) == [n.id for n in model.nodes]
+            for name in ("node_displacements", "member_forces", "utilization"):
+                assert getattr(result, name) is getattr(result, name)  # built once, then kept
+            seen.update(
+                name for name, present in (
+                    ("taut", result.active_cables),
+                    ("slack", len(result.active_cables) < len(model.cables)),
+                    ("pinned", any(b.pin_i or b.pin_j for b in model.beams)),
+                ) if present
+            )
+        assert seen == {"taut", "slack", "pinned"}
+
+    def test_report_does_not_depend_on_when_the_dicts_are_built(self):
+        for model in (generate_preset("GRANDE"), generate(BridgeSpec(BridgeKind.CABLE_STAYED))):
+            early = analyze(model)
+            early.node_displacements, early.member_forces, early.utilization
+            assert write_report(early) == write_report(analyze(model))
+
+
 class TestForceRecovery:
     def test_zero_displacements_zero_forces(self):
         el = _elements(ss_beam(2))
-        forces = _member_forces(el, el.expand(np.zeros(el.dm.n_free)), np.zeros(len(el.cable_ids), dtype=bool))
-        for f in forces.values():
-            assert f.axial == 0 and f.shear == 0 and f.moment_i == 0 and f.moment_j == 0
+        beam, cable = _end_forces(el, el.expand(np.zeros(el.dm.n_free)), np.zeros(len(el.cable_ids), dtype=bool))
+        assert beam.shape == (2, 4) and not beam.any() and not cable.any()
 
     def test_hooke_axial_bar(self):
         model = build_model(
