@@ -356,6 +356,11 @@ def _rotational_stiffness_nodes(model: StructureModel) -> set[int]:
 
 
 def _connected_components(model: StructureModel) -> list[set[int]]:
+    """The node sets joined by elements, in the order of their first node.
+    A union links the second root under the first, so a deck chain listed
+    from its start stays one level deep instead of becoming a parent chain
+    as long as the deck. Union by size, measured too, was slower on
+    erection stages and on a 2 000-node chain either way round."""
     parent = {n.id: n.id for n in model.nodes}
 
     def find(a: int) -> int:
@@ -367,7 +372,7 @@ def _connected_components(model: StructureModel) -> list[set[int]]:
     def union(a: int, b: int) -> None:
         ra, rb = find(a), find(b)
         if ra != rb:
-            parent[ra] = rb
+            parent[rb] = ra
 
     for e in list(model.beams) + list(model.cables):
         union(e.node_i, e.node_j)

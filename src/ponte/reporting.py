@@ -95,10 +95,52 @@ def report_dict(result: AnalysisResult) -> dict:
     }
 
 
+# The C encoder, which ``json`` uses only without indent, with a newline
+# in its item separator. It escapes every newline inside a string, so each
+# raw newline in its output is a separator, and indenting them is safe.
+_encode = json.JSONEncoder(separators=(",\n", ": "), allow_nan=False).encode
+
+
+def _flat(values) -> bool:
+    """Whether every value is a JSON scalar. Both encoders write a subclass
+    of str, int or float (a numpy float, say) as its base type."""
+    return all(v is None or isinstance(v, (str, int, float)) for v in values)
+
+
+def _indented(value, pad: str) -> str:
+    """``json.dumps(value, indent=2)`` with every line after the first
+    prefixed by ``pad``. Python walks only containers of containers; an
+    all-scalar dict or list, or a list of all-scalar dicts (a table of
+    records), is one call of the C encoder."""
+    inner = pad + "  "
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, (dict, list, tuple)) or _flat(items):
+        text = _encode(value)
+        if len(text) < 3 or text[0] not in "[{":
+            return text  # a scalar, [] or {}
+        return text[0] + "\n" + inner + text[1:-1].replace("\n", "\n" + inner) + "\n" + pad + text[-1]
+    if not isinstance(value, dict) and all(type(v) is dict and v and _flat(v.values()) for v in items):
+        # '[{"a": 1,\n"b": 2},\n{"a": 3}]': a raw newline before "{" starts a record.
+        deep = inner + "  "
+        body = _encode(value)[2:-2].replace("\n", "\n" + deep)
+        body = body.replace("},\n" + deep + "{", "\n" + inner + "},\n" + inner + "{\n" + deep)
+        return "[\n" + inner + "{\n" + deep + body + "\n" + inner + "}\n" + pad + "]"
+    if isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
+        parts = [_encode(k) + ": " + _indented(v, inner) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
+    parts = [_indented(v, inner) for v in value]
+    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
+
+
 def json_text(payload: dict) -> str:
-    """Deterministic JSON text of a report dictionary; a non-finite float
-    raises ValueError, so a producer that can hold inf maps it first."""
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    """Deterministic JSON text of a report dictionary: the bytes of
+    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline. A
+    non-finite float raises ValueError, so a producer that can hold inf
+    maps it first. The indenting encoder is pure Python, so the text is
+    built from C-encoded pieces (``_indented``)."""
+    return _indented(payload, "") + "\n"
 
 
 def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs, dtbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import InvalidModel, NoConvergence, SingularSystem
 from .model import (
@@ -39,6 +39,7 @@ EPS_FORCE = 1e-6  # N, dead band for taut/slack decisions
 MAX_ACTIVE_SET_ITERATIONS = 100
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10  # a pivot at or below this fraction of its diagonal is a zero-energy mode
+WINDOW_RTOL = 1e-16  # a null mode's window ends where it falls to this fraction of its largest entry
 SYMMETRY_RTOL = 1e-9
 
 
@@ -395,6 +396,93 @@ def _semidefinite_factor(ab: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, n
         zero[j] = True
 
 
+@lru_cache
+def _window(w: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows 0..w-1 of a window of a band factor of half-width b, and for
+    each row i and diagonal d whether entry (i + d, i) lies in the window.
+    Cached, so read-only."""
+    i = np.arange(w)
+    inside = np.add.outer(i, np.arange(b + 1)) < w
+    i.flags.writeable = inside.flags.writeable = False
+    return i, inside
+
+
+def _null_basis(c: np.ndarray, dropped: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The null basis N of K from its decoupled factor ``c``, one mode per
+    dropped pivot j, scaled to 1 at j: L^T N_j = c[0, j] e_j. Returned in
+    coordinate form (rows, mode, values): the nonzero entries of each mode
+    from its first above ``WINDOW_RTOL`` of its largest down to j. The
+    rows above are rounding; those below, zero.
+
+    L^T is upper triangular and the right-hand side is zero below j, so
+    N_j is zero below j, and its rows from lo on depend only on rows lo..
+    of L^T: solving on a window of the factor from row lo that holds j is
+    exact on the rows it keeps. Each mode is first solved on a window of
+    2b + 1 rows (b the half-bandwidth) that ends at j, or starts at row 0
+    if j is nearer the top; all windows are solved at once, side by side
+    as one band matrix, each without its entries that would reach into the
+    next. A mode is done there if its window starts at row 0 or if its top
+    b rows, the only ones the rows above depend on, are at or below
+    ``WINDOW_RTOL`` of its largest entry: a pillar left free by slack ropes
+    is, with 2 entries above the cutoff. The modes that spread further up
+    are solved together on the factor from row 0.
+    """
+    b, n = len(c) - 1, c.shape[1]
+    w = min(2 * b + 1, n)
+    i, inside = _window(w, b)
+    lo = np.maximum(dropped - (w - 1), 0)
+    at = lo[:, None] + i
+    # Window k, row i, diagonal d; transposed, the band of all windows.
+    s = c.T[at]
+    s *= inside
+    # c[0, j] at j: the window's own diagonal there.
+    e = s[:, :, 0] * (at == dropped[:, None])
+    x, _ = dtbtrs(s.reshape(-1, b + 1).T, e.ravel(), "L", "T", "N", 1)
+    x = x.reshape(at.shape)
+    a = np.abs(x)
+    big = a > WINDOW_RTOL * np.maximum.reduce(a, axis=1, keepdims=True)
+    spread = np.logical_or.reduce(big[:, :b], axis=1) & (lo > 0)
+    keep = np.logical_or.accumulate(big, axis=1) & (x != 0.0)
+    rows, mode, values = at[keep], keep.nonzero()[0], x[keep]
+    k = spread.nonzero()[0]
+    if len(k):
+        local = ~spread[mode]
+        rows, mode, values = rows[local], mode[local], values[local]
+        j = dropped[k]
+        e = np.zeros((j[-1] + 1, len(j)), order="F")
+        e[j, np.arange(len(j))] = c[0][j]
+        x, _ = dtbtrs(c[:, : j[-1] + 1], e, "L", "T", "N", 1)
+        a = np.abs(x)
+        big = a > WINDOW_RTOL * a.max(axis=0)
+        row, col = np.nonzero(np.logical_or.accumulate(big) & (x != 0.0))
+        rows = np.concatenate((rows, row))
+        mode = np.concatenate((mode, k[col]))
+        values = np.concatenate((values, x[row, col]))
+    return rows, mode, values
+
+
+def _gram_band(rows: np.ndarray, mode: np.ndarray, values: np.ndarray, m: int) -> np.ndarray:
+    """Lower band storage of N^T N for m modes, N in the coordinate form of
+    ``_null_basis``. Each pair of entries in one row adds its product at
+    diagonal |k - l| of their modes k and l, and each entry its square at
+    diagonal 0. With the entries sorted by row, the pairs are those t apart
+    with equal rows, for t = 1, 2, ... until there is none; if the rows
+    already ascend, no two are equal and N^T N is diagonal."""
+    if (rows[1:] > rows[:-1]).all():
+        return np.bincount(mode, values * values, minlength=m)[None]
+    order = np.argsort(rows)
+    r, k, v = rows[order], mode[order], values[order]
+    at, terms = [mode], [values * values]
+    t = 1
+    while len(pair := np.flatnonzero(r[t:] == r[:-t])):
+        k1, k2 = k[pair], k[pair + t]
+        at.append(np.abs(k1 - k2) * m + np.minimum(k1, k2))
+        terms.append(v[pair] * v[pair + t])
+        t += 1
+    at = np.concatenate(at)
+    return np.bincount(at, np.concatenate(terms), minlength=m * (int(at.max()) // m + 1)).reshape(-1, m)
+
+
 def _solve(
     ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str] | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -415,9 +503,16 @@ def _solve(
 
     A rank-deficient K is one where slack cables leave a part free to swing
     (e.g. a pinned pillar whose ropes all went slack). Solving on the
-    factor gives a particular solution; the null basis N, one column per
-    dropped pivot with 1 at its own dof, is one back-substitution on the
-    factor (dtbtrs), and projecting off N gives the minimum-norm solution.
+    factor gives a particular solution; the null basis N, one mode per
+    dropped pivot with 1 at its own dof, is back-substituted on a window of
+    the factor, 2b + 1 rows (b the half-bandwidth) that end at that dof
+    (``_null_basis``). That is exact on the window's rows, as L^T is
+    triangular and the mode is zero below its dof. The rows above depend
+    only on the window's top b rows, so where those are at or below 1e-16 of
+    the mode's largest entry, what the window leaves out is rounding; a mode
+    that is not is solved from row 0. Projecting off N gives the
+    minimum-norm solution, with N^T N banded in mode order, since only
+    neighbouring modes share rows.
     It is an equilibrium only if the loads do no work on the mechanism, so
     ``SingularSystem`` is raised, naming the dofs they do work on through
     ``names`` (band positions to text), unless
@@ -433,18 +528,15 @@ def _solve(
     if info != 0 or not (c[0] ** 2 > tol).all():
         c, dropped = _semidefinite_factor(ab, tol)
     if len(dropped):
-        # Scaled by the decoupled pivots, each column of N is 1 at its
-        # own dof and 0 at the other dropped ones.
-        E = np.zeros((n, len(dropped)), order="F")
-        E[dropped, range(len(dropped))] = c[0, dropped]
-        N, _ = dtbtrs(c, E, uplo="L", trans="T", overwrite_b=1)
+        rows, mode, values = _null_basis(c, dropped)
         # The Cholesky factor of N^T N (the identity plus a Gram matrix, so
         # well conditioned) projects off the null basis.
-        g, _ = dpotrf(N.T @ N, lower=1)
+        g, _ = dpbtrf(_gram_band(rows, mode, values, len(dropped)), lower=1)
 
     def null_part(x: np.ndarray) -> np.ndarray:
         """The projection N (N^T N)^-1 N^T x of x on the null space."""
-        return N @ dpotrs(g, N.T @ x, lower=1)[0]
+        y, _ = dpbtrs(g, np.bincount(mode, values * x[rows], minlength=len(dropped)), lower=1)
+        return np.bincount(rows, values * y[mode], minlength=n)
 
     def solve(b: np.ndarray) -> np.ndarray:
         """Minimum-norm solution for one load vector."""

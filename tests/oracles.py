@@ -1,16 +1,17 @@
-"""Closed-form element matrices, written out case by case, and a dense
-rank-revealing solve.
+"""Closed-form element matrices, written out case by case, a dense
+rank-revealing solve and a dense null basis.
 
 They are independent of the solver's element table, which derives every
-release pattern by static condensation of the clamped element, and of its
-banded factorization, and the tests compare the two.
+release pattern by static condensation of the clamped element, of its
+banded factorization and of its windowed null basis, and the tests compare
+the two.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf
+from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
 from ponte.errors import NonPositiveProperty, SingularSystem
 
@@ -166,3 +167,14 @@ def dense_minimum_norm_solve(K: np.ndarray, F: np.ndarray) -> tuple[np.ndarray, 
     if not np.linalg.norm(residual) <= 1e-8 * max(np.linalg.norm(F), 1.0):
         raise SingularSystem("residual too large")
     return u + solve(residual), n - rank
+
+
+def dense_null_basis(c: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """The (n, modes) null basis of K from its decoupled band factor ``c``
+    (lower band storage) and dropped pivots: one back-substitution on the
+    whole factor, L^T N = E, with E holding c[0, j] at each dropped j, so
+    each column is 1 at its own pivot."""
+    E = np.zeros((c.shape[1], len(dropped)), order="F")
+    E[dropped, range(len(dropped))] = c[0, dropped]
+    N, _ = dtbtrs(c, E, uplo="L", trans="T")
+    return N

@@ -20,6 +20,7 @@ from ponte.model import (
     UniformLoad,
     build_model,
     dof_map,
+    _connected_components,
     self_weight_loads,
     validate,
 )
@@ -207,6 +208,23 @@ class TestValidate:
                 loads=[UniformLoad(2, 100.0)],  # id 2 is the cable
             )
 
+
+class TestConnectedComponents:
+    def test_long_chain_and_islands_keep_their_order(self):
+        # A 2 000-node deck chain, its beams listed both ways, and islands
+        # whose first nodes come before, inside and after it in model
+        # order (by id): the components come in the order of their first
+        # node, whatever the union-find's roots.
+        chain = [*range(10, 1010), *range(1020, 2020)]
+        islands = [{1}, {1010, 1011}, {3000, 3001, 3002}]
+        nodes = [Node(i, i, 0) for i in chain] + [Node(i, i, 1) for island in islands for i in island]
+        links = list(zip(chain, chain[1:]))
+        beams = [BeamElement(k, *link, "timber", "deck") for k, link in enumerate(reversed(links[:1000]), 1)]
+        beams += [BeamElement(k, j, i, "timber", "deck") for k, (i, j) in enumerate(links[1000:], 1001)]
+        beams += [BeamElement(5001, 3002, 3001, "timber", "deck"), BeamElement(5002, 3000, 3002, "timber", "deck")]
+        cables = [CableElement(6001, 1011, 1010, "timber", 1e-4)]
+        model = build_model(nodes, [MAT], [SEC], beams, cables)
+        assert _connected_components(model) == [{1}, set(chain), {1010, 1011}, {3000, 3001, 3002}]
 
 class TestSelfWeight:
     def test_single_beam_half_lump_each_end(self):

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,9 @@ from ponte.reporting import (
     color_class,
     compare,
     compare_dict,
+    json_text,
     render_svg,
+    report_dict,
     write_report,
 )
 from ponte.solver import analyze
@@ -89,6 +92,49 @@ class TestWriteReport:
         assert sorted(data["active_cables"] + data["slack_cables"]) == sorted(c.id for c in model.cables)
         states = {m["id"]: m.get("state") for m in data["members"] if m["type"] == "cable"}
         assert all(states[cid] == "slack" for cid in data["slack_cables"])
+
+
+# Strings that could fool a rewrite of the encoder's output: brackets,
+# quotes, its separators, raw newlines, escapes and non-ASCII text.
+_CHARS = ["{", "}", "[", "]", '"', ",", ":", " ", "\n", "\\", "a", "é", "橋", "\u2028", "\U0001f309"]
+_TEXT = st.text(st.sampled_from(_CHARS), max_size=8) | st.sampled_from(["}, {", ', "', "},\n{", '"\n  ', "\n  }"])
+# numpy floats, as the solver's reactions hold, are a float subclass.
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = (st.none() | st.booleans() | st.integers() | _FLOATS | _FLOATS.map(np.float64)
+            | st.sampled_from([-0.0, 1e308, -1e308, 5e-324]) | _TEXT)
+_RECORDS = st.lists(st.dictionaries(_TEXT, _SCALARS, min_size=1, max_size=4), min_size=1, max_size=4)
+_JSON = st.recursive(
+    _SCALARS | _RECORDS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4) | _RECORDS,
+    max_leaves=30,
+)
+
+
+class TestJsonText:
+    @given(_JSON)
+    @settings(max_examples=300, deadline=None)
+    def test_bytes_of_json_dumps_with_indent(self, value):
+        expected = json.dumps(value, indent=2, allow_nan=False) + "\n"
+        assert json_text(value) == expected
+
+    @pytest.mark.parametrize("value", [
+        {}, [], "", [{}], [{}, {"a": 1}], {"a": [[], {}]}, (1, (2, [])),
+        {1: [1], "a": {2.5: True, None: "x", False: [{"b": None}]}},
+    ])
+    def test_empty_containers_tuples_and_keys_that_are_not_strings(self, value):
+        assert json_text(value) == json.dumps(value, indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_floats_raise(self, bad):
+        for payload in (bad, {"a": bad}, {"a": [1.0, bad]}, {"a": [{"b": bad}]}, {"a": {"b": [[bad]]}}):
+            with pytest.raises(ValueError):
+                json_text(payload)
+
+    @pytest.mark.parametrize("preset", list(PresetId))
+    def test_reports_are_json_dumps_of_their_dicts(self, preset, grande_result):
+        result = analyze(generate_preset(preset))
+        for payload in (report_dict(result), compare_dict(result, grande_result)):
+            assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 class TestCompare:

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
+from scipy.linalg.lapack import dpbtrf
 
 from ponte import erection, solver
 from ponte.catalog import (
     BridgeKind,
     BridgeSpec,
+    Wheels,
     deck_node_ids,
     generate,
     generate_preset,
@@ -54,6 +56,7 @@ from oracles import (
     beam_stiffness_local,
     cable_stiffness_global,
     dense_minimum_norm_solve,
+    dense_null_basis,
     fixed_end_forces,
     fixed_end_local,
     transformation,
@@ -521,7 +524,7 @@ class TestBandedSolve:
 
     def test_no_dense_matrix_on_the_analysis_path(self):
         # A dense free-dof K of the 2 301-dof replica alone would take
-        # 42 MB; the whole banded analysis peaks near 12 MB.
+        # 42 MB; the whole banded analysis peaks near 3.5 MB.
         model = replica(BridgeKind.LEONARDO_GROUNDED, 383)
         n = dof_map(model).n_free
         tracemalloc.start()
@@ -553,6 +556,111 @@ class TestBandedSolve:
         assert deficiency == len(zero)
         assert sorted(dropped.tolist()) == sorted(zero)
         assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+def slack_system(model) -> tuple[np.ndarray, np.ndarray]:
+    """The model's K in band storage, and its F, with every cable slack."""
+    el = _elements(model)
+    slack = np.zeros(len(el.cable_ids), dtype=bool)
+    return solver._band(el, slack), solver._loads(el, slack)[el.dofs]
+
+
+class TestNullBasis:
+    # Each mode solved on its own window of the factor against one
+    # back-substitution over the whole factor.
+    @staticmethod
+    def check(ab) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        c, dropped = solver._semidefinite_factor(ab, solver.PIVOT_RTOL * ab[0])
+        assert len(dropped)
+        rows, mode, values = solver._null_basis(c, dropped)
+        windowed = np.zeros((ab.shape[1], len(dropped)))
+        windowed[rows, mode] = values
+        dense = dense_null_basis(c, dropped)
+        assert (np.abs(windowed - dense) <= 1e-14 * np.abs(dense).max(axis=0)).all()
+        return rows, mode, values, dropped
+
+    # BARE_DECK has no cables, so no mode.
+    @pytest.mark.parametrize("preset_id", [p.id.value for p in presets() if p.id.value != "BARE_DECK"])
+    def test_presets(self, preset_id):
+        self.check(slack_system(generate_preset(preset_id))[0])
+
+    @pytest.mark.parametrize("pillars", [23, 95])
+    def test_grounded_rungs(self, pillars):
+        # Each pillar's mode is 2 entries above rounding, 2 rows apart, and
+        # the pillars' pivots 6 rows apart: no two modes share a row, and
+        # N^T N is diagonal.
+        rows, mode, values, _ = self.check(slack_system(replica(BridgeKind.LEONARDO_GROUNDED, pillars))[0])
+        assert len(rows) <= 4 * pillars
+        assert solver._gram_band(rows, mode, values, pillars).shape == (1, pillars)
+
+    def test_dense_modes_grow_to_row_zero(self):
+        K, _, deficiency = TestSolveLinear.random_semidefinite()
+        rows, mode, _, dropped = self.check(solver._lower_band(K))
+        # Every mode runs from row 0 to its own pivot.
+        for k, j in enumerate(dropped):
+            assert (rows[mode == k].min(), rows[mode == k].max()) == (0, j)
+        assert len(dropped) == deficiency
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.lists(st.integers(-4, 4), min_size=300, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_planted_modes_decay_through_their_window(self, seed, width, scale):
+        # Modes of a random band factor fall off geometrically above their
+        # pivot, over tens of rows, mostly past their first window; the
+        # modes at 200 and 201 share rows, so N^T N has a subdiagonal.
+        K, _ = planted_band(seed, 300, width, [100, 200, 201, 299], scale)
+        self.check(solver._lower_band(K))
+
+    def test_a_mode_that_vanishes_at_its_window_top_only(self):
+        # Row lo of the first window is exactly 0, row lo + 1 is not, and
+        # the rows above depend on both: all b top rows decide.
+        n, b, j = 30, 2, 25
+        lo = j - 2 * b
+        c = np.zeros((b + 1, n), order="F")
+        c[0] = 1.0
+        c[1:] = 0.3
+        c[1:, lo] = 0.0
+        rows, _, values = solver._null_basis(c, np.array([j]))
+        windowed = np.zeros(n)
+        windowed[rows] = values
+        dense = dense_null_basis(c, np.array([j]))[:, 0]
+        assert windowed[lo] == 0.0 and rows.min() < lo
+        assert (np.abs(windowed - dense) <= 1e-14 * np.abs(dense).max()).all()
+
+    def test_modes_past_their_first_window_in_an_analysis(self, monkeypatch):
+        # The grounded replica with crosswise ropes passes through an
+        # iteration with 11 modes, one of which reaches above the 2b + 1
+        # rows of its first window and is solved from row 0.
+        systems = []
+        solve = solver._solve
+
+        def recording(ab, F, names=None):
+            systems.append(ab)
+            return solve(ab, F, names)
+
+        monkeypatch.setattr(solver, "_solve", recording)
+        analyze(generate(BridgeSpec(BridgeKind.LEONARDO_GROUNDED, span=56.0, pillar_count=27,
+                                    wheels=Wheels.BOTH_SIDES, crosswise_top_ropes=True)))
+        past = 0
+        for ab in systems:
+            c, info = dpbtrf(ab, lower=1)
+            if info == 0 and (c[0] ** 2 > solver.PIVOT_RTOL * ab[0]).all():
+                continue
+            rows, mode, _, dropped = self.check(ab)
+            past += sum(rows[mode == k].min() < j - 2 * (len(ab) - 1) for k, j in enumerate(dropped))
+        assert past >= 1
+
+    def test_memory_of_a_solve_is_below_a_dense_basis(self):
+        # 383 modes over 2 301 dofs: a dense null basis alone would take
+        # 7 MB, and the whole windowed solve stays below a quarter of that.
+        ab, F = slack_system(replica(BridgeKind.LEONARDO_GROUNDED, 383))
+        tracemalloc.start()
+        try:
+            _, dropped = solver._solve(ab, F)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(dropped) == 383
+        assert peak < len(F) * len(dropped) * 8 / 4
 
 
 def relabel(model, seed: int):
