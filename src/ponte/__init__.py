@@ -57,7 +57,7 @@ from .model import (
     validate,
 )
 from .reporting import build_diagram, color_class, compare, render_svg, write_report
-from .solver import AnalysisResult, analyze, assemble, solve_linear, tension_only_analyze
+from .solver import AnalysisResult, analyze, tension_only_analyze
 from .textio import parse_model_file, parse_plan_file, serialize_model
 
 __version__ = "0.1.0"
@@ -98,7 +98,6 @@ __all__ = [
     "Verdict",
     "Wheels",
     "analyze",
-    "assemble",
     "build_diagram",
     "build_model",
     "catalog",
@@ -117,7 +116,6 @@ __all__ = [
     "run_plan",
     "self_weight_loads",
     "serialize_model",
-    "solve_linear",
     "solver",
     "strip_to_bare_deck",
     "tension_only_analyze",

@@ -270,36 +270,16 @@ def _judge(stage: Stage, plan: ErectionPlan, result: AnalysisResult | None, coun
     return StageReport(stage.index, factor, util, result.max_deflection, verdict)
 
 
-def analyze_stage(stage: Stage, plan: ErectionPlan) -> StageReport:
-    """Full structural check of one stage: overturning, stress, deflection."""
-    return _judge(stage, plan, _solve(stage), plan.counterweight)
-
-
-def overturning_factor(stage: Stage, plan: ErectionPlan) -> float:
-    """The overturning factor of ``analyze_stage``; see ``_factor_from_result``."""
-    return analyze_stage(stage, plan).overturning_factor
-
-
-def _minimal_counterweight(plan: ErectionPlan, stages: tuple[Stage, ...]) -> float:
-    worst = max(
-        (plan.deck_weight_per_length * s.cantilever_length * s.cantilever_length / 2.0
-         for s in stages if s.pure_cantilever),
-        default=0.0,
-    )
-    return plan.safety_factor * worst / plan.counterweight_lever
-
-
-def minimal_counterweight(plan: ErectionPlan) -> float:
-    """Closed-form smallest counterweight keeping every pure-cantilever
-    stage at the safety factor: W_min = safety * max(w*c^2/2) / lever."""
-    return _minimal_counterweight(plan, expand_plan(plan))
-
-
 def run_plan(plan: ErectionPlan) -> PlanReport:
     """Analyze every stage once and report the overall feasibility, and
     whether the plan holds at its minimal counterweight."""
     stages = expand_plan(plan)
-    w_min = _minimal_counterweight(plan, stages)
+    # The closed-form smallest counterweight keeping every pure-cantilever
+    # stage at the safety factor: W_min = safety * max(w c^2 / 2) / lever.
+    w = plan.deck_weight_per_length
+    worst = max((w * s.cantilever_length * s.cantilever_length / 2.0 for s in stages if s.pure_cantilever),
+                default=0.0)
+    w_min = plan.safety_factor * worst / plan.counterweight_lever
     reports, verified = [], True
     for stage in stages:
         result = _solve(stage)

@@ -1,8 +1,9 @@
 """Direct stiffness analysis with tension-only cables.
 
-Element stiffness, assembly over free dofs, a symmetric linear solve, the
-taut/slack active-set iteration, force recovery, reactions and member
-utilization. All functions are pure; models are shared read-only.
+The element table, banded assembly over the free dofs and a banded
+semi-definite solve, the taut/slack active-set iteration, force recovery,
+reactions and member utilization. All functions are pure; models are
+shared read-only.
 
 Each analysis numbers the free dofs along the structure (nodes by x, then
 y) and scatters K straight into LAPACK lower band storage; every
@@ -40,7 +41,6 @@ MAX_ACTIVE_SET_ITERATIONS = 100
 RESIDUAL_RTOL = 1e-8
 PIVOT_RTOL = 1e-10  # a pivot at or below this fraction of its diagonal is a zero-energy mode
 WINDOW_RTOL = 1e-16  # a null mode's window ends where it falls to this fraction of its largest entry
-SYMMETRY_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +136,12 @@ class _Elements:
         return full
 
     def dof_names(self, band: np.ndarray) -> str:
-        return _dof_names(self.order[band], self.dm.entries)
-
-    def cable_mask(self, ids) -> np.ndarray:
-        return np.isin(self.cable_ids, np.fromiter(ids, dtype=int))
+        """'node 2 y, node 5 rz' for the band positions ``band``; cut after six."""
+        entries = [self.dm.entries[k] for k in sorted(self.order[band].tolist())[:6]]
+        names = [f"node {nid} {_COMPONENTS[comp]}" for nid, comp in entries]
+        if len(band) > 6:
+            names.append(f"and {len(band) - 6} more")
+        return ", ".join(names)
 
     def ids(self, mask: np.ndarray) -> frozenset[int]:
         return frozenset(self.cable_ids[mask].tolist())
@@ -151,6 +153,7 @@ class _Elements:
         return self.ea_l * elongation + self.pretension
 
 
+_COMPONENTS = ("x", "y", "rz")  # names of a node's three dofs
 # Global -> local rotation of a frame element: the (row, column) entries
 # holding cx, cx, cx, cx, cy, cy, -cy, -cy; the two rotation dofs hold 1.
 _ROTATION_AT = ((0, 1, 3, 4, 0, 3, 1, 4), (0, 1, 3, 4, 1, 4, 0, 3))
@@ -294,64 +297,8 @@ def _loads(el: _Elements, active: np.ndarray) -> np.ndarray:
     return F
 
 
-def _full(el: _Elements, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Full-dof (K, F), K scattered in the order ``_band`` sums."""
-    n = len(el.loads)
-    active = el.cable_mask(active_cables)
-    taut = el.cable_dofs[active]
-    rows = np.concatenate([np.repeat(el.beam_dofs, 6, axis=1).ravel(), np.repeat(taut, 4, axis=1).ravel()])
-    cols = np.concatenate([np.tile(el.beam_dofs, 6).ravel(), np.tile(taut, 4).ravel()])
-    K = np.zeros((n, n))
-    np.add.at(K, (rows, cols), np.concatenate([el.k_global.ravel(), el.cable_k[active].ravel()]))
-    return K, _loads(el, active)
-
-
-def _assemble_full(model: StructureModel, active_cables: frozenset[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and load vector over all 3*n candidate dofs."""
-    return _full(_elements(model), active_cables)
-
-
-def assemble(
-    model: StructureModel, active_cables: frozenset[int] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced (K, F) over the free dofs of ``dof_map(model)``.
-
-    Beams are always assembled; only cables in ``active_cables`` are
-    (default: all). Restraints are applied by elimination, not penalties.
-    """
-    if active_cables is None:
-        active_cables = frozenset(c.id for c in model.cables)
-    el = _elements(model)
-    K, F = _full(el, active_cables)
-    return K[el.free][:, el.free], F[el.free]
-
-
 # ---------------------------------------------------------------------------
 # Linear solve
-
-_COMPONENTS = ("x", "y", "rz")
-
-
-def _dof_names(dofs: np.ndarray, entries: tuple[tuple[int, int], ...] | None) -> str:
-    """'node 2 y, node 5 rz', or 'dof 3' without a dof map; cut after six."""
-    names = [
-        f"node {entries[k][0]} {_COMPONENTS[entries[k][1]]}" if entries is not None else f"dof {k}"
-        for k in sorted(int(k) for k in dofs)[:6]
-    ]
-    if len(dofs) > 6:
-        names.append(f"and {len(dofs) - 6} more")
-    return ", ".join(names)
-
-
-def _lower_band(K: np.ndarray) -> np.ndarray:
-    """Lower band storage of a dense symmetric K, as wide as the outermost
-    nonzero of its lower triangle."""
-    rows, cols = np.nonzero(np.tril(K))
-    width = int((rows - cols).max(initial=0))
-    ab = np.zeros((width + 1, len(K)), order="F")
-    for p in range(width + 1):
-        ab[p, : len(K) - p] = np.diagonal(K, -p)
-    return ab
 
 
 def _semidefinite_factor(ab: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -483,9 +430,7 @@ def _gram_band(rows: np.ndarray, mode: np.ndarray, values: np.ndarray, m: int) -
     return np.bincount(at, np.concatenate(terms), minlength=m * (int(at.max()) // m + 1)).reshape(-1, m)
 
 
-def _solve(
-    ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str] | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) -> tuple[np.ndarray, np.ndarray]:
     """Minimum-norm solution of the positive semi-definite system K u = F,
     K in lower band storage ``ab`` (as ``_band`` builds it), and the
     positions of its zero-energy pivots (n - rank of them).
@@ -555,40 +500,11 @@ def _solve(
         # does not depend on the order of elimination.
         unbalanced = np.abs(null_part(F))
         moving = np.flatnonzero(unbalanced > RESIDUAL_RTOL * unbalanced.max())
-        name = names or (lambda dofs: _dof_names(dofs, None))
-        where = name(moving if len(moving) else dropped)
+        where = names(moving if len(moving) else dropped)
         raise SingularSystem(f"stiffness matrix is singular: loaded mechanism at {where}")
     # One step of iterative refinement wins back the accuracy a dropped
     # pivot or a badly scaled K costs.
     return u + solve(residual), dropped
-
-
-def solve_linear(K: np.ndarray, F: np.ndarray) -> np.ndarray:
-    """Solve the symmetric positive definite system K u = F by the banded
-    Cholesky factorization of ``_solve``, on the band K has in the given
-    order.
-
-    Raises ``SingularSystem`` when K is rank-deficient, that is when a
-    pivot is at or below 1e-10 of its own diagonal (a mechanism, loaded or
-    not; see ``_solve`` for why that threshold), or when the residual
-    exceeds 1e-8 * max(||F||, 1).
-    """
-    K = np.asarray(K, dtype=float)
-    F = np.asarray(F, dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1] or F.shape != (K.shape[0],):
-        raise ValueError(f"shape mismatch: K {K.shape}, F {F.shape}")
-    if K.size == 0:
-        return np.zeros(0)
-    scale = np.abs(K).max()
-    if scale > 0 and np.abs(K - K.T).max() > SYMMETRY_RTOL * scale:
-        raise ValueError("K is not symmetric")
-    u, dropped = _solve(_lower_band(K), F)
-    if len(dropped):
-        raise SingularSystem(
-            f"stiffness matrix is singular: rank {len(F) - len(dropped)} of {len(F)}, "
-            f"dropped {_dof_names(dropped, None)}"
-        )
-    return u
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +582,7 @@ class AnalysisResult:
 
     @property
     def total_cable_tension(self) -> float:
-        return sum(f.axial for f in self.member_forces.values() if f.kind == "cable")
+        return sum(self._cable_axial.tolist())
 
 
 def _end_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -690,37 +606,25 @@ def _reactions(el: _Elements, full_u: np.ndarray, active: np.ndarray, F: np.ndar
     cable = el.cable_k[active] @ full_u[el.cable_dofs[active]][:, :, None]
     ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs[active].ravel()])
     residual = np.bincount(ends, np.concatenate([beam.ravel(), cable.ravel()]), minlength=len(F)) - F
+    restrained = sorted(el.dm.restrained)
+    values = residual[[3 * el.index[nid] + comp for nid, comp in restrained]].tolist()
     support: dict[int, list[float]] = {}
-    for nid, comp in sorted(el.dm.restrained):
-        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = residual[3 * el.index[nid] + comp]
+    for (nid, comp), value in zip(restrained, values):
+        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = value
     return {nid: tuple(r) for nid, r in support.items()}
 
 
 def _member_utilization(el: _Elements, beam: np.ndarray, cable: np.ndarray) -> np.ndarray:
-    """``utilization`` of every beam, then every cable, from ``_end_forces``:
-    the same operations in the same order, so the same values bit for bit."""
+    """Demand/capacity ratio of every beam, then every cable, from
+    ``_end_forces``; >= 1 is the red-alarm class. Beams combine axial and
+    extreme-fibre bending stress at the worse end, cables take axial stress
+    over the allowable. The same operations in the same order as the
+    per-member ``utilization`` of ``tests/oracles.py``, so the same values
+    bit for bit."""
     area, half_depth, inertia, sigma = el.beam_strength.T
     m_max = np.maximum(np.abs(beam[:, 2]), np.abs(beam[:, 3]))
     stress = np.abs(beam[:, 0]) / area + m_max * half_depth / inertia
     return np.concatenate([stress / sigma, cable / el.cable_strength])
-
-
-def utilization(forces: MemberForces, material, section=None, area: float | None = None) -> float:
-    """Demand/capacity ratio of one member; >= 1 is the red-alarm class.
-
-    Beams combine axial and extreme-fibre bending stress at the worse end;
-    cables use plain axial stress over the allowable.
-    """
-    sigma = material.allowable_stress
-    if forces.kind == "beam":
-        if section is None:
-            raise ValueError("beam utilization needs a section")
-        m_max = max(abs(forces.moment_i), abs(forces.moment_j))
-        stress = abs(forces.axial) / section.area + m_max * (section.depth / 2.0) / section.second_moment
-        return stress / sigma
-    if area is None:
-        raise ValueError("cable utilization needs an area")
-    return forces.axial / (area * sigma)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Closed-form element matrices, written out case by case, a dense
-rank-revealing solve and a dense null basis.
+assembly, a dense rank-revealing solve, a dense null basis and the
+per-member utilization formula.
 
 They are independent of the solver's element table, which derives every
 release pattern by static condensation of the clamped element, of its
-banded factorization and of its windowed null basis, and the tests compare
-the two.
+banded assembly and factorization, of its windowed null basis and of its
+vectorized utilization, and the tests compare the two.
 """
 
 import math
@@ -178,3 +179,43 @@ def dense_null_basis(c: np.ndarray, dropped: np.ndarray) -> np.ndarray:
     E[dropped, range(len(dropped))] = c[0, dropped]
     N, _ = dtbtrs(c, E, uplo="L", trans="T")
     return N
+
+
+def dense_system(el, active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (K, F) over all 3 * nodes candidate dofs of the solver's
+    element table ``el``, with the cables of the mask ``active`` taut.
+    Each beam's 6x6 block, then each taut cable's 4x4 block, is added in
+    element order, the order in which the band sums them; F is the table's
+    loads less each taut cable's pretension along it."""
+    n = len(el.loads)
+    taut = el.cable_dofs[active]
+    rows = np.concatenate([np.repeat(el.beam_dofs, 6, axis=1).ravel(), np.repeat(taut, 4, axis=1).ravel()])
+    cols = np.concatenate([np.tile(el.beam_dofs, 6).ravel(), np.tile(taut, 4).ravel()])
+    K = np.zeros((n, n))
+    np.add.at(K, (rows, cols), np.concatenate([el.k_global.ravel(), el.cable_k[active].ravel()]))
+    F = el.loads.copy()
+    for k in np.flatnonzero(active & (el.pretension != 0.0)):
+        F[el.cable_dofs[k]] -= el.pretension[k] * np.array([-el.cx[k], -el.cy[k], el.cx[k], el.cy[k]])
+    return K, F
+
+
+def lower_band(K: np.ndarray) -> np.ndarray:
+    """Lower band storage of a dense symmetric K, as wide as the outermost
+    nonzero of its lower triangle."""
+    rows, cols = np.nonzero(np.tril(K))
+    width = int((rows - cols).max(initial=0))
+    ab = np.zeros((width + 1, len(K)), order="F")
+    for p in range(width + 1):
+        ab[p, : len(K) - p] = np.diagonal(K, -p)
+    return ab
+
+
+def utilization(forces, material, section=None, area: float | None = None) -> float:
+    """Demand/capacity ratio of one member (``MemberForces``): beams combine
+    axial and extreme-fibre bending stress at the worse end, cables take
+    axial stress over the allowable."""
+    sigma = material.allowable_stress
+    if forces.kind == "beam":
+        m_max = max(abs(forces.moment_i), abs(forces.moment_j))
+        return (abs(forces.axial) / section.area + m_max * (section.depth / 2.0) / section.second_moment) / sigma
+    return forces.axial / (area * sigma)

@@ -2,11 +2,13 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from ponte import textio
 from ponte.cli import main
+from ponte.model import dof_map
 
 PLAN_TEXT = "PLAN MODULE=2 COUNT=4 W=500 CW=2000 LEVER=1\n"
 
@@ -79,6 +81,22 @@ class TestAnalyze:
         # The three artifacts describe the same analysis.
         assert report["summary"]["active_cable_count"] == 0
         assert svg.count('data-kind="cable"') == len(report["slack_cables"])
+
+    def test_memory_of_an_op_is_below_a_dense_matrix(self, tmp_path, capsys):
+        # Parse, analysis, report and SVG of the 2 301-dof grounded replica:
+        # a dense free-dof K alone would take 42 MB, and the whole command
+        # stays below a quarter of that (near 5 MB).
+        model, report, svg = tmp_path / "m.txt", str(tmp_path / "r.json"), str(tmp_path / "d.svg")
+        assert main(["generate", "LeonardoGrounded", "-o", str(model), "--pillars", "383", "--span", "768"]) == 0
+        n = dof_map(textio.parse_model_file(model.read_text())).n_free
+        assert n == 2301
+        tracemalloc.start()
+        try:
+            assert main(["analyze", str(model), "--report", report, "--svg", svg]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n / 4
 
     def test_missing_file_is_io_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "missing.txt")]) == 4

@@ -12,10 +12,7 @@ from ponte.erection import (
     ErectionPlan,
     Stage,
     Verdict,
-    analyze_stage,
     expand_plan,
-    minimal_counterweight,
-    overturning_factor,
     run_plan,
 )
 from ponte.errors import InvalidPlan
@@ -152,42 +149,39 @@ class TestOverturningFactor:
         # w=500 N/m, c=4 m: overturning 4000 Nm; W=2000, a=1: resisting 2000.
         stage = expand_plan(PLAN)[2]
         assert stage.cantilever_length == 4.0
-        assert overturning_factor(stage, PLAN) == approx(0.5, rel=1e-9)
-        assert overturning_factor(stage, replace(PLAN, counterweight=8000.0)) == approx(2.0, rel=1e-9)
+        assert run_plan(PLAN).stages[2].overturning_factor == approx(0.5, rel=1e-9)
+        assert run_plan(replace(PLAN, counterweight=8000.0)).stages[2].overturning_factor == approx(2.0, rel=1e-9)
 
     def test_zero_overhang_is_infinite(self):
-        stage = expand_plan(PLAN)[0]
-        assert math.isinf(overturning_factor(stage, PLAN))
+        assert math.isinf(run_plan(PLAN).stages[0].overturning_factor)
 
     def test_matches_formula_on_all_pure_stages(self):
         plan = replace(PLAN, counterweight=9000.0, module_count=6)
-        for stage in expand_plan(plan):
+        for stage, report in zip(expand_plan(plan), run_plan(plan).stages):
             if stage.pure_cantilever and stage.cantilever_length > 0:
                 c = stage.cantilever_length
                 expected = plan.counterweight * plan.counterweight_lever / (plan.deck_weight_per_length * c * c / 2)
-                assert overturning_factor(stage, plan) == approx(expected, rel=1e-9)
+                assert report.overturning_factor == approx(expected, rel=1e-9)
 
     def test_planted_stage_counterweight_independent(self):
         # The ballast sits on its own bearing, so planted-stage reactions
         # do not change with W.
         plan_a = replace(PLAN, counterweight=8000.0)
         plan_b = replace(PLAN, counterweight=80000.0)
-        stage_a = expand_plan(plan_a)[4]
-        stage_b = expand_plan(plan_b)[4]
-        assert not stage_a.pure_cantilever
-        assert overturning_factor(stage_a, plan_a) == overturning_factor(stage_b, plan_b)
+        assert not expand_plan(plan_a)[4].pure_cantilever
+        assert run_plan(plan_a).stages[4].overturning_factor == run_plan(plan_b).stages[4].overturning_factor
 
 
 class TestAnalyzeStage:
     def test_abutment_stage_stable_near_zero_deflection(self):
-        report = analyze_stage(expand_plan(PLAN)[0], PLAN)
+        report = run_plan(PLAN).stages[0]
         assert report.verdict is Verdict.STABLE
         assert report.max_deflection < 1e-3
 
     def test_two_module_tip_deflection_oracle(self):
         plan = replace(PLAN, counterweight=50000.0)
         stage = expand_plan(plan)[2]
-        report = analyze_stage(stage, plan)
+        report = run_plan(plan).stages[2]
         assert report.verdict is Verdict.STABLE
         E, I = 10e9, 4.5e-4
         w, c = plan.deck_weight_per_length, stage.cantilever_length
@@ -210,7 +204,7 @@ class TestAnalyzeStage:
             counterweight=4e6,
             counterweight_lever=2.0,
         )
-        reports = [analyze_stage(s, plan) for s in expand_plan(plan)]
+        reports = run_plan(plan).stages
         assert any(r.verdict is Verdict.OVERSTRESSED for r in reports)
 
 
@@ -233,13 +227,13 @@ class TestRunPlan:
         assert not run_plan(replace(PLAN, counterweight=w_min * (1 - 1e-6))).stable
 
     def test_doubling_lever_halves_w_min(self):
-        w1 = minimal_counterweight(PLAN)
-        w2 = minimal_counterweight(replace(PLAN, counterweight_lever=2.0))
+        w1 = run_plan(PLAN).minimal_counterweight
+        w2 = run_plan(replace(PLAN, counterweight_lever=2.0)).minimal_counterweight
         assert w2 == w1 / 2
 
     def test_safety_factor_scales_w_min(self):
-        w1 = minimal_counterweight(PLAN)
-        w15 = minimal_counterweight(replace(PLAN, safety_factor=1.5))
+        w1 = run_plan(PLAN).minimal_counterweight
+        w15 = run_plan(replace(PLAN, safety_factor=1.5)).minimal_counterweight
         assert w15 == approx(1.5 * w1, rel=1e-12)
 
     def test_increasing_w_never_destabilizes(self):
