@@ -11,6 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from typing import NamedTuple
+
+import numpy as np
 
 from .catalog import DECK_MATERIAL, DECK_SECTION
 from .errors import InvalidPlan, SingularSystem
@@ -23,8 +27,9 @@ from .model import (
     Support,
     UniformLoad,
     build_model,
+    validate,
 )
-from .solver import EPS_FORCE, AnalysisResult, analyze
+from .solver import EPS_FORCE, AnalysisResult, _analyze_prefixes, analyze
 from .textio import quantize
 
 # Relative slack on the factor >= safety_factor comparison, so a plan run
@@ -116,13 +121,45 @@ def _check_plan(plan: ErectionPlan) -> None:
             raise InvalidPlan(f"{name} out of range: {value}")
 
 
+class _Step(NamedTuple):
+    """One stage of a plan before any model is built: the deck out to
+    module ``built``, pillars under the modules ``planted`` and, if
+    ``landed``, a bearing under the tip. ``expand_plan`` and ``run_plan``
+    both read the plan's stages from ``_Deck.steps``."""
+
+    index: int
+    built: int
+    planted: tuple[int, ...]
+    landed: bool
+    cantilever_length: float  # m beyond the outermost support
+    deck_length: float  # m of beams, the ballast span included
+
+    @property
+    def pure_cantilever(self) -> bool:
+        return not self.planted and not self.landed
+
+    @property
+    def bearing_modules(self) -> tuple[int, ...]:
+        """The modules whose tips bear on a pillar or on the far shore."""
+        return self.planted + ((self.built,) if self.landed else ())
+
+
+class _Outcome(NamedTuple):
+    """What judging a stage reads from its analysis."""
+
+    max_utilization: float
+    max_deflection: float
+    ballast: float  # vertical reaction at the ballast node 1
+    bearing: float  # the smallest vertical reaction of the other bearings
+
+
 @dataclass(frozen=True)
 class _Deck:
     """The parts every stage of a plan shares, built once: the nodes from
     the ballast node (x=+lever) out to the last module, the beams joining
-    them with their self-weight, the ballast force and a bearing for each
-    module's tip. Stage ``built`` takes the first built + 2 nodes and the
-    first built + 1 beams and uniform loads.
+    them with their self-weight, the ballast force, a bearing for each
+    module's tip, and the stages. Stage ``built`` takes the first built + 2
+    nodes and the first built + 1 beams and uniform loads.
 
     The abutment clamps the deck at x=0 (pin plus rotation: the deck is
     held between the shore block and the ballast span); planted pillars,
@@ -133,6 +170,7 @@ class _Deck:
     beams: tuple[BeamElement, ...]
     loads: tuple[NodalForce | UniformLoad, ...]  # the ballast force, then the uniform loads
     bearings: tuple[Support, ...]  # the ballast and abutment supports, then one per module tip
+    steps: tuple[_Step, ...]
 
     @classmethod
     def of(cls, plan: ErectionPlan) -> _Deck:
@@ -144,76 +182,106 @@ class _Deck:
                  *(UniformLoad(b.id, plan.deck_weight_per_length) for b in beams))
         bearings = (Support(1, restrain_y=True), Support(2, restrain_x=True, restrain_y=True, restrain_rz=True),
                     *(Support(2 + m, restrain_y=True) for m in range(1, count + 1)))
-        return cls(nodes, beams, loads, bearings)
+        # The deck length of each stage, summed beam by beam as
+        # sum(model.element_length(b) for b in model.beams) sums it.
+        lengths = list(accumulate(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(nodes, nodes[1:])))
 
-    def model(self, built: int, planted: tuple[int, ...], landed: bool) -> StructureModel:
-        """Deck chain out to module ``built``, with pillars under the
-        modules ``planted`` and, if ``landed``, a bearing under the tip."""
-        supports = [*self.bearings[:2], *(self.bearings[1 + m] for m in planted)]
-        if landed:
-            supports.append(self.bearings[1 + built])
+        # Stage 0 is the counterweighted abutment alone; each later stage
+        # either appends one module, plants the current tip as a riverbed
+        # pillar, or lands the tip on the far shore.
+        steps: list[_Step] = []
+
+        def stage(built: int, planted: tuple[int, ...], landed: bool, cantilever: float) -> None:
+            steps.append(_Step(len(steps), built, planted, landed, cantilever, lengths[built]))
+
+        stage(0, (), False, 0.0)
+        planted: tuple[int, ...] = ()
+        for built in range(1, count + 1):
+            stage(built, planted, False, (built - max(planted, default=0)) * mod)
+            if built < count and built % plan.pillar_interval == 0:
+                planted = planted + (built,)
+                stage(built, planted, False, 0.0)
+        if count > 0:
+            stage(count, planted, True, 0.0)
+        return cls(nodes, beams, loads, bearings, tuple(steps))
+
+    def model(self, built: int, bearing_modules: tuple[int, ...]) -> StructureModel:
+        """Deck chain out to module ``built``, with the ballast and
+        abutment supports and a bearing under the tip of each module of
+        ``bearing_modules``."""
+        supports = [*self.bearings[:2], *(self.bearings[1 + m] for m in bearing_modules)]
         return build_model(nodes=self.nodes[: built + 2], beams=self.beams[: built + 1], supports=supports,
                            loads=self.loads[: built + 2], materials=[MATERIAL_PRESETS[DECK_MATERIAL]],
                            sections=[DECK_SECTION])
 
+    def outcomes(self) -> list[_Outcome | None]:
+        """Every stage analyzed at once, None where it is not: one table for
+        the finished deck, validated once, and one banded solve for all
+        stages (``solver._analyze_prefixes``).
+
+        Every stage is valid when the finished deck is: its nodes, beams and
+        loads are prefixes of the deck's, each node of the prefix is on a
+        beam of it, and its bearings are a subset of the deck's, all with
+        the abutment's clamp. A stage the solve's pivot or residual rule
+        rejects gets None, and so do all stages of a deck that fails
+        ``validate``, so that each is analyzed on its own model and fails
+        with its own error, as one by one."""
+        count = len(self.nodes) - 2
+        finished = self.model(count, ())
+        if not validate(finished).ok:
+            return [None] * len(self.steps)
+        nodes = np.array([s.built + 2 for s in self.steps])
+        # The stage's own bearings: module m's tip, node 2 + m, is at node
+        # position 1 + m, and these restrain its y dof.
+        held = [(s.index, m) for s in self.steps for m in s.bearing_modules]
+        stage, module = np.array(held, dtype=int).reshape(-1, 2).T
+        restrained = np.zeros((len(self.steps), 3 * len(self.nodes)), dtype=bool)
+        restrained[stage, 3 * (module + 1) + 1] = True
+        done = _analyze_prefixes(finished, nodes, nodes - 1, restrained)
+        vertical = done.residual[:, 1::3]
+        # The bearings besides the ballast: the abutment, at node position
+        # 1, and the stage's own.
+        others = restrained[:, 1::3] | (np.arange(len(self.nodes)) == 1)
+        bearing = np.where(others, vertical, np.inf).min(axis=1)
+        rows = zip(done.solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
+                   vertical[:, 0].tolist(), bearing.tolist())
+        return [_Outcome(*row) if ok else None for ok, *row in rows]
+
 
 def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
-    """Enumerate the construction stages, deterministically.
+    """Enumerate the construction stages, deterministically, with their
+    models.
 
     Stage 0 is the counterweighted abutment alone; each later stage either
     appends one module, plants the current tip as a riverbed pillar, or
-    lands the tip on the far shore. Every stage's model is built from the
-    plan's deck parts, made once.
+    lands the tip on the far shore. The stages are the plan deck's
+    ``steps``, the sequence ``run_plan`` analyzes, and every stage's model
+    is built from the deck's parts, made once. ``run_plan`` builds none of
+    these models unless a stage leaves its batched solve.
     """
     _check_plan(plan)
     deck = _Deck.of(plan)
-    stages = [Stage(0, deck.model(0, (), False), 0.0)]
-    planted: tuple[int, ...] = ()
-    built = 0
-    while built < plan.module_count:
-        built += 1
-        last = max(planted, default=0)
-        stages.append(
-            Stage(
-                len(stages),
-                deck.model(built, planted, False),
-                (built - last) * plan.module_length,
-                planted_modules=planted,
-            )
-        )
-        if built < plan.module_count and built % plan.pillar_interval == 0:
-            planted = planted + (built,)
-            stages.append(
-                Stage(
-                    len(stages),
-                    deck.model(built, planted, False),
-                    0.0,
-                    planted_modules=planted,
-                )
-            )
-    if plan.module_count > 0:
-        stages.append(
-            Stage(
-                len(stages),
-                deck.model(built, planted, True),
-                0.0,
-                planted_modules=planted,
-                landed=True,
-            )
-        )
-    return tuple(stages)
+    return tuple(Stage(s.index, deck.model(s.built, s.bearing_modules), s.cantilever_length,
+                       planted_modules=s.planted, landed=s.landed) for s in deck.steps)
 
 
-def _vertical_reactions(result: AnalysisResult, shift: float) -> list[float]:
-    """Vertical bearing reactions, with ``shift`` added at the ballast node."""
-    return [
-        result.reactions[nid][1] + (shift if nid == 1 else 0.0)
-        for nid, comp in sorted(result.dofs.restrained)
-        if comp == 1  # DOF_Y
-    ]
+def _outcome(result: AnalysisResult) -> _Outcome:
+    """What judging reads from one stage's own analysis."""
+    # Sorted by node id, so the ballast node 1 comes first.
+    vertical = [result.reactions[nid][1] for nid, comp in sorted(result.dofs.restrained) if comp == 1]  # DOF_Y
+    return _Outcome(result.max_utilization, result.max_deflection, vertical[0], min(vertical[1:]))
 
 
-def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult, counterweight: float) -> float:
+def _analyze(model: StructureModel) -> _Outcome | None:
+    """One stage analyzed on its own model; None when its statics model is
+    a mechanism."""
+    try:
+        return _outcome(analyze(model))
+    except SingularSystem:
+        return None
+
+
+def _factor(step: _Step, plan: ErectionPlan, outcome: _Outcome, counterweight: float) -> float:
     """Overturning factor at ``counterweight`` of a stage solved under
     ``plan``; >= safety_factor means the stage cannot tip.
 
@@ -225,30 +293,21 @@ def _factor_from_result(stage: Stage, plan: ErectionPlan, result: AnalysisResult
     reported as 1 + (most negative reaction)/(total load); no uplift
     means the stage cannot tip and reports +inf.
     """
-    c = stage.cantilever_length
-    if stage.pure_cantilever:
+    c = step.cantilever_length
+    if step.pure_cantilever:
         if c <= 0:
             return math.inf
         overturning = plan.deck_weight_per_length * c * c / 2.0
         return counterweight * plan.counterweight_lever / overturning
-    r_min = min(_vertical_reactions(result, counterweight - plan.counterweight))
+    r_min = min(outcome.ballast + (counterweight - plan.counterweight), outcome.bearing)
     if r_min >= -EPS_FORCE:
         return math.inf
-    deck = sum(stage.model.element_length(b) for b in stage.model.beams)
-    return 1.0 + r_min / (plan.deck_weight_per_length * deck + counterweight)
+    return 1.0 + r_min / (plan.deck_weight_per_length * step.deck_length + counterweight)
 
 
-def _solve(stage: Stage) -> AnalysisResult | None:
-    """The stage analysis; None when its statics model is a mechanism."""
-    try:
-        return analyze(stage.model)
-    except SingularSystem:
-        return None
-
-
-def _judge(stage: Stage, plan: ErectionPlan, result: AnalysisResult | None, counterweight: float) -> StageReport:
-    """Report of ``stage``, solved under ``plan``, with the ballast set to
-    ``counterweight``.
+def _judge(step: _Step, plan: ErectionPlan, outcome: _Outcome | None, counterweight: float) -> StageReport:
+    """Report of stage ``step``, solved under ``plan``, with the ballast
+    set to ``counterweight``.
 
     The counterweight is a nodal force on node 1's restrained vertical
     dof, so it never enters the free-dof load vector: displacements,
@@ -256,35 +315,42 @@ def _judge(stage: Stage, plan: ErectionPlan, result: AnalysisResult | None, coun
     vertical reaction moves with it, one for one. One solve therefore
     judges the stage at any counterweight.
     """
-    if result is None:
+    if outcome is None:
         # An unstable statics model at this stage is itself the finding.
-        return StageReport(stage.index, 0.0, math.inf, math.inf, Verdict.OVERTURNS)
-    factor = _factor_from_result(stage, plan, result, counterweight)
-    util = result.max_utilization
+        return StageReport(step.index, 0.0, math.inf, math.inf, Verdict.OVERTURNS)
+    factor = _factor(step, plan, outcome, counterweight)
+    util = outcome.max_utilization
     if factor < plan.safety_factor * (1.0 - _FACTOR_RTOL):
         verdict = Verdict.OVERTURNS
     elif util >= 1.0:
         verdict = Verdict.OVERSTRESSED
     else:
         verdict = Verdict.STABLE
-    return StageReport(stage.index, factor, util, result.max_deflection, verdict)
+    return StageReport(step.index, factor, util, outcome.max_deflection, verdict)
 
 
 def run_plan(plan: ErectionPlan) -> PlanReport:
     """Analyze every stage once and report the overall feasibility, and
-    whether the plan holds at its minimal counterweight."""
-    stages = expand_plan(plan)
+    whether the plan holds at its minimal counterweight.
+
+    No stage model is built: the stages are prefixes of the plan's deck,
+    solved together by ``_Deck.outcomes``. A stage that batch leaves out
+    is analyzed on its own model, in stage order, exactly as one by one.
+    """
+    _check_plan(plan)
+    deck = _Deck.of(plan)
     # The closed-form smallest counterweight keeping every pure-cantilever
     # stage at the safety factor: W_min = safety * max(w c^2 / 2) / lever.
     w = plan.deck_weight_per_length
-    worst = max((w * s.cantilever_length * s.cantilever_length / 2.0 for s in stages if s.pure_cantilever),
+    worst = max((w * s.cantilever_length * s.cantilever_length / 2.0 for s in deck.steps if s.pure_cantilever),
                 default=0.0)
     w_min = plan.safety_factor * worst / plan.counterweight_lever
     reports, verified = [], True
-    for stage in stages:
-        result = _solve(stage)
-        reports.append(_judge(stage, plan, result, plan.counterweight))
+    for step, outcome in zip(deck.steps, deck.outcomes()):
+        if outcome is None:
+            outcome = _analyze(deck.model(step.built, step.bearing_modules))
+        reports.append(_judge(step, plan, outcome, plan.counterweight))
         if w_min > 0:
-            verified &= _judge(stage, plan, result, w_min).verdict is Verdict.STABLE
+            verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
     stable = all(r.verdict is Verdict.STABLE for r in reports)
     return PlanReport(tuple(reports), stable, w_min, verified)

@@ -493,14 +493,21 @@ def validate(model: StructureModel) -> ValidationReport:
 # Gravity lumping
 
 
+def check_gravity(g: float) -> None:
+    """Raise ``ValueError`` unless the gravity ``g`` is finite and >= 0."""
+    if g < 0 or not math.isfinite(g):
+        raise ValueError(f"g must be >= 0, got {g}")
+
+
 def self_weight_loads(model: StructureModel, g: float) -> tuple[NodalForce, ...]:
     """Expand member self-weight and point masses into nodal forces.
 
     Each beam or cable lumps rho*A*L*g/2 at each end node; each point mass
     contributes m*g. Forces are aggregated per node, ascending node id.
+    The analysis lumps the same forces from its element table
+    (``solver._elements``), in the same order, so to the same bits.
     """
-    if g < 0 or not math.isfinite(g):
-        raise ValueError(f"g must be >= 0, got {g}")
+    check_gravity(g)
     if g == 0.0:
         return ()
 

@@ -2,8 +2,9 @@
 
 The element table, banded assembly over the free dofs and a banded
 semi-definite solve, the taut/slack active-set iteration, force recovery,
-reactions and member utilization. All functions are pure; models are
-shared read-only.
+reactions and member utilization, and the analysis of many cable-free
+sub-models of one model (an erection plan's stages) as one block-diagonal
+band. All functions are pure; models are shared read-only.
 
 Each analysis numbers the free dofs along the structure (nodes by x, then
 y) and scatters K straight into LAPACK lower band storage; every
@@ -16,6 +17,7 @@ far from both.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -28,11 +30,12 @@ from .errors import InvalidModel, NoConvergence, SingularSystem
 from .model import (
     DofMap,
     NodalForce,
+    PointMass,
     SelfWeight,
     StructureModel,
     UniformLoad,
+    check_gravity,
     dof_map,
-    self_weight_loads,
     validate,
 )
 
@@ -116,6 +119,8 @@ class _Elements:
     k_global: np.ndarray  # (beams, 6, 6)
     fixed_end: np.ndarray  # (beams, 6)
     beam_strength: np.ndarray  # (beams, 4): area, depth / 2, second moment, allowable stress
+    loaded: np.ndarray  # (beams,) bool: carries a uniform load
+    beam_loads: np.ndarray  # (beams, 6): global fixed-end loads of the uniform loads, 0 where unloaded
     beam_at: np.ndarray  # band positions of the k_global entries inside the band, element order
     beam_k: np.ndarray  # those entries
     cable_ids: np.ndarray
@@ -127,7 +132,9 @@ class _Elements:
     cx: np.ndarray
     cy: np.ndarray
     pretension: np.ndarray
-    loads: np.ndarray  # uniform, nodal and self-weight loads, all dofs
+    point_at: np.ndarray  # node position of each nodal record: the nodal forces, then the self-weight
+    point: np.ndarray  # (records, 3): fx, fy, mz
+    loads: np.ndarray  # the uniform loads' beam_loads, then the nodal records, summed on all dofs
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """All-dof displacements from free ones in band order."""
@@ -148,8 +155,8 @@ class _Elements:
 
     def axial(self, full_u: np.ndarray) -> np.ndarray:
         """Axial force each cable would carry at the given displacements."""
-        u = full_u[self.cable_dofs]
-        elongation = (u[:, 2] - u[:, 0]) * self.cx + (u[:, 3] - u[:, 1]) * self.cy
+        u = full_u[..., self.cable_dofs]
+        elongation = (u[..., 2] - u[..., 0]) * self.cx + (u[..., 3] - u[..., 1]) * self.cy
         return self.ea_l * elongation + self.pretension
 
 
@@ -200,8 +207,9 @@ def _elements(model: StructureModel) -> _Elements:
     i, j = i.astype(int), j.astype(int)
     props = np.array(
         [(model.material(m).elastic_modulus, model.section(s).area, model.section(s).depth / 2.0,
-          model.section(s).second_moment, model.material(m).allowable_stress) for m, s in kinds]
-    ).reshape(-1, 5)[kind.astype(int)]
+          model.section(s).second_moment, model.material(m).allowable_stress,
+          model.material(m).density * model.section(s).area) for m, s in kinds]
+    ).reshape(-1, 6)[kind.astype(int)]
     E, A, I = props[:, 0], props[:, 1], props[:, 3]
     dx, dy = x[j] - x[i], y[j] - y[i]
     L = np.hypot(dx, dy)
@@ -215,16 +223,11 @@ def _elements(model: StructureModel) -> _Elements:
     k_global = Tt @ k_local @ T
     loaded = w != 0.0
     fixed_end[~loaded] = 0.0
+    beam_loads = np.zeros((len(beams), 6))
+    beam_loads[loaded] = (Tt[loaded] @ fixed_end[loaded, :, None])[:, :, 0]
     beam_dofs = 3 * np.stack([i, j], axis=1).repeat(3, axis=1) + _BEAM_DOFS
-    loads = np.zeros(3 * len(nodes))
-    np.add.at(loads, beam_dofs[loaded], (Tt[loaded] @ fixed_end[loaded, :, None])[:, :, 0])
-    records = [l for l in model.loads if isinstance(l, NodalForce)]
-    for load in model.loads:
-        if isinstance(load, SelfWeight):
-            records.extend(self_weight_loads(model, load.g))
-    for rec in records:
-        at = 3 * index[rec.node]
-        loads[at : at + 3] += (rec.fx, rec.fy, rec.mz)
+    # Ends, rho A and projections of every member, the beams, then the cables.
+    member_ends, member_weight, member_dx, member_dy = np.stack([i, j], axis=1), props[:, 5], dx, dy
 
     # Band order: the nodes by x, then y (a stable sort, so ties keep model
     # order), and each node's free dofs in x, y, rz order. Along a bridge an
@@ -232,17 +235,18 @@ def _elements(model: StructureModel) -> _Elements:
     rank = np.empty(len(nodes), dtype=int)
     rank[np.lexsort((y, x))] = np.arange(len(nodes))
     order = np.argsort(3 * rank[free // 3] + free % 3, kind="stable")
-    band = np.full(len(loads), -1)
+    band = np.full(3 * len(nodes), -1)
     band[free[order]] = np.arange(len(free))
     beam_band = band[beam_dofs]
     bandwidth = _spread(beam_band)  # of every element, each cable taut
 
     if cables:
-        i, j, ea, pretension, cable_strength = np.array(
+        i, j, ea, pretension, cable_strength, cable_weight = np.array(
             [[index[c.node_i] for c in cables], [index[c.node_j] for c in cables],
              [model.material(c.material).elastic_modulus * c.area for c in cables],
              [c.pretension for c in cables],
-             [c.area * model.material(c.material).allowable_stress for c in cables]]
+             [c.area * model.material(c.material).allowable_stress for c in cables],
+             [model.material(c.material).density * c.area for c in cables]]
         )
         i, j = i.astype(int), j.astype(int)
         dx, dy = x[j] - x[i], y[j] - y[i]
@@ -255,6 +259,9 @@ def _elements(model: StructureModel) -> _Elements:
         cable_band = band[cable_dofs]
         bandwidth = max(bandwidth, _spread(cable_band))
         cable_at = _placement(cable_band, bandwidth)
+        member_ends = np.concatenate([member_ends, np.stack([i, j], axis=1)])
+        member_weight = np.concatenate([member_weight, cable_weight])
+        member_dx, member_dy = np.concatenate([member_dx, dx]), np.concatenate([member_dy, dy])
     else:
         ea_l = ccx = ccy = pretension = cable_strength = np.zeros(0)
         cable_dofs = np.zeros((0, 4), dtype=int)
@@ -263,14 +270,43 @@ def _elements(model: StructureModel) -> _Elements:
     beam_at = _placement(beam_band, bandwidth)
     kept = beam_at >= 0
 
+    nodal = [l for l in model.loads if isinstance(l, NodalForce)]
+    point_at = [index[l.node] for l in nodal]
+    point = [(l.fx, l.fy, l.mz) for l in nodal]
+    for g in (l.g for l in model.loads if isinstance(l, SelfWeight)):
+        check_gravity(g)
+        if g == 0.0:
+            continue
+        # What ``self_weight_loads`` lumps, from the member columns above:
+        # rho A L g / 2 at each end of each beam, then of each cable, then
+        # m g at each point mass, summed per node in that order, and the
+        # nonzero sums applied by ascending node id. The lengths come from
+        # math.hypot, as ``element_length``'s do: np.hypot can differ in the
+        # last bit.
+        length = np.array([math.hypot(a, b) for a, b in zip(member_dx.tolist(), member_dy.tolist())])
+        half = member_weight * length * g / 2.0
+        masses = [(index[l.node], l.mass) for l in model.loads if isinstance(l, PointMass)]
+        at, mass = np.array(masses).reshape(-1, 2).T
+        fy = np.zeros(len(nodes))
+        np.add.at(fy, np.concatenate([member_ends.ravel(), at.astype(int)]),
+                  np.concatenate([np.repeat(-half, 2), -mass * g]))
+        lumped = np.flatnonzero(fy != 0.0)
+        point_at.extend(lumped.tolist())
+        point.extend((0.0, f, 0.0) for f in fy[lumped].tolist())
+    point_at = np.array(point_at, dtype=int)
+    point = np.array(point, dtype=float).reshape(-1, 3)
+    loads = np.zeros(3 * len(nodes))
+    np.add.at(loads, beam_dofs[loaded], beam_loads[loaded])
+    np.add.at(loads.reshape(-1, 3), point_at, point)
+
     return _Elements(
         dm=dm, index=index, free=free, order=order, dofs=free[order], bandwidth=bandwidth,
         beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
-        fixed_end=fixed_end, beam_strength=props[:, 1:],
+        fixed_end=fixed_end, beam_strength=props[:, 1:5], loaded=loaded, beam_loads=beam_loads,
         beam_at=beam_at[kept], beam_k=k_global[kept],
         cable_ids=np.array([c.id for c in cables], dtype=int), cable_dofs=cable_dofs, cable_k=cable_k,
         cable_at=cable_at, cable_strength=cable_strength, ea_l=ea_l, cx=ccx, cy=ccy, pretension=pretension,
-        loads=loads,
+        point_at=point_at, point=point, loads=loads,
     )
 
 
@@ -301,20 +337,42 @@ def _loads(el: _Elements, active: np.ndarray) -> np.ndarray:
 # Linear solve
 
 
-def _semidefinite_factor(ab: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _small_pivots(c: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """The pivot rule: which pivots of the band factor ``c`` are zero-energy
+    modes, those whose square is at or below ``PIVOT_RTOL`` of their dof's
+    ``diag``. Written so a NaN pivot is one."""
+    return ~(c[0] ** 2 > PIVOT_RTOL * diag)
+
+
+def _balanced(residual: np.ndarray, F: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """The residual rule, for each block of rows from ``starts``: a solve
+    stands where ||K u - F|| <= ``RESIDUAL_RTOL`` * max(||F||, 1). Written
+    so a NaN residual fails. The norms sum squares by ``np.add.reduceat``,
+    so a block gets the same verdict alone and among others."""
+    def norm(v: np.ndarray) -> np.ndarray:
+        return np.sqrt(np.add.reduceat(v * v, starts))
+
+    return norm(residual) <= RESIDUAL_RTOL * np.maximum(norm(F), 1.0)
+
+
+_ONE_BLOCK = np.zeros(1, dtype=int)
+
+
+def _semidefinite_factor(ab: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Banded Cholesky factor of K with its zero-energy pivots decoupled,
     and their positions.
 
-    A pivot <= ``tol`` is a zero-energy mode: K is positive semi-definite,
-    so the row of the Schur complement at that pivot is zero to rounding.
+    A pivot ``_small_pivots`` names is a zero-energy mode: K is positive
+    semi-definite, so the row of the Schur complement at that pivot is zero
+    to rounding.
     Adding the dof's own diagonal to K there (1 where it is 0) makes that
     diagonal the pivot and leaves the rest of the factor as it was: the
     mode is decoupled, as when the pivot is set to 1 and its row and column
     are zeroed (Farhat & Geradin, IJNME 41, 1998), and LAPACK does the work.
 
     The pivots of K + 1e-12 diag(K) are each at least K's (Schur
-    complements of a larger matrix), so every one at or below ``tol`` is a
-    zero pivot of K. A zero pivot the shift lifted above ``tol`` shows in
+    complements of a larger matrix), so every small one is a zero pivot of
+    K. A zero pivot the shift lifted above the threshold shows in
     the next factor and is added, one per factorization, until none is
     left. 1e-12 sits between rounding, about (bandwidth + 1) eps of the
     diagonal, and ``PIVOT_RTOL``. dpbtrf's output is read only when it
@@ -326,13 +384,13 @@ def _semidefinite_factor(ab: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, n
     shifted = ab.copy(order="F")
     shifted[0] += 1e-12 * diag
     c, info = dpbtrf(shifted, lower=1, overwrite_ab=1)
-    zero = c[0] ** 2 <= PIVOT_RTOL * diag if info == 0 else np.zeros(len(diag), dtype=bool)
+    zero = _small_pivots(c, diag) if info == 0 else np.zeros(len(diag), dtype=bool)
     while True:
         decoupled = ab.copy(order="F")
         decoupled[0, zero] += diag[zero]
         c, info = dpbtrf(decoupled, lower=1, overwrite_ab=1)
         if info == 0:
-            bad = np.flatnonzero(~(zero | (c[0] ** 2 > tol)))
+            bad = np.flatnonzero(_small_pivots(c, ab[0]) & ~zero)
             if not len(bad):
                 return c, np.flatnonzero(zero)
             j = bad[0]
@@ -467,11 +525,10 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     n = len(F)
     if n == 0:
         return np.zeros(0), np.zeros(0, dtype=int)
-    tol = PIVOT_RTOL * ab[0]
     c, info = dpbtrf(ab, lower=1)
     dropped = np.zeros(0, dtype=int)
-    if info != 0 or not (c[0] ** 2 > tol).all():
-        c, dropped = _semidefinite_factor(ab, tol)
+    if info != 0 or _small_pivots(c, ab[0]).any():
+        c, dropped = _semidefinite_factor(ab)
     if len(dropped):
         rows, mode, values = _null_basis(c, dropped)
         # The Cholesky factor of N^T N (the identity plus a Gram matrix, so
@@ -490,8 +547,7 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
 
     u = solve(F)
     residual = F - dsbmv(len(ab) - 1, 1.0, ab, u, lower=1)
-    # Written so a NaN residual also fails.
-    if not np.linalg.norm(residual) <= RESIDUAL_RTOL * max(np.linalg.norm(F), 1.0):
+    if not _balanced(residual, F, _ONE_BLOCK)[0]:
         if not len(dropped):
             raise SingularSystem("stiffness system is numerically singular (residual too large)")
         # Name the dofs where the loads do work on the mechanism: where
@@ -505,6 +561,46 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     # One step of iterative refinement wins back the accuracy a dropped
     # pivot or a badly scaled K costs.
     return u + solve(residual), dropped
+
+
+def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a block-diagonal K u = F, K in lower band storage ``ab`` and
+    block k from row ``starts[k]``, with one dpbtrf, and say which blocks
+    stand: those with finite entries that the pivot rule
+    (``_small_pivots``) and the residual rule (``_balanced``) of ``_solve``
+    accept. One step of iterative refinement follows, as in ``_solve``.
+
+    No entry couples two blocks, so each block's factor, solution and
+    residual are the ones it would get alone: below LAPACK's block size
+    (32) dpbtrf runs unblocked, column by column, and the zeros a narrower
+    block is padded with add nothing (the erection tests check this bit for
+    bit). A non-finite entry or a zero pivot could reach the next
+    block through them, so a rejected block is replaced by the identity,
+    its right-hand side by 0, and the rest solved again; the others' bits
+    do not change. ``ab`` and ``F`` are overwritten."""
+    counts = np.diff(np.append(starts, len(F)))
+    block = np.repeat(np.arange(len(starts)), counts)
+    ok = np.logical_and.reduceat(np.isfinite(ab).all(axis=0) & np.isfinite(F), starts)
+    while True:
+        out = np.repeat(~ok, counts)
+        ab[:, out] = 0.0
+        ab[0, out] = 1.0
+        F[out] = 0.0
+        c, info = dpbtrf(ab, lower=1)
+        if info != 0:
+            ok[block[info - 1]] = False
+            continue
+        small = ok & np.logical_or.reduceat(_small_pivots(c, ab[0]), starts)
+        if small.any():
+            ok &= ~small
+            continue
+        u, _ = dpbtrs(c, F, lower=1)
+        residual = F - dsbmv(len(ab) - 1, 1.0, ab, u, lower=1)
+        unbalanced = ok & ~_balanced(residual, F, starts)
+        if unbalanced.any():
+            ok &= ~unbalanced
+            continue
+        return u + dpbtrs(c, residual, lower=1)[0], ok
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +685,13 @@ def _end_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> tuple[np
     """Beam end forces (beams, 4) as ``MemberForces`` reports them (axial,
     shear, moment_i, moment_j) and cable axial forces. Local end forces
     are k_local T u minus the fixed-end vectors of the uniform loads;
-    cables outside the mask ``taut`` are clamped to zero."""
-    f = (el.k_local @ (el.T @ full_u[el.beam_dofs][:, :, None]))[:, :, 0] - el.fixed_end
-    shear = np.where(np.abs(f[:, 1]) >= np.abs(f[:, 4]), f[:, 1], -f[:, 4])
+    cables outside the mask ``taut`` are clamped to zero. ``full_u`` may
+    stack displacement vectors on leading axes; the results stack alike."""
+    f = (el.k_local @ (el.T @ full_u[..., el.beam_dofs, None]))[..., 0] - el.fixed_end
+    shear = np.where(np.abs(f[..., 1]) >= np.abs(f[..., 4]), f[..., 1], -f[..., 4])
     axial = el.axial(full_u)
     axial = np.where(taut | (axial > 0.0), axial, 0.0)
-    return np.stack([f[:, 3], shear, f[:, 2], f[:, 5]], axis=1), axial
+    return np.stack([f[..., 3], shear, f[..., 2], f[..., 5]], axis=-1), axial
 
 
 def _reactions(el: _Elements, full_u: np.ndarray, active: np.ndarray, F: np.ndarray) -> dict[int, tuple]:
@@ -622,9 +719,9 @@ def _member_utilization(el: _Elements, beam: np.ndarray, cable: np.ndarray) -> n
     per-member ``utilization`` of ``tests/oracles.py``, so the same values
     bit for bit."""
     area, half_depth, inertia, sigma = el.beam_strength.T
-    m_max = np.maximum(np.abs(beam[:, 2]), np.abs(beam[:, 3]))
-    stress = np.abs(beam[:, 0]) / area + m_max * half_depth / inertia
-    return np.concatenate([stress / sigma, cable / el.cable_strength])
+    m_max = np.maximum(np.abs(beam[..., 2]), np.abs(beam[..., 3]))
+    stress = np.abs(beam[..., 0]) / area + m_max * half_depth / inertia
+    return np.concatenate([stress / sigma, cable / el.cable_strength], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -701,3 +798,85 @@ def analyze(model: StructureModel) -> AnalysisResult:
     if not report.ok:
         raise InvalidModel(report)
     return tension_only_analyze(model)
+
+
+# ---------------------------------------------------------------------------
+# Many cable-free sub-models at once
+
+
+@dataclass(frozen=True)
+class _Prefixes:
+    """The analyses of ``_analyze_prefixes``, one row per sub-model."""
+
+    solved: np.ndarray  # (models,) bool: accepted by the pivot and residual rules
+    max_utilization: np.ndarray  # (models,)
+    max_deflection: np.ndarray  # (models,)
+    residual: np.ndarray  # (models, 3 nodes): end forces less loads; the reactions on restrained dofs
+
+
+def _stacked_band(el: _Elements, beam: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
+    """Lower band storage, (width + 1, n) in Fortran order, of the beams
+    ``beam`` of ``el`` with band positions ``p`` (beams, 6), -1 for a
+    restrained dof: the entries ``_placement`` keeps, summed in the order
+    of ``beam`` as ``_band`` sums them."""
+    width = _spread(p)
+    at = _placement(p, width)
+    pair, row, col = np.nonzero(at >= 0)
+    K = np.bincount(at[pair, row, col], el.k_global[beam[pair], row, col], minlength=(width + 1) * n)
+    return K.reshape((width + 1, n), order="F")
+
+
+def _analyze_prefixes(model: StructureModel, nodes: np.ndarray, beams: np.ndarray,
+                      restrained: np.ndarray) -> _Prefixes:
+    """Analyze sub-models of a cable-free ``model`` with one element table
+    and one banded factorization.
+
+    Sub-model s is the first ``nodes[s]`` nodes and first ``beams[s]``
+    beams, with the nodal loads at those nodes, the uniform loads on those
+    beams, and the model's supports plus the dofs ``restrained[s]`` (3 per
+    node, model order). Its beams must reach only its nodes and leave each
+    the rotational stiffness it has in the model, and the model must carry
+    no self-weight, which is lumped over all of its members.
+
+    Each sub-model's band is assembled in its own band order (the model's,
+    less the nodes and dofs it lacks), its entries summed in element order
+    as ``_band`` sums them, and its loads as ``_elements`` sums them, so
+    that each is the one its own model's analysis would build. The bands
+    are stacked, padded to the widest, and solved by ``_solve_blocks``;
+    forces, utilizations, deflections and reactions are recovered for all
+    at once by the operations of ``tension_only_analyze``. A sub-model
+    ``_solve_blocks`` rejects is not analyzed: its row is to be ignored,
+    and it must be analyzed on its own.
+    """
+    el = _elements(model)
+    count, n = len(nodes), len(el.loads)
+    # The free dofs of each sub-model, in band order, and their positions in
+    # the stacked system, block after block.
+    free = (el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs]
+    sizes = free.sum(axis=1)
+    starts = np.cumsum(sizes) - sizes
+    position = np.full((count, n), -1)
+    position[:, el.dofs] = np.where(free, np.cumsum(free, axis=1) - 1 + starts[:, None], -1)
+    # Each sub-model's beams, sub-model by sub-model, in element order.
+    present = np.arange(len(el.beam_dofs)) < beams[:, None]
+    model_of, beam = np.nonzero(present)
+    ab = _stacked_band(el, beam, position[model_of[:, None], el.beam_dofs[beam]], sizes.sum())
+
+    ends = (model_of * n)[:, None] + el.beam_dofs[beam]
+    loaded = el.loaded[beam]
+    loads = np.bincount(ends[loaded].ravel(), el.beam_loads[beam[loaded]].ravel(), minlength=count * n)
+    loads = loads.reshape(count, n)
+    holder, record = np.nonzero(el.point_at < nodes[:, None])
+    np.add.at(loads.reshape(count, -1, 3), (holder, el.point_at[record]), el.point[record])
+    mine = position >= 0
+    F = np.empty(sizes.sum())
+    F[position[mine]] = loads[mine]
+
+    u, solved = _solve_blocks(ab, F, starts)
+    full_u = np.zeros((count, n))
+    full_u[mine] = u[position[mine]]
+    beam_forces, cable = _end_forces(el, full_u, np.zeros((count, 0), dtype=bool))
+    util = np.where(present, _member_utilization(el, beam_forces, cable), -np.inf)
+    forces = (el.k_global @ full_u[:, el.beam_dofs, None])[model_of, beam, :, 0]
+    residual = np.bincount(ends.ravel(), forces.ravel(), minlength=count * n).reshape(count, n) - loads
+    return _Prefixes(solved, util.max(axis=1), np.abs(full_u[:, 1::3]).max(axis=1), residual)

@@ -1,11 +1,13 @@
 """Closed-form element matrices, written out case by case, a dense
-assembly, a dense rank-revealing solve, a dense null basis and the
-per-member utilization formula.
+assembly, a dense rank-revealing solve, a dense null basis, the
+per-member utilization formula, and erection plans run stage model by
+stage model.
 
 They are independent of the solver's element table, which derives every
 release pattern by static condensation of the clamped element, of its
-banded assembly and factorization, of its windowed null basis and of its
-vectorized utilization, and the tests compare the two.
+banded assembly and factorization, of its windowed null basis, of its
+vectorized utilization and of the one banded solve of all of a plan's
+stages, and the tests compare the two.
 """
 
 import math
@@ -14,7 +16,12 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
+from ponte.catalog import DECK_MATERIAL, DECK_SECTION
+from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _outcome, _Step
 from ponte.errors import NonPositiveProperty, SingularSystem
+from ponte.model import MATERIAL_PRESETS, BeamElement, NodalForce, Node, Support, UniformLoad, build_model
+from ponte.solver import analyze
+from ponte.textio import quantize
 
 
 def beam_stiffness_local(E: float, A: float, I: float, L: float) -> np.ndarray:
@@ -219,3 +226,61 @@ def utilization(forces, material, section=None, area: float | None = None) -> fl
         m_max = max(abs(forces.moment_i), abs(forces.moment_j))
         return (abs(forces.axial) / section.area + m_max * (section.depth / 2.0) / section.second_moment) / sigma
     return forces.axial / (area * sigma)
+
+
+def stages_one_by_one(plan: ErectionPlan) -> tuple[Stage, ...]:
+    """The stages of ``expand_plan`` with every model built on its own,
+    as they were before the stages shared the plan's deck parts."""
+
+    def model(built, planted, landed):
+        mod = plan.module_length
+        nodes = [Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0)]
+        nodes.extend(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, built + 1))
+        beams = [BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name) for k in range(1, built + 2)]
+        supports = [Support(2, restrain_x=True, restrain_y=True, restrain_rz=True), Support(1, restrain_y=True)]
+        supports.extend(Support(2 + m, restrain_y=True) for m in planted)
+        if landed:
+            supports.append(Support(2 + built, restrain_y=True))
+        loads = [UniformLoad(b.id, plan.deck_weight_per_length) for b in beams]
+        loads.append(NodalForce(1, fy=-plan.counterweight))
+        return build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
+                           materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
+
+    stages = [Stage(0, model(0, (), False), 0.0)]
+    planted, built = (), 0
+    while built < plan.module_count:
+        built += 1
+        stages.append(Stage(len(stages), model(built, planted, False),
+                            (built - max(planted, default=0)) * plan.module_length, planted))
+        if built < plan.module_count and built % plan.pillar_interval == 0:
+            planted += (built,)
+            stages.append(Stage(len(stages), model(built, planted, False), 0.0, planted))
+    if plan.module_count > 0:
+        stages.append(Stage(len(stages), model(built, planted, True), 0.0, planted, landed=True))
+    return tuple(stages)
+
+
+def run_plan_one_by_one(plan: ErectionPlan) -> PlanReport:
+    """``run_plan`` as a loop over stage models: each model of
+    ``stages_one_by_one`` validated and analyzed on its own by ``analyze``
+    (a ``SingularSystem`` judged as a mechanism), its deck length summed
+    from ``element_length``, and the stage judged at the plan's
+    counterweight and at the closed-form W_min."""
+    stages = stages_one_by_one(plan)
+    w = plan.deck_weight_per_length
+    worst = max((w * s.cantilever_length * s.cantilever_length / 2.0 for s in stages if s.pure_cantilever),
+                default=0.0)
+    w_min = plan.safety_factor * worst / plan.counterweight_lever
+    reports, verified = [], True
+    for stage in stages:
+        try:
+            outcome = _outcome(analyze(stage.model))
+        except SingularSystem:
+            outcome = None
+        model = stage.model
+        step = _Step(stage.index, len(model.beams) - 1, stage.planted_modules, stage.landed,
+                     stage.cantilever_length, sum(model.element_length(b) for b in model.beams))
+        reports.append(_judge(step, plan, outcome, plan.counterweight))
+        if w_min > 0:
+            verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
+    return PlanReport(tuple(reports), all(r.verdict is Verdict.STABLE for r in reports), w_min, verified)

@@ -3,30 +3,24 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 import ponte.erection
 from ponte import solver
-from ponte.catalog import DECK_MATERIAL, DECK_SECTION
 from ponte.erection import (
     ErectionPlan,
-    Stage,
     Verdict,
+    _Deck,
     expand_plan,
     run_plan,
 )
-from ponte.errors import InvalidPlan
-from ponte.model import (
-    MATERIAL_PRESETS,
-    BeamElement,
-    NodalForce,
-    Node,
-    Support,
-    UniformLoad,
-    build_model,
-)
+from ponte.errors import InvalidModel, InvalidPlan
+from ponte.model import NodalForce, validate
 from ponte.reporting import json_text, plan_report_dict
-from ponte.textio import quantize
+
+from oracles import run_plan_one_by_one, stages_one_by_one
 
 PLAN = ErectionPlan(
     module_length=2.0,
@@ -79,38 +73,6 @@ class TestExpandPlan:
             expand_plan(replace(PLAN, safety_factor=0.5))
 
 
-def stages_one_by_one(plan: ErectionPlan) -> tuple[Stage, ...]:
-    """The stages of ``expand_plan`` with every model built on its own,
-    as they were before the stages shared the plan's deck parts."""
-
-    def model(built, planted, landed):
-        mod = plan.module_length
-        nodes = [Node(1, quantize(plan.counterweight_lever), 0.0), Node(2, 0.0, 0.0)]
-        nodes.extend(Node(2 + k, quantize(-k * mod), 0.0) for k in range(1, built + 1))
-        beams = [BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name) for k in range(1, built + 2)]
-        supports = [Support(2, restrain_x=True, restrain_y=True, restrain_rz=True), Support(1, restrain_y=True)]
-        supports.extend(Support(2 + m, restrain_y=True) for m in planted)
-        if landed:
-            supports.append(Support(2 + built, restrain_y=True))
-        loads = [UniformLoad(b.id, plan.deck_weight_per_length) for b in beams]
-        loads.append(NodalForce(1, fy=-plan.counterweight))
-        return build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
-                           materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
-
-    stages = [Stage(0, model(0, (), False), 0.0)]
-    planted, built = (), 0
-    while built < plan.module_count:
-        built += 1
-        stages.append(Stage(len(stages), model(built, planted, False),
-                            (built - max(planted, default=0)) * plan.module_length, planted))
-        if built < plan.module_count and built % plan.pillar_interval == 0:
-            planted += (built,)
-            stages.append(Stage(len(stages), model(built, planted, False), 0.0, planted))
-    if plan.module_count > 0:
-        stages.append(Stage(len(stages), model(built, planted, True), 0.0, planted, landed=True))
-    return tuple(stages)
-
-
 class TestSharedDeckParts:
     # expand_plan builds a plan's nodes, beams and loads once and gives each
     # stage prefixes of them; the stages must be the ones built one by one.
@@ -138,10 +100,102 @@ class TestSharedDeckParts:
             assert a.model == b.model
 
     @pytest.mark.parametrize("plan", PLANS)
-    def test_plan_report_is_unchanged(self, plan, monkeypatch):
-        shared = json_text(plan_report_dict(run_plan(plan)))
-        monkeypatch.setattr(ponte.erection, "expand_plan", stages_one_by_one)
-        assert json_text(plan_report_dict(run_plan(plan))) == shared
+    def test_plan_report_is_unchanged(self, plan):
+        # run_plan builds no stage model; its report is the one of the
+        # stage models built and analyzed one by one.
+        assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
+
+
+def report_bytes(report) -> str:
+    return json_text(plan_report_dict(report))
+
+
+def plan_around_w_min(module, count, w, lever, interval, safety, side) -> ErectionPlan:
+    """A plan whose counterweight is ``side`` times its closed-form W_min
+    (at least 1 N): the longest pure cantilever is min(interval, count)
+    modules."""
+    c = min(interval, count) * module
+    w_min = safety * w * c * c / (2.0 * lever)
+    return ErectionPlan(module, count, w, side * max(w_min, 1.0), lever, interval, safety)
+
+
+plans = st.builds(
+    plan_around_w_min,
+    module=st.floats(0.3, 6.0),
+    count=st.one_of(st.sampled_from([0, 1, 60]), st.integers(0, 60)),
+    w=st.one_of(st.floats(100.0, 5000.0), st.floats(5000.0, 60000.0)),
+    lever=st.floats(0.5, 4.0),
+    interval=st.integers(1, 6),
+    safety=st.one_of(st.just(1.0), st.floats(1.0, 3.0)),
+    side=st.one_of(st.just(1.0), st.floats(0.5, 2.0)),
+)
+
+
+class TestOneSolvePerPlan:
+    # run_plan solves every stage of a plan in one banded factorization of
+    # one element table, and falls back to the stage's own analysis where
+    # the pivot or residual rule rejects it; its bytes are the oracle's.
+    @given(plans)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_report_bytes_equal_the_stage_by_stage_oracle(self, plan):
+        assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
+
+    @given(plans)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_every_stage_is_valid(self, plan):
+        # What lets run_plan validate only the finished deck.
+        assert validate(_Deck.of(plan).model(plan.module_count, ())).ok
+        for stage in expand_plan(plan):
+            assert validate(stage.model).ok, stage.index
+
+    def test_an_invalid_deck_raises_the_stage_error(self):
+        # The finished deck fails validate, so each stage is analyzed on
+        # its own and the first invalid one raises its own report.
+        plan = ErectionPlan(1e-9, 5, 500, 1e4, 2, 2)
+        with pytest.raises(InvalidModel) as expected:
+            run_plan_one_by_one(plan)
+        with pytest.raises(InvalidModel) as got:
+            run_plan(plan)
+        assert str(got.value) == str(expected.value)
+        assert "beam 4 is shorter than 1e-09 m" in str(got.value)
+
+    @pytest.mark.parametrize("every", [1, 3])
+    def test_stages_the_residual_rule_rejects_are_analyzed_alone(self, every, monkeypatch):
+        plan = replace(PLAN, module_count=9, counterweight=9000.0)
+        stages = expand_plan(plan)
+        rejected = list(range(0, len(stages), every))
+        balanced = solver._balanced
+
+        def rejecting(residual, F, starts):
+            ok = balanced(residual, F, starts)
+            if len(starts) == len(stages):  # the batch, not a stage's own solve
+                ok[rejected] = False
+            return ok
+
+        analyzed = []
+        analyze = ponte.erection.analyze
+        monkeypatch.setattr(solver, "_balanced", rejecting)
+        monkeypatch.setattr(ponte.erection, "analyze", lambda model: analyzed.append(model) or analyze(model))
+        assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
+        assert analyzed == [stages[k].model for k in rejected]
+
+    def test_stages_the_pivot_rule_rejects_are_analyzed_alone(self, monkeypatch):
+        # The first factor the batch checks has all its pivots rejected;
+        # every later check, the stages' own solves included, is the rule.
+        plan = replace(PLAN, module_count=9, counterweight=9000.0)
+        small_pivots = solver._small_pivots
+        calls = []
+
+        def rejecting(c, diag):
+            calls.append(len(diag))
+            return np.ones(len(diag), dtype=bool) if len(calls) == 1 else small_pivots(c, diag)
+
+        analyzed = []
+        analyze = ponte.erection.analyze
+        monkeypatch.setattr(solver, "_small_pivots", rejecting)
+        monkeypatch.setattr(ponte.erection, "analyze", lambda model: analyzed.append(model) or analyze(model))
+        assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
+        assert analyzed == [stage.model for stage in expand_plan(plan)]
 
 
 class TestOverturningFactor:
@@ -246,12 +300,24 @@ class TestRunPlan:
                 if a is Verdict.STABLE:
                     assert b is Verdict.STABLE
 
-    def test_one_solve_per_stage(self, monkeypatch):
-        calls = []
-        solve = ponte.erection.analyze
-        monkeypatch.setattr(ponte.erection, "analyze", lambda model: calls.append(model) or solve(model))
-        run_plan(PLAN)
-        assert len(calls) == len(expand_plan(PLAN))
+    def test_one_table_and_one_factorization_per_plan(self, monkeypatch):
+        calls = {"_elements": 0, "dpbtrf": 0, "analyze": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def count(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, count)
+
+        counting(solver, "_elements")
+        counting(solver, "dpbtrf")
+        counting(ponte.erection, "analyze")
+        plan = replace(PLAN, module_count=60, pillar_interval=1, counterweight=9000.0)
+        assert len(run_plan(plan).stages) == 121
+        assert calls == {"_elements": 1, "dpbtrf": 1, "analyze": 0}
 
     def test_counterweight_moves_only_the_ballast_reaction(self):
         # The premise of the single solve: the ballast bears on node 1's
