@@ -237,13 +237,13 @@ class _Deck:
         stage, module = np.array(held, dtype=int).reshape(-1, 2).T
         restrained = np.zeros((len(self.steps), 3 * len(self.nodes)), dtype=bool)
         restrained[stage, 3 * (module + 1) + 1] = True
-        done = _analyze_prefixes(finished, nodes, nodes - 1, restrained)
+        solved, done = _analyze_prefixes(finished, nodes, nodes - 1, restrained)
         vertical = done.residual[:, 1::3]
         # The bearings besides the ballast: the abutment, at node position
         # 1, and the stage's own.
         others = restrained[:, 1::3] | (np.arange(len(self.nodes)) == 1)
         bearing = np.where(others, vertical, np.inf).min(axis=1)
-        rows = zip(done.solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
+        rows = zip(solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
                    vertical[:, 0].tolist(), bearing.tolist())
         return [_Outcome(*row) if ok else None for ok, *row in rows]
 

@@ -155,8 +155,8 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def plan_report_dict(report: PlanReport) -> dict:
-    """The erection plan report as one JSON-ready dictionary; a stage's
-    infinite factor, utilization or deflection becomes None."""
+    """The erection plan report as one JSON-ready dictionary; an infinite
+    stage figure or minimal counterweight becomes None."""
     return {
         "stages": [
             {
@@ -169,7 +169,7 @@ def plan_report_dict(report: PlanReport) -> dict:
             for s in report.stages
         ],
         "stable": report.stable,
-        "minimal_counterweight": report.minimal_counterweight,
+        "minimal_counterweight": _finite_or_none(report.minimal_counterweight),
         "minimal_verified": report.minimal_verified,
     }
 

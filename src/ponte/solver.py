@@ -1,10 +1,12 @@
 """Direct stiffness analysis with tension-only cables.
 
 The element table, banded assembly over the free dofs and a banded
-semi-definite solve, the taut/slack active-set iteration, force recovery,
-reactions and member utilization, and the analysis of many cable-free
-sub-models of one model (an erection plan's stages) as one block-diagonal
-band. All functions are pure; models are shared read-only.
+semi-definite solve, the taut/slack active-set iteration, and force,
+reaction and utilization recovery. Cable-free sub-models of one model (an
+erection plan's stages) are analyzed as one stack: one block-diagonal
+band (``_solve_blocks``), one load sum (``_Elements.prefix_loads``) and
+one recovery (``_recover``), whose one-block, one-row case is a single
+analysis. All functions are pure; models are shared read-only.
 
 Each analysis numbers the free dofs along the structure (nodes by x, then
 y) and scatters K straight into LAPACK lower band storage; every
@@ -21,6 +23,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.blas import dsbmv
@@ -119,8 +122,6 @@ class _Elements:
     k_global: np.ndarray  # (beams, 6, 6)
     fixed_end: np.ndarray  # (beams, 6)
     beam_strength: np.ndarray  # (beams, 4): area, depth / 2, second moment, allowable stress
-    loaded: np.ndarray  # (beams,) bool: carries a uniform load
-    beam_loads: np.ndarray  # (beams, 6): global fixed-end loads of the uniform loads, 0 where unloaded
     beam_at: np.ndarray  # band positions of the k_global entries inside the band, element order
     beam_k: np.ndarray  # those entries
     cable_ids: np.ndarray
@@ -132,13 +133,31 @@ class _Elements:
     cx: np.ndarray
     cy: np.ndarray
     pretension: np.ndarray
-    point_at: np.ndarray  # node position of each nodal record: the nodal forces, then the self-weight
-    point: np.ndarray  # (records, 3): fx, fy, mz
-    loads: np.ndarray  # the uniform loads' beam_loads, then the nodal records, summed on all dofs
+    pretension_loads: np.ndarray  # (cables, 4): pretension * d, each cable's end loads when taut
+    # Every load entry in summing order: the uniform loads' global fixed-end
+    # vectors, beam by beam, then the nodal forces, then the self-weight.
+    load_dofs: np.ndarray
+    load_values: np.ndarray
+    load_beam: np.ndarray  # the beam of a fixed-end entry, -1 for a nodal one
+
+    def prefix_loads(self, beams: np.ndarray) -> np.ndarray:
+        """All-dof load vectors (len(beams), 3 nodes) of prefixes: prefix s
+        sums the entries of its first ``beams[s]`` beams and every nodal
+        entry (those at nodes it lacks fall on dofs it does not read)."""
+        n = 3 * len(self.index)
+        row, entry = np.nonzero(self.load_beam < beams[:, None])
+        F = np.zeros(len(beams) * n)
+        np.add.at(F, n * row + self.load_dofs[entry], self.load_values[entry])
+        return F.reshape(len(beams), n)
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """The model's all-dof load vector: its own full prefix."""
+        return self.prefix_loads(np.array([len(self.beam_dofs)]))[0]
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """All-dof displacements from free ones in band order."""
-        full = np.zeros(len(self.loads))
+        full = np.zeros(3 * len(self.index))
         full[self.dofs] = u
         return full
 
@@ -223,8 +242,6 @@ def _elements(model: StructureModel) -> _Elements:
     k_global = Tt @ k_local @ T
     loaded = w != 0.0
     fixed_end[~loaded] = 0.0
-    beam_loads = np.zeros((len(beams), 6))
-    beam_loads[loaded] = (Tt[loaded] @ fixed_end[loaded, :, None])[:, :, 0]
     beam_dofs = 3 * np.stack([i, j], axis=1).repeat(3, axis=1) + _BEAM_DOFS
     # Ends, rho A and projections of every member, the beams, then the cables.
     member_ends, member_weight, member_dx, member_dy = np.stack([i, j], axis=1), props[:, 5], dx, dy
@@ -256,6 +273,7 @@ def _elements(model: StructureModel) -> _Elements:
         d = np.stack([-ccx, -ccy, ccx, ccy], axis=1)
         ea_l = ea / cable_L
         cable_k = ea_l[:, None, None] * (d[:, :, None] * d[:, None, :])
+        pretension_loads = pretension[:, None] * d
         cable_band = band[cable_dofs]
         bandwidth = max(bandwidth, _spread(cable_band))
         cable_at = _placement(cable_band, bandwidth)
@@ -265,14 +283,18 @@ def _elements(model: StructureModel) -> _Elements:
     else:
         ea_l = ccx = ccy = pretension = cable_strength = np.zeros(0)
         cable_dofs = np.zeros((0, 4), dtype=int)
+        pretension_loads = np.zeros((0, 4))
         cable_k = np.zeros((0, 4, 4))
         cable_at = np.zeros((0, 4, 4), dtype=int)
     beam_at = _placement(beam_band, bandwidth)
     kept = beam_at >= 0
 
+    fixed = np.flatnonzero(loaded)
     nodal = [l for l in model.loads if isinstance(l, NodalForce)]
-    point_at = [index[l.node] for l in nodal]
-    point = [(l.fx, l.fy, l.mz) for l in nodal]
+    load_at = [beam_dofs[fixed].ravel(), (3 * np.array([index[l.node] for l in nodal], dtype=int)[:, None]
+                                          + _BEAM_DOFS[:3]).ravel()]
+    load_values = [(Tt[fixed] @ fixed_end[fixed, :, None]).ravel(),
+                   np.array([(l.fx, l.fy, l.mz) for l in nodal], dtype=float).ravel()]
     for g in (l.g for l in model.loads if isinstance(l, SelfWeight)):
         check_gravity(g)
         if g == 0.0:
@@ -291,45 +313,46 @@ def _elements(model: StructureModel) -> _Elements:
         np.add.at(fy, np.concatenate([member_ends.ravel(), at.astype(int)]),
                   np.concatenate([np.repeat(-half, 2), -mass * g]))
         lumped = np.flatnonzero(fy != 0.0)
-        point_at.extend(lumped.tolist())
-        point.extend((0.0, f, 0.0) for f in fy[lumped].tolist())
-    point_at = np.array(point_at, dtype=int)
-    point = np.array(point, dtype=float).reshape(-1, 3)
-    loads = np.zeros(3 * len(nodes))
-    np.add.at(loads, beam_dofs[loaded], beam_loads[loaded])
-    np.add.at(loads.reshape(-1, 3), point_at, point)
+        load_at.append(3 * lumped + 1)  # only fy: the x and rz entries would add zeros
+        load_values.append(fy[lumped])
+    load_dofs = np.concatenate(load_at)
+    load_beam = np.full(len(load_dofs), -1)
+    load_beam[: 6 * len(fixed)] = fixed.repeat(6)
 
     return _Elements(
         dm=dm, index=index, free=free, order=order, dofs=free[order], bandwidth=bandwidth,
         beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
-        fixed_end=fixed_end, beam_strength=props[:, 1:5], loaded=loaded, beam_loads=beam_loads,
+        fixed_end=fixed_end, beam_strength=props[:, 1:5],
         beam_at=beam_at[kept], beam_k=k_global[kept],
         cable_ids=np.array([c.id for c in cables], dtype=int), cable_dofs=cable_dofs, cable_k=cable_k,
         cable_at=cable_at, cable_strength=cable_strength, ea_l=ea_l, cx=ccx, cy=ccy, pretension=pretension,
-        point_at=point_at, point=point, loads=loads,
+        pretension_loads=pretension_loads,
+        load_dofs=load_dofs, load_values=np.concatenate(load_values), load_beam=load_beam,
     )
 
 
+def _scatter(at: np.ndarray, k: np.ndarray, bandwidth: int, n: int) -> np.ndarray:
+    """Lower band storage (bandwidth + 1, n), in Fortran order, of the
+    entries ``k`` summed in order at their ``_placement`` positions ``at``."""
+    return np.bincount(at, k, minlength=(bandwidth + 1) * n).reshape((bandwidth + 1, n), order="F")
+
+
 def _band(el: _Elements, active: np.ndarray) -> np.ndarray:
-    """Lower band storage (bandwidth + 1, n_free), in Fortran order, of the
-    free-dof K in band order with the cables of the mask ``active`` taut.
-    The beam blocks, then the taut cables' rank-1 blocks, are summed in
-    element order, so each entry is the one the full-dof K holds."""
+    """Lower band storage of the free-dof K in band order with the cables
+    of the mask ``active`` taut. The beam blocks, then the taut cables'
+    rank-1 blocks, are summed in element order, so each entry is the one
+    the full-dof K holds."""
     at, k = el.cable_at[active], el.cable_k[active]
     inside = at >= 0
-    rows = el.bandwidth + 1
-    K = np.bincount(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
-                    minlength=rows * len(el.dofs))
-    return K.reshape((rows, len(el.dofs)), order="F")
+    return _scatter(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
+                    el.bandwidth, len(el.dofs))
 
 
 def _loads(el: _Elements, active: np.ndarray) -> np.ndarray:
     """Full-dof F: uniform loads enter through their release-aware
     fixed-end vectors, and only the taut cables' pretension counts."""
     F = el.loads.copy()
-    pre = active & (el.pretension != 0.0)
-    d = np.stack([-el.cx[pre], -el.cy[pre], el.cx[pre], el.cy[pre]], axis=1)
-    np.subtract.at(F, el.cable_dofs[pre], el.pretension[pre, None] * d)
+    np.subtract.at(F, el.cable_dofs[active], el.pretension_loads[active])
     return F
 
 
@@ -488,47 +511,83 @@ def _gram_band(rows: np.ndarray, mode: np.ndarray, values: np.ndarray, m: int) -
     return np.bincount(at, np.concatenate(terms), minlength=m * (int(at.max()) // m + 1)).reshape(-1, m)
 
 
-def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-norm solution of the positive semi-definite system K u = F,
-    K in lower band storage ``ab`` (as ``_band`` builds it), and the
-    positions of its zero-energy pivots (n - rank of them).
+def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve a block-diagonal K u = F, K in lower band storage ``ab`` and
+    block k from row ``starts[k]``, by one banded Cholesky factorization
+    (dpbtrf), and say which blocks stand; u is 0 on the others. A single
+    model's full-rank solve is one block. ``ab`` and ``F`` are only read.
 
-    K = L L^T by LAPACK dpbtrf. A pivot at or below ``PIVOT_RTOL`` = 1e-10
-    of its dof's own diagonal is a zero-energy mode: if dpbtrf meets a
-    pivot <= 0, or accepts one that small, ``_semidefinite_factor``
-    factors K again with those modes decoupled. The threshold is relative
-    to each diagonal, so units and the mix of rotations and translations do
-    not move it. Over 1 290 systems (the presets, the ladder rungs,
+    A block stands if the pivot rule (``_small_pivots``) accepts its factor
+    and the residual rule (``_balanced``) its solution; one step of
+    iterative refinement follows. The pivot threshold, 1e-10 of each dof's
+    own diagonal, does not move with units or with the mix of rotations
+    and translations. Over 1 290 systems (the presets, the ladder rungs,
     erection stages and generated models of every kind, each with every
     cable taut and every cable slack) the smallest pivot kept was 2e-3 of
     its diagonal and the largest zero pivot 6e-16 of its own: the
     threshold has five decades of room on either side.
 
-    A rank-deficient K is one where slack cables leave a part free to swing
-    (e.g. a pinned pillar whose ropes all went slack). Solving on the
-    factor gives a particular solution; the null basis N, one mode per
-    dropped pivot with 1 at its own dof, is back-substituted on a window of
-    the factor, 2b + 1 rows (b the half-bandwidth) that end at that dof
-    (``_null_basis``). That is exact on the window's rows, as L^T is
-    triangular and the mode is zero below its dof. The rows above depend
-    only on the window's top b rows, so where those are at or below 1e-16 of
-    the mode's largest entry, what the window leaves out is rounding; a mode
-    that is not is solved from row 0. Projecting off N gives the
-    minimum-norm solution, with N^T N banded in mode order, since only
-    neighbouring modes share rows.
-    It is an equilibrium only if the loads do no work on the mechanism, so
-    ``SingularSystem`` is raised, naming the dofs they do work on through
-    ``names`` (band positions to text), unless
-    ||K u - F|| <= 1e-8 * max(||F||, 1), the residual coming from dsbmv.
-    One step of iterative refinement follows.
+    No entry couples two blocks, so each block's factor, solution and
+    residual are the ones it would get alone: below LAPACK's block size
+    (32) dpbtrf runs unblocked, and the padding zeros add nothing (the
+    tests check this bit for bit). A rejected block is replaced by the
+    identity and its right-hand side by 0, in copies, and the rest solved
+    again. A non-finite entry reaches other blocks through the zeros as
+    NaN, which fails a rule there too, so at the first rejection among
+    several blocks the ones holding one, if any, are taken out instead."""
+    ok = np.ones(len(starts), dtype=bool)
+    a, b = ab, F
+    while True:
+        c, info = dpbtrf(a, lower=1)
+        if info != 0:
+            bad = np.arange(len(ok)) == np.searchsorted(starts, info - 1, side="right") - 1
+        elif (small := _small_pivots(c, a[0])).any():
+            bad = np.logical_or.reduceat(small, starts)
+        else:
+            u, _ = dpbtrs(c, b, lower=1)
+            residual = b - dsbmv(len(a) - 1, 1.0, a, u, lower=1)
+            bad = ok & ~_balanced(residual, b, starts)
+            if not bad.any():
+                return u + dpbtrs(c, residual, lower=1)[0], ok
+        if len(ok) > 1 and ok.all():
+            # The first rejection, which a NaN from a block with a
+            # non-finite entry may have caused: those blocks go out first.
+            finite = np.logical_and.reduceat(np.isfinite(ab).all(axis=0) & np.isfinite(F), starts)
+            bad = bad if finite.all() else ~finite
+        ok[bad] = False
+        if not ok.any():
+            return np.zeros(len(F)), ok
+        out = np.repeat(~ok, np.diff(starts, append=len(F)))
+        a = ab.copy(order="F")
+        a[:, out] = 0.0
+        a[0, out] = 1.0
+        b = np.where(out, 0.0, F)
+
+
+def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-norm solution of the positive semi-definite system K u = F,
+    K in lower band storage ``ab`` (as ``_band`` builds it), and the
+    positions of its zero-energy pivots (n - rank of them).
+
+    A full-rank K is the one-block case of ``_solve_blocks``. If that
+    rejects K, ``_semidefinite_factor`` factors it again with its
+    zero-energy modes decoupled (raising ``SingularSystem`` for non-finite
+    entries or a negative pivot): slack cables can leave a part free to
+    swing, e.g. a pinned pillar whose ropes all went slack. Solving on the
+    factor gives a particular solution, and projecting off the null basis
+    N (``_null_basis``, one mode per dropped pivot) the minimum-norm one,
+    with N^T N banded in mode order. That is an equilibrium only if the
+    residual rule holds, that is if the loads do no work on the mechanism;
+    otherwise ``SingularSystem`` names the dofs they do work on through
+    ``names`` (band positions to text), or, with no pivot dropped, says K
+    is numerically singular. One step of iterative refinement follows.
     """
-    n = len(F)
-    if n == 0:
+    if len(F) == 0:
         return np.zeros(0), np.zeros(0, dtype=int)
-    c, info = dpbtrf(ab, lower=1)
-    dropped = np.zeros(0, dtype=int)
-    if info != 0 or _small_pivots(c, ab[0]).any():
-        c, dropped = _semidefinite_factor(ab)
+    u, ok = _solve_blocks(ab, F, _ONE_BLOCK)
+    if ok[0]:
+        return u, np.zeros(0, dtype=int)
+    c, dropped = _semidefinite_factor(ab)
     if len(dropped):
         rows, mode, values = _null_basis(c, dropped)
         # The Cholesky factor of N^T N (the identity plus a Gram matrix, so
@@ -538,7 +597,7 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     def null_part(x: np.ndarray) -> np.ndarray:
         """The projection N (N^T N)^-1 N^T x of x on the null space."""
         y, _ = dpbtrs(g, np.bincount(mode, values * x[rows], minlength=len(dropped)), lower=1)
-        return np.bincount(rows, values * y[mode], minlength=n)
+        return np.bincount(rows, values * y[mode], minlength=len(F))
 
     def solve(b: np.ndarray) -> np.ndarray:
         """Minimum-norm solution for one load vector."""
@@ -561,46 +620,6 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     # One step of iterative refinement wins back the accuracy a dropped
     # pivot or a badly scaled K costs.
     return u + solve(residual), dropped
-
-
-def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Solve a block-diagonal K u = F, K in lower band storage ``ab`` and
-    block k from row ``starts[k]``, with one dpbtrf, and say which blocks
-    stand: those with finite entries that the pivot rule
-    (``_small_pivots``) and the residual rule (``_balanced``) of ``_solve``
-    accept. One step of iterative refinement follows, as in ``_solve``.
-
-    No entry couples two blocks, so each block's factor, solution and
-    residual are the ones it would get alone: below LAPACK's block size
-    (32) dpbtrf runs unblocked, column by column, and the zeros a narrower
-    block is padded with add nothing (the erection tests check this bit for
-    bit). A non-finite entry or a zero pivot could reach the next
-    block through them, so a rejected block is replaced by the identity,
-    its right-hand side by 0, and the rest solved again; the others' bits
-    do not change. ``ab`` and ``F`` are overwritten."""
-    counts = np.diff(np.append(starts, len(F)))
-    block = np.repeat(np.arange(len(starts)), counts)
-    ok = np.logical_and.reduceat(np.isfinite(ab).all(axis=0) & np.isfinite(F), starts)
-    while True:
-        out = np.repeat(~ok, counts)
-        ab[:, out] = 0.0
-        ab[0, out] = 1.0
-        F[out] = 0.0
-        c, info = dpbtrf(ab, lower=1)
-        if info != 0:
-            ok[block[info - 1]] = False
-            continue
-        small = ok & np.logical_or.reduceat(_small_pivots(c, ab[0]), starts)
-        if small.any():
-            ok &= ~small
-            continue
-        u, _ = dpbtrs(c, F, lower=1)
-        residual = F - dsbmv(len(ab) - 1, 1.0, ab, u, lower=1)
-        unbalanced = ok & ~_balanced(residual, F, starts)
-        if unbalanced.any():
-            ok &= ~unbalanced
-            continue
-        return u + dpbtrs(c, residual, lower=1)[0], ok
 
 
 # ---------------------------------------------------------------------------
@@ -643,9 +662,7 @@ class AnalysisResult:
     max_deflection: float  # largest vertical nodal displacement magnitude
     max_utilization: float
     _node_u: np.ndarray = field(repr=False)  # (nodes, 3), model order
-    _beam_forces: np.ndarray = field(repr=False)  # (beams, 4): axial, shear, moment_i, moment_j
-    _cable_axial: np.ndarray = field(repr=False)
-    _utilization: np.ndarray = field(repr=False)  # beams, then cables, model order
+    _recovered: _Recovered = field(repr=False)
 
     @cached_property
     def node_displacements(self) -> dict[int, tuple[float, float, float]]:
@@ -655,16 +672,16 @@ class AnalysisResult:
     def member_forces(self) -> dict[int, MemberForces]:
         out = {
             b.id: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
-            for b, (n, v, mi, mj) in zip(self.model.beams, self._beam_forces.tolist())
+            for b, (n, v, mi, mj) in zip(self.model.beams, self._recovered.beam.tolist())
         }
-        cables = zip(self.model.cables, self._cable_axial.tolist())
+        cables = zip(self.model.cables, self._recovered.cable.tolist())
         out.update((c.id, MemberForces(kind="cable", axial=n)) for c, n in cables)
         return out
 
     @cached_property
     def utilization(self) -> dict[int, float]:
         ids = [b.id for b in self.model.beams] + [c.id for c in self.model.cables]
-        return dict(zip(ids, self._utilization.tolist()))
+        return dict(zip(ids, self._recovered.utilization.tolist()))
 
     @property
     def max_utilization_member(self) -> int | None:
@@ -678,50 +695,66 @@ class AnalysisResult:
 
     @property
     def total_cable_tension(self) -> float:
-        return sum(self._cable_axial.tolist())
+        return sum(self._recovered.cable.tolist())
 
 
-def _end_forces(el: _Elements, full_u: np.ndarray, taut: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Beam end forces (beams, 4) as ``MemberForces`` reports them (axial,
-    shear, moment_i, moment_j) and cable axial forces. Local end forces
-    are k_local T u minus the fixed-end vectors of the uniform loads;
-    cables outside the mask ``taut`` are clamped to zero. ``full_u`` may
-    stack displacement vectors on leading axes; the results stack alike."""
-    f = (el.k_local @ (el.T @ full_u[..., el.beam_dofs, None]))[..., 0] - el.fixed_end
+class _Recovered(NamedTuple):
+    """What ``_recover`` finds, stacked as the displacements are."""
+
+    beam: np.ndarray  # (..., beams, 4): axial, shear, moment_i, moment_j, as ``MemberForces`` reports them
+    cable: np.ndarray  # (..., cables): axial forces
+    utilization: np.ndarray  # (..., beams + cables); 0 for a beam outside the stiffness
+    max_utilization: np.ndarray
+    max_deflection: np.ndarray  # the largest vertical nodal displacement magnitude
+    residual: np.ndarray  # (..., 3 nodes): end forces less loads; the reactions on restrained dofs
+
+
+def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarray, active: np.ndarray,
+             axial: np.ndarray) -> _Recovered:
+    """Forces, utilizations, deflections and support residuals of analyses
+    of the model of ``el`` or of its sub-models, from all-dof displacements
+    ``full_u`` and loads ``F``: one vector each or rows of them, and the
+    rest stacks alike. The beams of the mask ``present`` and the cables of
+    ``active`` make the stiffness; ``axial`` is ``_Elements.axial(full_u)``.
+
+    Beam end forces are k_local T u less the uniform loads' fixed-end
+    vectors; cables report no compression. Utilization (>= 1 is the
+    red-alarm class) repeats the per-member ``utilization`` of
+    ``tests/oracles.py`` in its order, so bit for bit. The residual sums
+    the global end forces of the beams, then of the cables, on their dofs
+    in element order, less the loads."""
+    *rows, n = full_u.shape
+    ub = full_u[..., el.beam_dofs, None]
+    f = (el.k_local @ (el.T @ ub))[..., 0] - el.fixed_end
     shear = np.where(np.abs(f[..., 1]) >= np.abs(f[..., 4]), f[..., 1], -f[..., 4])
-    axial = el.axial(full_u)
-    axial = np.where(taut | (axial > 0.0), axial, 0.0)
-    return np.stack([f[..., 3], shear, f[..., 2], f[..., 5]], axis=-1), axial
+    beam = f[..., [3, 1, 2, 5]]
+    beam[..., 1] = shear
+    cable = np.where(axial > 0.0, axial, 0.0)
+    area, half_depth, inertia, sigma = el.beam_strength.T
+    m_max = np.maximum(np.abs(beam[..., 2]), np.abs(beam[..., 3]))
+    stress = np.abs(beam[..., 0]) / area + m_max * half_depth / inertia
+    util = np.concatenate([np.where(present, stress / sigma, 0.0), cable / el.cable_strength], axis=-1)
+
+    # The global end forces of the beams, then of the cables, summed on
+    # their dofs; a member outside the stiffness adds exact zeros.
+    forces = np.concatenate([np.where(present[..., None], (el.k_global @ ub)[..., 0], 0.0).reshape(*rows, -1),
+                             np.where(active[..., None], (el.cable_k @ full_u[..., el.cable_dofs, None])[..., 0],
+                                      0.0).reshape(*rows, -1)], axis=-1)
+    ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs.ravel()]) + n * np.arange(math.prod(rows))[:, None]
+    residual = np.bincount(ends.ravel(), forces.ravel(), minlength=full_u.size).reshape(full_u.shape) - F
+    return _Recovered(beam, cable, util, util.max(axis=-1, initial=0.0),
+                      np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0), residual)
 
 
-def _reactions(el: _Elements, full_u: np.ndarray, active: np.ndarray, F: np.ndarray) -> dict[int, tuple]:
-    """Support forces: the global end forces of the beams and of the
-    cables of the mask ``active`` (the converged stiffness), scattered onto
-    their dofs, minus the loads, on the restrained dofs. Unrestrained
-    components report 0."""
-    beam = el.k_global @ full_u[el.beam_dofs][:, :, None]
-    cable = el.cable_k[active] @ full_u[el.cable_dofs[active]][:, :, None]
-    ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs[active].ravel()])
-    residual = np.bincount(ends, np.concatenate([beam.ravel(), cable.ravel()]), minlength=len(F)) - F
+def _reactions(el: _Elements, residual: np.ndarray) -> dict[int, tuple]:
+    """Support forces: ``_recover``'s residual of one analysis on its
+    restrained dofs. Unrestrained components report 0."""
     restrained = sorted(el.dm.restrained)
     values = residual[[3 * el.index[nid] + comp for nid, comp in restrained]].tolist()
     support: dict[int, list[float]] = {}
     for (nid, comp), value in zip(restrained, values):
         support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = value
     return {nid: tuple(r) for nid, r in support.items()}
-
-
-def _member_utilization(el: _Elements, beam: np.ndarray, cable: np.ndarray) -> np.ndarray:
-    """Demand/capacity ratio of every beam, then every cable, from
-    ``_end_forces``; >= 1 is the red-alarm class. Beams combine axial and
-    extreme-fibre bending stress at the worse end, cables take axial stress
-    over the allowable. The same operations in the same order as the
-    per-member ``utilization`` of ``tests/oracles.py``, so the same values
-    bit for bit."""
-    area, half_depth, inertia, sigma = el.beam_strength.T
-    m_max = np.maximum(np.abs(beam[..., 2]), np.abs(beam[..., 3]))
-    stress = np.abs(beam[..., 0]) / area + m_max * half_depth / inertia
-    return np.concatenate([stress / sigma, cable / el.cable_strength], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -773,22 +806,19 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     # they do not alter, but only genuinely taut cables are reported.
     taut = active & (axial > EPS_FORCE)
 
-    beam, cable = _end_forces(el, full_u, taut)
-    util = _member_utilization(el, beam, cable)
+    done = _recover(el, full_u, F, np.ones(len(el.beam_dofs), dtype=bool), active, axial)
     return AnalysisResult(
         model=model,
         dofs=el.dm,
         displacements=full_u[el.free],
-        reactions=_reactions(el, full_u, active, F),
+        reactions=_reactions(el, done.residual),
         active_cables=el.ids(taut),
         iterations_used=iterations,
         mechanisms=len(dropped),
-        max_deflection=float(np.abs(full_u[1::3]).max()) if len(full_u) else 0.0,
-        max_utilization=float(util.max()) if len(util) else 0.0,
+        max_deflection=float(done.max_deflection),
+        max_utilization=float(done.max_utilization),
         _node_u=full_u.reshape(-1, 3),
-        _beam_forces=beam,
-        _cable_axial=cable,
-        _utilization=util,
+        _recovered=done,
     )
 
 
@@ -804,52 +834,25 @@ def analyze(model: StructureModel) -> AnalysisResult:
 # Many cable-free sub-models at once
 
 
-@dataclass(frozen=True)
-class _Prefixes:
-    """The analyses of ``_analyze_prefixes``, one row per sub-model."""
-
-    solved: np.ndarray  # (models,) bool: accepted by the pivot and residual rules
-    max_utilization: np.ndarray  # (models,)
-    max_deflection: np.ndarray  # (models,)
-    residual: np.ndarray  # (models, 3 nodes): end forces less loads; the reactions on restrained dofs
-
-
-def _stacked_band(el: _Elements, beam: np.ndarray, p: np.ndarray, n: int) -> np.ndarray:
-    """Lower band storage, (width + 1, n) in Fortran order, of the beams
-    ``beam`` of ``el`` with band positions ``p`` (beams, 6), -1 for a
-    restrained dof: the entries ``_placement`` keeps, summed in the order
-    of ``beam`` as ``_band`` sums them."""
-    width = _spread(p)
-    at = _placement(p, width)
-    pair, row, col = np.nonzero(at >= 0)
-    K = np.bincount(at[pair, row, col], el.k_global[beam[pair], row, col], minlength=(width + 1) * n)
-    return K.reshape((width + 1, n), order="F")
-
-
 def _analyze_prefixes(model: StructureModel, nodes: np.ndarray, beams: np.ndarray,
-                      restrained: np.ndarray) -> _Prefixes:
+                      restrained: np.ndarray) -> tuple[np.ndarray, _Recovered]:
     """Analyze sub-models of a cable-free ``model`` with one element table
-    and one banded factorization.
+    and one banded factorization: which stand, and what ``_recover`` finds
+    for each, one row per sub-model.
 
     Sub-model s is the first ``nodes[s]`` nodes and first ``beams[s]``
     beams, with the nodal loads at those nodes, the uniform loads on those
     beams, and the model's supports plus the dofs ``restrained[s]`` (3 per
     node, model order). Its beams must reach only its nodes and leave each
     the rotational stiffness it has in the model, and the model must carry
-    no self-weight, which is lumped over all of its members.
-
-    Each sub-model's band is assembled in its own band order (the model's,
-    less the nodes and dofs it lacks), its entries summed in element order
-    as ``_band`` sums them, and its loads as ``_elements`` sums them, so
-    that each is the one its own model's analysis would build. The bands
-    are stacked, padded to the widest, and solved by ``_solve_blocks``;
-    forces, utilizations, deflections and reactions are recovered for all
-    at once by the operations of ``tension_only_analyze``. A sub-model
-    ``_solve_blocks`` rejects is not analyzed: its row is to be ignored,
-    and it must be analyzed on its own.
+    no self-weight, which is lumped over all of its members. Each band is
+    assembled in the sub-model's own band order (the model's, less the
+    dofs it lacks) and in element order, as ``_band`` does, so band, loads,
+    solve and recovery are its own analysis'; the whole model is its own
+    full prefix. A sub-model the solve rejects must be analyzed on its own.
     """
     el = _elements(model)
-    count, n = len(nodes), len(el.loads)
+    count, n = len(nodes), 3 * len(el.index)
     # The free dofs of each sub-model, in band order, and their positions in
     # the stacked system, block after block.
     free = (el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs]
@@ -860,23 +863,19 @@ def _analyze_prefixes(model: StructureModel, nodes: np.ndarray, beams: np.ndarra
     # Each sub-model's beams, sub-model by sub-model, in element order.
     present = np.arange(len(el.beam_dofs)) < beams[:, None]
     model_of, beam = np.nonzero(present)
-    ab = _stacked_band(el, beam, position[model_of[:, None], el.beam_dofs[beam]], sizes.sum())
+    p = position[model_of[:, None], el.beam_dofs[beam]]
+    width = _spread(p)
+    at = _placement(p, width)
+    del p  # the placement arrays are the batch's largest: each goes once used
+    pair, row, col = np.nonzero(at >= 0)
+    ab = _scatter(at[pair, row, col], el.k_global[beam[pair], row, col], width, sizes.sum())
+    del at, pair, row, col
 
-    ends = (model_of * n)[:, None] + el.beam_dofs[beam]
-    loaded = el.loaded[beam]
-    loads = np.bincount(ends[loaded].ravel(), el.beam_loads[beam[loaded]].ravel(), minlength=count * n)
-    loads = loads.reshape(count, n)
-    holder, record = np.nonzero(el.point_at < nodes[:, None])
-    np.add.at(loads.reshape(count, -1, 3), (holder, el.point_at[record]), el.point[record])
+    loads = el.prefix_loads(beams)
     mine = position >= 0
     F = np.empty(sizes.sum())
     F[position[mine]] = loads[mine]
-
     u, solved = _solve_blocks(ab, F, starts)
     full_u = np.zeros((count, n))
     full_u[mine] = u[position[mine]]
-    beam_forces, cable = _end_forces(el, full_u, np.zeros((count, 0), dtype=bool))
-    util = np.where(present, _member_utilization(el, beam_forces, cable), -np.inf)
-    forces = (el.k_global @ full_u[:, el.beam_dofs, None])[model_of, beam, :, 0]
-    residual = np.bincount(ends.ravel(), forces.ravel(), minlength=count * n).reshape(count, n) - loads
-    return _Prefixes(solved, util.max(axis=1), np.abs(full_u[:, 1::3]).max(axis=1), residual)
+    return solved, _recover(el, full_u, loads, present, np.zeros((count, 0), dtype=bool), el.axial(full_u))

@@ -199,6 +199,22 @@ class TestStage:
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")
         assert main(["stage", path]) == 4
 
+    def test_infinite_minimal_counterweight_is_null(self, tmp_path):
+        # W_min = w c^2 / (2 lever) overflows for 1e200 m modules; the
+        # report writes it as null, as it does the stage figures, and the
+        # program exits with the plan's verdict, not a traceback.
+        import ponte
+
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=1e200 COUNT=3 W=500 CW=10000 LEVER=2 INTERVAL=1 SAFETY=1\n")
+        report_path = tmp_path / "s.json"
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponte.__file__)))
+        done = subprocess.run([sys.executable, "-m", "ponte", "stage", path, "--report", str(report_path)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 3
+        assert "Traceback" not in done.stderr
+        assert '"minimal_counterweight": null' in report_path.read_text()
+        assert json.loads(report_path.read_text())["minimal_counterweight"] is None
+
 
 class TestCompare:
     def test_compare_two_models(self, tmp_path, capsys):

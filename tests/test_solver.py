@@ -15,6 +15,7 @@ from ponte.catalog import (
     BridgeKind,
     BridgeSpec,
     Wheels,
+    deck_beam_ids,
     deck_node_ids,
     generate,
     generate_preset,
@@ -43,7 +44,7 @@ from ponte.solver import (
     MemberForces,
     _elements,
     _frame_local,
-    _end_forces,
+    _recover,
     analyze,
     tension_only_analyze,
 )
@@ -443,6 +444,27 @@ class TestSolveLinear:
         with pytest.raises(SingularSystem):
             tension_only_analyze(mech)
 
+    # The solve's other failure texts, each on a crafted band.
+    def test_non_finite_entries(self):
+        ab = np.array([[2.0, np.nan, 2.0], [-1.0, -1.0, 0.0]], order="F")
+        with pytest.raises(SingularSystem, match="^stiffness matrix has non-finite entries$"):
+            solver._solve(ab, np.ones(3), str)
+
+    def test_negative_pivot(self):
+        # K = diag(-1, 2): a pivot below zero is no zero-energy mode.
+        with pytest.raises(SingularSystem, match="^stiffness matrix is not positive semi-definite$"):
+            solver._solve(np.array([[-1.0, 2.0]], order="F"), np.ones(2), str)
+
+    def test_full_rank_but_unbalanced(self):
+        # K = [[1, 1 - d], [1 - d, 1]] with d = 1e-9 keeps both pivots (the
+        # second one squared is 2e-9 of its diagonal, above PIVOT_RTOL), but
+        # cond(K) is 2e9, and this load leaves a residual above 1e-8 of it.
+        ab = np.array([[1.0, 1.0], [1.0 - 1e-9, 0.0]], order="F")
+        c, info = dpbtrf(ab, lower=1)
+        assert info == 0 and not solver._small_pivots(c, ab[0]).any()
+        with pytest.raises(SingularSystem, match=r"^stiffness system is numerically singular \(residual too large\)$"):
+            solver._solve(ab, np.array([0.3, -0.7]), str)
+
 
 def erection_stages():
     plan = erection.ErectionPlan(
@@ -450,6 +472,122 @@ def erection_stages():
         counterweight=4e4, counterweight_lever=2.0, pillar_interval=3,
     )
     return [stage.model for stage in erection.expand_plan(plan)]
+
+
+class TestSolveBlocks:
+    # A single model's full-rank solve is the one-block case of
+    # _solve_blocks: each block stands or falls as it would alone, and the
+    # system handed in is only read.
+    NAN = (np.array([[2.0, -1.0], [-1.0, np.nan]]), np.array([1.0, 1.0]))
+    NAN_LOAD = (np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([np.nan, 1.0]))
+    ZERO_PIVOT = (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0]))
+    UNBALANCED = (np.array([[1.0, 1.0 - 1e-9], [1.0 - 1e-9, 1.0]]), np.array([0.3, -0.7]))
+    GOOD = (np.array([[4.0, -1.0, 0.5], [-1.0, 3.0, -1.0], [0.5, -1.0, 5.0]]), np.array([1.0, -2.0, 0.5]))
+    REJECTED = ("NAN", "NAN_LOAD", "ZERO_PIVOT", "UNBALANCED")
+
+    @staticmethod
+    def stack(*blocks):
+        """Lower band storage of the blocks' block-diagonal K, padded to
+        the widest, their stacked right-hand sides and the blocks' first
+        rows."""
+        K = np.zeros((sum(len(f) for _, f in blocks),) * 2)
+        starts = np.cumsum([0] + [len(f) for _, f in blocks])
+        for (k, _), lo, hi in zip(blocks, starts, starts[1:]):
+            K[lo:hi, lo:hi] = k
+        return lower_band(K), np.concatenate([f for _, f in blocks]), starts[:-1]
+
+    @pytest.mark.parametrize("names", [[name] for name in REJECTED] + [list(REJECTED), list(REJECTED[::-1])])
+    def test_rejected_blocks_leave_the_system_alone(self, names):
+        ab, F, starts = self.stack(*(getattr(self, name) for name in names))
+        before = ab.copy(order="F"), F.copy()
+        u, ok = solver._solve_blocks(ab, F, starts)
+        assert not ok.any() and len(ok) == len(names)
+        assert ab.tobytes() == before[0].tobytes() and F.tobytes() == before[1].tobytes()
+        assert not u.any()
+
+    @pytest.mark.parametrize("rejected", REJECTED)
+    def test_a_standing_block_is_the_same_alone_and_stacked(self, rejected):
+        alone, ok = solver._solve_blocks(*self.stack(self.GOOD))
+        assert ok.tolist() == [True]
+        bad = getattr(self, rejected)
+        blocks = [bad, self.GOOD, self.ZERO_PIVOT, self.GOOD, bad, self.UNBALANCED, self.GOOD, bad]
+        ab, F, starts = self.stack(*blocks)
+        u, ok = solver._solve_blocks(ab, F, starts)
+        assert ok.tolist() == [block is self.GOOD for block in blocks]
+        for k in np.flatnonzero(ok):
+            assert u[starts[k] : starts[k] + 3].tobytes() == alone.tobytes()
+
+    def test_the_full_rank_solve_is_one_block(self):
+        ab, F, starts = self.stack(self.GOOD)
+        u, ok = solver._solve_blocks(ab, F, starts)
+        assert solver._solve(ab, F, str)[0].tobytes() == u.tobytes()
+
+
+class TestOneBlockBatch:
+    # Each row of _analyze_prefixes is its sub-model's own analysis, bit
+    # for bit, and a cable-free model without self-weight, analyzed as its
+    # own full prefix, is the single analysis: the same band, loads, solve
+    # and recovery.
+    @staticmethod
+    def same(done, row, result):
+        """The row's maxima and reactions are the analysis' bits."""
+        assert done.max_utilization[row].hex() == result.max_utilization.hex()
+        assert done.max_deflection[row].hex() == result.max_deflection.hex()
+        index = {node.id: k for k, node in enumerate(result.model.nodes)}
+        for nid, comp in result.dofs.restrained:
+            assert done.residual[row, 3 * index[nid] + comp].hex() == result.reactions[nid][comp].hex()
+
+    def test_each_prefix_is_its_own_analysis(self):
+        # The stages of an erection plan, with a nodal force on every deck
+        # node, so that each stage leaves out loads, beams and nodes.
+        plan = erection.ErectionPlan(1.5, 12, 1200.0, 4e4, 2.0, 3)
+        deck = erection._Deck.of(plan)
+        forces = [NodalForce(n.id, fx=10.0 * k, fy=-300.0 * k, mz=20.0 * k) for k, n in enumerate(deck.nodes)]
+        nodes = np.array([step.built + 2 for step in deck.steps])
+        restrained = np.zeros((len(nodes), 3 * len(deck.nodes)), dtype=bool)
+        for step in deck.steps:
+            restrained[step.index, [3 * (m + 1) + 1 for m in step.bearing_modules]] = True
+        solved, done = solver._analyze_prefixes(deck.model(plan.module_count, ()).with_loads(forces), nodes,
+                                                nodes - 1, restrained)
+        assert solved.all()
+        for step in deck.steps:
+            model = deck.model(step.built, step.bearing_modules).with_loads(forces[: step.built + 2])
+            self.same(done, step.index, tension_only_analyze(model))
+    @staticmethod
+    def weightless(model, udl: float):
+        """The model without its self-weight, its end beams' outer ends
+        pinned, a uniform load on every deck beam and a nodal force at its
+        middle node."""
+        beams = list(model.beams)
+        beams[0], beams[-1] = replace(beams[0], pin_i=True), replace(beams[-1], pin_j=True)
+        loads = [l for l in model.loads if not isinstance(l, SelfWeight)]
+        model = build_model(model.nodes, model.materials, model.sections, beams, model.cables, model.supports, loads)
+        middle = model.nodes[len(model.nodes) // 2].id
+        return model.with_loads([NodalForce(middle, fx=300.0, fy=-2500.0, mz=40.0)]).with_loads(
+            UniformLoad(b.id, udl) for b in model.beams if b.id in set(deck_beam_ids(model)))
+
+    @staticmethod
+    def models():
+        yield TestOneBlockBatch.weightless(generate_preset("BARE_DECK"), 1500.0)
+        for segments, span in ((6, 12.0), (17, 25.5), (48, 60.0)):
+            for kind in (BridgeKind.BEAM, BridgeKind.CANTILEVER):
+                if kind is BridgeKind.CANTILEVER and segments % 3:
+                    continue
+                spec = BridgeSpec(kind, span=span, deck_segments=segments)
+                yield TestOneBlockBatch.weightless(generate(spec), 800.0 + 10 * segments)
+        yield from erection_stages()
+
+    def test_single_analysis_is_the_one_block_batch(self):
+        count = 0
+        for model in self.models():
+            assert not model.cables and not any(isinstance(l, SelfWeight) for l in model.loads)
+            n = len(model.nodes)
+            solved, done = solver._analyze_prefixes(model, np.array([n]), np.array([len(model.beams)]),
+                                                    np.zeros((1, 3 * n), dtype=bool))
+            assert solved.tolist() == [True]
+            self.same(done, 0, tension_only_analyze(model))
+            count += 1
+        assert count == 1 + 5 + len(erection_stages())
 
 
 def planted_band(seed: int, n: int, width: int, zero: list[int], scale: list[int]):
@@ -1004,8 +1142,11 @@ class TestResultArrays:
 class TestForceRecovery:
     def test_zero_displacements_zero_forces(self):
         el = _elements(ss_beam(2))
-        beam, cable = _end_forces(el, el.expand(np.zeros(el.dm.n_free)), np.zeros(len(el.cable_ids), dtype=bool))
-        assert beam.shape == (2, 4) and not beam.any() and not cable.any()
+        zero = el.expand(np.zeros(el.dm.n_free))
+        no_cables = np.zeros(len(el.cable_ids), dtype=bool)
+        done = _recover(el, zero, zero, np.ones(2, dtype=bool), no_cables, el.axial(zero))
+        assert done.beam.shape == (2, 4) and not done.beam.any() and not done.cable.any()
+        assert not done.residual.any()
 
     def test_hooke_axial_bar(self):
         model = build_model(
