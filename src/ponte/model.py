@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
+import numpy as np
+
 from .errors import DuplicateId, UnknownReference
 
 MIN_ELEMENT_LENGTH = 1e-9  # m
@@ -141,6 +143,59 @@ def _load_sort_key(item: tuple[int, Load]):
     return (_LOAD_RANK[type(load)], target, pos)
 
 
+@dataclass(frozen=True, eq=False)
+class ModelArrays:
+    """A model's nodes, members (its beams, then its cables) and supports as
+    arrays in model order, derived once per model (``StructureModel.arrays``)
+    for validation, the element table, the reactions, the report and the
+    diagram. Node k owns dofs 3k, 3k + 1 and 3k + 2 (x, y, rz)."""
+
+    index: dict[int, int]  # node id -> position in model.nodes
+    node_ids: np.ndarray
+    by_id: np.ndarray  # node positions in ascending id order
+    x: np.ndarray
+    y: np.ndarray
+    member_ids: np.ndarray
+    ends: np.ndarray  # (members, 2): positions of each member's nodes i and j
+    dx: np.ndarray  # x[j] - x[i]
+    dy: np.ndarray
+    length: np.ndarray  # math.hypot(dx, dy), as ``element_length``; np.hypot may differ in the last bit
+    supported: list[int]  # ids of the nodes with a restrained dof, ascending
+    support_at: np.ndarray  # their positions
+    support_free: np.ndarray  # (supported, 3): their dofs that no support holds
+
+
+# Which of x, y and rz are free, for each 3-bit mask of restrained components.
+_FREE = (np.arange(8)[:, None] >> np.arange(3) & 1) == 0
+
+
+def _model_arrays(model: StructureModel) -> ModelArrays:
+    nodes, members, supports = model.nodes, model.beams + model.cables, model.supports
+    index = {n.id: k for k, n in enumerate(nodes)}
+    try:
+        columns = np.array([[e.id for e in members], [index[e.node_i] for e in members],
+                            [index[e.node_j] for e in members]], dtype=int).reshape(3, -1)
+        held: dict[int, int] = {}  # node id -> bit c set where some support restrains component c
+        for s in supports:
+            held[s.node] = held.get(s.node, 0) | s.restrain_x | s.restrain_y << 1 | s.restrain_rz << 2
+        supported = sorted(nid for nid, bits in held.items() if bits)
+        support_at, bits = np.array([[index[nid] for nid in supported], [held[nid] for nid in supported]],
+                                    dtype=int).reshape(2, -1)
+    except KeyError as exc:
+        raise UnknownReference(exc.args[0], "node") from None
+    x, y = np.array([[n.x for n in nodes], [n.y for n in nodes]], dtype=float).reshape(2, -1)
+    i, j = columns[1:]
+    with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
+        dx, dy = x[j] - x[i], y[j] - y[i]
+    node_ids = np.array([n.id for n in nodes], dtype=int)
+    return ModelArrays(
+        index=index, node_ids=node_ids, by_id=np.argsort(node_ids, kind="stable"), x=x, y=y,
+        member_ids=columns[0], ends=columns[1:].T, dx=dx, dy=dy,
+        length=np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float), supported=supported,
+        support_at=support_at, support_free=_FREE[bits],
+    )
+
+
 @dataclass(frozen=True)
 class StructureModel:
     """Immutable aggregate of a planar structure.
@@ -156,6 +211,11 @@ class StructureModel:
     cables: tuple[CableElement, ...] = ()
     supports: tuple[Support, ...] = ()
     loads: tuple[Load, ...] = ()
+
+    @cached_property
+    def arrays(self) -> ModelArrays:
+        """The model as arrays; ``UnknownReference`` for a dangling node reference."""
+        return _model_arrays(self)
 
     @cached_property
     def _node_by_id(self) -> dict[int, Node]:
@@ -413,21 +473,16 @@ def validate(model: StructureModel) -> ValidationReport:
             if not (val > 0 and math.isfinite(val)):
                 err("NonPositiveProperty", f"section {s.name}", f"section {s.name}: {prop} must be > 0")
 
-    for b in model.beams:
-        if b.node_i == b.node_j:
-            err("ZeroLengthElement", f"beam {b.id}", f"beam {b.id} connects node {b.node_i} to itself")
-        elif model.element_length(b) < MIN_ELEMENT_LENGTH:
-            err("ZeroLengthElement", f"beam {b.id}", f"beam {b.id} is shorter than {MIN_ELEMENT_LENGTH} m")
-
-    for c in model.cables:
-        if c.node_i == c.node_j:
-            err("ZeroLengthElement", f"cable {c.id}", f"cable {c.id} connects node {c.node_i} to itself")
-        elif model.element_length(c) < MIN_ELEMENT_LENGTH:
-            err("ZeroLengthElement", f"cable {c.id}", f"cable {c.id} is shorter than {MIN_ELEMENT_LENGTH} m")
-        if not (c.area > 0 and math.isfinite(c.area)):
-            err("NonPositiveProperty", f"cable {c.id}", f"cable {c.id}: area must be > 0")
-        if not (c.pretension >= 0 and math.isfinite(c.pretension)):
-            err("NegativePretension", f"cable {c.id}", f"cable {c.id}: pretension must be >= 0")
+    kinds = ["beam"] * len(model.beams) + ["cable"] * len(model.cables)
+    for kind, e, L in zip(kinds, model.beams + model.cables, model.arrays.length.tolist()):
+        if e.node_i == e.node_j:
+            err("ZeroLengthElement", f"{kind} {e.id}", f"{kind} {e.id} connects node {e.node_i} to itself")
+        elif L < MIN_ELEMENT_LENGTH:
+            err("ZeroLengthElement", f"{kind} {e.id}", f"{kind} {e.id} is shorter than {MIN_ELEMENT_LENGTH} m")
+        if kind == "cable" and not (e.area > 0 and math.isfinite(e.area)):
+            err("NonPositiveProperty", f"cable {e.id}", f"cable {e.id}: area must be > 0")
+        if kind == "cable" and not (e.pretension >= 0 and math.isfinite(e.pretension)):
+            err("NegativePretension", f"cable {e.id}", f"cable {e.id}: pretension must be >= 0")
 
     restrained: set[tuple[int, int]] = set()
     for sup in model.supports:
@@ -444,10 +499,7 @@ def validate(model: StructureModel) -> ValidationReport:
             f"only {len(restrained)} restrained degrees of freedom; at least 3 are needed",
         )
 
-    touched: set[int] = set()
-    for e in list(model.beams) + list(model.cables):
-        touched.add(e.node_i)
-        touched.add(e.node_j)
+    touched = set(model.arrays.node_ids[model.arrays.ends].ravel().tolist())
     for n in model.nodes:
         if n.id not in touched:
             free = [c for c in (DOF_X, DOF_Y) if (n.id, c) not in restrained]
@@ -499,39 +551,32 @@ def check_gravity(g: float) -> None:
         raise ValueError(f"g must be >= 0, got {g}")
 
 
-def self_weight_loads(model: StructureModel, g: float) -> tuple[NodalForce, ...]:
-    """Expand member self-weight and point masses into nodal forces.
+def lumped_weight(model: StructureModel, weight: np.ndarray, g: float) -> np.ndarray:
+    """The nodal fy, in model order, of self-weight under gravity ``g``:
+    rho*A*L*g/2 at each end of each member (``weight`` holds its rho*A, the
+    beams, then the cables), then m*g at each point mass, summed per node
+    in that order."""
+    view = model.arrays
+    half = weight * view.length * g / 2.0
+    at, mass = np.array([(view.index[l.node], l.mass) for l in model.loads if isinstance(l, PointMass)],
+                        dtype=float).reshape(-1, 2).T
+    fy = np.zeros(len(model.nodes))
+    np.add.at(fy, np.concatenate([view.ends.ravel(), at.astype(int)]), np.concatenate([np.repeat(-half, 2), -mass * g]))
+    return fy
 
-    Each beam or cable lumps rho*A*L*g/2 at each end node; each point mass
-    contributes m*g. Forces are aggregated per node, ascending node id.
-    The analysis lumps the same forces from its element table
-    (``solver._elements``), in the same order, so to the same bits.
-    """
+
+def self_weight_loads(model: StructureModel, g: float) -> tuple[NodalForce, ...]:
+    """Expand member self-weight and point masses into nodal forces
+    (``lumped_weight``, from which the analysis lumps them too), the
+    nonzero ones by ascending node id."""
     check_gravity(g)
     if g == 0.0:
         return ()
-
-    fy: dict[int, float] = {}
-
-    def add(node_id: int, value: float) -> None:
-        fy[node_id] = fy.get(node_id, 0.0) + value
-
-    for b in model.beams:
-        rho = model.material(b.material).density
-        area = model.section(b.section).area
-        half = rho * area * model.element_length(b) * g / 2.0
-        add(b.node_i, -half)
-        add(b.node_j, -half)
-    for c in model.cables:
-        rho = model.material(c.material).density
-        half = rho * c.area * model.element_length(c) * g / 2.0
-        add(c.node_i, -half)
-        add(c.node_j, -half)
-    for load in model.loads:
-        if isinstance(load, PointMass):
-            add(load.node, -load.mass * g)
-
-    return tuple(NodalForce(node=nid, fy=fy[nid]) for nid in sorted(fy) if fy[nid] != 0.0)
+    weight = [model.material(b.material).density * model.section(b.section).area for b in model.beams]
+    weight += [model.material(c.material).density * c.area for c in model.cables]
+    fy, view = lumped_weight(model, np.array(weight, dtype=float), g), model.arrays
+    at = view.by_id[fy[view.by_id] != 0.0]
+    return tuple(NodalForce(nid, fy=f) for nid, f in zip(view.node_ids[at].tolist(), fy[at].tolist()))
 
 
 # ---------------------------------------------------------------------------

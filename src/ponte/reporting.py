@@ -3,13 +3,24 @@
 Utilization is mapped onto four color classes; class_red (>= 1.0) is pure
 red, and slack cables are drawn dashed: the picture makes it obvious when
 only the deck works while pillars and ropes stay idle.
+
+The analysis report and the SVG are written from the result's and the
+model's arrays, each kind of record by one %-template filled over
+``.tolist()`` columns. Their bytes are fixed by record-by-record oracles in
+``tests/oracles.py``: the report is ``json.dumps(report_dict(result),
+indent=2)`` and a newline, the SVG what its per-member ``build_diagram``
+and ``render_svg`` write; the tests hold both equal byte for byte.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 from .erection import PlanReport
 from .model import StructureModel
@@ -31,68 +42,11 @@ def color_class(utilization: float) -> str:
     """The color class owning this utilization value."""
     if utilization < 0:
         raise ValueError(f"utilization must be >= 0, got {utilization}")
-    for name, bound in zip(CLASS_NAMES, CLASS_BOUNDS):
-        if utilization < bound:
-            return name
-    return CLASS_NAMES[-1]
+    return CLASS_NAMES[bisect_right(CLASS_BOUNDS, utilization)]
 
 
 # ---------------------------------------------------------------------------
 # JSON report
-
-
-def report_dict(result: AnalysisResult) -> dict:
-    """The analysis result as one JSON-ready dictionary."""
-    model = result.model
-    nodes = [
-        {"id": nid, "dx": d[0], "dy": d[1], "rz": d[2]}
-        for nid, d in sorted(result.node_displacements.items())
-    ]
-    members = []
-    for beam in model.beams:
-        f = result.member_forces[beam.id]
-        members.append(
-            {
-                "id": beam.id,
-                "type": "beam",
-                "axial": f.axial,
-                "shear": f.shear,
-                "moment_i": f.moment_i,
-                "moment_j": f.moment_j,
-                "utilization": result.utilization[beam.id],
-            }
-        )
-    for cable in model.cables:
-        f = result.member_forces[cable.id]
-        members.append(
-            {
-                "id": cable.id,
-                "type": "cable",
-                "axial": f.axial,
-                "utilization": result.utilization[cable.id],
-                "state": "taut" if cable.id in result.active_cables else "slack",
-            }
-        )
-    reactions = [
-        {"node": nid, "fx": r[0], "fy": r[1], "mz": r[2]}
-        for nid, r in sorted(result.reactions.items())
-    ]
-    summary = {
-        "max_deflection": result.max_deflection,
-        "max_utilization": result.max_utilization,
-        "max_utilization_member": result.max_utilization_member,
-        "total_cable_tension": result.total_cable_tension,
-        "iterations": result.iterations_used,
-        "active_cable_count": len(result.active_cables),
-    }
-    return {
-        "nodes": nodes,
-        "members": members,
-        "reactions": reactions,
-        "active_cables": sorted(result.active_cables),
-        "slack_cables": sorted(c.id for c in model.cables if c.id not in result.active_cables),
-        "summary": summary,
-    }
 
 
 # The C encoder, which ``json`` uses only without indent, with a newline
@@ -143,11 +97,55 @@ def json_text(payload: dict) -> str:
     return _indented(payload, "") + "\n"
 
 
+def _fill(template: str, *columns: list) -> list[str]:
+    """``template % row`` for each row of the columns, which hold plain
+    Python values: ``%r`` of a numpy float is ``np.float64(x)``, not x."""
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _json_list(items: list[str]) -> str:
+    """A JSON list of encoded items, indented as a top-level value of the
+    report (``json.dumps(indent=2)`` writes an empty list as ``[]``)."""
+    return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
+
+
+# Each kind of record in the report as json.dumps(indent=2) writes it, ints
+# and floats by their repr, which %r gives for plain Python ones.
+_NODE = '{\n      "id": %r,\n      "dx": %r,\n      "dy": %r,\n      "rz": %r\n    }'
+_BEAM = ('{\n      "id": %r,\n      "type": "beam",\n      "axial": %r,\n      "shear": %r,\n'
+         '      "moment_i": %r,\n      "moment_j": %r,\n      "utilization": %r\n    }')
+_CABLE = '{\n      "id": %r,\n      "type": "cable",\n      "axial": %r,\n      "utilization": %r,\n      "state": "%s"\n    }'
+_REACTION = '{\n      "node": %r,\n      "fx": %r,\n      "fy": %r,\n      "mz": %r\n    }'
+
+
 def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:
-    """Serialize the analysis result as deterministic JSON text."""
+    """The analysis result as deterministic JSON text (see the module
+    docstring); a non-finite value raises ValueError, as ``json`` does."""
     if model is not None and model is not result.model:
         raise ValueError("report model does not match the analyzed model")
-    return json_text(report_dict(result))
+    view, done = result.model.arrays, result._recovered
+    u = result._node_u[view.by_id]
+    reactions = np.array(list(result.reactions.values()), dtype=float).reshape(-1, 3)
+    if not all(np.isfinite(a).all() for a in (u, done.beam, done.cable, done.utilization, reactions)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    nb = len(done.beam)
+    ids = view.member_ids.tolist()
+    util = done.utilization.tolist()
+    active = result.active_cables
+    states = ["taut" if c in active else "slack" for c in ids[nb:]]
+    summary = {"max_deflection": result.max_deflection, "max_utilization": result.max_utilization,
+               "max_utilization_member": result.max_utilization_member,
+               "total_cable_tension": result.total_cable_tension, "iterations": result.iterations_used,
+               "active_cable_count": len(active)}
+    return (
+        '{\n  "nodes": ' + _json_list(_fill(_NODE, view.node_ids[view.by_id].tolist(), *u.T.tolist()))
+        + ',\n  "members": ' + _json_list(_fill(_BEAM, ids[:nb], *done.beam.T.tolist(), util[:nb])
+                                         + _fill(_CABLE, ids[nb:], done.cable.tolist(), util[nb:], states))
+        + ',\n  "reactions": ' + _json_list(_fill(_REACTION, list(result.reactions), *reactions.T.tolist()))
+        + ',\n  "active_cables": ' + _json_list(list(map(repr, sorted(active))))
+        + ',\n  "slack_cables": ' + _json_list(list(map(repr, sorted(c for c in ids[nb:] if c not in active))))
+        + ',\n  "summary": ' + _indented(summary, "  ") + "\n}\n"
+    )
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -179,9 +177,9 @@ def plan_report_dict(report: PlanReport) -> dict:
 
 
 def _total_material_volume(model: StructureModel) -> float:
-    volume = sum(model.section(b.section).area * model.element_length(b) for b in model.beams)
-    volume += sum(c.area * model.element_length(c) for c in model.cables)
-    return volume
+    length = model.arrays.length.tolist()
+    volume = sum(model.section(b.section).area * L for b, L in zip(model.beams, length))
+    return volume + sum(c.area * L for c, L in zip(model.cables, length[len(model.beams):]))
 
 
 # (key, label, getter) of every compared metric.
@@ -239,11 +237,34 @@ class MemberView:
     label: str | None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Diagram:
-    members: tuple[MemberView, ...]
+    """What the diagram draws, one row per member: the beams, then the cables."""
+
+    ids: np.ndarray
+    beam_count: int  # members before it are beams, from it on cables
+    classes: np.ndarray  # index into CLASS_NAMES, as ``color_class`` picks it
+    original: np.ndarray  # (members, 4): x_i, y_i, x_j, y_j
+    deflected: np.ndarray  # (members, 4), at ``scale``
+    taut: np.ndarray  # (cables,) bool; a slack cable is drawn dashed
+    cable_force: np.ndarray  # (cables,) axial
     scale: float
     legend: tuple[tuple[str, str], ...]  # (class name, color)
+
+    def labels(self) -> list[str]:
+        """Each cable's label: its axial force if taut, else "slack"."""
+        return [f"taut:{f:.4g}" if t else "slack" for t, f in zip(self.taut.tolist(), self.cable_force.tolist())]
+
+    @cached_property
+    def members(self) -> tuple[MemberView, ...]:
+        """The rows as ``MemberView`` records, built on first access."""
+        nb, nc = self.beam_count, len(self.taut)
+        return tuple(
+            MemberView(mid, kind, CLASS_NAMES[c], ((o[0], o[1]), (o[2], o[3])), ((d[0], d[1]), (d[2], d[3])), dash, label)
+            for mid, kind, c, o, d, dash, label in zip(
+                self.ids.tolist(), ["beam"] * nb + ["cable"] * nc, self.classes.tolist(), self.original.tolist(),
+                self.deflected.tolist(), [False] * nb + (~self.taut).tolist(), [None] * nb + self.labels())
+        )
 
 
 def build_diagram(result: AnalysisResult, scale: float | None = None) -> Diagram:
@@ -252,125 +273,77 @@ def build_diagram(result: AnalysisResult, scale: float | None = None) -> Diagram
     ``scale`` defaults to auto: the largest displayed deflection is 5% of
     the model's width.
     """
-    model = result.model
+    view, u, done = result.model.arrays, result._node_u, result._recovered
     if scale is None:
-        xs = [n.x for n in model.nodes]
-        width = (max(xs) - min(xs)) if xs else 1.0
-        peak = max(
-            (math.hypot(d[0], d[1]) for d in result.node_displacements.values()),
-            default=0.0,
-        )
+        width = float(view.x.max() - view.x.min()) if len(view.x) else 1.0
+        peak = max(map(math.hypot, u[:, 0].tolist(), u[:, 1].tolist()), default=0.0)
         scale = 0.05 * width / peak if peak > 0 and width > 0 else 1.0
-
-    def displaced(node_id: int) -> tuple[float, float]:
-        n = model.node(node_id)
-        dx, dy, _ = result.node_displacements[node_id]
-        return (n.x + scale * dx, n.y + scale * dy)
-
-    def original(node_id: int) -> tuple[float, float]:
-        n = model.node(node_id)
-        return (n.x, n.y)
-
-    members = []
-    for beam in model.beams:
-        members.append(
-            MemberView(
-                id=beam.id,
-                kind="beam",
-                color_class=color_class(result.utilization[beam.id]),
-                original=(original(beam.node_i), original(beam.node_j)),
-                deflected=(displaced(beam.node_i), displaced(beam.node_j)),
-                dashed=False,
-                label=None,
-            )
-        )
-    for cable in model.cables:
-        taut = cable.id in result.active_cables
-        force = result.member_forces[cable.id].axial
-        members.append(
-            MemberView(
-                id=cable.id,
-                kind="cable",
-                color_class=color_class(result.utilization[cable.id]),
-                original=(original(cable.node_i), original(cable.node_j)),
-                deflected=(displaced(cable.node_i), displaced(cable.node_j)),
-                dashed=not taut,
-                label=f"taut:{force:.4g}" if taut else "slack",
-            )
-        )
-    legend = tuple(
-        (name, CLASS_COLORS[name]) for name in CLASS_NAMES
+    if (done.utilization < 0).any():
+        raise ValueError(f"utilization must be >= 0, got {done.utilization[done.utilization < 0].tolist()[0]}")
+    nb = len(result.model.beams)
+    i, j = view.ends.T
+    x, y = view.x + scale * u[:, 0], view.y + scale * u[:, 1]
+    return Diagram(
+        ids=view.member_ids, beam_count=nb, classes=np.searchsorted(CLASS_BOUNDS, done.utilization, side="right"),
+        original=np.stack([view.x[i], view.y[i], view.x[j], view.y[j]], axis=1),
+        deflected=np.stack([x[i], y[i], x[j], y[j]], axis=1),
+        taut=np.array([c in result.active_cables for c in view.member_ids[nb:].tolist()], dtype=bool),
+        cable_force=done.cable, scale=scale, legend=tuple((name, CLASS_COLORS[name]) for name in CLASS_NAMES),
     )
-    return Diagram(tuple(members), scale, legend)
 
 
-def _svg_num(v: float) -> str:
-    return f"{v:.6g}"
+# Each color class's data-class and stroke attributes, and its legend range.
+_CLASS_ATTRS = tuple(f'data-class="{name}" stroke="{CLASS_COLORS[name]}"' for name in CLASS_NAMES)
+_CLASS_RANGES = ("&lt;0.25", "&lt;0.5", "&lt;1.0", "&gt;=1.0")
+_FLIP = np.array([1.0, -1.0, 1.0, -1.0])  # SVG y points down
 
 
 def render_svg(diagram: Diagram) -> str:
-    """Valid SVG 1.1 text; deterministic for identical inputs."""
-    pts = [p for m in diagram.members for p in (*m.original, *m.deflected)]
-    if not pts:
-        pts = [(0.0, 0.0), (1.0, 1.0)]
-    xs = [p[0] for p in pts]
-    ys = [-p[1] for p in pts]  # SVG y points down
-    margin = 0.08 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-    x0, y0 = min(xs) - margin, min(ys) - margin
-    w, h = (max(xs) - min(xs)) + 2 * margin, (max(ys) - min(ys)) + 2 * margin
+    """Valid SVG 1.1 text; deterministic for identical inputs. Each kind of
+    record (an original member, a deflected beam, a deflected cable with
+    its label, a legend entry) is one template filled over columns."""
+    original, deflected = diagram.original * _FLIP, diagram.deflected * _FLIP
+    if len(original):
+        xs = np.concatenate([original[:, ::2], deflected[:, ::2]])
+        ys = np.concatenate([original[:, 1::2], deflected[:, 1::2]])
+        x_lo, x_hi, y_lo, y_hi = float(xs.min()), float(xs.max()), float(ys.min()), float(ys.max())
+    else:
+        x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, -1.0, -0.0
+    margin = 0.08 * max(x_hi - x_lo, y_hi - y_lo, 1.0)
+    x0, y0 = x_lo - margin, y_lo - margin
+    w, h = (x_hi - x_lo) + 2 * margin, (y_hi - y_lo) + 2 * margin
     legend_h = 0.16 * max(w, 1.0)
     stroke = max(w, h) / 220.0
     font = 2.6 * stroke
+    ly, box = y0 + h + 0.35 * legend_h, 0.06 * w  # the legend strip below the drawing
 
-    lines = [
+    nb = diagram.beam_count
+    classes = list(map(_CLASS_ATTRS.__getitem__, diagram.classes.tolist()))
+    d = diagram.deflected[nb:]
+    mid = ((d[:, 0] + d[:, 2]) / 2.0).tolist(), (-(d[:, 1] + d[:, 3]) / 2.0).tolist()  # of a cable's label
+    dash = ' stroke-dasharray="%.6g %.6g"' % (2.5 * stroke, 2.5 * stroke)
+    ids, points = diagram.ids.tolist(), deflected.T.tolist()
+    text = '<text x="%.6g" y="%.6g" font-size="' + "%.6g" % font + '" fill="#404040">'
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_svg_num(x0)} {_svg_num(y0)} {_svg_num(w)} {_svg_num(h + legend_h)}">',
-        f'<g id="original" stroke="{ORIGINAL_COLOR}" stroke-width="{_svg_num(0.6 * stroke)}" fill="none">',
-    ]
-    for m in diagram.members:
-        (xa, ya), (xb, yb) = m.original
-        lines.append(
-            f'<line x1="{_svg_num(xa)}" y1="{_svg_num(-ya)}" x2="{_svg_num(xb)}" y2="{_svg_num(-yb)}"/>'
-        )
-    lines.append("</g>")
-    lines.append(f'<g id="deflected" fill="none" stroke-width="{_svg_num(stroke)}">')
-    for m in diagram.members:
-        (xa, ya), (xb, yb) = m.deflected
-        dash = f' stroke-dasharray="{_svg_num(2.5 * stroke)} {_svg_num(2.5 * stroke)}"' if m.dashed else ""
-        color = CLASS_COLORS[m.color_class]
-        lines.append(
-            f'<polyline data-member="{m.id}" data-kind="{m.kind}" data-class="{m.color_class}" '
-            f'stroke="{color}"{dash} points="{_svg_num(xa)},{_svg_num(-ya)} {_svg_num(xb)},{_svg_num(-yb)}"/>'
-        )
-        if m.label:
-            mx, my = (xa + xb) / 2.0, -(ya + yb) / 2.0
-            lines.append(
-                f'<text x="{_svg_num(mx)}" y="{_svg_num(my)}" font-size="{_svg_num(font)}" '
-                f'fill="#404040">{m.label}</text>'
-            )
-    lines.append("</g>")
-
-    # Legend strip below the drawing.
-    ly = y0 + h + 0.35 * legend_h
-    lines.append('<g id="legend">')
-    box = 0.06 * w
-    for k, (name, color) in enumerate(diagram.legend):
-        lx = x0 + margin / 2 + k * 0.24 * w
-        lines.append(
-            f'<rect x="{_svg_num(lx)}" y="{_svg_num(ly)}" width="{_svg_num(box)}" '
-            f'height="{_svg_num(0.3 * legend_h)}" fill="{color}"/>'
-        )
-        bounds = ("&lt;0.25", "&lt;0.5", "&lt;1.0", "&gt;=1.0")
-        lines.append(
-            f'<text x="{_svg_num(lx + 1.15 * box)}" y="{_svg_num(ly + 0.25 * legend_h)}" '
-            f'font-size="{_svg_num(font)}" fill="#404040">{name} {bounds[k]}</text>'
-        )
-    lines.append(
-        f'<text x="{_svg_num(x0 + margin / 2)}" y="{_svg_num(ly + 0.62 * legend_h)}" '
-        f'font-size="{_svg_num(font)}" fill="#404040">dashed = slack cable; '
-        f"deflection scale x{_svg_num(diagram.scale)}</text>"
-    )
-    lines.append("</g>")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" viewBox="%.6g %.6g %.6g %.6g">' % (x0, y0, w, h + legend_h),
+        '<g id="original" stroke="%s" stroke-width="%.6g" fill="none">' % (ORIGINAL_COLOR, 0.6 * stroke),
+        *_fill('<line x1="%.6g" y1="%.6g" x2="%.6g" y2="%.6g"/>', *original.T.tolist()),
+        "</g>",
+        '<g id="deflected" fill="none" stroke-width="%.6g">' % stroke,
+        *_fill('<polyline data-member="%d" data-kind="beam" %s points="%.6g,%.6g %.6g,%.6g"/>',
+               ids[:nb], classes[:nb], *(c[:nb] for c in points)),
+        *_fill('<polyline data-member="%d" data-kind="cable" %s%s points="%.6g,%.6g %.6g,%.6g"/>\n' + text + "%s</text>",
+               ids[nb:], classes[nb:], ["" if t else dash for t in diagram.taut.tolist()],
+               *(c[nb:] for c in points), *mid, diagram.labels()),
+        "</g>",
+        '<g id="legend">',
+        *('<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="%s"/>\n' % (x, ly, box, 0.3 * legend_h, color)
+          + text % (x + 1.15 * box, ly + 0.25 * legend_h) + f"{name} {bounds}</text>"
+          for x, (name, color), bounds in zip([x0 + margin / 2 + k * 0.24 * w for k in range(len(diagram.legend))],
+                                              diagram.legend, _CLASS_RANGES)),
+        text % (x0 + margin / 2, ly + 0.62 * legend_h)
+        + "dashed = slack cable; deflection scale x%.6g</text>" % diagram.scale,
+        "</g>",
+        "</svg>",
+    ]) + "\n"

@@ -32,13 +32,14 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from .errors import InvalidModel, NoConvergence, SingularSystem
 from .model import (
     DofMap,
+    ModelArrays,
     NodalForce,
-    PointMass,
     SelfWeight,
     StructureModel,
     UniformLoad,
     check_gravity,
     dof_map,
+    lumped_weight,
     validate,
 )
 
@@ -206,10 +207,10 @@ def _spread(p: np.ndarray) -> int:
 
 def _elements(model: StructureModel) -> _Elements:
     dm = dof_map(model)
+    view = model.arrays
     nodes, beams, cables = model.nodes, model.beams, model.cables
-    index = {n.id: k for k, n in enumerate(nodes)}
+    index, x, y = view.index, view.x, view.y
     free = np.array([3 * index[nid] + comp for nid, comp in dm.entries], dtype=int)
-    x, y = np.array([[n.x for n in nodes], [n.y for n in nodes]]).reshape(2, -1)
 
     udl: dict[int, float] = {}  # total uniform-load intensity per beam id
     for load in model.loads:
@@ -217,20 +218,19 @@ def _elements(model: StructureModel) -> _Elements:
             udl[load.beam] = udl.get(load.beam, 0.0) + load.w
     # Columns gathered per beam; material and section looked up once per pair.
     kinds: dict[tuple[str, str], int] = {}
-    i, j, kind, w, pin_i, pin_j = np.array(
-        [[index[b.node_i] for b in beams], [index[b.node_j] for b in beams],
-         [kinds.setdefault((b.material, b.section), len(kinds)) for b in beams],
+    kind, w, pin_i, pin_j = np.array(
+        [[kinds.setdefault((b.material, b.section), len(kinds)) for b in beams],
          [udl.get(b.id, 0.0) for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams]],
         dtype=float,
-    ).reshape(6, -1)
-    i, j = i.astype(int), j.astype(int)
+    ).reshape(4, -1)
     props = np.array(
         [(model.material(m).elastic_modulus, model.section(s).area, model.section(s).depth / 2.0,
           model.section(s).second_moment, model.material(m).allowable_stress,
           model.material(m).density * model.section(s).area) for m, s in kinds]
     ).reshape(-1, 6)[kind.astype(int)]
     E, A, I = props[:, 0], props[:, 1], props[:, 3]
-    dx, dy = x[j] - x[i], y[j] - y[i]
+    i, j = view.ends[: len(beams)].T
+    dx, dy = view.dx[: len(beams)], view.dy[: len(beams)]
     L = np.hypot(dx, dy)
     cx, cy = dx / L, dy / L
     T = np.zeros((len(beams), 6, 6))
@@ -243,8 +243,7 @@ def _elements(model: StructureModel) -> _Elements:
     loaded = w != 0.0
     fixed_end[~loaded] = 0.0
     beam_dofs = 3 * np.stack([i, j], axis=1).repeat(3, axis=1) + _BEAM_DOFS
-    # Ends, rho A and projections of every member, the beams, then the cables.
-    member_ends, member_weight, member_dx, member_dy = np.stack([i, j], axis=1), props[:, 5], dx, dy
+    member_weight = props[:, 5]  # rho A of every member, the beams, then the cables
 
     # Band order: the nodes by x, then y (a stable sort, so ties keep model
     # order), and each node's free dofs in x, y, rz order. Along a bridge an
@@ -258,15 +257,14 @@ def _elements(model: StructureModel) -> _Elements:
     bandwidth = _spread(beam_band)  # of every element, each cable taut
 
     if cables:
-        i, j, ea, pretension, cable_strength, cable_weight = np.array(
-            [[index[c.node_i] for c in cables], [index[c.node_j] for c in cables],
-             [model.material(c.material).elastic_modulus * c.area for c in cables],
+        ea, pretension, cable_strength, cable_weight = np.array(
+            [[model.material(c.material).elastic_modulus * c.area for c in cables],
              [c.pretension for c in cables],
              [c.area * model.material(c.material).allowable_stress for c in cables],
              [model.material(c.material).density * c.area for c in cables]]
         )
-        i, j = i.astype(int), j.astype(int)
-        dx, dy = x[j] - x[i], y[j] - y[i]
+        i, j = view.ends[len(beams):].T
+        dx, dy = view.dx[len(beams):], view.dy[len(beams):]
         cable_L = np.hypot(dx, dy)
         ccx, ccy = dx / cable_L, dy / cable_L
         cable_dofs = 3 * np.stack([i, j], axis=1).repeat(2, axis=1) + _CABLE_DOFS
@@ -277,9 +275,7 @@ def _elements(model: StructureModel) -> _Elements:
         cable_band = band[cable_dofs]
         bandwidth = max(bandwidth, _spread(cable_band))
         cable_at = _placement(cable_band, bandwidth)
-        member_ends = np.concatenate([member_ends, np.stack([i, j], axis=1)])
         member_weight = np.concatenate([member_weight, cable_weight])
-        member_dx, member_dy = np.concatenate([member_dx, dx]), np.concatenate([member_dy, dy])
     else:
         ea_l = ccx = ccy = pretension = cable_strength = np.zeros(0)
         cable_dofs = np.zeros((0, 4), dtype=int)
@@ -299,19 +295,7 @@ def _elements(model: StructureModel) -> _Elements:
         check_gravity(g)
         if g == 0.0:
             continue
-        # What ``self_weight_loads`` lumps, from the member columns above:
-        # rho A L g / 2 at each end of each beam, then of each cable, then
-        # m g at each point mass, summed per node in that order, and the
-        # nonzero sums applied by ascending node id. The lengths come from
-        # math.hypot, as ``element_length``'s do: np.hypot can differ in the
-        # last bit.
-        length = np.array([math.hypot(a, b) for a, b in zip(member_dx.tolist(), member_dy.tolist())])
-        half = member_weight * length * g / 2.0
-        masses = [(index[l.node], l.mass) for l in model.loads if isinstance(l, PointMass)]
-        at, mass = np.array(masses).reshape(-1, 2).T
-        fy = np.zeros(len(nodes))
-        np.add.at(fy, np.concatenate([member_ends.ravel(), at.astype(int)]),
-                  np.concatenate([np.repeat(-half, 2), -mass * g]))
+        fy = lumped_weight(model, member_weight, g)  # what ``self_weight_loads`` lumps
         lumped = np.flatnonzero(fy != 0.0)
         load_at.append(3 * lumped + 1)  # only fy: the x and rz entries would add zeros
         load_values.append(fy[lumped])
@@ -666,7 +650,7 @@ class AnalysisResult:
 
     @cached_property
     def node_displacements(self) -> dict[int, tuple[float, float, float]]:
-        return dict(zip((n.id for n in self.model.nodes), map(tuple, self._node_u.tolist())))
+        return dict(zip(self.model.arrays.node_ids.tolist(), map(tuple, self._node_u.tolist())))
 
     @cached_property
     def member_forces(self) -> dict[int, MemberForces]:
@@ -680,18 +664,18 @@ class AnalysisResult:
 
     @cached_property
     def utilization(self) -> dict[int, float]:
-        ids = [b.id for b in self.model.beams] + [c.id for c in self.model.cables]
-        return dict(zip(ids, self._recovered.utilization.tolist()))
+        return dict(zip(self.model.arrays.member_ids.tolist(), self._recovered.utilization.tolist()))
 
     @property
     def max_utilization_member(self) -> int | None:
         """The most utilized member; among members within 1e-9 of the
         maximum (mirror images, say) the lowest id, so rounding in the
         solve cannot pick between them."""
-        if not self.utilization:
+        util = self._recovered.utilization
+        if not len(util):
             return None
         top = self.max_utilization
-        return min(eid for eid, u in self.utilization.items() if u >= top - 1e-9 * abs(top))
+        return min(self.model.arrays.member_ids[util >= top - 1e-9 * abs(top)].tolist())
 
     @property
     def total_cable_tension(self) -> float:
@@ -746,15 +730,13 @@ def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarr
                       np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0), residual)
 
 
-def _reactions(el: _Elements, residual: np.ndarray) -> dict[int, tuple]:
-    """Support forces: ``_recover``'s residual of one analysis on its
-    restrained dofs. Unrestrained components report 0."""
-    restrained = sorted(el.dm.restrained)
-    values = residual[[3 * el.index[nid] + comp for nid, comp in restrained]].tolist()
-    support: dict[int, list[float]] = {}
-    for (nid, comp), value in zip(restrained, values):
-        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = value
-    return {nid: tuple(r) for nid, r in support.items()}
+def _reactions(view: ModelArrays, residual: np.ndarray) -> dict[int, tuple]:
+    """Support forces by ascending node id: ``_recover``'s residual of one
+    analysis on the restrained dofs. Unrestrained components report 0."""
+    values = residual.reshape(-1, 3)[view.support_at]
+    values[view.support_free] = 0.0
+    xyz = iter(values.ravel().tolist())
+    return dict(zip(view.supported, zip(xyz, xyz, xyz)))
 
 
 # ---------------------------------------------------------------------------
@@ -811,7 +793,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
         model=model,
         dofs=el.dm,
         displacements=full_u[el.free],
-        reactions=_reactions(el, done.residual),
+        reactions=_reactions(model.arrays, done.residual),
         active_cables=el.ids(taut),
         iterations_used=iterations,
         mechanisms=len(dropped),

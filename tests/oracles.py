@@ -1,16 +1,21 @@
 """Closed-form element matrices, written out case by case, a dense
 assembly, a dense rank-revealing solve, a dense null basis, the
-per-member utilization formula, and erection plans run stage model by
-stage model.
+per-member utilization formula, erection plans run stage model by stage
+model, the support reactions filled dof by dof, self-weight lumped member
+by member, and the analysis report and SVG diagram built record by
+record.
 
 They are independent of the solver's element table, which derives every
 release pattern by static condensation of the clamped element, of its
 banded assembly and factorization, of its windowed null basis, of its
-vectorized utilization and of the one banded solve of all of a plan's
-stages, and the tests compare the two.
+vectorized utilization, reactions and gravity lumping, of the one banded
+solve of all of a plan's stages, and of the report and diagram written
+from the result's arrays by one template per record kind, and the tests
+compare the two.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -19,7 +24,8 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 from ponte.catalog import DECK_MATERIAL, DECK_SECTION
 from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _outcome, _Step
 from ponte.errors import NonPositiveProperty, SingularSystem
-from ponte.model import MATERIAL_PRESETS, BeamElement, NodalForce, Node, Support, UniformLoad, build_model
+from ponte.model import MATERIAL_PRESETS, BeamElement, NodalForce, Node, PointMass, Support, UniformLoad, build_model
+from ponte.reporting import CLASS_COLORS, CLASS_NAMES, ORIGINAL_COLOR, MemberView, color_class
 from ponte.solver import analyze
 from ponte.textio import quantize
 
@@ -284,3 +290,238 @@ def run_plan_one_by_one(plan: ErectionPlan) -> PlanReport:
         if w_min > 0:
             verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
     return PlanReport(tuple(reports), all(r.verdict is Verdict.STABLE for r in reports), w_min, verified)
+
+
+def reactions_by_dof(result) -> dict[int, tuple]:
+    """``AnalysisResult.reactions`` filled one restrained dof at a time, in
+    sorted (node id, component) order, from the support residual."""
+    model = result.model
+    index = {n.id: k for k, n in enumerate(model.nodes)}
+    restrained = sorted(result.dofs.restrained)
+    values = result._recovered.residual[[3 * index[nid] + comp for nid, comp in restrained]].tolist()
+    support: dict[int, list[float]] = {}
+    for (nid, comp), value in zip(restrained, values):
+        support.setdefault(nid, [0.0, 0.0, 0.0])[comp] = value
+    return {nid: tuple(r) for nid, r in support.items()}
+
+
+def max_utilization_member(result) -> int | None:
+    """The most utilized member by the per-member dict: among members
+    within 1e-9 of the maximum, the lowest id."""
+    if not result.utilization:
+        return None
+    top = result.max_utilization
+    return min(eid for eid, u in result.utilization.items() if u >= top - 1e-9 * abs(top))
+
+
+def report_dict(result) -> dict:
+    """The analysis result as one JSON-ready dictionary, record by record;
+    ``write_report`` writes ``json.dumps(report_dict(r), indent=2)``."""
+    model = result.model
+    nodes = [
+        {"id": nid, "dx": d[0], "dy": d[1], "rz": d[2]}
+        for nid, d in sorted(result.node_displacements.items())
+    ]
+    members = []
+    for beam in model.beams:
+        f = result.member_forces[beam.id]
+        members.append(
+            {
+                "id": beam.id,
+                "type": "beam",
+                "axial": f.axial,
+                "shear": f.shear,
+                "moment_i": f.moment_i,
+                "moment_j": f.moment_j,
+                "utilization": result.utilization[beam.id],
+            }
+        )
+    for cable in model.cables:
+        f = result.member_forces[cable.id]
+        members.append(
+            {
+                "id": cable.id,
+                "type": "cable",
+                "axial": f.axial,
+                "utilization": result.utilization[cable.id],
+                "state": "taut" if cable.id in result.active_cables else "slack",
+            }
+        )
+    reactions = [
+        {"node": nid, "fx": r[0], "fy": r[1], "mz": r[2]}
+        for nid, r in sorted(result.reactions.items())
+    ]
+    summary = {
+        "max_deflection": result.max_deflection,
+        "max_utilization": result.max_utilization,
+        "max_utilization_member": max_utilization_member(result),
+        "total_cable_tension": result.total_cable_tension,
+        "iterations": result.iterations_used,
+        "active_cable_count": len(result.active_cables),
+    }
+    return {
+        "nodes": nodes,
+        "members": members,
+        "reactions": reactions,
+        "active_cables": sorted(result.active_cables),
+        "slack_cables": sorted(c.id for c in model.cables if c.id not in result.active_cables),
+        "summary": summary,
+    }
+
+
+class MemberDiagram(NamedTuple):
+    """A diagram as a tuple of one ``MemberView`` per member."""
+
+    members: tuple
+    scale: float
+    legend: tuple
+
+
+def build_diagram(result, scale: float | None = None) -> MemberDiagram:
+    """The diagram built member by member from the result's dicts."""
+    model = result.model
+    if scale is None:
+        xs = [n.x for n in model.nodes]
+        width = (max(xs) - min(xs)) if xs else 1.0
+        peak = max(
+            (math.hypot(d[0], d[1]) for d in result.node_displacements.values()),
+            default=0.0,
+        )
+        scale = 0.05 * width / peak if peak > 0 and width > 0 else 1.0
+
+    def displaced(node_id: int) -> tuple[float, float]:
+        n = model.node(node_id)
+        dx, dy, _ = result.node_displacements[node_id]
+        return (n.x + scale * dx, n.y + scale * dy)
+
+    def original(node_id: int) -> tuple[float, float]:
+        n = model.node(node_id)
+        return (n.x, n.y)
+
+    members = []
+    for beam in model.beams:
+        members.append(
+            MemberView(
+                id=beam.id,
+                kind="beam",
+                color_class=color_class(result.utilization[beam.id]),
+                original=(original(beam.node_i), original(beam.node_j)),
+                deflected=(displaced(beam.node_i), displaced(beam.node_j)),
+                dashed=False,
+                label=None,
+            )
+        )
+    for cable in model.cables:
+        taut = cable.id in result.active_cables
+        force = result.member_forces[cable.id].axial
+        members.append(
+            MemberView(
+                id=cable.id,
+                kind="cable",
+                color_class=color_class(result.utilization[cable.id]),
+                original=(original(cable.node_i), original(cable.node_j)),
+                deflected=(displaced(cable.node_i), displaced(cable.node_j)),
+                dashed=not taut,
+                label=f"taut:{force:.4g}" if taut else "slack",
+            )
+        )
+    legend = tuple((name, CLASS_COLORS[name]) for name in CLASS_NAMES)
+    return MemberDiagram(tuple(members), scale, legend)
+
+
+def _svg_num(v: float) -> str:
+    return f"{v:.6g}"
+
+
+def render_svg(diagram) -> str:
+    """SVG text of a diagram's ``members``, one number at a time."""
+    pts = [p for m in diagram.members for p in (*m.original, *m.deflected)]
+    if not pts:
+        pts = [(0.0, 0.0), (1.0, 1.0)]
+    xs = [p[0] for p in pts]
+    ys = [-p[1] for p in pts]  # SVG y points down
+    margin = 0.08 * max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    x0, y0 = min(xs) - margin, min(ys) - margin
+    w, h = (max(xs) - min(xs)) + 2 * margin, (max(ys) - min(ys)) + 2 * margin
+    legend_h = 0.16 * max(w, 1.0)
+    stroke = max(w, h) / 220.0
+    font = 2.6 * stroke
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_svg_num(x0)} {_svg_num(y0)} {_svg_num(w)} {_svg_num(h + legend_h)}">',
+        f'<g id="original" stroke="{ORIGINAL_COLOR}" stroke-width="{_svg_num(0.6 * stroke)}" fill="none">',
+    ]
+    for m in diagram.members:
+        (xa, ya), (xb, yb) = m.original
+        lines.append(
+            f'<line x1="{_svg_num(xa)}" y1="{_svg_num(-ya)}" x2="{_svg_num(xb)}" y2="{_svg_num(-yb)}"/>'
+        )
+    lines.append("</g>")
+    lines.append(f'<g id="deflected" fill="none" stroke-width="{_svg_num(stroke)}">')
+    for m in diagram.members:
+        (xa, ya), (xb, yb) = m.deflected
+        dash = f' stroke-dasharray="{_svg_num(2.5 * stroke)} {_svg_num(2.5 * stroke)}"' if m.dashed else ""
+        color = CLASS_COLORS[m.color_class]
+        lines.append(
+            f'<polyline data-member="{m.id}" data-kind="{m.kind}" data-class="{m.color_class}" '
+            f'stroke="{color}"{dash} points="{_svg_num(xa)},{_svg_num(-ya)} {_svg_num(xb)},{_svg_num(-yb)}"/>'
+        )
+        if m.label:
+            mx, my = (xa + xb) / 2.0, -(ya + yb) / 2.0
+            lines.append(
+                f'<text x="{_svg_num(mx)}" y="{_svg_num(my)}" font-size="{_svg_num(font)}" '
+                f'fill="#404040">{m.label}</text>'
+            )
+    lines.append("</g>")
+
+    # Legend strip below the drawing.
+    ly = y0 + h + 0.35 * legend_h
+    lines.append('<g id="legend">')
+    box = 0.06 * w
+    for k, (name, color) in enumerate(diagram.legend):
+        lx = x0 + margin / 2 + k * 0.24 * w
+        lines.append(
+            f'<rect x="{_svg_num(lx)}" y="{_svg_num(ly)}" width="{_svg_num(box)}" '
+            f'height="{_svg_num(0.3 * legend_h)}" fill="{color}"/>'
+        )
+        bounds = ("&lt;0.25", "&lt;0.5", "&lt;1.0", "&gt;=1.0")
+        lines.append(
+            f'<text x="{_svg_num(lx + 1.15 * box)}" y="{_svg_num(ly + 0.25 * legend_h)}" '
+            f'font-size="{_svg_num(font)}" fill="#404040">{name} {bounds[k]}</text>'
+        )
+    lines.append(
+        f'<text x="{_svg_num(x0 + margin / 2)}" y="{_svg_num(ly + 0.62 * legend_h)}" '
+        f'font-size="{_svg_num(font)}" fill="#404040">dashed = slack cable; '
+        f"deflection scale x{_svg_num(diagram.scale)}</text>"
+    )
+    lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def self_weight_loads_by_member(model, g: float) -> tuple[NodalForce, ...]:
+    """``self_weight_loads`` as a loop over members: rho*A*L*g/2 at each end
+    of each beam, then of each cable, from ``element_length``, then m*g at
+    each point mass, summed per node in that order; the nonzero sums by
+    ascending node id."""
+    if g == 0.0:
+        return ()
+    fy: dict[int, float] = {}
+
+    def add(node_id: int, value: float) -> None:
+        fy[node_id] = fy.get(node_id, 0.0) + value
+
+    for b in model.beams:
+        half = model.material(b.material).density * model.section(b.section).area * model.element_length(b) * g / 2.0
+        add(b.node_i, -half)
+        add(b.node_j, -half)
+    for c in model.cables:
+        half = model.material(c.material).density * c.area * model.element_length(c) * g / 2.0
+        add(c.node_i, -half)
+        add(c.node_j, -half)
+    for load in model.loads:
+        if isinstance(load, PointMass):
+            add(load.node, -load.mass * g)
+    return tuple(NodalForce(node=nid, fy=fy[nid]) for nid in sorted(fy) if fy[nid] != 0.0)

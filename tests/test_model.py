@@ -58,6 +58,17 @@ class TestBuildModel:
             )
         assert exc.value.ref == 99
 
+    def test_dangling_reference_in_a_model_built_directly(self):
+        # StructureModel(...) checks no reference; validation reads the
+        # model's arrays, and building them names the missing node.
+        for changes in ({"beams": (BeamElement(1, 1, 99, "timber", "deck"),)},
+                        {"cables": (CableElement(2, 99, 2, "timber", 1e-4),)},
+                        {"supports": (Support(99, restrain_y=True),)}):
+            model = dataclasses.replace(simple_beam(), **changes)
+            with pytest.raises(UnknownReference) as exc:
+                validate(model)
+            assert exc.value.ref == 99
+
     def test_beam_and_cable_share_id_namespace(self):
         nodes = [Node(1, 0, 0), Node(2, 5, 0)]
         with pytest.raises(DuplicateId):

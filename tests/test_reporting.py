@@ -1,5 +1,7 @@
 import json
 import math
+import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,17 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from ponte import catalog
-from ponte.catalog import PresetId, generate_preset, strip_to_bare_deck, with_deck_udl
+from ponte.catalog import (
+    BridgeKind,
+    BridgeSpec,
+    PresetId,
+    Wheels,
+    generate,
+    generate_preset,
+    strip_to_bare_deck,
+    with_deck_udl,
+)
+from ponte.errors import InvalidSpec, NoConvergence, SingularSystem
 from ponte.reporting import (
     CLASS_COLORS,
     CLASS_NAMES,
@@ -18,15 +30,21 @@ from ponte.reporting import (
     compare_dict,
     json_text,
     render_svg,
-    report_dict,
     write_report,
 )
 from ponte.solver import analyze
+
+import oracles
 
 
 @pytest.fixture(scope="module")
 def grande_result():
     return analyze(generate_preset(PresetId.GRANDE))
+
+
+@pytest.fixture(scope="module")
+def grounded_stayed_result():
+    return analyze(generate_preset(PresetId.GROUNDED_STAYED))
 
 
 @pytest.fixture(scope="module")
@@ -94,6 +112,133 @@ class TestWriteReport:
         assert all(states[cid] == "slack" for cid in data["slack_cables"])
 
 
+def oracle_report(result) -> str:
+    return json.dumps(oracles.report_dict(result), indent=2, allow_nan=False) + "\n"
+
+
+SCALES = (None, 1.5, 25.0)
+
+
+def assert_oracle_bytes(result, scales=SCALES) -> None:
+    """The report and the SVG at each scale are the record-by-record
+    oracles' bytes."""
+    assert write_report(result) == oracle_report(result)
+    for scale in scales:
+        assert render_svg(build_diagram(result, scale)) == oracles.render_svg(oracles.build_diagram(result, scale))
+
+
+def unloaded_bare_deck():
+    return replace(generate_preset(PresetId.BARE_DECK), loads=())
+
+
+def ladder_rungs():
+    """The benchmark ladder's replicas: grounded at 23, 95 and 383 pillars
+    (141, 573 and 2 301 free dofs) and floating at 23, with 2 m bays."""
+    specs = [(BridgeKind.LEONARDO_GROUNDED, p) for p in (23, 95, 383)] + [(BridgeKind.LEONARDO_REPLICA, 23)]
+    return [generate(BridgeSpec(kind, span=2.0 * (p + 1), pillar_count=p)) for kind, p in specs]
+
+
+def generated_results(count: int, seed: int):
+    """Analyses of ``count`` generated bridges, the 7 kinds in turn, over
+    sizes, wheels, ropes, props and deck loads; a draw that does not
+    analyze (a spec the generator rejects, a mechanism) is drawn again."""
+    rng = random.Random(seed)
+    kinds = list(BridgeKind)
+    results = []
+    attempts = 0
+    while len(results) < count:
+        attempts += 1
+        assert attempts <= 3 * count, f"only {len(results)} of {count} draws analyzed"
+        kind = kinds[len(results) % len(kinds)]
+        if kind in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED):
+            pillars = rng.randint(1, 31 if kind is BridgeKind.LEONARDO_REPLICA else 40)
+            spec = BridgeSpec(kind, span=2.0 * (pillars + 1), pillar_count=pillars, wheels=rng.choice(list(Wheels)),
+                              crosswise_top_ropes=rng.random() < 0.5, mid_support=rng.random() < 0.2)
+        else:
+            segments = rng.randrange(6, 40, 3 if kind is BridgeKind.CANTILEVER else 1)
+            spec = BridgeSpec(kind, span=round(rng.uniform(1.0, 2.0) * segments, 2), deck_segments=segments,
+                              mid_support=rng.random() < 0.2)
+        try:
+            model = generate(spec)
+            if rng.random() < 0.3:
+                model = with_deck_udl(model, rng.choice([500.0, 5000.0, 50000.0]))
+            results.append(analyze(model))
+        except (InvalidSpec, SingularSystem, NoConvergence):
+            continue
+    return results
+
+
+class TestByteContract:
+    # The report and the SVG are written from arrays, one template per
+    # record kind; their bytes must be the record-by-record oracles'.
+    @pytest.mark.parametrize("preset", list(PresetId))
+    def test_presets(self, preset):
+        result = analyze(generate_preset(preset))
+        assert_oracle_bytes(result)
+        # The diagram's lazily built member records render the same bytes.
+        assert oracles.render_svg(build_diagram(result)) == render_svg(build_diagram(result))
+
+    def test_ladder_rungs(self):
+        for model in ladder_rungs():
+            assert_oracle_bytes(analyze(model))
+
+    def test_unloaded_bare_deck(self):
+        result = analyze(unloaded_bare_deck())
+        assert result.max_deflection == 0.0 and result.max_utilization_member is not None
+        assert_oracle_bytes(result)
+
+    def test_generated_models_of_every_kind(self, random_models):
+        results = generated_results(300, seed=15)
+        seen = {("taut" if r.active_cables else "no taut cable") for r in results}
+        seen |= {"red" for r in results if r.max_utilization >= 1.0}
+        assert seen == {"taut", "no taut cable", "red"}
+        for result in results + [analyze(m) for m in random_models]:
+            assert_oracle_bytes(result)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_raises(self, bad, grounded_stayed_result):
+        result = grounded_stayed_result
+        done = result._recovered
+        node_u = result._node_u.copy()
+        node_u[3, 1] = bad
+        beam, cable, util = done.beam.copy(), done.cable.copy(), done.utilization.copy()
+        beam[2, 3], cable[-1], util[0] = bad, bad, bad
+        reactions = dict(result.reactions)
+        first = next(iter(reactions))
+        reactions[first] = (0.0, bad, 0.0)
+        broken = [
+            replace(result, _node_u=node_u),
+            replace(result, _recovered=done._replace(beam=beam)),
+            replace(result, _recovered=done._replace(cable=cable)),
+            replace(result, _recovered=done._replace(utilization=util)),
+            replace(result, reactions=reactions),
+            replace(result, max_deflection=bad),
+        ]
+        for each in broken:
+            with pytest.raises(ValueError):
+                oracle_report(each)
+            with pytest.raises(ValueError):
+                write_report(each)
+
+    def test_numpy_floats_are_written_as_json_writes_them(self, grounded_stayed_result):
+        # %r of a numpy float is "np.float64(x)" under numpy 2; json.dumps
+        # writes its float.__repr__.
+        result = grounded_stayed_result
+        reactions = {nid: tuple(map(np.float64, r)) for nid, r in result.reactions.items()}
+        numpy_reactions = replace(result, reactions=reactions)
+        assert write_report(numpy_reactions) == oracle_report(numpy_reactions) == write_report(result)
+        assert "np." not in write_report(result)
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
+           | st.sampled_from([[0.1, 1e16, 5e-324], [-0.0, 1e-7, 2.5e-308], [1e308, -1e22, 123456789.0]]))
+    @settings(max_examples=200, deadline=None)
+    def test_any_float_is_written_by_its_repr(self, values):
+        result = analyze(generate_preset(PresetId.BARE_DECK))
+        node_u = result._node_u.copy()
+        node_u[1] = values
+        assert write_report(replace(result, _node_u=node_u)) == oracle_report(replace(result, _node_u=node_u))
+
+
 # Strings that could fool a rewrite of the encoder's output: brackets,
 # quotes, its separators, raw newlines, escapes and non-ASCII text.
 _CHARS = ["{", "}", "[", "]", '"', ",", ":", " ", "\n", "\\", "a", "é", "橋", "\u2028", "\U0001f309"]
@@ -133,7 +278,7 @@ class TestJsonText:
     @pytest.mark.parametrize("preset", list(PresetId))
     def test_reports_are_json_dumps_of_their_dicts(self, preset, grande_result):
         result = analyze(generate_preset(preset))
-        for payload in (report_dict(result), compare_dict(result, grande_result)):
+        for payload in (oracles.report_dict(result), compare_dict(result, grande_result)):
             assert json_text(payload) == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -167,6 +312,14 @@ class TestCompare:
         assert data["metrics"]["total_cable_tension"]["ratio"] is None
         row = next(line for line in compare(bare, grounded).splitlines() if line.startswith("total cable tension"))
         assert row.split()[-1] == "inf"
+
+    @pytest.mark.parametrize("preset", list(PresetId))
+    def test_material_volume_sums_element_lengths(self, preset):
+        model = generate_preset(preset)
+        result = analyze(model)
+        expected = sum(model.section(b.section).area * model.element_length(b) for b in model.beams)
+        expected += sum(c.area * model.element_length(c) for c in model.cables)
+        assert compare_dict(result, result)["metrics"]["total_material_volume"]["A"] == expected
 
     def test_table_has_expected_rows(self, grande_result):
         table = compare(grande_result, grande_result)

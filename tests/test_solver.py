@@ -21,6 +21,7 @@ from ponte.catalog import (
     generate_preset,
     presets,
     strip_to_bare_deck,
+    with_deck_udl,
 )
 from ponte.errors import NonPositiveProperty, SingularSystem
 from ponte.model import (
@@ -59,6 +60,9 @@ from oracles import (
     fixed_end_forces,
     fixed_end_local,
     lower_band,
+    max_utilization_member,
+    reactions_by_dof,
+    self_weight_loads_by_member,
     transformation,
     utilization,
 )
@@ -1071,6 +1075,10 @@ class TestElementTable:
         for model in models:
             weighed += any(isinstance(l, SelfWeight) for l in model.loads)
             assert _elements(model).loads.tobytes() == reference(model).tobytes()
+            for g in (0.0, 9.81, 3.7):
+                expected = self_weight_loads_by_member(model, g)
+                assert [(f.node, f.fy.hex()) for f in self_weight_loads(model, g)] == [
+                    (f.node, f.fy.hex()) for f in expected]
         assert weighed >= 140
 
 
@@ -1087,6 +1095,8 @@ class TestResultArrays:
     @classmethod
     def models(cls):
         yield from (generate_preset(p.id) for p in presets())
+        yield with_deck_udl(generate_preset("GRANDE"), 20000.0)  # red deck, members tied for the maximum
+        yield replica(BridgeKind.LEONARDO_GROUNDED, 383)
         for kind in BridgeKind:
             if kind in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED):
                 yield replica(kind, 7, crosswise=kind is BridgeKind.LEONARDO_REPLICA)
@@ -1099,17 +1109,21 @@ class TestResultArrays:
     def same(a, b) -> bool:
         return float(a).hex() == float(b).hex()
 
-    def test_maxima_and_dicts_agree(self):
+    def test_maxima_and_dicts_agree(self, random_models):
         seen = set()
-        for model in self.models():
+        for model in (*self.models(), *random_models):
             result = analyze(model)
             util = result.utilization
             assert self.same(result.max_utilization, max(util.values(), default=0.0))
             deflections = [abs(d[1]) for d in result.node_displacements.values()]
             assert self.same(result.max_deflection, max(deflections, default=0.0))
             top = max(util.values(), default=0.0)
-            member = min((eid for eid, u in util.items() if u >= top - 1e-9 * abs(top)), default=None)
-            assert result.max_utilization_member == member
+            assert result.max_utilization_member == max_utilization_member(result)
+            # The reactions, read from the arrays, are the ones filled in dof
+            # by dof: the same keys in the same order, bit for bit.
+            expected = reactions_by_dof(result)
+            assert list(result.reactions) == list(expected)
+            assert all(map(self.same, np.ravel(list(result.reactions.values())), np.ravel(list(expected.values()))))
             # The utilization array uses the oracle's operations in its order.
             forces = result.member_forces
             for beam in model.beams:
@@ -1128,9 +1142,11 @@ class TestResultArrays:
                     ("taut", result.active_cables),
                     ("slack", len(result.active_cables) < len(model.cables)),
                     ("pinned", any(b.pin_i or b.pin_j for b in model.beams)),
+                    ("tied", sum(u >= top - 1e-9 * abs(top) for u in util.values()) > 1),
+                    ("two supports on a node", len({s.node for s in model.supports}) < len(model.supports)),
                 ) if present
             )
-        assert seen == {"taut", "slack", "pinned"}
+        assert seen == {"taut", "slack", "pinned", "tied", "two supports on a node"}
 
     def test_report_does_not_depend_on_when_the_dicts_are_built(self):
         for model in (generate_preset("GRANDE"), generate(BridgeSpec(BridgeKind.CABLE_STAYED))):
