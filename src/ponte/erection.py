@@ -9,6 +9,7 @@ in -x, and the counterweight sits on a shore bearing at x = +lever.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -29,12 +30,18 @@ from .model import (
     build_model,
     validate,
 )
-from .solver import EPS_FORCE, AnalysisResult, _analyze_prefixes, analyze
+from .solver import EPS_FORCE, AnalysisResult, _analyze_prefixes, _elements, analyze
 from .textio import quantize
 
 # Relative slack on the factor >= safety_factor comparison, so a plan run
 # exactly at its minimal counterweight does not flip on the last ulp.
 _FACTOR_RTOL = 1e-12
+
+# Stacked entries per batch of stages, as stages x (3 deck nodes): a batch's
+# load, displacement and residual tables and its recovery's (stages, beams,
+# 6) products grow with it. Plans of up to 60 modules (121 stages of 186
+# dofs at most) stay one batch; a longer plan's peak memory stays near theirs.
+_BATCH_ENTRIES = 2**15
 
 
 class Verdict(str, Enum):
@@ -214,10 +221,11 @@ class _Deck:
                            loads=self.loads[: built + 2], materials=[MATERIAL_PRESETS[DECK_MATERIAL]],
                            sections=[DECK_SECTION])
 
-    def outcomes(self) -> list[_Outcome | None]:
-        """Every stage analyzed at once, None where it is not: one table for
-        the finished deck, validated once, and one banded solve for all
-        stages (``solver._analyze_prefixes``).
+    def outcomes(self) -> Iterator[_Outcome | None]:
+        """Every stage analyzed, in order, None where it is not: one table
+        for the finished deck, validated once, and one banded solve
+        (``solver._analyze_prefixes``) per batch of ``_BATCH_ENTRIES`` // (3
+        deck nodes) stages, whose bits do not depend on the batch.
 
         Every stage is valid when the finished deck is: its nodes, beams and
         loads are prefixes of the deck's, each node of the prefix is on a
@@ -226,26 +234,29 @@ class _Deck:
         rejects gets None, and so do all stages of a deck that fails
         ``validate``, so that each is analyzed on its own model and fails
         with its own error, as one by one."""
-        count = len(self.nodes) - 2
-        finished = self.model(count, ())
+        finished = self.model(len(self.nodes) - 2, ())
         if not validate(finished).ok:
-            return [None] * len(self.steps)
-        nodes = np.array([s.built + 2 for s in self.steps])
-        # The stage's own bearings: module m's tip, node 2 + m, is at node
-        # position 1 + m, and these restrain its y dof.
-        held = [(s.index, m) for s in self.steps for m in s.bearing_modules]
-        stage, module = np.array(held, dtype=int).reshape(-1, 2).T
-        restrained = np.zeros((len(self.steps), 3 * len(self.nodes)), dtype=bool)
-        restrained[stage, 3 * (module + 1) + 1] = True
-        solved, done = _analyze_prefixes(finished, nodes, nodes - 1, restrained)
-        vertical = done.residual[:, 1::3]
-        # The bearings besides the ballast: the abutment, at node position
-        # 1, and the stage's own.
-        others = restrained[:, 1::3] | (np.arange(len(self.nodes)) == 1)
-        bearing = np.where(others, vertical, np.inf).min(axis=1)
-        rows = zip(solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
-                   vertical[:, 0].tolist(), bearing.tolist())
-        return [_Outcome(*row) if ok else None for ok, *row in rows]
+            yield from [None] * len(self.steps)
+            return
+        el, n = _elements(finished), 3 * len(self.nodes)
+        size = max(1, _BATCH_ENTRIES // n)
+        for steps in (self.steps[lo : lo + size] for lo in range(0, len(self.steps), size)):
+            nodes = np.array([s.built + 2 for s in steps])
+            # The stage's own bearings: module m's tip, node 2 + m, is at
+            # node position 1 + m, and these restrain its y dof.
+            held = [(k, m) for k, s in enumerate(steps) for m in s.bearing_modules]
+            stage, module = np.array(held, dtype=int).reshape(-1, 2).T
+            restrained = np.zeros((len(steps), n), dtype=bool)
+            restrained[stage, 3 * (module + 1) + 1] = True
+            solved, done = _analyze_prefixes(el, nodes, nodes - 1, restrained)
+            vertical = done.residual[:, 1::3]
+            # The bearings besides the ballast: the abutment, at node
+            # position 1, and the stage's own.
+            others = restrained[:, 1::3] | (np.arange(len(self.nodes)) == 1)
+            bearing = np.where(others, vertical, np.inf).min(axis=1)
+            rows = zip(solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
+                       vertical[:, 0].tolist(), bearing.tolist())
+            yield from (_Outcome(*row) if ok else None for ok, *row in rows)
 
 
 def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:

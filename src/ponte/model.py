@@ -285,9 +285,17 @@ class StructureModel:
         )
 
 
-def _check_name(name: str, kind: str) -> None:
-    if not name or any(ch.isspace() for ch in name):
-        raise ValueError(f"{kind} name must be non-empty without whitespace: {name!r}")
+def _unique_names(items: tuple[Material, ...] | tuple[Section, ...], kind: str) -> set[str]:
+    """The names of ``items``: ``ValueError`` for an empty one or one with
+    whitespace, ``DuplicateId`` for a repeated one."""
+    names: set[str] = set()
+    for item in items:
+        if not item.name or any(ch.isspace() for ch in item.name):
+            raise ValueError(f"{kind} name must be non-empty without whitespace: {item.name!r}")
+        if item.name in names:
+            raise DuplicateId(item.name, f"{kind} name")
+        names.add(item.name)
+    return names
 
 
 def build_model(
@@ -319,43 +327,20 @@ def build_model(
             raise DuplicateId(n.id, "node id")
         node_ids.add(n.id)
 
-    material_names: set[str] = set()
-    for m in materials:
-        _check_name(m.name, "material")
-        if m.name in material_names:
-            raise DuplicateId(m.name, "material name")
-        material_names.add(m.name)
-
-    section_names: set[str] = set()
-    for s in sections:
-        _check_name(s.name, "section")
-        if s.name in section_names:
-            raise DuplicateId(s.name, "section name")
-        section_names.add(s.name)
-
+    material_names, section_names = _unique_names(materials, "material"), _unique_names(sections, "section")
     element_ids: set[int] = set()
-    beam_ids: set[int] = set()
-    for b in beams:
-        if b.id in element_ids:
-            raise DuplicateId(b.id, "element id")
-        element_ids.add(b.id)
-        beam_ids.add(b.id)
-        for ref in (b.node_i, b.node_j):
-            if ref not in node_ids:
-                raise UnknownReference(ref, "node", f"beam {b.id}")
-        if b.material not in material_names:
-            raise UnknownReference(b.material, "material", f"beam {b.id}")
-        if b.section not in section_names:
-            raise UnknownReference(b.section, "section", f"beam {b.id}")
-    for c in cables:
-        if c.id in element_ids:
-            raise DuplicateId(c.id, "element id")
-        element_ids.add(c.id)
-        for ref in (c.node_i, c.node_j):
-            if ref not in node_ids:
-                raise UnknownReference(ref, "node", f"cable {c.id}")
-        if c.material not in material_names:
-            raise UnknownReference(c.material, "material", f"cable {c.id}")
+    for kind, members in (("beam", beams), ("cable", cables)):
+        for e in members:
+            if e.id in element_ids:
+                raise DuplicateId(e.id, "element id")
+            element_ids.add(e.id)
+            if e.node_i not in node_ids or e.node_j not in node_ids:
+                raise UnknownReference(e.node_i if e.node_i not in node_ids else e.node_j, "node", f"{kind} {e.id}")
+            if e.material not in material_names:
+                raise UnknownReference(e.material, "material", f"{kind} {e.id}")
+            if kind == "beam" and e.section not in section_names:
+                raise UnknownReference(e.section, "section", f"beam {e.id}")
+    beam_ids = {b.id for b in beams}
 
     for sup in supports:
         if sup.node not in node_ids:

@@ -26,6 +26,7 @@ from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
@@ -147,9 +148,8 @@ class _Elements:
         entry (those at nodes it lacks fall on dofs it does not read)."""
         n = 3 * len(self.index)
         row, entry = np.nonzero(self.load_beam < beams[:, None])
-        F = np.zeros(len(beams) * n)
-        np.add.at(F, n * row + self.load_dofs[entry], self.load_values[entry])
-        return F.reshape(len(beams), n)
+        F = np.bincount(n * row + self.load_dofs[entry], self.load_values[entry], minlength=len(beams) * n)
+        return F.astype(float, copy=False).reshape(len(beams), n)  # bincount of nothing is int
 
     @cached_property
     def loads(self) -> np.ndarray:
@@ -315,21 +315,17 @@ def _elements(model: StructureModel) -> _Elements:
     )
 
 
-def _scatter(at: np.ndarray, k: np.ndarray, bandwidth: int, n: int) -> np.ndarray:
-    """Lower band storage (bandwidth + 1, n), in Fortran order, of the
-    entries ``k`` summed in order at their ``_placement`` positions ``at``."""
-    return np.bincount(at, k, minlength=(bandwidth + 1) * n).reshape((bandwidth + 1, n), order="F")
-
-
 def _band(el: _Elements, active: np.ndarray) -> np.ndarray:
-    """Lower band storage of the free-dof K in band order with the cables
-    of the mask ``active`` taut. The beam blocks, then the taut cables'
-    rank-1 blocks, are summed in element order, so each entry is the one
-    the full-dof K holds."""
+    """Lower band storage (bandwidth + 1, free dofs), in Fortran order, of
+    the free-dof K in band order with the cables of the mask ``active``
+    taut. The beam blocks, then the taut cables' rank-1 blocks, are summed
+    in element order at their ``_placement`` positions, so each entry is
+    the one the full-dof K holds."""
     at, k = el.cable_at[active], el.cable_k[active]
     inside = at >= 0
-    return _scatter(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
-                    el.bandwidth, len(el.dofs))
+    shape = (el.bandwidth + 1, len(el.dofs))
+    return np.bincount(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
+                       minlength=math.prod(shape)).reshape(shape, order="F")
 
 
 def _loads(el: _Elements, active: np.ndarray) -> np.ndarray:
@@ -513,12 +509,15 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
 
     No entry couples two blocks, so each block's factor, solution and
     residual are the ones it would get alone: below LAPACK's block size
-    (32) dpbtrf runs unblocked, and the padding zeros add nothing (the
-    tests check this bit for bit). A rejected block is replaced by the
-    identity and its right-hand side by 0, in copies, and the rest solved
-    again. A non-finite entry reaches other blocks through the zeros as
-    NaN, which fails a rule there too, so at the first rejection among
-    several blocks the ones holding one, if any, are taken out instead."""
+    (32) dpbtrf runs unblocked, and below a half-bandwidth of 16 the
+    padding zeros add nothing (the tests check this bit for bit; from 16
+    on the BLAS kernels split the sums otherwise, and a block padded to
+    the stack's width can get other bits). A rejected block is replaced
+    by the identity and its right-hand side by 0, in copies, and the rest
+    solved again. A non-finite entry reaches other blocks through the
+    zeros as NaN, which fails a rule there too, so at the first rejection
+    among several blocks the ones holding one, if any, are taken out
+    instead."""
     ok = np.ones(len(starts), dtype=bool)
     a, b = ab, F
     while True:
@@ -816,48 +815,69 @@ def analyze(model: StructureModel) -> AnalysisResult:
 # Many cable-free sub-models at once
 
 
-def _analyze_prefixes(model: StructureModel, nodes: np.ndarray, beams: np.ndarray,
+def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
                       restrained: np.ndarray) -> tuple[np.ndarray, _Recovered]:
-    """Analyze sub-models of a cable-free ``model`` with one element table
-    and one banded factorization: which stand, and what ``_recover`` finds
-    for each, one row per sub-model.
+    """Analyze sub-models of the cable-free model of the element table
+    ``el`` with one banded factorization: which stand, and what
+    ``_recover`` finds for each, one row per sub-model. One the solve
+    rejects must be analyzed on its own.
 
     Sub-model s is the first ``nodes[s]`` nodes and first ``beams[s]``
     beams, with the nodal loads at those nodes, the uniform loads on those
     beams, and the model's supports plus the dofs ``restrained[s]`` (3 per
     node, model order). Its beams must reach only its nodes and leave each
     the rotational stiffness it has in the model, and the model must carry
-    no self-weight, which is lumped over all of its members. Each band is
-    assembled in the sub-model's own band order (the model's, less the
-    dofs it lacks) and in element order, as ``_band`` does, so band, loads,
-    solve and recovery are its own analysis'; the whole model is its own
-    full prefix. A sub-model the solve rejects must be analyzed on its own.
-    """
-    el = _elements(model)
-    count, n = len(nodes), 3 * len(el.index)
-    # The free dofs of each sub-model, in band order, and their positions in
-    # the stacked system, block after block.
-    free = (el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs]
-    sizes = free.sum(axis=1)
-    starts = np.cumsum(sizes) - sizes
-    position = np.full((count, n), -1)
-    position[:, el.dofs] = np.where(free, np.cumsum(free, axis=1) - 1 + starts[:, None], -1)
-    # Each sub-model's beams, sub-model by sub-model, in element order.
+    no self-weight, which is lumped over all of its members.
+
+    No element block is placed per sub-model: its band is cut from the
+    model's. It keeps the model's band order, less the dofs it lacks or
+    restrains, so entry (r, c) of its block is the model's at (g[r], g[c]),
+    g its dofs' band positions: the sum, in element order from 0.0, of the
+    beams joining the two nodes. Those are all its own unless one it lacks
+    joins them, and then both nodes are reached by a beam it lacks (on an
+    erection deck, the tip); those entries alone are summed again from its
+    own beams, in that order. So its block is the one ``_band`` assembles
+    for it, bit for bit, the stacked band is as wide as the widest beam in
+    it, and band, loads, solve and recovery are its own analysis'."""
+    count, n, bw = len(nodes), 3 * len(el.index), el.bandwidth
+    # The stacked system's dofs, block after block: band position g[j] of
+    # sub-model row[j].
+    row, g = np.nonzero((el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs])
+    dof, sizes = el.dofs[g], np.bincount(row, minlength=count)
     present = np.arange(len(el.beam_dofs)) < beams[:, None]
-    model_of, beam = np.nonzero(present)
-    p = position[model_of[:, None], el.beam_dofs[beam]]
-    width = _spread(p)
-    at = _placement(p, width)
-    del p  # the placement arrays are the batch's largest: each goes once used
-    pair, row, col = np.nonzero(at >= 0)
-    ab = _scatter(at[pair, row, col], el.k_global[beam[pair], row, col], width, sizes.sum())
-    del at, pair, row, col
+    # The last beam at each node: a beam that sub-model s lacks reaches the
+    # node if that is beams[s] or later.
+    last = np.full(len(el.index), -1)
+    np.maximum.at(last, el.beam_dofs[:, ::3] // 3, np.arange(len(el.beam_dofs))[:, None])
+    touched = last[dof // 3] >= beams[row]
+    # Entry (j + d, j) of the stacked band, d = 0..bandwidth, is the model's
+    # at diagonal g[j + d] - g[j] of column g[j] (flat, as _band makes
+    # it) within a block; key jumps by more than the bandwidth at a block's end.
+    key = row * (len(el.dofs) + bw + 1) + g
+    at = sliding_window_view(np.append(key, np.full(bw, key.max(initial=0) + bw + 1)), bw + 1) - key[:, None]
+    cut = (at <= bw) & ~(sliding_window_view(np.append(touched, np.zeros(bw, dtype=bool)), bw + 1)
+                         & touched[:, None])
+    at = np.minimum(at, bw, out=at) + (bw + 1) * g[:, None]
+    band = _band(el, np.zeros(len(el.cable_ids), dtype=bool)).ravel(order="F")
+    stacked = band[at]  # (dofs, bandwidth + 1): the stacked band, transposed
+    stacked[~cut] = 0.0
+    placed = np.zeros(len(band), dtype=bool)
+    placed[el.beam_at] = True
+    width = next((d for d in range(bw, 0, -1) if (cut[:, d] & placed[at[:, d]]).any()), 0)
+    # The entries between reached dofs, from the sub-model's beams there.
+    s, b = np.nonzero(present & (last[el.beam_dofs[:, ::3] // 3].max(axis=1) >= beams[:, None]))
+    position = np.full((count, n), -1)
+    position[row[touched], dof[touched]] = np.flatnonzero(touched)
+    p = position[s[:, None], el.beam_dofs[b]]
+    at = _placement(p, bw)
+    kept = at >= 0
+    np.add.at(stacked.reshape(-1), at[kept], el.k_global[b][kept])
+    ab = np.asfortranarray(stacked[:, : max(width, _spread(p)) + 1].T)
+    del at, cut, stacked, placed, position  # the batch's largest temporaries go before the solve
 
     loads = el.prefix_loads(beams)
-    mine = position >= 0
-    F = np.empty(sizes.sum())
-    F[position[mine]] = loads[mine]
-    u, solved = _solve_blocks(ab, F, starts)
+    u, solved = _solve_blocks(ab, loads[row, dof], np.cumsum(sizes) - sizes)
+    del ab  # and the band before the recovery
     full_u = np.zeros((count, n))
-    full_u[mine] = u[position[mine]]
+    full_u[row, dof] = u
     return solved, _recover(el, full_u, loads, present, np.zeros((count, 0), dtype=bool), el.axial(full_u))

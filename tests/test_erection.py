@@ -140,6 +140,39 @@ class TestOneSolvePerPlan:
     def test_report_bytes_equal_the_stage_by_stage_oracle(self, plan):
         assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
 
+    @staticmethod
+    def batches(monkeypatch) -> list[int]:
+        """The stage count of each batch solve run_plan makes from now on."""
+        counts = []
+        solve_blocks = solver._solve_blocks
+        monkeypatch.setattr(solver, "_solve_blocks",
+                            lambda ab, F, starts: counts.append(len(starts)) or solve_blocks(ab, F, starts))
+        return counts
+
+    @pytest.mark.parametrize("plan", [
+        ErectionPlan(2.0, 120, 500.0, 1e6, 2.0, 1),
+        ErectionPlan(1.37, 160, 1234.5, 2.5e5, 2.71, 4),
+        ErectionPlan(1.5, 240, 900.0, 3e4, 1.5, 3, 1.5),
+    ])
+    def test_long_plans_equal_the_stage_by_stage_oracle(self, plan, monkeypatch):
+        # Beyond 60 modules the stages are solved in several batches.
+        batches = self.batches(monkeypatch)
+        report = run_plan(plan)
+        assert len(batches) > 1 and sum(batches) == len(report.stages)
+        assert report_bytes(report) == report_bytes(run_plan_one_by_one(plan))
+
+    @pytest.mark.parametrize("entries, expected", [
+        (1, [1] * 69), (7 * 108, [7] * 9 + [6]), (100 * 108, [69]),
+    ])
+    def test_batch_boundaries_leave_the_bytes(self, entries, expected, monkeypatch):
+        # 34 modules planted one by one: 69 stages of 36 nodes (108 dofs).
+        plan = replace(PLAN, module_count=34, pillar_interval=1, counterweight=9000.0)
+        reference = report_bytes(run_plan_one_by_one(plan))
+        monkeypatch.setattr(ponte.erection, "_BATCH_ENTRIES", entries)
+        batches = self.batches(monkeypatch)
+        assert report_bytes(run_plan(plan)) == reference
+        assert batches == expected
+
     @given(plans)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_every_stage_is_valid(self, plan):
@@ -313,6 +346,7 @@ class TestRunPlan:
             monkeypatch.setattr(module, name, count)
 
         counting(solver, "_elements")
+        counting(ponte.erection, "_elements")
         counting(solver, "dpbtrf")
         counting(ponte.erection, "analyze")
         plan = replace(PLAN, module_count=60, pillar_interval=1, counterweight=9000.0)

@@ -551,12 +551,70 @@ class TestOneBlockBatch:
         restrained = np.zeros((len(nodes), 3 * len(deck.nodes)), dtype=bool)
         for step in deck.steps:
             restrained[step.index, [3 * (m + 1) + 1 for m in step.bearing_modules]] = True
-        solved, done = solver._analyze_prefixes(deck.model(plan.module_count, ()).with_loads(forces), nodes,
-                                                nodes - 1, restrained)
+        solved, done = solver._analyze_prefixes(_elements(deck.model(plan.module_count, ()).with_loads(forces)),
+                                                nodes, nodes - 1, restrained)
         assert solved.all()
         for step in deck.steps:
             model = deck.model(step.built, step.bearing_modules).with_loads(forces[: step.built + 2])
             self.same(done, step.index, tension_only_analyze(model))
+    @staticmethod
+    def rows_are_their_analyses(model, subs):
+        """Each row of the batch of ``subs`` (node count, beam count, extra
+        restrained node ids) is its sub-model's own analysis, bit for bit."""
+        index = {n.id: k for k, n in enumerate(model.nodes)}
+        nodes, beams = (np.array([sub[k] for sub in subs]) for k in (0, 1))
+        restrained = np.zeros((len(subs), 3 * len(model.nodes)), dtype=bool)
+        for row, (_, _, held) in enumerate(subs):
+            restrained[row, [3 * index[nid] + 1 for nid in held]] = True
+        solved, done = solver._analyze_prefixes(_elements(model), nodes, beams, restrained)
+        assert solved.all()
+        for row, (k, b, held) in enumerate(subs):
+            ids, members = {n.id for n in model.nodes[:k]}, {e.id for e in model.beams[:b]}
+            loads = [l for l in model.loads if getattr(l, "node", None) in ids or getattr(l, "beam", None) in members]
+            supports = [*(sup for sup in model.supports if sup.node in ids), *(Support(nid, restrain_y=True) for nid in held)]
+            sub = build_model(model.nodes[:k], model.materials, model.sections, model.beams[:b], (), supports, loads)
+            TestOneBlockBatch.same(done, row, tension_only_analyze(sub))
+
+    def test_a_mirrored_deck_cuts_its_stages_from_the_head_of_the_band(self):
+        # x -> -x reverses the band order: each stage's dofs are a head of
+        # the finished deck's, not a tail, and the tip comes last.
+        plan = erection.ErectionPlan(1.5, 12, 1200.0, 4e4, 2.0, 3)
+        deck = erection._Deck.of(plan)
+        forces = [NodalForce(n.id, fx=10.0 * k, fy=-300.0 * k, mz=20.0 * k) for k, n in enumerate(deck.nodes)]
+        model = mirror(deck.model(plan.module_count, ()).with_loads(forces))
+        assert _elements(model).dofs[0] // 3 == 0  # the ballast node first
+        self.rows_are_their_analyses(model, [(s.built + 2, s.built + 1, [2 + m for m in s.bearing_modules])
+                                             for s in deck.steps])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 5, 6])
+    def test_prefixes_of_a_tree_and_its_braces(self, seed):
+        # A tree grown node by node along x with jitter, so node ids, and
+        # the prefixes, follow no band order: each new node joins one of the
+        # two before it, and a beam a prefix lacks reaches one of its nodes
+        # anywhere in its band. Then braces between nodes three apart, which
+        # the prefixes with every node lack: a beam they lack joins two of
+        # their nodes. The band stays narrower than 16: from there on a
+        # band padded to the batch's width solves to other bits than alone.
+        rng = random.Random(seed)
+        count = 16
+        xy = [(k + rng.uniform(-1.0, 1.0), rng.uniform(0.0, 1.5)) for k in range(count)]
+        beams = [(k - rng.randint(1, min(2, k)), k) for k in range(1, count)]
+        beams += rng.sample([(k - 3, k) for k in range(3, count)], 5)
+        ids = sorted(rng.sample(range(1, 1000), count))
+        model = build_model(
+            [Node(nid, x, y) for nid, (x, y) in zip(ids, xy)], [MAT], [SEC],
+            [BeamElement(100 + k, ids[i], ids[j], "timber", "deck") for k, (i, j) in enumerate(beams)],
+            (), [Support(ids[0], True, True, True)],
+            [*(NodalForce(nid, fx=rng.uniform(-1e3, 1e3), fy=rng.uniform(-5e3, 0.0), mz=rng.uniform(-1e2, 1e2))
+               for nid in ids[1:]),
+             *(UniformLoad(100 + k, rng.uniform(100.0, 900.0)) for k in range(0, len(beams), 2))])
+        assert [n.id for n in model.nodes] != [n.id for n in sorted(model.nodes, key=lambda n: n.x)]
+        assert _elements(model).bandwidth < 16
+        subs = [(k, k - 1, [ids[k - 1]] if k % 3 == 0 else []) for k in range(2, count + 1)]
+        subs += [(count, b, [ids[count // 2]] if b % 2 else []) for b in range(count - 1, len(beams) + 1)]
+        rng.shuffle(subs)
+        self.rows_are_their_analyses(model, subs)
+
     @staticmethod
     def weightless(model, udl: float):
         """The model without its self-weight, its end beams' outer ends
@@ -586,7 +644,7 @@ class TestOneBlockBatch:
         for model in self.models():
             assert not model.cables and not any(isinstance(l, SelfWeight) for l in model.loads)
             n = len(model.nodes)
-            solved, done = solver._analyze_prefixes(model, np.array([n]), np.array([len(model.beams)]),
+            solved, done = solver._analyze_prefixes(_elements(model), np.array([n]), np.array([len(model.beams)]),
                                                     np.zeros((1, 3 * n), dtype=bool))
             assert solved.tolist() == [True]
             self.same(done, 0, tension_only_analyze(model))
@@ -817,6 +875,16 @@ class TestNullBasis:
         assert peak < len(F) * len(dropped) * 8 / 4
 
 
+def mirror(model):
+    """The model's mirror image: x -> -x, with the nodal forces' fx and mz
+    flipped. Uniform loads and self-weight act along y and stay."""
+    def load(l):
+        return replace(l, fx=-l.fx, mz=-l.mz) if isinstance(l, NodalForce) else l
+
+    return build_model([replace(n, x=0.0 - n.x) for n in model.nodes], model.materials, model.sections,
+                       model.beams, model.cables, model.supports, [load(l) for l in model.loads])
+
+
 def relabel(model, seed: int):
     """The same structure under new node and element ids, drawn at random,
     so nodes, elements and loads come in another order; and the two maps
@@ -877,6 +945,31 @@ class TestNodeNumbering:
         u_norm = np.linalg.norm(a.displacements)
         eps = np.finfo(float).eps
         assert np.linalg.norm(u - v) <= 4 * eps * np.linalg.norm(K, 1) * u_norm**2 / np.linalg.norm(F)
+
+
+class TestMirrorImage:
+    @pytest.mark.parametrize("model", [
+        *(pytest.param(generate_preset(p.id), id=p.id.value) for p in presets()),
+        *(pytest.param(replica(BridgeKind.LEONARDO_REPLICA, pillars, crosswise),
+                       id=f"{pillars}{'-crosswise' if crosswise else ''}")
+          for pillars in (31, 45, 46, 53) for crosswise in (False, True)),
+    ])
+    def test_mirrored_model_gives_the_mirrored_answer(self, model):
+        """x -> -x reverses the band order, and with it the order of
+        elimination, and flips fx, mz and the x and rz displacements. The
+        taut set, the iterations and the mechanisms stay the same, and the
+        mirrored displacements agree within the solve's backward error,
+        bounded as in ``TestNodeNumbering``."""
+        a, b = analyze(model), analyze(mirror(model))
+        assert a.active_cables == b.active_cables
+        assert (a.iterations_used, a.mechanisms) == (b.iterations_used, b.mechanisms)
+        K, F = free_system(model, a.active_cables)
+        ids = [n.id for n in model.nodes]
+        u = np.array([a.node_displacements[n] for n in ids])
+        v = np.array([b.node_displacements[n] for n in ids]) * [-1.0, 1.0, -1.0]
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(u - v) <= 4 * eps * np.linalg.norm(K, 1) * np.linalg.norm(a.displacements) ** 2 / (
+            np.linalg.norm(F))
 
 
 class TestTensionOnly:
