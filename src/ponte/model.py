@@ -196,6 +196,13 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     )
 
 
+def _lookup(table: dict, key: int | str, kind: str):
+    try:
+        return table[key]
+    except KeyError:
+        raise UnknownReference(key, kind) from None
+
+
 @dataclass(frozen=True)
 class StructureModel:
     """Immutable aggregate of a planar structure.
@@ -217,55 +224,27 @@ class StructureModel:
         """The model as arrays; ``UnknownReference`` for a dangling node reference."""
         return _model_arrays(self)
 
-    @cached_property
-    def _node_by_id(self) -> dict[int, Node]:
-        return {n.id: n for n in self.nodes}
-
-    @cached_property
-    def _material_by_name(self) -> dict[str, Material]:
-        return {m.name: m for m in self.materials}
-
-    @cached_property
-    def _section_by_name(self) -> dict[str, Section]:
-        return {s.name: s for s in self.sections}
-
-    @cached_property
-    def _beam_by_id(self) -> dict[int, BeamElement]:
-        return {b.id: b for b in self.beams}
-
-    @cached_property
-    def _cable_by_id(self) -> dict[int, CableElement]:
-        return {c.id: c for c in self.cables}
+    # Each kind's records by id or name, built on its first lookup.
+    _node_by_id = cached_property(lambda self: {n.id: n for n in self.nodes})
+    _material_by_name = cached_property(lambda self: {m.name: m for m in self.materials})
+    _section_by_name = cached_property(lambda self: {s.name: s for s in self.sections})
+    _beam_by_id = cached_property(lambda self: {b.id: b for b in self.beams})
+    _cable_by_id = cached_property(lambda self: {c.id: c for c in self.cables})
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self._node_by_id[node_id]
-        except KeyError:
-            raise UnknownReference(node_id, "node") from None
+        return _lookup(self._node_by_id, node_id, "node")
 
     def material(self, name: str) -> Material:
-        try:
-            return self._material_by_name[name]
-        except KeyError:
-            raise UnknownReference(name, "material") from None
+        return _lookup(self._material_by_name, name, "material")
 
     def section(self, name: str) -> Section:
-        try:
-            return self._section_by_name[name]
-        except KeyError:
-            raise UnknownReference(name, "section") from None
+        return _lookup(self._section_by_name, name, "section")
 
     def beam(self, beam_id: int) -> BeamElement:
-        try:
-            return self._beam_by_id[beam_id]
-        except KeyError:
-            raise UnknownReference(beam_id, "beam") from None
+        return _lookup(self._beam_by_id, beam_id, "beam")
 
     def cable(self, cable_id: int) -> CableElement:
-        try:
-            return self._cable_by_id[cable_id]
-        except KeyError:
-            raise UnknownReference(cable_id, "cable") from None
+        return _lookup(self._cable_by_id, cable_id, "cable")
 
     def element_length(self, element: BeamElement | CableElement) -> float:
         ni = self.node(element.node_i)
