@@ -52,7 +52,6 @@ from .model import (
     Support,
     UniformLoad,
     build_model,
-    dof_map,
     self_weight_loads,
     validate,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "catalog",
     "color_class",
     "compare",
-    "dof_map",
     "erection",
     "expand_plan",
     "generate",

@@ -13,6 +13,7 @@ import argparse
 import functools
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import replace
@@ -59,11 +60,21 @@ def _read(path: str, parse):
 
 
 def _write_atomic(path: str, text: str) -> None:
-    """Replace ``path`` with ``text`` in one step, leaving no temporary file."""
+    """Replace ``path`` with ``text`` in one step, leaving no temporary
+    file. The temporary file, which ``mkstemp`` makes 0o600, takes the
+    target's mode first, or for a new target 0o666 less the umask, as
+    ``open`` would create it."""
     try:
+        try:
+            mode = stat.S_IMODE(os.stat(path).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ponte-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), mode)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

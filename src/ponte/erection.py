@@ -225,7 +225,10 @@ class _Deck:
         """Every stage analyzed, in order, None where it is not: one table
         for the finished deck, validated once, and one banded solve
         (``solver._analyze_prefixes``) per batch of ``_BATCH_ENTRIES`` // (3
-        deck nodes) stages, whose bits do not depend on the batch.
+        deck nodes) stages. Each row is its stage's own analysis, bit for
+        bit, whatever the batch, because the deck is a chain: its band and
+        the stacked band have a half-bandwidth of 5, below the 16 from which
+        ``solver._solve_blocks`` gives a padded block other bits.
 
         Every stage is valid when the finished deck is: its nodes, beams and
         loads are prefixes of the deck's, each node of the prefix is on a
@@ -278,8 +281,11 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
 
 def _outcome(result: AnalysisResult) -> _Outcome:
     """What judging reads from one stage's own analysis."""
-    # Sorted by node id, so the ballast node 1 comes first.
-    vertical = [result.reactions[nid][1] for nid, comp in sorted(result.dofs.restrained) if comp == 1]  # DOF_Y
+    # The reactions of the nodes whose y a support holds, by node id, so
+    # the ballast node 1 comes first.
+    view = result.model.arrays
+    held = view.restrained[view.support_at, 1].tolist()
+    vertical = [r[1] for r, y in zip(result.reactions.values(), held) if y]
     return _Outcome(result.max_utilization, result.max_deflection, vertical[0], min(vertical[1:]))
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Union
 
 import numpy as np
@@ -86,14 +87,8 @@ class Support:
     restrain_rz: bool = False
 
     def restrained_components(self) -> tuple[int, ...]:
-        comps = []
-        if self.restrain_x:
-            comps.append(DOF_X)
-        if self.restrain_y:
-            comps.append(DOF_Y)
-        if self.restrain_rz:
-            comps.append(DOF_RZ)
-        return tuple(comps)
+        held = (self.restrain_x, self.restrain_y, self.restrain_rz)
+        return tuple(comp for comp in (DOF_X, DOF_Y, DOF_RZ) if held[comp])
 
 
 @dataclass(frozen=True)
@@ -145,54 +140,130 @@ def _load_sort_key(item: tuple[int, Load]):
 
 @dataclass(frozen=True, eq=False)
 class ModelArrays:
-    """A model's nodes, members (its beams, then its cables) and supports as
-    arrays in model order, derived once per model (``StructureModel.arrays``)
-    for validation, the element table, the reactions, the report and the
-    diagram. Node k owns dofs 3k, 3k + 1 and 3k + 2 (x, y, rz)."""
+    """A model's records as columns in model order, derived in one walk
+    over them (``StructureModel.arrays``) for validation, the element table,
+    the reactions, the report and the diagram. Node k owns dofs 3k, 3k + 1
+    and 3k + 2 (x, y, rz); the members are the beams, then the cables."""
 
     index: dict[int, int]  # node id -> position in model.nodes
     node_ids: np.ndarray
     by_id: np.ndarray  # node positions in ascending id order
+    # Every number of the records, three to a column: x, y, 0 of each node;
+    # E, density, allowable stress of each material; A, I, depth of each
+    # section; area, pretension, 0 of each cable; fx, fy, mz of each nodal
+    # force, and w, mass or g, 0, 0 of each other load. The next seven are
+    # views of it.
+    values: np.ndarray  # (3, nodes + materials + sections + cables + loads)
+    rule: np.ndarray  # of each column of values its _BOUND row: 0-3 a load kind, 4 node, 5 material, 6 section, 7 cable
     x: np.ndarray
     y: np.ndarray
+    materials: np.ndarray
+    sections: np.ndarray
+    cables: np.ndarray  # (2, cables): area, pretension
+    load_values: np.ndarray
+    load_kind: np.ndarray  # of each load record: 0 nodal force, 1 uniform load, 2 point mass, 3 self-weight
+    load_at: np.ndarray  # the node position of a nodal force or point mass, the beam position of a uniform load
+    restrained: np.ndarray  # (nodes, 3): the components some support holds
+    rz_stiff: np.ndarray  # (nodes,): an end of a beam without its release meets the node
+    support_bits: np.ndarray  # of each support record, bit c set if it restrains component c
+    supported: list[int]  # ids of the nodes with a restrained dof, ascending
+    support_at: np.ndarray  # their positions
     member_ids: np.ndarray
     ends: np.ndarray  # (members, 2): positions of each member's nodes i and j
     dx: np.ndarray  # x[j] - x[i]
     dy: np.ndarray
     length: np.ndarray  # math.hypot(dx, dy), as ``element_length``; np.hypot may differ in the last bit
-    supported: list[int]  # ids of the nodes with a restrained dof, ascending
-    support_at: np.ndarray  # their positions
-    support_free: np.ndarray  # (supported, 3): their dofs that no support holds
+    material: np.ndarray  # position of each member's material in model.materials
+    section: np.ndarray  # position of each beam's section in model.sections
+    pins: np.ndarray  # (beams, 2): pin_i, pin_j
+    area: np.ndarray  # of each member: its section's, or the cable's own
+    free: np.ndarray  # (nodes, 3): the dofs no support holds, less the rotations no beam end stiffens
 
 
-# Which of x, y and rz are free, for each 3-bit mask of restrained components.
-_FREE = (np.arange(8)[:, None] >> np.arange(3) & 1) == 0
+# Which of x, y and rz are restrained, for each 3-bit mask of components.
+_HELD = (np.arange(8)[:, None] >> np.arange(3) & 1) == 1
+# A load record's kind, its node or beam position, and its three values.
+_LOAD_ROW = {
+    NodalForce: lambda l, node, beam: (0, node[l.node], l.fx, l.fy, l.mz),
+    UniformLoad: lambda l, node, beam: (1, beam[l.beam], l.w, 0.0, 0.0),
+    PointMass: lambda l, node, beam: (2, node[l.node], l.mass, 0.0, 0.0),
+    SelfWeight: lambda l, node, beam: (3, 0, l.g, 0.0, 0.0),
+}
+
+
+def _positions(keys: list, table: dict, kind: str) -> list[int]:
+    """The positions of ``keys`` in ``table``; ``UnknownReference`` for a
+    missing one."""
+    return [_lookup(table, key, kind) for key in keys]
 
 
 def _model_arrays(model: StructureModel) -> ModelArrays:
-    nodes, members, supports = model.nodes, model.beams + model.cables, model.supports
+    nodes, beams, cables, supports = model.nodes, model.beams, model.cables, model.supports
+    members = beams + cables
     index = {n.id: k for k, n in enumerate(nodes)}
+    beam_at = {b.id: k for k, b in enumerate(beams)} if any(type(l) is UniformLoad for l in model.loads) else {}
+    loads = []
+    for load in model.loads:
+        row = _LOAD_ROW[type(load)]
+        try:
+            loads.append(row(load, index, beam_at))
+        except KeyError as exc:
+            raise UnknownReference(exc.args[0], "beam" if type(load) is UniformLoad else "node") from None
+    kind, load_at, *load_values = zip(*loads) if loads else ((),) * 5
+    mats, secs, n = model.materials, model.sections, len(nodes)
+    materials = {m.name: k for k, m in enumerate(mats)}
+    sections = {s.name: k for k, s in enumerate(secs)}
+    # Each kind of number in one list, the columns one after another,
+    # appended in place: a sum of lists would copy each prefix again.
+    ints, floats = [], []
     try:
-        columns = np.array([[e.id for e in members], [index[e.node_i] for e in members],
-                            [index[e.node_j] for e in members]], dtype=int).reshape(3, -1)
-        held: dict[int, int] = {}  # node id -> bit c set where some support restrains component c
-        for s in supports:
-            held[s.node] = held.get(s.node, 0) | s.restrain_x | s.restrain_y << 1 | s.restrain_rz << 2
-        supported = sorted(nid for nid, bits in held.items() if bits)
-        support_at, bits = np.array([[index[nid] for nid in supported], [held[nid] for nid in supported]],
-                                    dtype=int).reshape(2, -1)
-    except KeyError as exc:
-        raise UnknownReference(exc.args[0], "node") from None
-    x, y = np.array([[n.x for n in nodes], [n.y for n in nodes]], dtype=float).reshape(2, -1)
-    i, j = columns[1:]
+        for column in ([e.id for e in members], [index[e.node_i] for e in members],
+                       [index[e.node_j] for e in members], [materials[e.material] for e in members],
+                       [sections[b.section] for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams],
+                       [index[s.node] for s in supports],
+                       [s.restrain_x | s.restrain_y << 1 | s.restrain_rz << 2 for s in supports],
+                       [n.id for n in nodes], load_at, [4] * n, [5] * len(mats), [6] * len(secs), [7] * len(cables),
+                       kind):
+            ints += column
+    except KeyError:  # name the kind of the missing reference
+        _positions([e.node_i for e in members] + [e.node_j for e in members] + [s.node for s in supports], index,
+                   "node")
+        _positions([e.material for e in members], materials, "material")
+        _positions([b.section for b in beams], sections, "section")
+        raise
+    for column in ([n.x for n in nodes], [m.elastic_modulus for m in mats], [s.area for s in secs],
+                   [c.area for c in cables], load_values[0], [n.y for n in nodes], [m.density for m in mats],
+                   [s.second_moment for s in secs], [c.pretension for c in cables], load_values[1], [0.0] * n,
+                   [m.allowable_stress for m in mats], [s.depth for s in secs], [0.0] * len(cables), load_values[2]):
+        floats += column
+    ints, values = np.array(ints, dtype=int), np.array(floats, dtype=float).reshape(3, -1)
+    nm, nb, ns = len(members), len(beams), len(supports)
+    bounds = list(accumulate((nm, 2 * nm, nm, nb, 2 * nb, ns, ns, n, len(kind))))
+    ids, ends, material, section, pins, at, bits, node_ids, load_at = (
+        ints[lo:hi] for lo, hi in zip([0, *bounds], bounds))
+    rule = ints[bounds[-1]:]
+    ends, pins = ends.reshape(2, nm).T, pins.reshape(2, nb).T == 1
+    a, b, c, d = accumulate((n, len(mats), len(secs), len(cables)))
+    x, y = values[0, :a], values[1, :a]
     with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
-        dx, dy = x[j] - x[i], y[j] - y[i]
-    node_ids = np.array([n.id for n in nodes], dtype=int)
+        dx, dy = x[ends[:, 1]] - x[ends[:, 0]], y[ends[:, 1]] - y[ends[:, 0]]
+    held = np.zeros(n, dtype=int)
+    np.bitwise_or.at(held, at, bits)
+    rz_stiff = np.zeros(n, dtype=bool)
+    rz_stiff[ends[:nb][~pins]] = True
+    by_id = node_ids.argsort(kind="stable")
+    support_at = by_id[held[by_id] != 0]
+    restrained = _HELD[held]
+    free = ~restrained
+    free[:, 2] &= rz_stiff
     return ModelArrays(
-        index=index, node_ids=node_ids, by_id=np.argsort(node_ids, kind="stable"), x=x, y=y,
-        member_ids=columns[0], ends=columns[1:].T, dx=dx, dy=dy,
-        length=np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float), supported=supported,
-        support_at=support_at, support_free=_FREE[bits],
+        index=index, node_ids=node_ids, by_id=by_id, values=values, x=x, y=y,
+        materials=values[:, a:b], sections=values[:, b:c], cables=values[:2, c:d], load_values=values[:, d:],
+        rule=rule, load_kind=rule[d:], load_at=load_at, restrained=restrained, rz_stiff=rz_stiff, support_bits=bits,
+        supported=node_ids[support_at].tolist(), support_at=support_at, member_ids=ids, ends=ends, dx=dx, dy=dy,
+        length=np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=float),
+        material=material, section=section, pins=pins, area=np.concatenate([values[0, b + section], values[0, c:d]]),
+        free=free,
     )
 
 
@@ -221,7 +292,7 @@ class StructureModel:
 
     @cached_property
     def arrays(self) -> ModelArrays:
-        """The model as arrays; ``UnknownReference`` for a dangling node reference."""
+        """The model as arrays; ``UnknownReference`` for a dangling reference."""
         return _model_arrays(self)
 
     # Each kind's records by id or name, built on its first lookup.
@@ -368,139 +439,136 @@ class ValidationReport:
         return iter(self.issues)
 
 
-def _rotational_stiffness_nodes(model: StructureModel) -> set[int]:
-    """Nodes where at least one beam end provides rotational stiffness."""
-    stiff: set[int] = set()
-    for b in model.beams:
-        if not b.pin_i:
-            stiff.add(b.node_i)
-        if not b.pin_j:
-            stiff.add(b.node_j)
-    return stiff
+# The rules of ``ModelArrays.values``, value > bound: a bound of 0 for
+# > 0, of the largest negative double for >= 0 (so -0.0 passes), and of
+# -inf for any finite value. One row per load kind, then one for the
+# nodes, the materials, the sections and the cables.
+_AT_LEAST_ZERO = -5e-324
+_BOUND = np.array([
+    [-np.inf, -np.inf, -np.inf],  # nodal force: fx, fy, mz
+    [-np.inf, -np.inf, -np.inf],  # uniform load: w
+    [_AT_LEAST_ZERO, -np.inf, -np.inf],  # point mass: mass
+    [0.0, -np.inf, -np.inf],  # self-weight: g
+    [-np.inf, -np.inf, -np.inf],  # node: x, y
+    [0.0, _AT_LEAST_ZERO, 0.0],  # material: E, density, allowable stress
+    [0.0, 0.0, 0.0],  # section: A, I, H
+    [0.0, _AT_LEAST_ZERO, -np.inf],  # cable: area, pretension
+])
+_MATERIAL_RULES = ("E must be > 0", "density must be >= 0", "allowable stress must be > 0")
+_LOAD_ISSUES = {
+    NodalForce: lambda l: ("NonFiniteLoad", f"load at node {l.node}", f"nodal force at node {l.node} is non-finite"),
+    UniformLoad: lambda l: ("NonFiniteLoad", f"uniform load on beam {l.beam}",
+                            f"uniform load on beam {l.beam} is non-finite"),
+    PointMass: lambda l: ("NegativeMass", f"mass at node {l.node}", f"point mass at node {l.node} must be >= 0"),
+    SelfWeight: lambda l: ("NonPositiveProperty", "self-weight load", "self-weight g must be > 0"),
+}
 
 
-def _connected_components(model: StructureModel) -> list[set[int]]:
-    """The node sets joined by elements, in the order of their first node.
-    A union links the second root under the first, so a deck chain listed
-    from its start stays one level deep instead of becoming a parent chain
-    as long as the deck. Union by size, measured too, was slower on
-    erection stages and on a 2 000-node chain either way round."""
-    parent = {n.id: n.id for n in model.nodes}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for e in list(model.beams) + list(model.cables):
-        union(e.node_i, e.node_j)
-    groups: dict[int, set[int]] = {}
-    for nid in parent:
-        groups.setdefault(find(nid), set()).add(nid)
-    return list(groups.values())
+def _components(count: int, ends: np.ndarray) -> np.ndarray:
+    """The connected component of each of ``count`` nodes joined by
+    members with node positions ``ends``, labelled by its first node's
+    position. Each round hooks the larger label of every member's two ends
+    under the smaller, then lets every label jump to its label's label as
+    many times as it takes to cross the whole model, until all members'
+    ends agree (after Shiloach & Vishkin, J. Algorithms 3, 1982): a deck
+    chain takes log2 of its length jumps, not a pass per node. Labels only
+    fall, each to a position in its component, so they end at the
+    component's first position."""
+    label = np.arange(count)
+    a, b = i, j = ends.T
+    while True:
+        np.minimum.at(label, np.maximum(a, b), np.minimum(a, b))
+        for _ in range(count.bit_length()):
+            label = label[label]
+        a, b = label[i], label[j]
+        if not np.count_nonzero(a != b):
+            return label
 
 
 def validate(model: StructureModel) -> ValidationReport:
     """Check every model invariant needed before analysis.
 
     Issues are returned, never raised; an empty report means the model is
-    analyzable.
+    analyzable. Each check reads the model's columns (``model.arrays``),
+    and only the records that fail one are visited, to word their issues.
     """
+    view, nodes, members, nb = model.arrays, model.nodes, model.beams + model.cables, len(model.beams)
     issues: list[ValidationIssue] = []
 
     def err(code: str, location: str, message: str) -> None:
         issues.append(ValidationIssue(code, "error", location, message))
 
-    if not model.nodes:
+    if not nodes:
         err("EmptyModel", "model", "model has no nodes")
 
-    for n in model.nodes:
-        if not (math.isfinite(n.x) and math.isfinite(n.y)):
-            err("NonFiniteCoordinate", f"node {n.id}", f"node {n.id} has non-finite coordinates")
+    # Every number against its rule at once; the failures, record by record.
+    ok = (view.values.T > _BOUND[view.rule]) & (view.values.T < np.inf)
+    failed = list(zip(*(v.tolist() for v in np.nonzero(~ok)))) if np.count_nonzero(ok) < ok.size else []
+    a, b, c, d = accumulate((len(nodes), len(model.materials), len(model.sections), len(model.cables)))
+    for k in dict.fromkeys(row for row, _ in failed if row < a):
+        err("NonFiniteCoordinate", f"node {nodes[k].id}", f"node {nodes[k].id} has non-finite coordinates")
+    for row, rule in failed:
+        if a <= row < b:
+            name = model.materials[row - a].name
+            err("NonPositiveProperty", f"material {name}", f"material {name}: {_MATERIAL_RULES[rule]}")
+        elif b <= row < c:
+            name = model.sections[row - b].name
+            err("NonPositiveProperty", f"section {name}", f"section {name}: {'AIH'[rule]} must be > 0")
 
-    for m in model.materials:
-        if not (m.elastic_modulus > 0 and math.isfinite(m.elastic_modulus)):
-            err("NonPositiveProperty", f"material {m.name}", f"material {m.name}: E must be > 0")
-        if not (m.density >= 0 and math.isfinite(m.density)):
-            err("NonPositiveProperty", f"material {m.name}", f"material {m.name}: density must be >= 0")
-        if not (m.allowable_stress > 0 and math.isfinite(m.allowable_stress)):
-            err("NonPositiveProperty", f"material {m.name}", f"material {m.name}: allowable stress must be > 0")
+    # Member by member: too short, then a cable's area, then its pretension.
+    # A member joining a node to itself has length 0, or NaN at a
+    # non-finite node; another NaN length is no issue of its own.
+    long = view.length >= MIN_ELEMENT_LENGTH
+    rules = [] if np.count_nonzero(long) == len(members) else [
+        (k, 0) for k in np.flatnonzero(~long).tolist()
+        if members[k].node_i == members[k].node_j or view.length[k] < MIN_ELEMENT_LENGTH]
+    for k, rule in sorted(rules + [(nb + row - c, 1 + rule) for row, rule in failed if c <= row < d]):
+        e, where = members[k], f"{'beam' if k < nb else 'cable'} {members[k].id}"
+        if rule == 0:
+            err("ZeroLengthElement", where, f"{where} connects node {e.node_i} to itself" if e.node_i == e.node_j
+                else f"{where} is shorter than {MIN_ELEMENT_LENGTH} m")
+        elif rule == 1:
+            err("NonPositiveProperty", where, f"{where}: area must be > 0")
+        else:
+            err("NegativePretension", where, f"{where}: pretension must be >= 0")
 
-    for s in model.sections:
-        for prop, val in (("A", s.area), ("I", s.second_moment), ("H", s.depth)):
-            if not (val > 0 and math.isfinite(val)):
-                err("NonPositiveProperty", f"section {s.name}", f"section {s.name}: {prop} must be > 0")
+    if np.count_nonzero(view.support_bits) < len(model.supports):
+        for k in np.flatnonzero(view.support_bits == 0).tolist():
+            where = f"support at node {model.supports[k].node}"
+            err("EmptySupport", where, f"{where} restrains nothing")
 
-    kinds = ["beam"] * len(model.beams) + ["cable"] * len(model.cables)
-    for kind, e, L in zip(kinds, model.beams + model.cables, model.arrays.length.tolist()):
-        if e.node_i == e.node_j:
-            err("ZeroLengthElement", f"{kind} {e.id}", f"{kind} {e.id} connects node {e.node_i} to itself")
-        elif L < MIN_ELEMENT_LENGTH:
-            err("ZeroLengthElement", f"{kind} {e.id}", f"{kind} {e.id} is shorter than {MIN_ELEMENT_LENGTH} m")
-        if kind == "cable" and not (e.area > 0 and math.isfinite(e.area)):
-            err("NonPositiveProperty", f"cable {e.id}", f"cable {e.id}: area must be > 0")
-        if kind == "cable" and not (e.pretension >= 0 and math.isfinite(e.pretension)):
-            err("NegativePretension", f"cable {e.id}", f"cable {e.id}: pretension must be >= 0")
+    held = np.count_nonzero(view.restrained)
+    if held < 3 and (members or nodes):
+        err("InsufficientRestraint", "model", f"only {held} restrained degrees of freedom; at least 3 are needed")
 
-    restrained: set[tuple[int, int]] = set()
-    for sup in model.supports:
-        comps = sup.restrained_components()
-        if not comps:
-            err("EmptySupport", f"support at node {sup.node}", f"support at node {sup.node} restrains nothing")
-        for comp in comps:
-            restrained.add((sup.node, comp))
+    degree = np.bincount(view.ends.ravel(), minlength=len(nodes))
+    if np.count_nonzero(degree) < len(nodes):
+        for k in np.flatnonzero((degree == 0) & ~(view.restrained[:, 0] & view.restrained[:, 1])).tolist():
+            err("IsolatedNode", f"node {nodes[k].id}",
+                f"node {nodes[k].id} carries no element and is not fully restrained")
 
-    if len(restrained) < 3 and (model.beams or model.cables or model.nodes):
-        err(
-            "InsufficientRestraint",
-            "model",
-            f"only {len(restrained)} restrained degrees of freedom; at least 3 are needed",
-        )
+    # Each component with a member and fewer than 3 restrained dofs, in the
+    # order of its first node.
+    label = _components(len(nodes), view.ends)
+    count = np.bincount(label[view.restrained.nonzero()[0]], minlength=len(nodes))
+    roots = label[view.ends[:, 0]]  # of the components with a member
+    if np.count_nonzero(count[roots] < 3):
+        for k in np.unique(roots[count[roots] < 3]).tolist():
+            where = f"component containing node {view.node_ids[label == k].min()}"
+            err("InsufficientRestraint", where, f"{where} has {count[k]} restrained degrees of freedom (needs 3)")
 
-    touched = set(model.arrays.node_ids[model.arrays.ends].ravel().tolist())
-    for n in model.nodes:
-        if n.id not in touched:
-            free = [c for c in (DOF_X, DOF_Y) if (n.id, c) not in restrained]
-            if free:
-                err("IsolatedNode", f"node {n.id}", f"node {n.id} carries no element and is not fully restrained")
-
-    for comp_nodes in _connected_components(model):
-        has_elements = any(nid in touched for nid in comp_nodes)
-        n_restrained = sum(1 for (nid, c) in restrained if nid in comp_nodes)
-        if has_elements and n_restrained < 3:
-            sample = min(comp_nodes)
-            err(
-                "InsufficientRestraint",
-                f"component containing node {sample}",
-                f"component containing node {sample} has {n_restrained} restrained degrees of freedom (needs 3)",
-            )
-
-    rz_stiff = _rotational_stiffness_nodes(model)
-    for load in model.loads:
-        if isinstance(load, NodalForce):
-            if not all(math.isfinite(v) for v in (load.fx, load.fy, load.mz)):
-                err("NonFiniteLoad", f"load at node {load.node}", f"nodal force at node {load.node} is non-finite")
-            elif load.mz != 0.0 and load.node not in rz_stiff and (load.node, DOF_RZ) not in restrained:
-                err(
-                    "MomentOnFreeHinge",
-                    f"load at node {load.node}",
-                    f"moment applied at node {load.node}, which has no rotational stiffness",
-                )
-        elif isinstance(load, UniformLoad):
-            if not math.isfinite(load.w):
-                err("NonFiniteLoad", f"uniform load on beam {load.beam}", f"uniform load on beam {load.beam} is non-finite")
-        elif isinstance(load, SelfWeight):
-            if not (load.g > 0 and math.isfinite(load.g)):
-                err("NonPositiveProperty", "self-weight load", "self-weight g must be > 0")
-        elif isinstance(load, PointMass):
-            if not (load.mass >= 0 and math.isfinite(load.mass)):
-                err("NegativeMass", f"mass at node {load.node}", f"point mass at node {load.node} must be >= 0")
+    # A moment at a node no beam end stiffens and no support holds in rz
+    # (only a nodal force has a third value).
+    moment = view.load_values[2].nonzero()[0]
+    hinge = moment[~(view.rz_stiff | view.restrained[:, 2])[view.load_at[moment]]].tolist() if len(moment) else []
+    infinite = dict.fromkeys(row - d for row, _ in failed if row >= d)
+    for k in sorted({*infinite, *hinge}):
+        load = model.loads[k]
+        if k in infinite:
+            err(*_LOAD_ISSUES[type(load)](load))
+        else:
+            err("MomentOnFreeHinge", f"load at node {load.node}",
+                f"moment applied at node {load.node}, which has no rotational stiffness")
 
     return ValidationReport(tuple(issues))
 
@@ -515,18 +583,16 @@ def check_gravity(g: float) -> None:
         raise ValueError(f"g must be >= 0, got {g}")
 
 
-def lumped_weight(model: StructureModel, weight: np.ndarray, g: float) -> np.ndarray:
+def lumped_weight(model: StructureModel, g: float) -> np.ndarray:
     """The nodal fy, in model order, of self-weight under gravity ``g``:
-    rho*A*L*g/2 at each end of each member (``weight`` holds its rho*A, the
-    beams, then the cables), then m*g at each point mass, summed per node
-    in that order."""
+    rho*A*L*g/2 at each end of each member, the beams, then the cables,
+    then m*g at each point mass, summed per node in that order."""
     view = model.arrays
-    half = weight * view.length * g / 2.0
-    at, mass = np.array([(view.index[l.node], l.mass) for l in model.loads if isinstance(l, PointMass)],
-                        dtype=float).reshape(-1, 2).T
-    fy = np.zeros(len(model.nodes))
-    np.add.at(fy, np.concatenate([view.ends.ravel(), at.astype(int)]), np.concatenate([np.repeat(-half, 2), -mass * g]))
-    return fy
+    half = view.materials[1, view.material] * view.area * view.length * g / 2.0
+    mass = view.load_kind == 2
+    fy = np.bincount(np.concatenate([view.ends.ravel(), view.load_at[mass]]),
+                     np.concatenate([(-half).repeat(2), -view.load_values[0, mass] * g]), minlength=len(model.nodes))
+    return fy.astype(float, copy=False)  # bincount of nothing is int
 
 
 def self_weight_loads(model: StructureModel, g: float) -> tuple[NodalForce, ...]:
@@ -536,60 +602,9 @@ def self_weight_loads(model: StructureModel, g: float) -> tuple[NodalForce, ...]
     check_gravity(g)
     if g == 0.0:
         return ()
-    weight = [model.material(b.material).density * model.section(b.section).area for b in model.beams]
-    weight += [model.material(c.material).density * c.area for c in model.cables]
-    fy, view = lumped_weight(model, np.array(weight, dtype=float), g), model.arrays
+    fy, view = lumped_weight(model, g), model.arrays
     at = view.by_id[fy[view.by_id] != 0.0]
     return tuple(NodalForce(nid, fy=f) for nid, f in zip(view.node_ids[at].tolist(), fy[at].tolist()))
-
-
-# ---------------------------------------------------------------------------
-# Degree-of-freedom numbering
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Deterministic numbering of the free structural degrees of freedom.
-
-    ``entries[k]`` is the (node id, component) pair owning free dof k;
-    components are DOF_X, DOF_Y, DOF_RZ. Rotations at nodes where no
-    attached member supplies rotational stiffness are dropped entirely
-    (``dropped_rz``) rather than left as singular dofs.
-    """
-
-    entries: tuple[tuple[int, int], ...]
-    restrained: frozenset[tuple[int, int]]
-    dropped_rz: frozenset[int]
-
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        return {entry: k for k, entry in enumerate(self.entries)}
-
-    @property
-    def n_free(self) -> int:
-        return len(self.entries)
-
-
-def dof_map(model: StructureModel) -> DofMap:
-    """Number the free dofs: ascending node id, then x, y, rz."""
-    restrained: set[tuple[int, int]] = set()
-    for sup in model.supports:
-        for comp in sup.restrained_components():
-            restrained.add((sup.node, comp))
-
-    rz_stiff = _rotational_stiffness_nodes(model)
-    entries: list[tuple[int, int]] = []
-    dropped: set[int] = set()
-    for n in sorted(model.nodes, key=lambda n: n.id):
-        for comp in (DOF_X, DOF_Y, DOF_RZ):
-            if (n.id, comp) in restrained:
-                continue
-            if comp == DOF_RZ and n.id not in rz_stiff:
-                dropped.add(n.id)
-                continue
-            entries.append((n.id, comp))
-
-    return DofMap(tuple(entries), frozenset(restrained), frozenset(dropped))
 
 
 # ---------------------------------------------------------------------------

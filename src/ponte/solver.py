@@ -31,18 +31,7 @@ from scipy.linalg.blas import dsbmv
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import InvalidModel, NoConvergence, SingularSystem
-from .model import (
-    DofMap,
-    ModelArrays,
-    NodalForce,
-    SelfWeight,
-    StructureModel,
-    UniformLoad,
-    check_gravity,
-    dof_map,
-    lumped_weight,
-    validate,
-)
+from .model import ModelArrays, StructureModel, check_gravity, lumped_weight, validate
 
 EPS_FORCE = 1e-6  # N, dead band for taut/slack decisions
 MAX_ACTIVE_SET_ITERATIONS = 100
@@ -71,33 +60,40 @@ _AXIAL_UDL = np.array([0.5, 0.0, 0.0, 0.5, 0.0, 0.0])
 _BENDING_UDL = np.array([0.0, 0.5, 1.0 / 12.0, 0.0, 0.5, -1.0 / 12.0])
 
 
+def _condensed(pin_i: bool, pin_j: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The bending coefficients and fixed-end vector of one release case:
+    each released end rotation r statically condensed out of the clamped
+    element, i end first: k -= k[:, r] k[r, :] / k[r, r], the same Schur
+    complement on the loads, and row and column r set to 0."""
+    c, g = _BENDING.copy(), _BENDING_UDL.copy()
+    for r in [r for r, pinned in ((2, pin_i), (5, pin_j)) if pinned]:
+        cr = c[:, r].copy()
+        c -= cr[:, None] * cr[None, :] / cr[r]
+        g -= cr * (g[r] / cr[r])
+        c[r] = c[:, r] = g[r] = 0.0
+    return c, g
+
+
+# The four release cases, case 2 pin_i + pin_j, condensed once.
+_CASES = [_condensed(pin_i, pin_j) for pin_i in (False, True) for pin_j in (False, True)]
+_CASE_BENDING, _CASE_UDL = np.array([c for c, _ in _CASES]), np.array([g for _, g in _CASES])
+
+
 def _frame_local(E, A, I, L, p, q, pin_i, pin_j) -> tuple[np.ndarray, np.ndarray]:
     """Local stiffness (n, 6, 6) and fixed-end vectors (n, 6) of n frame
     elements under uniform axial and transverse loads p and q (N/m). Every
     argument is an array of length n; ``pin_i``/``pin_j`` are boolean.
 
-    A released end rotation r is statically condensed out of the clamped
-    element, i end first: k -= k[:, r] k[r, :] / k[r, r], the same Schur
-    complement on the loads, and row and column r set to 0. This is done on
-    the dimensionless coefficients, before D scales them, so a member
-    released at both ends keeps exactly no bending stiffness. An end that
-    no member releases is not condensed at all, and without any release
-    every member shares the clamped coefficients.
+    Each element's coefficients are its release case's (``_condensed``),
+    condensed before D scales them, so a member released at both ends
+    keeps exactly no bending stiffness.
     """
-    n = len(L)
-    released = [(r, pinned) for r, pinned in ((2, pin_i), (5, pin_j)) if pinned.any()]
-    c, g = _BENDING, _BENDING_UDL
-    if released:
-        c, g = np.repeat(c[None], n, axis=0), np.repeat(g[None], n, axis=0)
-    for r, pinned in released:
-        cr = c[pinned, :, r]
-        c[pinned] -= cr[:, :, None] * cr[:, None, :] / cr[:, r, None, None]
-        g[pinned] -= cr * (g[pinned, r] / cr[:, r])[:, None]
-        c[pinned, r] = c[pinned, :, r] = g[pinned, r] = 0.0
-    d = np.ones((n, 6))
+    case = 2 * pin_i + pin_j
+    d = np.ones((len(L), 6))
     d[:, 2] = d[:, 5] = L
+    c = _CASE_BENDING[case]
     k = (E * A / L)[:, None, None] * _AXIAL + (E * I / L**3)[:, None, None] * (c * d[:, :, None] * d[:, None, :])
-    f = (p * L)[:, None] * _AXIAL_UDL + (q * L)[:, None] * (g * d)
+    f = (p * L)[:, None] * _AXIAL_UDL + (q * L)[:, None] * (_CASE_UDL[case] * d)
     return k, f
 
 
@@ -105,17 +101,13 @@ def _frame_local(E, A, I, L, p, q, pin_i, pin_j) -> tuple[np.ndarray, np.ndarray
 class _Elements:
     """What one analysis derives from the model, as arrays built once and
     read by assembly, the taut/slack check and force recovery. Dofs index
-    the 3*n candidate vector, node ``index[id]`` owning 3*index[id] to
-    3*index[id] + 2; ``free`` lists the free ones in ``dm`` order and
-    ``dofs`` in band order, ``free[order]``. ``beam_at``/``beam_k`` and
-    ``cable_at`` place the element matrices in lower band storage.
-    Beam ``fixed_end`` vectors are local, and exactly 0 without a uniform
+    the 3*n candidate vector, node k of ``view`` owning 3k to 3k + 2, and
+    ``dofs`` lists the free ones in band order. ``beam_at``/``beam_k`` and
+    ``cable_at`` place the element matrices in lower band storage. Beam
+    ``fixed_end`` vectors are local, and exactly 0 without a uniform
     load."""
 
-    dm: DofMap
-    index: dict[int, int]  # node id -> position in model.nodes
-    free: np.ndarray
-    order: np.ndarray  # dm index of each band position
+    view: ModelArrays
     dofs: np.ndarray  # candidate dof of each band position
     bandwidth: int  # of K over the free dofs in band order, every cable taut
     beam_dofs: np.ndarray  # (beams, 6)
@@ -123,7 +115,7 @@ class _Elements:
     T: np.ndarray  # (beams, 6, 6), global -> local
     k_global: np.ndarray  # (beams, 6, 6)
     fixed_end: np.ndarray  # (beams, 6)
-    beam_strength: np.ndarray  # (beams, 4): area, depth / 2, second moment, allowable stress
+    beam_strength: np.ndarray  # (4, beams): area, depth / 2, second moment, allowable stress
     beam_at: np.ndarray  # band positions of the k_global entries inside the band, element order
     beam_k: np.ndarray  # those entries
     cable_ids: np.ndarray
@@ -141,31 +133,29 @@ class _Elements:
     load_dofs: np.ndarray
     load_values: np.ndarray
     load_beam: np.ndarray  # the beam of a fixed-end entry, -1 for a nodal one
+    loads: np.ndarray  # the model's all-dof load vector: its own full prefix, every entry summed in order
 
     def prefix_loads(self, beams: np.ndarray) -> np.ndarray:
         """All-dof load vectors (len(beams), 3 nodes) of prefixes: prefix s
         sums the entries of its first ``beams[s]`` beams and every nodal
         entry (those at nodes it lacks fall on dofs it does not read)."""
-        n = 3 * len(self.index)
+        n = 3 * len(self.view.x)
         row, entry = np.nonzero(self.load_beam < beams[:, None])
         F = np.bincount(n * row + self.load_dofs[entry], self.load_values[entry], minlength=len(beams) * n)
         return F.astype(float, copy=False).reshape(len(beams), n)  # bincount of nothing is int
 
-    @cached_property
-    def loads(self) -> np.ndarray:
-        """The model's all-dof load vector: its own full prefix."""
-        return self.prefix_loads(np.array([len(self.beam_dofs)]))[0]
-
     def expand(self, u: np.ndarray) -> np.ndarray:
         """All-dof displacements from free ones in band order."""
-        full = np.zeros(3 * len(self.index))
+        full = np.zeros(3 * len(self.view.x))
         full[self.dofs] = u
         return full
 
     def dof_names(self, band: np.ndarray) -> str:
-        """'node 2 y, node 5 rz' for the band positions ``band``; cut after six."""
-        entries = [self.dm.entries[k] for k in sorted(self.order[band].tolist())[:6]]
-        names = [f"node {nid} {_COMPONENTS[comp]}" for nid, comp in entries]
+        """'node 2 y, node 5 rz' for the band positions ``band``, by node
+        id; cut after six."""
+        dofs = self.dofs[band]
+        entries = sorted(zip(self.view.node_ids[dofs // 3].tolist(), (dofs % 3).tolist()))
+        names = [f"node {nid} {_COMPONENTS[comp]}" for nid, comp in entries[:6]]
         if len(band) > 6:
             names.append(f"and {len(band) - 6} more")
         return ", ".join(names)
@@ -181,137 +171,110 @@ class _Elements:
 
 
 _COMPONENTS = ("x", "y", "rz")  # names of a node's three dofs
-# Global -> local rotation of a frame element: the (row, column) entries
-# holding cx, cx, cx, cx, cy, cy, -cy, -cy; the two rotation dofs hold 1.
-_ROTATION_AT = ((0, 1, 3, 4, 0, 3, 1, 4), (0, 1, 3, 4, 1, 4, 0, 3))
-# Each element's dofs, as offsets from the first dof of its end node.
-_BEAM_DOFS = np.array([0, 1, 2, 0, 1, 2])
-_CABLE_DOFS = np.array([0, 1, 0, 1])
+# Global -> local rotation of a frame element: the two rotation dofs hold
+# 1, and the entries row * 6 + column _COSINE_AT hold cx, _SINE_AT cy and
+# _MINUS_SINE_AT -cy.
+_ROTATION = np.zeros((6, 6))
+_ROTATION[(2, 5), (2, 5)] = 1.0
+_COSINE_AT, _SINE_AT, _MINUS_SINE_AT = np.array([0, 7, 21, 28]), np.array([1, 22]), np.array([6, 27])
+# Each member's dofs, as offsets from the first dof of its end node; a
+# cable's are columns _CABLE of them.
+_XYZ = np.arange(3)
+_MEMBER_DOFS = np.tile(_XYZ, 2)
+_CABLE = np.array([0, 1, 3, 4])
 
 
-def _placement(p: np.ndarray, bandwidth: int) -> np.ndarray:
+def _placement(p: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
     """Lower band storage position of each entry (r, c) of the element
     blocks whose dofs have the band positions ``p`` (elements, m), -1 for
-    a restrained dof or an upper-triangle entry. Entry (r, c) with r >= c
-    sits at [r - c, c] of the band: position r + bandwidth * c of its
-    Fortran-order buffer."""
+    a restrained dof or an upper-triangle entry, and the widest r - c of
+    the entries placed, the blocks' half-bandwidth. Entry (r, c) with
+    r >= c sits at [r - c, c] of the band: position r + bandwidth * c of
+    its Fortran-order buffer; the band is as wide as the blocks unless
+    ``bandwidth`` is given."""
     r, c = p[:, :, None], p[:, None, :]
-    return np.where((c >= 0) & (r >= c), r + bandwidth * c, -1)
-
-
-def _spread(p: np.ndarray) -> int:
-    """The widest spread of free band positions (>= 0) within one row of ``p``."""
-    p = np.where(p >= 0, p, p.max(axis=1, keepdims=True))
-    return int((p.max(axis=1) - p.min(axis=1)).max(initial=0))
+    below = r - c
+    placed = (c >= 0) & (below >= 0)
+    spread = int(np.maximum.reduce(below, axis=None, where=placed, initial=0))
+    return np.where(placed, r + (spread if bandwidth is None else bandwidth) * c, -1), spread
 
 
 def _elements(model: StructureModel) -> _Elements:
-    dm = dof_map(model)
     view = model.arrays
-    nodes, beams, cables = model.nodes, model.beams, model.cables
-    index, x, y = view.index, view.x, view.y
-    free = np.array([3 * index[nid] + comp for nid, comp in dm.entries], dtype=int)
+    nb, n = len(model.beams), len(view.x)
+    # The free dofs in band order: the nodes by x, then y (a stable sort, so
+    # ties keep model order), and each node's free dofs in x, y, rz order.
+    # Along a bridge an element then joins dofs a few places apart,
+    # whatever the node ids.
+    by_x = np.lexsort((view.y, view.x))
+    dofs = (3 * by_x[:, None] + _XYZ)[view.free[by_x]]
+    band = np.empty(3 * n, dtype=int)
+    band.fill(-1)
+    band[dofs] = np.arange(len(dofs))
 
-    udl: dict[int, float] = {}  # total uniform-load intensity per beam id
-    for load in model.loads:
-        if isinstance(load, UniformLoad):
-            udl[load.beam] = udl.get(load.beam, 0.0) + load.w
-    # Columns gathered per beam; material and section looked up once per pair.
-    kinds: dict[tuple[str, str], int] = {}
-    kind, w, pin_i, pin_j = np.array(
-        [[kinds.setdefault((b.material, b.section), len(kinds)) for b in beams],
-         [udl.get(b.id, 0.0) for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams]],
-        dtype=float,
-    ).reshape(4, -1)
-    props = np.array(
-        [(model.material(m).elastic_modulus, model.section(s).area, model.section(s).depth / 2.0,
-          model.section(s).second_moment, model.material(m).allowable_stress,
-          model.material(m).density * model.section(s).area) for m, s in kinds]
-    ).reshape(-1, 6)[kind.astype(int)]
-    E, A, I = props[:, 0], props[:, 1], props[:, 3]
-    i, j = view.ends[: len(beams)].T
-    dx, dy = view.dx[: len(beams)], view.dy[: len(beams)]
-    L = np.hypot(dx, dy)
-    cx, cy = dx / L, dy / L
-    T = np.zeros((len(beams), 6, 6))
-    T.transpose(1, 2, 0)[_ROTATION_AT] = (cx, cx, cx, cx, cy, cy, -cy, -cy)
-    T[:, 2, 2] = T[:, 5, 5] = 1.0
+    # Every member's properties, gathered by its material and section.
+    E, _, sigma = view.materials[:, view.material]
+    _, inertia, depth = view.sections[:, view.section]
+    A = view.area
+    L = np.hypot(view.dx, view.dy)
+    cx, cy = view.dx / L, view.dy / L
+    ea_l = E * A / L
+    udl = view.load_kind == 1
+    w = np.bincount(view.load_at[udl], view.load_values[0, udl], minlength=nb).astype(float, copy=False)
+
+    T = np.empty((nb, 6, 6))
+    T[:] = _ROTATION
+    c, s = cx[:nb], cy[:nb]
+    entries = T.reshape(nb, 36).T  # entry row * 6 + column of every beam
+    entries[_COSINE_AT], entries[_SINE_AT], entries[_MINUS_SINE_AT] = c, s, -s
     Tt = T.transpose(0, 2, 1)
     # Project the global (0, -w) line load on the member axes.
-    k_local, fixed_end = _frame_local(E, A, I, L, -w * cy, -w * cx, pin_i != 0.0, pin_j != 0.0)
+    k_local, fixed_end = _frame_local(E[:nb], A[:nb], inertia, L[:nb], -w * s, -w * c, view.pins[:, 0],
+                                      view.pins[:, 1])
     k_global = Tt @ k_local @ T
     loaded = w != 0.0
     fixed_end[~loaded] = 0.0
-    beam_dofs = 3 * np.stack([i, j], axis=1).repeat(3, axis=1) + _BEAM_DOFS
-    member_weight = props[:, 5]  # rho A of every member, the beams, then the cables
 
-    # Band order: the nodes by x, then y (a stable sort, so ties keep model
-    # order), and each node's free dofs in x, y, rz order. Along a bridge an
-    # element then joins dofs a few places apart, whatever the node ids.
-    rank = np.empty(len(nodes), dtype=int)
-    rank[np.lexsort((y, x))] = np.arange(len(nodes))
-    order = np.argsort(3 * rank[free // 3] + free % 3, kind="stable")
-    band = np.full(3 * len(nodes), -1)
-    band[free[order]] = np.arange(len(free))
-    beam_band = band[beam_dofs]
-    bandwidth = _spread(beam_band)  # of every element, each cable taut
-
-    if cables:
-        ea, pretension, cable_strength, cable_weight = np.array(
-            [[model.material(c.material).elastic_modulus * c.area for c in cables],
-             [c.pretension for c in cables],
-             [c.area * model.material(c.material).allowable_stress for c in cables],
-             [model.material(c.material).density * c.area for c in cables]]
-        )
-        i, j = view.ends[len(beams):].T
-        dx, dy = view.dx[len(beams):], view.dy[len(beams):]
-        cable_L = np.hypot(dx, dy)
-        ccx, ccy = dx / cable_L, dy / cable_L
-        cable_dofs = 3 * np.stack([i, j], axis=1).repeat(2, axis=1) + _CABLE_DOFS
-        d = np.stack([-ccx, -ccy, ccx, ccy], axis=1)
-        ea_l = ea / cable_L
-        cable_k = ea_l[:, None, None] * (d[:, :, None] * d[:, None, :])
-        pretension_loads = pretension[:, None] * d
-        cable_band = band[cable_dofs]
-        bandwidth = max(bandwidth, _spread(cable_band))
-        cable_at = _placement(cable_band, bandwidth)
-        member_weight = np.concatenate([member_weight, cable_weight])
-    else:
-        ea_l = ccx = ccy = pretension = cable_strength = np.zeros(0)
-        cable_dofs = np.zeros((0, 4), dtype=int)
-        pretension_loads = np.zeros((0, 4))
-        cable_k = np.zeros((0, 4, 4))
-        cable_at = np.zeros((0, 4, 4), dtype=int)
-    beam_at = _placement(beam_band, bandwidth)
+    # One dof, band and placement pass over the beams and cables.
+    member_dofs = 3 * view.ends.repeat(3, axis=1) + _MEMBER_DOFS
+    p = band[member_dofs]
+    p[nb:, 2::3] = -1  # a cable has no rotation dofs
+    at, bandwidth = _placement(p)
+    beam_at, cable_at = at[:nb], at[nb:, _CABLE[:, None], _CABLE]
     kept = beam_at >= 0
+    beam_dofs, cable_dofs = member_dofs[:nb], member_dofs[nb:, _CABLE]
+    d = np.empty((len(model.cables), 4))  # -cx, -cy, cx, cy
+    d[:, 2], d[:, 3] = cx[nb:], cy[nb:]
+    np.negative(d[:, 2:], out=d[:, :2])
+    pretension = view.cables[1]
 
-    fixed = np.flatnonzero(loaded)
-    nodal = [l for l in model.loads if isinstance(l, NodalForce)]
-    load_at = [beam_dofs[fixed].ravel(), (3 * np.array([index[l.node] for l in nodal], dtype=int)[:, None]
-                                          + _BEAM_DOFS[:3]).ravel()]
-    load_values = [(Tt[fixed] @ fixed_end[fixed, :, None]).ravel(),
-                   np.array([(l.fx, l.fy, l.mz) for l in nodal], dtype=float).ravel()]
-    for g in (l.g for l in model.loads if isinstance(l, SelfWeight)):
+    fixed = loaded.nonzero()[0]
+    nodal = view.load_kind == 0
+    load_at = [beam_dofs[fixed].ravel(), (3 * view.load_at[nodal][:, None] + _XYZ).ravel()]
+    load_values = [(Tt[fixed] @ fixed_end[fixed, :, None]).ravel(), view.load_values[:, nodal].T.ravel()]
+    for g in view.load_values[0, view.load_kind == 3].tolist():
         check_gravity(g)
         if g == 0.0:
             continue
-        fy = lumped_weight(model, member_weight, g)  # what ``self_weight_loads`` lumps
-        lumped = np.flatnonzero(fy != 0.0)
-        load_at.append(3 * lumped + 1)  # only fy: the x and rz entries would add zeros
-        load_values.append(fy[lumped])
-    load_dofs = np.concatenate(load_at)
+        # What ``self_weight_loads`` lumps, as an fy entry at every node: an
+        # fy of 0 adds an exact zero, as the x and rz entries would.
+        load_at.append(3 * np.arange(n) + 1)
+        load_values.append(lumped_weight(model, g))
+    load_dofs, load_values = np.concatenate(load_at), np.concatenate(load_values)
     load_beam = np.full(len(load_dofs), -1)
     load_beam[: 6 * len(fixed)] = fixed.repeat(6)
 
     return _Elements(
-        dm=dm, index=index, free=free, order=order, dofs=free[order], bandwidth=bandwidth,
-        beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
-        fixed_end=fixed_end, beam_strength=props[:, 1:5],
+        view=view, dofs=dofs,
+        bandwidth=bandwidth, beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
+        fixed_end=fixed_end, beam_strength=np.array([A[:nb], depth / 2.0, inertia, sigma[:nb]]),
         beam_at=beam_at[kept], beam_k=k_global[kept],
-        cable_ids=np.array([c.id for c in cables], dtype=int), cable_dofs=cable_dofs, cable_k=cable_k,
-        cable_at=cable_at, cable_strength=cable_strength, ea_l=ea_l, cx=ccx, cy=ccy, pretension=pretension,
-        pretension_loads=pretension_loads,
-        load_dofs=load_dofs, load_values=np.concatenate(load_values), load_beam=load_beam,
+        cable_ids=view.member_ids[nb:], cable_dofs=cable_dofs,
+        cable_k=ea_l[nb:, None, None] * (d[:, :, None] * d[:, None, :]), cable_at=cable_at,
+        cable_strength=A[nb:] * sigma[nb:], ea_l=ea_l[nb:], cx=cx[nb:], cy=cy[nb:], pretension=pretension,
+        pretension_loads=pretension[:, None] * d,
+        load_dofs=load_dofs, load_values=load_values, load_beam=load_beam,
+        loads=np.bincount(load_dofs, load_values, minlength=3 * n).astype(float, copy=False),
     )
 
 
@@ -524,13 +487,13 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
         c, info = dpbtrf(a, lower=1)
         if info != 0:
             bad = np.arange(len(ok)) == np.searchsorted(starts, info - 1, side="right") - 1
-        elif (small := _small_pivots(c, a[0])).any():
+        elif np.count_nonzero(small := _small_pivots(c, a[0])):
             bad = np.logical_or.reduceat(small, starts)
         else:
             u, _ = dpbtrs(c, b, lower=1)
             residual = b - dsbmv(len(a) - 1, 1.0, a, u, lower=1)
             bad = ok & ~_balanced(residual, b, starts)
-            if not bad.any():
+            if not np.count_nonzero(bad):
                 return u + dpbtrs(c, residual, lower=1)[0], ok
         if len(ok) > 1 and ok.all():
             # The first rejection, which a NaN from a block with a
@@ -636,8 +599,6 @@ class AnalysisResult:
     pays for them."""
 
     model: StructureModel
-    dofs: DofMap
-    displacements: np.ndarray = field(repr=False)  # per free dof
     reactions: dict[int, tuple[float, float, float]] = field(repr=False)
     active_cables: frozenset[int]
     iterations_used: int
@@ -646,6 +607,12 @@ class AnalysisResult:
     max_utilization: float
     _node_u: np.ndarray = field(repr=False)  # (nodes, 3), model order
     _recovered: _Recovered = field(repr=False)
+
+    @cached_property
+    def displacements(self) -> np.ndarray:
+        """Per free dof: by ascending node id, then x, y, rz."""
+        view = self.model.arrays
+        return self._node_u[view.by_id][view.free[view.by_id]]
 
     @cached_property
     def node_displacements(self) -> dict[int, tuple[float, float, float]]:
@@ -713,7 +680,7 @@ def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarr
     beam = f[..., [3, 1, 2, 5]]
     beam[..., 1] = shear
     cable = np.where(axial > 0.0, axial, 0.0)
-    area, half_depth, inertia, sigma = el.beam_strength.T
+    area, half_depth, inertia, sigma = el.beam_strength
     m_max = np.maximum(np.abs(beam[..., 2]), np.abs(beam[..., 3]))
     stress = np.abs(beam[..., 0]) / area + m_max * half_depth / inertia
     util = np.concatenate([np.where(present, stress / sigma, 0.0), cable / el.cable_strength], axis=-1)
@@ -725,15 +692,15 @@ def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarr
                                       0.0).reshape(*rows, -1)], axis=-1)
     ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs.ravel()]) + n * np.arange(math.prod(rows))[:, None]
     residual = np.bincount(ends.ravel(), forces.ravel(), minlength=full_u.size).reshape(full_u.shape) - F
-    return _Recovered(beam, cable, util, util.max(axis=-1, initial=0.0),
-                      np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0), residual)
+    return _Recovered(beam, cable, util, np.maximum.reduce(util, axis=-1, initial=0.0),
+                      np.maximum.reduce(np.abs(full_u[..., 1::3]), axis=-1, initial=0.0), residual)
 
 
 def _reactions(view: ModelArrays, residual: np.ndarray) -> dict[int, tuple]:
     """Support forces by ascending node id: ``_recover``'s residual of one
     analysis on the restrained dofs. Unrestrained components report 0."""
     values = residual.reshape(-1, 3)[view.support_at]
-    values[view.support_free] = 0.0
+    values[~view.restrained[view.support_at]] = 0.0
     xyz = iter(values.ravel().tolist())
     return dict(zip(view.supported, zip(xyz, xyz, xyz)))
 
@@ -769,7 +736,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
 
         axial = el.axial(full_u)
         next_active = np.where(active, axial >= -EPS_FORCE, axial > EPS_FORCE)
-        if np.array_equal(next_active, active):
+        if not np.count_nonzero(next_active != active):
             break
         key = next_active.tobytes()
         if key in seen:
@@ -790,8 +757,6 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
     done = _recover(el, full_u, F, np.ones(len(el.beam_dofs), dtype=bool), active, axial)
     return AnalysisResult(
         model=model,
-        dofs=el.dm,
-        displacements=full_u[el.free],
         reactions=_reactions(model.arrays, done.residual),
         active_cables=el.ids(taut),
         iterations_used=iterations,
@@ -837,9 +802,13 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     joins them, and then both nodes are reached by a beam it lacks (on an
     erection deck, the tip); those entries alone are summed again from its
     own beams, in that order. So its block is the one ``_band`` assembles
-    for it, bit for bit, the stacked band is as wide as the widest beam in
-    it, and band, loads, solve and recovery are its own analysis'."""
-    count, n, bw = len(nodes), 3 * len(el.index), el.bandwidth
+    for it, bit for bit, and the stacked band is as wide as the widest beam
+    in it. Band, loads and recovery are then its own analysis', and so is
+    the solve while the stacked half-bandwidth stays below 16: from 16 on,
+    the BLAS kernels sum a block padded to the stack's width otherwise than
+    the block alone (``_solve_blocks``), and a row may differ from its
+    sub-model's analysis in the last bits. An erection deck's is 5."""
+    count, n, bw = len(nodes), 3 * len(el.view.x), el.bandwidth
     # The stacked system's dofs, block after block: band position g[j] of
     # sub-model row[j].
     row, g = np.nonzero((el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs])
@@ -847,7 +816,7 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     present = np.arange(len(el.beam_dofs)) < beams[:, None]
     # The last beam at each node: a beam that sub-model s lacks reaches the
     # node if that is beams[s] or later.
-    last = np.full(len(el.index), -1)
+    last = np.full(len(el.view.x), -1)
     np.maximum.at(last, el.beam_dofs[:, ::3] // 3, np.arange(len(el.beam_dofs))[:, None])
     touched = last[dof // 3] >= beams[row]
     # Entry (j + d, j) of the stacked band, d = 0..bandwidth, is the model's
@@ -869,10 +838,10 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     position = np.full((count, n), -1)
     position[row[touched], dof[touched]] = np.flatnonzero(touched)
     p = position[s[:, None], el.beam_dofs[b]]
-    at = _placement(p, bw)
+    at, spread = _placement(p, bw)
     kept = at >= 0
     np.add.at(stacked.reshape(-1), at[kept], el.k_global[b][kept])
-    ab = np.asfortranarray(stacked[:, : max(width, _spread(p)) + 1].T)
+    ab = np.asfortranarray(stacked[:, : max(width, spread) + 1].T)
     del at, cut, stacked, placed, position  # the batch's largest temporaries go before the solve
 
     loads = el.prefix_loads(beams)

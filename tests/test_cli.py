@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,8 @@ import pytest
 
 from ponte import textio
 from ponte.cli import main
-from ponte.model import dof_map
+
+from oracles import dof_map
 
 PLAN_TEXT = "PLAN MODULE=2 COUNT=4 W=500 CW=2000 LEVER=1\n"
 
@@ -294,6 +296,41 @@ class TestFailurePath:
         # The message names the target, never the temporary file.
         assert ".ponte-" not in err
         assert not list(tmp_path.rglob(".ponte-*.tmp"))
+
+
+class TestOutputMode:
+    # Every output goes through a temporary file, which mkstemp makes 0600,
+    # renamed over the target: a new file gets the mode open() would give
+    # it, 0666 less the umask, and a rewritten one keeps its own.
+    @staticmethod
+    def mode(path) -> int:
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_a_new_output_gets_the_umask_mode(self, tmp_path, capsys, umask):
+        old = os.umask(umask)
+        try:
+            assert main(["generate", "BARE_DECK", "-o", str(tmp_path / "m.txt")]) == 0
+            assert main(["analyze", str(tmp_path / "m.txt"), "--report", str(tmp_path / "r.json"),
+                         "--svg", str(tmp_path / "d.svg")]) == 0
+        finally:
+            os.umask(old)
+        for name in ("m.txt", "r.json", "d.svg"):
+            assert self.mode(tmp_path / name) == 0o666 & ~umask
+        assert not list(tmp_path.glob(".ponte-*.tmp"))
+
+    @pytest.mark.parametrize("mode", [0o644, 0o600, 0o640, 0o604])
+    def test_a_rewritten_output_keeps_its_mode(self, tmp_path, capsys, mode):
+        model, plan = tmp_path / "m.txt", write(tmp_path / "plan.txt", PLAN_TEXT)
+        report = tmp_path / "r.json"
+        for path in (model, report):
+            path.write_text("old\n")
+            os.chmod(path, mode)
+        assert main(["generate", "BARE_DECK", "-o", str(model)]) == 0
+        assert main(["stage", plan, "--report", str(report)]) == 3  # the plan fails, and its report is written
+        assert model.read_text().startswith("UNIT SI") and report.read_text().startswith("{")
+        assert self.mode(model) == self.mode(report) == mode
+        assert not list(tmp_path.glob(".ponte-*.tmp"))
 
 
 class TestOneParser:

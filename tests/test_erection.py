@@ -1,5 +1,7 @@
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -172,6 +174,38 @@ class TestOneSolvePerPlan:
         batches = self.batches(monkeypatch)
         assert report_bytes(run_plan(plan)) == reference
         assert batches == expected
+
+    @staticmethod
+    def widths(plan) -> tuple[int, list[int]]:
+        """The finished deck's half-bandwidth and each batch's stacked one."""
+        stacked = []
+        solve_blocks = solver._solve_blocks
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver, "_solve_blocks",
+                          lambda ab, F, starts: stacked.append(len(ab) - 1) or solve_blocks(ab, F, starts))
+            run_plan(plan)
+        return solver._elements(_Deck.of(plan).model(plan.module_count, ())).bandwidth, stacked
+
+    # Each batch row is its stage's own analysis only below a stacked
+    # half-bandwidth of 16: from there on _solve_blocks gives a block padded
+    # to the stack's width other bits than alone.
+    @given(plans)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_the_bands_stay_narrower_than_16(self, plan):
+        deck, stacked = self.widths(plan)
+        assert deck < 16 and all(width <= deck for width in stacked)
+
+    def test_the_benchmark_plans_stay_narrower_than_16(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        assert len(workloads.ERECTION_SHAPES) == 7
+        for shape in workloads.ERECTION_SHAPES:
+            plan = ErectionPlan(shape["module"], shape["count"], shape["w"], workloads.minimal_counterweight(shape),
+                                shape["lever"], shape["interval"], shape["safety"])
+            deck, stacked = self.widths(plan)
+            assert deck == 5 and stacked and all(width <= 5 for width in stacked)
 
     @given(plans)
     @settings(max_examples=300, deadline=None, derandomize=True)

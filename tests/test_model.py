@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from ponte.errors import DuplicateId, UnknownReference
@@ -18,12 +22,15 @@ from ponte.model import (
     Section,
     Support,
     UniformLoad,
+    SelfWeight,
     build_model,
-    dof_map,
-    _connected_components,
     self_weight_loads,
     validate,
 )
+from ponte.solver import _elements
+
+import oracles
+from conftest import random_valid_model
 
 MAT = Material("timber", 10e9, 600.0, 10e6)
 SEC = Section("deck", 0.06, 4.5e-4, 0.30)
@@ -224,8 +231,9 @@ class TestConnectedComponents:
     def test_long_chain_and_islands_keep_their_order(self):
         # A 2 000-node deck chain, its beams listed both ways, and islands
         # whose first nodes come before, inside and after it in model
-        # order (by id): the components come in the order of their first
-        # node, whatever the union-find's roots.
+        # order (by id), none supported: the components come in the order
+        # of their first node, whatever the hooking order, and the lone
+        # node is reported as isolated, not as a component.
         chain = [*range(10, 1010), *range(1020, 2020)]
         islands = [{1}, {1010, 1011}, {3000, 3001, 3002}]
         nodes = [Node(i, i, 0) for i in chain] + [Node(i, i, 1) for island in islands for i in island]
@@ -235,7 +243,12 @@ class TestConnectedComponents:
         beams += [BeamElement(5001, 3002, 3001, "timber", "deck"), BeamElement(5002, 3000, 3002, "timber", "deck")]
         cables = [CableElement(6001, 1011, 1010, "timber", 1e-4)]
         model = build_model(nodes, [MAT], [SEC], beams, cables)
-        assert _connected_components(model) == [{1}, set(chain), {1010, 1011}, {3000, 3001, 3002}]
+        assert oracles.connected_components(model) == [{1}, set(chain), {1010, 1011}, {3000, 3001, 3002}]
+        report = validate(model)
+        assert report == oracles.validate(model)
+        assert [i.location for i in report if i.location.startswith("component")] == [
+            "component containing node 10", "component containing node 1010", "component containing node 3000"]
+
 
 class TestSelfWeight:
     def test_single_beam_half_lump_each_end(self):
@@ -287,15 +300,30 @@ class TestSelfWeight:
             self_weight_loads(simple_beam(), -9.81)
 
 
+def numbering(model) -> list[tuple[int, int]]:
+    """The free dofs of the model view's masks as (node id, component), by
+    ascending node id, then x, y, rz."""
+    view = model.arrays
+    ids, comps = np.nonzero(view.free[view.by_id])
+    return list(zip(view.node_ids[view.by_id][ids].tolist(), comps.tolist()))
+
+
+def dropped_rz(model) -> set[int]:
+    """The nodes whose rotation is neither held nor stiffened by a beam end."""
+    view = model.arrays
+    return set(view.node_ids[~view.restrained[:, DOF_RZ] & ~view.rz_stiff].tolist())
+
+
 class TestDofMap:
+    # The free dofs come from the model view's restrained and
+    # rotational-stiffness masks.
     def test_cantilever_counts(self):
         model = build_model(
             [Node(1, 0, 0), Node(2, 5, 0)], [MAT], [SEC],
             [BeamElement(1, 1, 2, "timber", "deck")],
             supports=[Support(1, restrain_x=True, restrain_y=True, restrain_rz=True)],
         )
-        dm = dof_map(model)
-        assert dm.entries == ((2, DOF_X), (2, DOF_Y), (2, DOF_RZ))
+        assert numbering(model) == [(2, DOF_X), (2, DOF_Y), (2, DOF_RZ)]
 
     def test_cable_only_node_loses_rotation(self):
         model = build_model(
@@ -305,10 +333,10 @@ class TestDofMap:
             cables=[CableElement(2, 1, 3, "timber", 1e-4), CableElement(3, 2, 3, "timber", 1e-4)],
             supports=[Support(1, restrain_x=True, restrain_y=True), Support(2, restrain_y=True)],
         )
-        dm = dof_map(model)
-        assert (3, DOF_RZ) not in dm.entries
-        assert (3, DOF_X) in dm.entries and (3, DOF_Y) in dm.entries
-        assert 3 in dm.dropped_rz
+        entries = numbering(model)
+        assert (3, DOF_RZ) not in entries
+        assert (3, DOF_X) in entries and (3, DOF_Y) in entries
+        assert 3 in dropped_rz(model)
 
     def test_pinned_pinned_beam_keeps_two_rotations(self):
         model = build_model(
@@ -319,14 +347,17 @@ class TestDofMap:
                 Support(2, restrain_x=True, restrain_y=True),
             ],
         )
-        dm = dof_map(model)
-        assert dm.entries == ((1, DOF_RZ), (2, DOF_RZ))
+        assert numbering(model) == [(1, DOF_RZ), (2, DOF_RZ)]
 
     def test_bijection_and_determinism(self, random_models):
-        for model in random_models[:20]:
-            dm = dof_map(model)
-            assert sorted(dm.index.values()) == list(range(dm.n_free))
-            assert dof_map(model) == dm
+        # The record-by-record numbering, and the band order a permutation
+        # of it.
+        for model in random_models:
+            el = _elements(model)
+            entries = numbering(model)
+            assert entries == list(oracles.dof_map(model).entries)
+            assert sorted(zip(el.view.node_ids[el.dofs // 3].tolist(), (el.dofs % 3).tolist())) == entries
+            assert _elements(model).dofs.tobytes() == el.dofs.tobytes()
 
     def test_released_end_drops_rotation_when_alone(self):
         # A node touched only by a pinned beam end has no rotational stiffness.
@@ -335,5 +366,148 @@ class TestDofMap:
             [BeamElement(1, 1, 2, "timber", "deck", pin_i=True, pin_j=True)],
             supports=[Support(1, restrain_x=True, restrain_y=True, restrain_rz=True), Support(2, restrain_x=True)],
         )
-        dm = dof_map(model)
-        assert 2 in dm.dropped_rz
+        assert 2 in dropped_rz(model)
+        assert dropped_rz(model) == oracles.dof_map(model).dropped_rz
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _nodes(records, rng, count=1):
+    return [n.id for n in rng.sample(records["nodes"], min(count, len(records["nodes"])))]
+
+
+def _new_ids(records, count):
+    top = max([n.id for n in records["nodes"]] + [e.id for e in records["beams"] + records["cables"]], default=0)
+    return list(range(top + 1000, top + 1000 + count))
+
+
+def _replace_one(records, kind, rng, **changes):
+    k = rng.randrange(len(records[kind]))
+    records[kind][k] = dataclasses.replace(records[kind][k], **changes)
+
+
+# Each mutation breaks one invariant of a valid model, or several.
+MUTATIONS = {
+    "coordinate": lambda r, rng: _replace_one(r, "nodes", rng, **{rng.choice("xy"): rng.choice([NAN, INF, -INF])}),
+    "material": lambda r, rng: _replace_one(
+        r, "materials", rng, **{rng.choice(["elastic_modulus", "density", "allowable_stress"]):
+                                rng.choice([0.0, -0.0, -1.0, NAN, INF])}),
+    "section": lambda r, rng: _replace_one(
+        r, "sections", rng, **{rng.choice(["area", "second_moment", "depth"]): rng.choice([0.0, -1e-3, NAN, INF])}),
+    "self-loop": lambda r, rng: _self_loop(r, rng),
+    "coincident": lambda r, rng: _coincident(r, rng),
+    "cable": lambda r, rng: r["cables"].append(CableElement(
+        _new_ids(r, 1)[0], *_nodes(r, rng, 2), r["materials"][0].name, rng.choice([0.0, -1e-4, NAN, 1e-4]),
+        rng.choice([0.0, -0.0, -5.0, NAN, INF, 10.0]))),
+    "empty support": lambda r, rng: r["supports"].append(Support(rng.choice(r["nodes"]).id)),
+    "unsupported": lambda r, rng: r.update(supports=r["supports"][: rng.randrange(2)]),
+    "isolated": lambda r, rng: _isolated(r, rng),
+    "island": lambda r, rng: _island(r, rng),
+    "force": lambda r, rng: r["loads"].append(NodalForce(rng.choice(r["nodes"]).id, **{
+        rng.choice(["fx", "fy", "mz"]): rng.choice([NAN, INF, -INF])})),
+    "hinge": lambda r, rng: _hinge(r, rng),
+    "pinned": lambda r, rng: _pinned(r, rng),
+    "uniform load": lambda r, rng: r["loads"].append(UniformLoad(rng.choice(r["beams"]).id, rng.choice([NAN, INF]))),
+    "gravity": lambda r, rng: r.update(loads=[l for l in r["loads"] if not isinstance(l, SelfWeight)]
+                                       + [SelfWeight(rng.choice([0.0, -9.81, NAN, INF]))]),
+    "mass": lambda r, rng: r["loads"].append(PointMass(rng.choice(r["nodes"]).id, rng.choice([-1.0, NAN, INF]))),
+    "empty": lambda r, rng: r.update(nodes=[], beams=[], cables=[], supports=[],
+                                     loads=[l for l in r["loads"] if isinstance(l, SelfWeight)]),
+}
+
+
+def _self_loop(records, rng):
+    kind = rng.choice(["beams", "cables"] if records["cables"] else ["beams"])
+    k = rng.randrange(len(records[kind]))
+    records[kind][k] = dataclasses.replace(records[kind][k], node_j=records[kind][k].node_i)
+
+
+def _coincident(records, rng):
+    # One node moved onto another, or a hair beside it: a member between
+    # them, if any, is too short.
+    a, b = rng.sample(range(len(records["nodes"])), 2)
+    target = records["nodes"][b]
+    records["nodes"][a] = dataclasses.replace(records["nodes"][a], x=target.x + rng.choice([0.0, 1e-12]), y=target.y)
+
+
+def _isolated(records, rng):
+    (nid,) = _new_ids(records, 1)
+    records["nodes"].append(Node(nid, 1.0, -3.0))
+    flags = rng.choice([(), (True, False), (True, True), (False, True, True)])
+    if flags:
+        records["supports"].append(Support(nid, *flags))
+
+
+def _island(records, rng):
+    # A member or two off the structure, with up to 3 restrained dofs.
+    a, b, c, e = _new_ids(records, 4)
+    records["nodes"] += [Node(a, 40.0, 40.0), Node(b, 42.0, 41.0), Node(c, 44.0, 40.0)]
+    records["beams"].append(BeamElement(e, a, b, records["materials"][0].name, "s1"))
+    if rng.random() < 0.5:
+        records["cables"].append(CableElement(e + 1, b, c, records["materials"][0].name, 1e-4))
+    records["supports"] += [Support(a, True, True, True)][: rng.randrange(2)] + [Support(c, restrain_y=True)]
+
+
+def _hinge(records, rng):
+    # A node hung on two cables, with a moment on it; held in rz or not.
+    nid, k = _new_ids(records, 2)
+    i, j = _nodes(records, rng, 2)
+    records["nodes"].append(Node(nid, 3.25, 7.5))
+    records["cables"] += [CableElement(k, nid, i, records["materials"][0].name, 1e-4),
+                          CableElement(k + 1, nid, j, records["materials"][1].name, 1e-4)]
+    records["loads"].append(NodalForce(nid, mz=rng.choice([5.0, -0.0, NAN])))
+    if rng.random() < 0.3:
+        records["supports"].append(Support(nid, restrain_rz=True))
+
+
+def _pinned(records, rng):
+    records["beams"] = [dataclasses.replace(b, pin_i=True, pin_j=rng.random() < 0.7) for b in records["beams"]]
+    records["loads"].append(NodalForce(rng.choice(records["nodes"]).id, fx=1.0, mz=rng.choice([3.0, 0.0])))
+
+
+def mutated(seed: int, mutations: list[str], salt: int):
+    """``random_valid_model(seed)`` broken by ``mutations``, in order."""
+    model, rng = random_valid_model(seed), random.Random(salt)
+    records = {kind: list(getattr(model, kind)) for kind in
+               ("nodes", "materials", "sections", "beams", "cables", "supports", "loads")}
+    for name in mutations:
+        if records["nodes"] or name == "empty":
+            MUTATIONS[name](records, rng)
+    return build_model(**records)
+
+
+class TestColumnChecks:
+    # validate reads the model's columns, and the free dofs come from its
+    # masks: both must give what the record-by-record oracles give, down
+    # to the order of the issues and their wording.
+    @staticmethod
+    def same(model) -> list[str]:
+        report = validate(model)
+        assert report == oracles.validate(model)
+        assert numbering(model) == list(oracles.dof_map(model).entries)
+        return [issue.code for issue in report]
+
+    def test_valid_models(self, random_models):
+        for model in random_models:
+            assert self.same(model) == []
+
+    @given(st.integers(0, 99), st.lists(st.sampled_from(sorted(MUTATIONS)), min_size=1, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=400, deadline=None)
+    def test_mutated_models(self, seed, mutations, salt):
+        self.same(mutated(seed, mutations, salt))
+
+    def test_every_issue_code_and_several_per_model(self):
+        codes, most = set(), 0
+        for seed in range(30):
+            names = sorted(MUTATIONS)
+            for k, name in enumerate(names):
+                for mutations in ([name], [name, names[(k + seed) % len(names)], names[(3 * k + seed) % len(names)]]):
+                    found = self.same(mutated(seed, mutations, seed * 97 + k))
+                    codes.update(found)
+                    most = max(most, len(found))
+        assert codes == {"EmptyModel", "NonFiniteCoordinate", "NonPositiveProperty", "ZeroLengthElement",
+                         "NegativePretension", "EmptySupport", "InsufficientRestraint", "IsolatedNode",
+                         "MomentOnFreeHinge", "NonFiniteLoad", "NegativeMass"}
+        assert most >= 5
