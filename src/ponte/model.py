@@ -191,12 +191,6 @@ _LOAD_ROW = {
 }
 
 
-def _positions(keys: list, table: dict, kind: str) -> list[int]:
-    """The positions of ``keys`` in ``table``; ``UnknownReference`` for a
-    missing one."""
-    return [_lookup(table, key, kind) for key in keys]
-
-
 def _model_arrays(model: StructureModel) -> ModelArrays:
     nodes, beams, cables, supports = model.nodes, model.beams, model.cables, model.supports
     members = beams + cables
@@ -225,12 +219,11 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
                        [n.id for n in nodes], load_at, [4] * n, [5] * len(mats), [6] * len(secs), [7] * len(cables),
                        kind):
             ints += column
-    except KeyError:  # name the kind of the missing reference
-        _positions([e.node_i for e in members] + [e.node_j for e in members] + [s.node for s in supports], index,
-                   "node")
-        _positions([e.material for e in members], materials, "material")
-        _positions([b.section for b in beams], sections, "section")
-        raise
+    except KeyError as exc:  # a node id is an int, a material or section name a str
+        key = exc.args[0]
+        kind = ("node" if not isinstance(key, str) else
+                "material" if key not in materials and key in {e.material for e in members} else "section")
+        raise UnknownReference(key, kind) from None
     for column in ([n.x for n in nodes], [m.elastic_modulus for m in mats], [s.area for s in secs],
                    [c.area for c in cables], load_values[0], [n.y for n in nodes], [m.density for m in mats],
                    [s.second_moment for s in secs], [c.pretension for c in cables], load_values[1], [0.0] * n,

@@ -67,14 +67,19 @@ class TestBuildModel:
 
     def test_dangling_reference_in_a_model_built_directly(self):
         # StructureModel(...) checks no reference; validation reads the
-        # model's arrays, and building them names the missing node.
-        for changes in ({"beams": (BeamElement(1, 1, 99, "timber", "deck"),)},
-                        {"cables": (CableElement(2, 99, 2, "timber", 1e-4),)},
-                        {"supports": (Support(99, restrain_y=True),)}):
+        # model's arrays, and building them names the missing node,
+        # material or section, even a section named as an existing material.
+        for changes, ref, kind in (({"beams": (BeamElement(1, 1, 99, "timber", "deck"),)}, 99, "node"),
+                                   ({"cables": (CableElement(2, 99, 2, "timber", 1e-4),)}, 99, "node"),
+                                   ({"supports": (Support(99, restrain_y=True),)}, 99, "node"),
+                                   ({"loads": (NodalForce(99, fy=1.0),)}, 99, "node"),
+                                   ({"loads": (UniformLoad(99, 1.0),)}, 99, "beam"),
+                                   ({"cables": (CableElement(2, 1, 2, "rope", 1e-4),)}, "rope", "material"),
+                                   ({"beams": (BeamElement(1, 1, 2, "timber", "timber"),)}, "timber", "section")):
             model = dataclasses.replace(simple_beam(), **changes)
             with pytest.raises(UnknownReference) as exc:
                 validate(model)
-            assert exc.value.ref == 99
+            assert (exc.value.ref, exc.value.kind) == (ref, kind)
 
     def test_beam_and_cable_share_id_namespace(self):
         nodes = [Node(1, 0, 0), Node(2, 5, 0)]
