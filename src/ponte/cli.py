@@ -13,9 +13,9 @@ import argparse
 import functools
 import math
 import os
+import secrets
 import stat
 import sys
-import tempfile
 from dataclasses import replace
 
 from . import catalog
@@ -61,20 +61,21 @@ def _read(path: str, parse):
 
 def _write_atomic(path: str, text: str) -> None:
     """Replace ``path`` with ``text`` in one step, leaving no temporary
-    file. The temporary file, which ``mkstemp`` makes 0o600, takes the
-    target's mode first, or for a new target 0o666 less the umask, as
-    ``open`` would create it."""
+    file. The temporary file is created as ``open`` would create the
+    target, 0o666 less the umask, and takes an existing target's
+    permission bits (not its setuid, setgid or sticky bit) before the
+    rename."""
     try:
         try:
-            mode = stat.S_IMODE(os.stat(path).st_mode)
+            mode = stat.S_IMODE(os.stat(path).st_mode) & 0o777
         except FileNotFoundError:
-            umask = os.umask(0)
-            os.umask(umask)
-            mode = 0o666 & ~umask
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".ponte-", suffix=".tmp")
+            mode = None
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ponte-{secrets.token_hex(8)}.tmp")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:
-                os.fchmod(handle.fileno(), mode)
+                if mode is not None:
+                    os.fchmod(handle.fileno(), mode)
                 handle.write(text)
             os.replace(tmp, path)
         except BaseException:

@@ -86,10 +86,6 @@ class Support:
     restrain_y: bool = False
     restrain_rz: bool = False
 
-    def restrained_components(self) -> tuple[int, ...]:
-        held = (self.restrain_x, self.restrain_y, self.restrain_rz)
-        return tuple(comp for comp in (DOF_X, DOF_Y, DOF_RZ) if held[comp])
-
 
 @dataclass(frozen=True)
 class NodalForce:
@@ -151,9 +147,10 @@ class ModelArrays:
     # Every number of the records, three to a column: x, y, 0 of each node;
     # E, density, allowable stress of each material; A, I, depth of each
     # section; area, pretension, 0 of each cable; fx, fy, mz of each nodal
-    # force, and w, mass or g, 0, 0 of each other load. The next seven are
-    # views of it.
+    # force, and w, mass or g, 0, 0 of each other load; x, y, materials,
+    # sections, cables and load_values are views of it.
     values: np.ndarray  # (3, nodes + materials + sections + cables + loads)
+    starts: tuple[int, int, int, int]  # first column of the materials, sections, cables and loads
     rule: np.ndarray  # of each column of values its _BOUND row: 0-3 a load kind, 4 node, 5 material, 6 section, 7 cable
     x: np.ndarray
     y: np.ndarray
@@ -232,11 +229,10 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     ints, values = np.array(ints, dtype=int), np.array(floats, dtype=float).reshape(3, -1)
     nm, nb, ns = len(members), len(beams), len(supports)
     bounds = list(accumulate((nm, 2 * nm, nm, nb, 2 * nb, ns, ns, n, len(kind))))
-    ids, ends, material, section, pins, at, bits, node_ids, load_at = (
-        ints[lo:hi] for lo, hi in zip([0, *bounds], bounds))
-    rule = ints[bounds[-1]:]
+    ids, ends, material, section, pins, at, bits, node_ids, load_at, rule = (
+        ints[lo:hi] for lo, hi in zip([0, *bounds], [*bounds, None]))
     ends, pins = ends.reshape(2, nm).T, pins.reshape(2, nb).T == 1
-    a, b, c, d = accumulate((n, len(mats), len(secs), len(cables)))
+    starts = a, b, c, d = tuple(accumulate((n, len(mats), len(secs), len(cables))))
     x, y = values[0, :a], values[1, :a]
     with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
         dx, dy = x[ends[:, 1]] - x[ends[:, 0]], y[ends[:, 1]] - y[ends[:, 0]]
@@ -250,7 +246,7 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     free = ~restrained
     free[:, 2] &= rz_stiff
     return ModelArrays(
-        index=index, node_ids=node_ids, by_id=by_id, values=values, x=x, y=y,
+        index=index, node_ids=node_ids, by_id=by_id, values=values, starts=starts, x=x, y=y,
         materials=values[:, a:b], sections=values[:, b:c], cables=values[:2, c:d], load_values=values[:, d:],
         rule=rule, load_kind=rule[d:], load_at=load_at, restrained=restrained, rz_stiff=rz_stiff, support_bits=bits,
         supported=node_ids[support_at].tolist(), support_at=support_at, member_ids=ids, ends=ends, dx=dx, dy=dy,
@@ -497,7 +493,7 @@ def validate(model: StructureModel) -> ValidationReport:
     # Every number against its rule at once; the failures, record by record.
     ok = (view.values.T > _BOUND[view.rule]) & (view.values.T < np.inf)
     failed = list(zip(*(v.tolist() for v in np.nonzero(~ok)))) if np.count_nonzero(ok) < ok.size else []
-    a, b, c, d = accumulate((len(nodes), len(model.materials), len(model.sections), len(model.cables)))
+    a, b, c, d = view.starts
     for k in dict.fromkeys(row for row, _ in failed if row < a):
         err("NonFiniteCoordinate", f"node {nodes[k].id}", f"node {nodes[k].id} has non-finite coordinates")
     for row, rule in failed:

@@ -4,7 +4,7 @@ The element table, banded assembly over the free dofs and a banded
 semi-definite solve, the taut/slack active-set iteration, and force,
 reaction and utilization recovery. Cable-free sub-models of one model (an
 erection plan's stages) are analyzed as one stack: one block-diagonal
-band (``_solve_blocks``), one load sum (``_Elements.prefix_loads``) and
+band (``_solve_blocks``), one load sum (``_load_sum``) and
 one recovery (``_recover``), whose one-block, one-row case is a single
 analysis. All functions are pure; models are shared read-only.
 
@@ -133,7 +133,6 @@ class _Elements:
     load_dofs: np.ndarray
     load_values: np.ndarray
     load_beam: np.ndarray  # the beam of a fixed-end entry, -1 for a nodal one
-    loads: np.ndarray  # the model's all-dof load vector: its own full prefix, every entry summed in order
 
     def prefix_loads(self, beams: np.ndarray) -> np.ndarray:
         """All-dof load vectors (len(beams), 3 nodes) of prefixes: prefix s
@@ -141,8 +140,13 @@ class _Elements:
         entry (those at nodes it lacks fall on dofs it does not read)."""
         n = 3 * len(self.view.x)
         row, entry = np.nonzero(self.load_beam < beams[:, None])
-        F = np.bincount(n * row + self.load_dofs[entry], self.load_values[entry], minlength=len(beams) * n)
-        return F.astype(float, copy=False).reshape(len(beams), n)  # bincount of nothing is int
+        F = _load_sum(n * row + self.load_dofs[entry], self.load_values[entry], len(beams) * n)
+        return F.reshape(len(beams), n)
+
+    @cached_property
+    def loads(self) -> np.ndarray:
+        """The model's all-dof load vector: its full prefix, every entry in order."""
+        return _load_sum(self.load_dofs, self.load_values, 3 * len(self.view.x))
 
     def expand(self, u: np.ndarray) -> np.ndarray:
         """All-dof displacements from free ones in band order."""
@@ -168,6 +172,11 @@ class _Elements:
         u = full_u[..., self.cable_dofs]
         elongation = (u[..., 2] - u[..., 0]) * self.cx + (u[..., 3] - u[..., 1]) * self.cy
         return self.ea_l * elongation + self.pretension
+
+
+def _load_sum(at: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """The load entries ``values`` summed in order at ``at`` of a vector of ``size``."""
+    return np.bincount(at, values, minlength=size).astype(float, copy=False)  # bincount of nothing is int
 
 
 _COMPONENTS = ("x", "y", "rz")  # names of a node's three dofs
@@ -274,7 +283,6 @@ def _elements(model: StructureModel) -> _Elements:
         cable_strength=A[nb:] * sigma[nb:], ea_l=ea_l[nb:], cx=cx[nb:], cy=cy[nb:], pretension=pretension,
         pretension_loads=pretension[:, None] * d,
         load_dofs=load_dofs, load_values=load_values, load_beam=load_beam,
-        loads=np.bincount(load_dofs, load_values, minlength=3 * n).astype(float, copy=False),
     )
 
 
@@ -487,13 +495,13 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
         c, info = dpbtrf(a, lower=1)
         if info != 0:
             bad = np.arange(len(ok)) == np.searchsorted(starts, info - 1, side="right") - 1
-        elif np.count_nonzero(small := _small_pivots(c, a[0])):
+        elif (small := _small_pivots(c, a[0])).any():
             bad = np.logical_or.reduceat(small, starts)
         else:
             u, _ = dpbtrs(c, b, lower=1)
             residual = b - dsbmv(len(a) - 1, 1.0, a, u, lower=1)
             bad = ok & ~_balanced(residual, b, starts)
-            if not np.count_nonzero(bad):
+            if not bad.any():
                 return u + dpbtrs(c, residual, lower=1)[0], ok
         if len(ok) > 1 and ok.all():
             # The first rejection, which a NaN from a block with a
@@ -692,8 +700,8 @@ def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarr
                                       0.0).reshape(*rows, -1)], axis=-1)
     ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs.ravel()]) + n * np.arange(math.prod(rows))[:, None]
     residual = np.bincount(ends.ravel(), forces.ravel(), minlength=full_u.size).reshape(full_u.shape) - F
-    return _Recovered(beam, cable, util, np.maximum.reduce(util, axis=-1, initial=0.0),
-                      np.maximum.reduce(np.abs(full_u[..., 1::3]), axis=-1, initial=0.0), residual)
+    return _Recovered(beam, cable, util, util.max(axis=-1, initial=0.0),
+                      np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0), residual)
 
 
 def _reactions(view: ModelArrays, residual: np.ndarray) -> dict[int, tuple]:
@@ -736,7 +744,7 @@ def tension_only_analyze(model: StructureModel) -> AnalysisResult:
 
         axial = el.axial(full_u)
         next_active = np.where(active, axial >= -EPS_FORCE, axial > EPS_FORCE)
-        if not np.count_nonzero(next_active != active):
+        if np.array_equal(next_active, active):
             break
         key = next_active.tobytes()
         if key in seen:

@@ -548,6 +548,18 @@ def self_weight_loads_by_member(model, g: float) -> tuple[NodalForce, ...]:
     return tuple(NodalForce(node=nid, fy=fy[nid]) for nid in sorted(fy) if fy[nid] != 0.0)
 
 
+def restrained_components(sup: Support) -> tuple[int, ...]:
+    """The components a support record holds, x before y before rz."""
+    comps = []
+    if sup.restrain_x:
+        comps.append(DOF_X)
+    if sup.restrain_y:
+        comps.append(DOF_Y)
+    if sup.restrain_rz:
+        comps.append(DOF_RZ)
+    return tuple(comps)
+
+
 def rotational_stiffness_nodes(model: StructureModel) -> set[int]:
     """Nodes where at least one beam end provides rotational stiffness."""
     stiff: set[int] = set()
@@ -629,7 +641,7 @@ def validate(model: StructureModel) -> ValidationReport:
 
     restrained: set[tuple[int, int]] = set()
     for sup in model.supports:
-        comps = sup.restrained_components()
+        comps = restrained_components(sup)
         if not comps:
             err("EmptySupport", f"support at node {sup.node}", f"support at node {sup.node} restrains nothing")
         for comp in comps:
@@ -713,7 +725,7 @@ def dof_map(model: StructureModel) -> DofMap:
     stiffens."""
     restrained: set[tuple[int, int]] = set()
     for sup in model.supports:
-        for comp in sup.restrained_components():
+        for comp in restrained_components(sup):
             restrained.add((sup.node, comp))
 
     rz_stiff = rotational_stiffness_nodes(model)

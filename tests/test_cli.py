@@ -299,9 +299,9 @@ class TestFailurePath:
 
 
 class TestOutputMode:
-    # Every output goes through a temporary file, which mkstemp makes 0600,
-    # renamed over the target: a new file gets the mode open() would give
-    # it, 0666 less the umask, and a rewritten one keeps its own.
+    # Every output goes through a temporary file renamed over the target: a
+    # new file gets the mode open() would give it, 0666 less the umask, and
+    # a rewritten one keeps its own permission bits.
     @staticmethod
     def mode(path) -> int:
         return stat.S_IMODE(os.stat(path).st_mode)
@@ -331,6 +331,18 @@ class TestOutputMode:
         assert model.read_text().startswith("UNIT SI") and report.read_text().startswith("{")
         assert self.mode(model) == self.mode(report) == mode
         assert not list(tmp_path.glob(".ponte-*.tmp"))
+
+    @pytest.mark.parametrize("special", [stat.S_ISUID, stat.S_ISGID, stat.S_ISVTX])
+    def test_a_rewritten_output_drops_special_bits(self, tmp_path, capsys, special):
+        # As a plain rewrite would leave a fresh file: only the permission
+        # bits carry over.
+        model = tmp_path / "m.txt"
+        model.write_text("old\n")
+        os.chmod(model, 0o755 | special)
+        if not self.mode(model) & special:
+            pytest.skip("the file system does not keep this bit")
+        assert main(["generate", "BARE_DECK", "-o", str(model)]) == 0
+        assert self.mode(model) == 0o755
 
 
 class TestOneParser:
