@@ -7,9 +7,11 @@ after construction and safe to share between concurrent analyses.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import Iterable, Union
 
 import numpy as np
@@ -134,12 +136,21 @@ def _load_sort_key(item: tuple[int, Load]):
     return (_LOAD_RANK[type(load)], target, pos)
 
 
-@dataclass(frozen=True, eq=False)
+# A model's records as columns in model order: a list per field of each
+# record kind, and of the loads the kind (0-3, as ``load_kind``), target
+# (node or beam id, None for a self-weight) and values (fx, fy, mz, or w,
+# mass or g, 0, 0). ``_columns`` reads them off the records; the parser
+# converts them from the text and builds the records from them.
+Columns = namedtuple("Columns", "nodes materials sections beams cables supports loads")
+
+
+@dataclass(eq=False)
 class ModelArrays:
-    """A model's records as columns in model order, derived in one walk
-    over them (``StructureModel.arrays``) for validation, the element table,
-    the reactions, the report and the diagram. Node k owns dofs 3k, 3k + 1
-    and 3k + 2 (x, y, rz); the members are the beams, then the cables."""
+    """A model's records as columns in model order (``StructureModel.arrays``)
+    for validation, the element table, the reactions, the report and the
+    diagram. Node k owns dofs 3k, 3k + 1 and 3k + 2 (x, y, rz); the members
+    are the beams, then the cables. Read only, but not frozen: a frozen
+    dataclass takes 9 us to set these fields, a fifth of a small view."""
 
     index: dict[int, int]  # node id -> position in model.nodes
     node_ids: np.ndarray
@@ -177,67 +188,77 @@ class ModelArrays:
     free: np.ndarray  # (nodes, 3): the dofs no support holds, less the rotations no beam end stiffens
 
 
-# Which of x, y and rz are restrained, for each 3-bit mask of components.
+# Which of x, y and rz are restrained, for each 3-bit mask of components,
+# and the bit of each component.
 _HELD = (np.arange(8)[:, None] >> np.arange(3) & 1) == 1
-# A load record's kind, its node or beam position, and its three values.
-_LOAD_ROW = {
-    NodalForce: lambda l, node, beam: (0, node[l.node], l.fx, l.fy, l.mz),
-    UniformLoad: lambda l, node, beam: (1, beam[l.beam], l.w, 0.0, 0.0),
-    PointMass: lambda l, node, beam: (2, node[l.node], l.mass, 0.0, 0.0),
-    SelfWeight: lambda l, node, beam: (3, 0, l.g, 0.0, 0.0),
+_BITS = np.array([1, 2, 4])
+# A load record's kind, its target and its three values.
+_LOAD_FIELDS = {
+    NodalForce: lambda l: (0, l.node, l.fx, l.fy, l.mz),
+    UniformLoad: lambda l: (1, l.beam, l.w, 0.0, 0.0),
+    PointMass: lambda l: (2, l.node, l.mass, 0.0, 0.0),
+    SelfWeight: lambda l: (3, None, l.g, 0.0, 0.0),
 }
 
 
-def _model_arrays(model: StructureModel) -> ModelArrays:
-    nodes, beams, cables, supports = model.nodes, model.beams, model.cables, model.supports
-    members = beams + cables
-    index = {n.id: k for k, n in enumerate(nodes)}
-    beam_at = {b.id: k for k, b in enumerate(beams)} if any(type(l) is UniformLoad for l in model.loads) else {}
-    loads = []
-    for load in model.loads:
-        row = _LOAD_ROW[type(load)]
-        try:
-            loads.append(row(load, index, beam_at))
-        except KeyError as exc:
-            raise UnknownReference(exc.args[0], "beam" if type(load) is UniformLoad else "node") from None
-    kind, load_at, *load_values = zip(*loads) if loads else ((),) * 5
-    mats, secs, n = model.materials, model.sections, len(nodes)
-    materials = {m.name: k for k, m in enumerate(mats)}
-    sections = {s.name: k for k, s in enumerate(secs)}
-    # Each kind of number in one list, the columns one after another,
-    # appended in place: a sum of lists would copy each prefix again.
-    ints, floats = [], []
+def _columns(model: StructureModel) -> Columns:
+    """The model's records, one list per field."""
+    nodes, mats, secs, beams, cables, sups = (
+        model.nodes, model.materials, model.sections, model.beams, model.cables, model.supports)
+    loads = zip(*(_LOAD_FIELDS[type(l)](l) for l in model.loads)) if model.loads else ((),) * 5
+    return Columns(
+        ([n.id for n in nodes], [n.x for n in nodes], [n.y for n in nodes]),
+        ([m.name for m in mats], [m.elastic_modulus for m in mats], [m.density for m in mats],
+         [m.allowable_stress for m in mats]),
+        ([s.name for s in secs], [s.area for s in secs], [s.second_moment for s in secs], [s.depth for s in secs]),
+        ([b.id for b in beams], [b.node_i for b in beams], [b.node_j for b in beams], [b.material for b in beams],
+         [b.section for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams]),
+        ([c.id for c in cables], [c.node_i for c in cables], [c.node_j for c in cables],
+         [c.material for c in cables], [c.area for c in cables], [c.pretension for c in cables]),
+        ([s.node for s in sups], [s.restrain_x for s in sups], [s.restrain_y for s in sups],
+         [s.restrain_rz for s in sups]),
+        list(loads))
+
+
+def _view(cols: Columns) -> ModelArrays:
+    """The model view of a model's columns; ``UnknownReference`` for a
+    dangling reference, which only a model built without ``build_model``
+    can hold."""
+    (node_id, x, y), mats, secs, beams, cables, (support, *flags), (kind, target, *load) = cols
+    n, nb, nc, ns, nl = len(node_id), len(beams[0]), len(cables[0]), len(support), len(kind)
+    index = dict(zip(node_id, range(n)))
+    at = (index, dict(zip(beams[0], range(nb))) if 1 in kind else {}, index)
     try:
-        for column in ([e.id for e in members], [index[e.node_i] for e in members],
-                       [index[e.node_j] for e in members], [materials[e.material] for e in members],
-                       [sections[b.section] for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams],
-                       [index[s.node] for s in supports],
-                       [s.restrain_x | s.restrain_y << 1 | s.restrain_rz << 2 for s in supports],
-                       [n.id for n in nodes], load_at, [4] * n, [5] * len(mats), [6] * len(secs), [7] * len(cables),
-                       kind):
-            ints += column
+        load_at = [at[k][t] if k < 3 else 0 for k, t in zip(kind, target)]
+    except KeyError:
+        k, t = next((k, t) for k, t in zip(kind, target) if k < 3 and t not in at[k])
+        raise UnknownReference(t, "beam" if k == 1 else "node") from None
+    materials, sections = dict(zip(mats[0], range(len(mats[0])))), dict(zip(secs[0], range(len(secs[0]))))
+    # Each kind of number in one list, the columns one after another.
+    try:
+        ends = map(map, repeat(index.__getitem__), (beams[1], cables[1], beams[2], cables[2]))
+        ints = list(chain(beams[0], cables[0], *ends, map(materials.__getitem__, beams[3]),
+                          map(materials.__getitem__, cables[3]), map(sections.__getitem__, beams[4]), *beams[5:],
+                          map(index.__getitem__, support), *flags, node_id, load_at, [4] * n, [5] * len(materials),
+                          [6] * len(sections), [7] * nc, kind))
     except KeyError as exc:  # a node id is an int, a material or section name a str
         key = exc.args[0]
-        kind = ("node" if not isinstance(key, str) else
-                "material" if key not in materials and key in {e.material for e in members} else "section")
-        raise UnknownReference(key, kind) from None
-    for column in ([n.x for n in nodes], [m.elastic_modulus for m in mats], [s.area for s in secs],
-                   [c.area for c in cables], load_values[0], [n.y for n in nodes], [m.density for m in mats],
-                   [s.second_moment for s in secs], [c.pretension for c in cables], load_values[1], [0.0] * n,
-                   [m.allowable_stress for m in mats], [s.depth for s in secs], [0.0] * len(cables), load_values[2]):
-        floats += column
+        named = key not in materials and (key in beams[3] or key in cables[3])  # as a member's material
+        raise UnknownReference(key, "material" if named else "section" if isinstance(key, str) else "node") from None
+    floats = list(chain(x, mats[1], secs[1], cables[4], load[0], y, mats[2], secs[2], cables[5], load[1], [0.0] * n,
+                        mats[3], secs[3], [0.0] * nc, load[2]))
     ints, values = np.array(ints, dtype=int), np.array(floats, dtype=float).reshape(3, -1)
-    nm, nb, ns = len(members), len(beams), len(supports)
-    bounds = list(accumulate((nm, 2 * nm, nm, nb, 2 * nb, ns, ns, n, len(kind))))
-    ids, ends, material, section, pins, at, bits, node_ids, load_at, rule = (
+    bounds = list(accumulate((nm := nb + nc, 2 * nm, nm, nb, 2 * nb, ns, 3 * ns, n, nl)))
+    ids, ends, material, section, pins, support_at, flags, node_ids, load_at, rule = (
         ints[lo:hi] for lo, hi in zip([0, *bounds], [*bounds, None]))
-    ends, pins = ends.reshape(2, nm).T, pins.reshape(2, nb).T == 1
-    starts = a, b, c, d = tuple(accumulate((n, len(mats), len(secs), len(cables))))
+    i, j = ends = ends.reshape(2, nm)
+    ends, pins, bits = ends.T, pins.reshape(2, nb).T == 1, _BITS @ flags.reshape(3, ns)
+    starts = a, b, c, d = tuple(accumulate((n, len(materials), len(sections), nc)))
     x, y = values[0, :a], values[1, :a]
     with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
-        dx, dy = x[ends[:, 1]] - x[ends[:, 0]], y[ends[:, 1]] - y[ends[:, 0]]
+        dx, dy = x[j] - x[i], y[j] - y[i]
     held = np.zeros(n, dtype=int)
-    np.bitwise_or.at(held, at, bits)
+    np.bitwise_or.at(held, support_at, bits)
     rz_stiff = np.zeros(n, dtype=bool)
     rz_stiff[ends[:nb][~pins]] = True
     by_id = node_ids.argsort(kind="stable")
@@ -254,6 +275,16 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
         material=material, section=section, pins=pins, area=np.concatenate([values[0, b + section], values[0, c:d]]),
         free=free,
     )
+
+
+def _model_arrays(model: StructureModel) -> ModelArrays:
+    return _view(_columns(model))
+
+
+def _with_arrays(model: StructureModel, columns: Columns) -> StructureModel:
+    """``model`` with its ``arrays`` built from ``columns``, its records' ``_columns``."""
+    vars(model)["arrays"] = _view(columns)  # where the cached property keeps it
+    return model
 
 
 def _lookup(table: dict, key: int | str, kind: str):
@@ -326,11 +357,12 @@ class StructureModel:
 
 def _unique_names(items: tuple[Material, ...] | tuple[Section, ...], kind: str) -> set[str]:
     """The names of ``items``: ``ValueError`` for an empty one or one with
-    whitespace, ``DuplicateId`` for a repeated one."""
+    whitespace or a ``#`` (a comment in the file format), ``DuplicateId``
+    for a repeated one."""
     names: set[str] = set()
     for item in items:
-        if not item.name or any(ch.isspace() for ch in item.name):
-            raise ValueError(f"{kind} name must be non-empty without whitespace: {item.name!r}")
+        if not item.name or item.name.split() != [item.name] or "#" in item.name:
+            raise ValueError(f"{kind} name must be non-empty without whitespace or '#': {item.name!r}")
         if item.name in names:
             raise DuplicateId(item.name, f"{kind} name")
         names.add(item.name)
@@ -360,11 +392,10 @@ def build_model(
     supports = tuple(supports)
     loads = tuple(loads)
 
-    node_ids: set[int] = set()
-    for n in nodes:
-        if n.id in node_ids:
-            raise DuplicateId(n.id, "node id")
-        node_ids.add(n.id)
+    node_ids = {n.id for n in nodes}
+    if len(node_ids) < len(nodes):  # the first id seen twice
+        seen: set[int] = set()
+        raise DuplicateId(next(n.id for n in nodes if n.id in seen or seen.add(n.id)), "node id")
 
     material_names, section_names = _unique_names(materials, "material"), _unique_names(sections, "section")
     element_ids: set[int] = set()
@@ -394,12 +425,12 @@ def build_model(
                 raise UnknownReference(load.beam, "beam", "uniform load")
 
     return StructureModel(
-        nodes=tuple(sorted(nodes, key=lambda n: n.id)),
-        materials=tuple(sorted(materials, key=lambda m: m.name)),
-        sections=tuple(sorted(sections, key=lambda s: s.name)),
-        beams=tuple(sorted(beams, key=lambda b: b.id)),
-        cables=tuple(sorted(cables, key=lambda c: c.id)),
-        supports=tuple(sorted(supports, key=lambda s: s.node)),
+        nodes=tuple(sorted(nodes, key=attrgetter("id"))),
+        materials=tuple(sorted(materials, key=attrgetter("name"))),
+        sections=tuple(sorted(sections, key=attrgetter("name"))),
+        beams=tuple(sorted(beams, key=attrgetter("id"))),
+        cables=tuple(sorted(cables, key=attrgetter("id"))),
+        supports=tuple(sorted(supports, key=attrgetter("node"))),
         loads=tuple(l for _, l in sorted(enumerate(loads), key=_load_sort_key)),
     )
 

@@ -177,9 +177,9 @@ def plan_report_dict(report: PlanReport) -> dict:
 
 
 def _total_material_volume(model: StructureModel) -> float:
-    length = model.arrays.length.tolist()
-    volume = sum(model.section(b.section).area * L for b, L in zip(model.beams, length))
-    return volume + sum(c.area * L for c, L in zip(model.cables, length[len(model.beams):]))
+    """A * L summed over the beams, then over the cables, the two sums added."""
+    volume, nb = (model.arrays.area * model.arrays.length).tolist(), len(model.beams)
+    return sum(volume[:nb]) + sum(volume[nb:])
 
 
 # (key, label, getter) of every compared metric.

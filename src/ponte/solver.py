@@ -628,12 +628,11 @@ class AnalysisResult:
 
     @cached_property
     def member_forces(self) -> dict[int, MemberForces]:
-        out = {
-            b.id: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
-            for b, (n, v, mi, mj) in zip(self.model.beams, self._recovered.beam.tolist())
-        }
-        cables = zip(self.model.cables, self._recovered.cable.tolist())
-        out.update((c.id, MemberForces(kind="cable", axial=n)) for c, n in cables)
+        ids = self.model.arrays.member_ids.tolist()
+        beams, cables = self._recovered.beam.tolist(), self._recovered.cable.tolist()
+        out = {k: MemberForces(kind="beam", axial=n, shear=v, moment_i=mi, moment_j=mj)
+               for k, (n, v, mi, mj) in zip(ids, beams)}
+        out.update((k, MemberForces(kind="cable", axial=n)) for k, n in zip(ids[len(beams):], cables))
         return out
 
     @cached_property

@@ -21,12 +21,17 @@ byte-stable and ``parse(serialize(m))`` reproduces the model exactly.
 
 from __future__ import annotations
 
-from typing import Iterable
+import dataclasses
+from bisect import bisect_left
+from collections.abc import Callable
+from itertools import chain, compress, count, permutations, repeat
+from operator import itemgetter
 
 from .errors import ParseError, UnknownKeyword
 from .model import (
     BeamElement,
     CableElement,
+    Columns,
     Load,
     Material,
     NodalForce,
@@ -37,6 +42,7 @@ from .model import (
     StructureModel,
     Support,
     UniformLoad,
+    _with_arrays,
     build_model,
 )
 
@@ -119,31 +125,55 @@ def serialize_model(model: StructureModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing
+# Parsing. The model parser groups the lines by keyword and converts each
+# group a field at a time: a keyword's converter takes its lines' numbers
+# and tokens and returns a list per field of its record, or raises the error
+# of the first line it rejects.
 
 
-def _content_lines(text: str) -> Iterable[tuple[int, list[str]]]:
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield lineno, body.split()
+def _content_lines(text: str) -> tuple[list[int], list[list[str]]]:
+    """The number and the tokens of each line with content. Lines end at ``\n``
+    only: every other character ``str.splitlines`` breaks at is whitespace."""
+    lines = text.split("\n")
+    if "#" in text:
+        lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
+    rows = list(map(str.split, lines))
+    return list(compress(count(1), rows)), list(filter(None, rows))
 
 
-def _parse_float(token: str, lineno: int, what: str) -> float:
+def _number(convert: Callable[[str], int | float], token: str, lineno: int, what: str):
     try:
-        return float(token)
+        return convert(token)
     except ValueError:
-        raise ParseError(lineno, f"expected a number for {what}, got {token!r}") from None
+        raise ParseError(lineno, f"expected {'an integer' if convert is int else 'a number'} for {what}, "
+                                 f"got {token!r}") from None
 
 
-def _parse_int(token: str, lineno: int, what: str) -> int:
+def _numbers(convert: Callable[[str], int | float], column, linenos: list[int], what: str) -> list:
+    """``convert`` of each token, Python's own int or float, so that every
+    accepted spelling and every bit is the same as token by token."""
     try:
-        return int(token)
-    except ValueError:
-        raise ParseError(lineno, f"expected an integer for {what}, got {token!r}") from None
+        return list(map(convert, column))
+    except ValueError:  # raises at the first bad token
+        return [_number(convert, token, lineno, what) for token, lineno in zip(column, linenos)]
 
 
-def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
+def _shape(linenos: list[int], rows: list[list[str]], ok: Callable[[int], bool], message: str) -> None:
+    """``message`` at the first line whose token count ``ok`` rejects."""
+    if not all(map(ok, set(map(len, rows)))):
+        raise ParseError(next(n for n, tokens in zip(linenos, rows) if not ok(len(tokens))), message)
+
+
+def _table(table: dict, column, linenos: list[int], message: str) -> list:
+    """``table[token]`` of each token; ``message % token`` at the first it lacks."""
+    values = list(map(table.get, column))
+    if None in values:
+        raise ParseError(linenos[values.index(None)], message % (column[values.index(None)],))
+    return values
+
+
+def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optional: dict[str, str]) -> dict[str, str]:
+    """The value of each key in the KEY=VALUE ``tokens``; an absent optional key's default."""
     values: dict[str, str] = {}
     for token in tokens:
         key, sep, val = token.partition("=")
@@ -157,218 +187,193 @@ def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optiona
     for key in required:
         if key not in values:
             raise ParseError(lineno, f"missing {key}=")
-    return values
+    return {**optional, **values}
 
 
-def _expect(tokens: list[str], lineno: int, n: int, usage: str) -> None:
-    if len(tokens) != n:
-        raise ParseError(lineno, f"expected {usage}")
+# Lines of one keyword from which splitting a key's tokens a column at a time
+# is faster than line by line (measured: the two take as long at 4-6 lines).
+_COLUMNS_FROM = 6
 
 
-def _check_unit(tokens: list[str], lineno: int) -> None:
-    _expect(tokens, lineno, 2, "UNIT SI")
-    if tokens[1] != "SI":
-        raise ParseError(lineno, f"only SI units are supported, got {tokens[1]!r}")
+def _keyed(linenos, rows, start: int, required: tuple[str, ...], optional: dict[str, str]) -> list[list[str]]:
+    """The column of each key's values, required then optional, in the
+    KEY=VALUE tokens from ``start`` on: a column at a time where every line
+    has the same keys in that order, as written, else line by line."""
+    keys, n = (*required, *optional), len(rows[0]) - start
+    if len(rows) >= _COLUMNS_FROM and len(set(map(len, rows))) == 1 and len(required) <= n <= len(keys):
+        columns, prefixes = [*zip(*rows)][start:], [key + "=" for key in keys[:n]]
+        if all(all(map(str.startswith, column, repeat(p))) for column, p in zip(columns, prefixes)):
+            values = [list(map(str.removeprefix, column, repeat(p))) for column, p in zip(columns, prefixes)]
+            if not any("" in column for column in values):
+                return values + [[optional[key]] * len(rows) for key in keys[n:]]
+    found = [_parse_kv(tokens[start:], lineno, required, optional) for lineno, tokens in zip(linenos, rows)]
+    return [list(map(itemgetter(key), found)) for key in keys]
 
 
-class _ModelAccumulator:
-    def __init__(self):
-        self.nodes: list[Node] = []
-        self.materials: list[Material] = []
-        self.sections: list[Section] = []
-        self.beams: list[BeamElement] = []
-        self.cables: list[CableElement] = []
-        self.supports: list[Support] = []
-        self.loads: list[Load] = []
+_PINS = {"": (False, False), "PIN=I": (True, False), "PIN=J": (False, True), "PIN=IJ": (True, True)}
+# Every spelling of a non-empty set of support flags: whether it holds x, y and rz.
+_FLAGS = {"".join(p): ("X" in p, "Y" in p, "R" in p) for r in (1, 2, 3) for p in permutations("XYR", r)}
 
 
-def _parse_support_flags(token: str, lineno: int) -> set[str]:
-    seen = set()
-    for ch in token:
-        if ch not in "XYR" or ch in seen:
-            raise ParseError(lineno, f"bad support flags {token!r} (use X, Y, R)")
-        seen.add(ch)
-    if not seen:
-        raise ParseError(lineno, "support flags must not be empty")
-    return seen
+def _unit(linenos, rows):
+    _shape(linenos, rows, (2).__eq__, "expected UNIT SI")
+    return (_table({"SI": "SI"}, [tokens[1] for tokens in rows], linenos, "only SI units are supported, got %r"),)
 
 
-def _parse_line(acc: _ModelAccumulator, lineno: int, tokens: list[str]) -> None:
-    keyword = tokens[0]
-    rest = tokens[1:]
-    if keyword == "UNIT":
-        _check_unit(tokens, lineno)
-    elif keyword == "NODE":
-        _expect(tokens, lineno, 4, "NODE <id> <x> <y>")
-        acc.nodes.append(
-            Node(
-                _parse_int(rest[0], lineno, "node id"),
-                _parse_float(rest[1], lineno, "x"),
-                _parse_float(rest[2], lineno, "y"),
-            )
-        )
-    elif keyword == "MATERIAL":
-        if len(rest) < 1:
-            raise ParseError(lineno, "MATERIAL needs a name")
-        kv = _parse_kv(rest[1:], lineno, ("E", "RHO", "SIGMA"))
-        acc.materials.append(
-            Material(
-                rest[0],
-                _parse_float(kv["E"], lineno, "E"),
-                _parse_float(kv["RHO"], lineno, "RHO"),
-                _parse_float(kv["SIGMA"], lineno, "SIGMA"),
-            )
-        )
-    elif keyword == "SECTION":
-        if len(rest) < 1:
-            raise ParseError(lineno, "SECTION needs a name")
-        kv = _parse_kv(rest[1:], lineno, ("A", "I", "H"))
-        acc.sections.append(
-            Section(
-                rest[0],
-                _parse_float(kv["A"], lineno, "A"),
-                _parse_float(kv["I"], lineno, "I"),
-                _parse_float(kv["H"], lineno, "H"),
-            )
-        )
-    elif keyword == "BEAM":
-        if len(rest) not in (5, 6):
-            raise ParseError(lineno, "expected BEAM <id> <node_i> <node_j> <material> <section> [PIN=I|J|IJ]")
-        pin_i = pin_j = False
-        if len(rest) == 6:
-            key, sep, val = rest[5].partition("=")
-            if key != "PIN" or not sep or val not in ("I", "J", "IJ"):
-                raise ParseError(lineno, f"bad beam option {rest[5]!r} (expected PIN=I|J|IJ)")
-            pin_i = "I" in val
-            pin_j = "J" in val
-        acc.beams.append(
-            BeamElement(
-                _parse_int(rest[0], lineno, "beam id"),
-                _parse_int(rest[1], lineno, "node_i"),
-                _parse_int(rest[2], lineno, "node_j"),
-                rest[3],
-                rest[4],
-                pin_i=pin_i,
-                pin_j=pin_j,
-            )
-        )
-    elif keyword == "CABLE":
-        if len(rest) < 5:
-            raise ParseError(lineno, "expected CABLE <id> <node_i> <node_j> <material> A=<m2> [PRETENSION=<N>]")
-        kv = _parse_kv(rest[4:], lineno, ("A",), optional=("PRETENSION",))
-        acc.cables.append(
-            CableElement(
-                _parse_int(rest[0], lineno, "cable id"),
-                _parse_int(rest[1], lineno, "node_i"),
-                _parse_int(rest[2], lineno, "node_j"),
-                rest[3],
-                _parse_float(kv["A"], lineno, "A"),
-                pretension=_parse_float(kv.get("PRETENSION", "0"), lineno, "PRETENSION"),
-            )
-        )
-    elif keyword == "SUPPORT":
-        _expect(tokens, lineno, 3, "SUPPORT <node> <flags>")
-        flags = _parse_support_flags(rest[1], lineno)
-        acc.supports.append(
-            Support(
-                _parse_int(rest[0], lineno, "node id"),
-                restrain_x="X" in flags,
-                restrain_y="Y" in flags,
-                restrain_rz="R" in flags,
-            )
-        )
-    elif keyword == "LOAD":
-        if not rest:
-            raise ParseError(lineno, "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)")
-        sub = rest[0]
-        if sub == "NODE":
-            if len(rest) < 2:
-                raise ParseError(lineno, "expected LOAD NODE <node> FX= FY= MZ=")
-            kv = _parse_kv(rest[2:], lineno, (), optional=("FX", "FY", "MZ"))
-            acc.loads.append(
-                NodalForce(
-                    _parse_int(rest[1], lineno, "node id"),
-                    fx=_parse_float(kv.get("FX", "0"), lineno, "FX"),
-                    fy=_parse_float(kv.get("FY", "0"), lineno, "FY"),
-                    mz=_parse_float(kv.get("MZ", "0"), lineno, "MZ"),
-                )
-            )
-        elif sub == "UDL":
-            if len(rest) != 3:
-                raise ParseError(lineno, "expected LOAD UDL <beam_id> W=<N/m>")
-            kv = _parse_kv(rest[2:], lineno, ("W",))
-            acc.loads.append(
-                UniformLoad(_parse_int(rest[1], lineno, "beam id"), _parse_float(kv["W"], lineno, "W"))
-            )
-        elif sub == "MASS":
-            if len(rest) != 3:
-                raise ParseError(lineno, "expected LOAD MASS <node> M=<kg>")
-            kv = _parse_kv(rest[2:], lineno, ("M",))
-            acc.loads.append(
-                PointMass(_parse_int(rest[1], lineno, "node id"), _parse_float(kv["M"], lineno, "M"))
-            )
-        elif sub == "SELFWEIGHT":
-            kv = _parse_kv(rest[1:], lineno, ("G",))
-            acc.loads.append(SelfWeight(_parse_float(kv["G"], lineno, "G")))
-        else:
-            raise UnknownKeyword(lineno, f"LOAD {sub}")
-    else:
-        raise UnknownKeyword(lineno, keyword)
+def _nodes(linenos, rows):
+    _shape(linenos, rows, (4).__eq__, "expected NODE <id> <x> <y>")
+    _, ids, x, y = zip(*rows)
+    return _numbers(int, ids, linenos, "node id"), _numbers(float, x, linenos, "x"), _numbers(float, y, linenos, "y")
+
+
+def _beams(linenos, rows):
+    _shape(linenos, rows, {6, 7}.__contains__, "expected BEAM <id> <node_i> <node_j> <material> <section> [PIN=I|J|IJ]")
+    pins = _table(_PINS, [tokens[6] if len(tokens) == 7 else "" for tokens in rows], linenos,
+                  "bad beam option %r (expected PIN=I|J|IJ)")
+    _, ids, ni, nj, materials, sections, *_ = zip(*rows)
+    return (_numbers(int, ids, linenos, "beam id"), _numbers(int, ni, linenos, "node_i"),
+            _numbers(int, nj, linenos, "node_j"), list(materials), list(sections), *map(list, zip(*pins)))
+
+
+def _cables(linenos, rows):
+    _shape(linenos, rows, (6).__le__, "expected CABLE <id> <node_i> <node_j> <material> A=<m2> [PRETENSION=<N>]")
+    area, pretension = _keyed(linenos, rows, 5, ("A",), {"PRETENSION": "0"})
+    _, ids, ni, nj, materials, *_ = zip(*rows)
+    return (_numbers(int, ids, linenos, "cable id"), _numbers(int, ni, linenos, "node_i"),
+            _numbers(int, nj, linenos, "node_j"), list(materials), _numbers(float, area, linenos, "A"),
+            _numbers(float, pretension, linenos, "PRETENSION"))
+
+
+def _supports(linenos, rows):
+    _shape(linenos, rows, (3).__eq__, "expected SUPPORT <node> <flags>")
+    _, nodes, flags = zip(*rows)
+    flags = _table(_FLAGS, flags, linenos, "bad support flags %r (use X, Y, R)")
+    return _numbers(int, nodes, linenos, "node id"), *map(list, zip(*flags))
+
+
+def _keyed_lines(ok: Callable[[int], bool], message: str, start: int, ident: tuple[type, str] | None,
+                 required: tuple[str, ...], optional: dict[str, str] = {}):
+    """The converter of lines with KEY=VALUE tokens from ``start`` on, after
+    a name or id (``ident``: its type and what it is) or nothing (None)."""
+    def convert(linenos, rows):
+        _shape(linenos, rows, ok, message)
+        values = _keyed(linenos, rows, start, required, optional)
+        ids = [] if ident is None else [_numbers(ident[0], [tokens[start - 1] for tokens in rows], linenos, ident[1])]
+        return *ids, *[_numbers(float, v, linenos, key) for key, v in zip((*required, *optional), values)]
+    return convert
+
+
+# Each keyword's converter, and the record a row of its fields is.
+_KINDS = {
+    "UNIT": (_unit, None),
+    "NODE": (_nodes, Node),
+    "MATERIAL": (_keyed_lines((2).__le__, "MATERIAL needs a name", 2, (str, "name"), ("E", "RHO", "SIGMA")), Material),
+    "SECTION": (_keyed_lines((2).__le__, "SECTION needs a name", 2, (str, "name"), ("A", "I", "H")), Section),
+    "BEAM": (_beams, BeamElement),
+    "CABLE": (_cables, CableElement),
+    "SUPPORT": (_supports, Support),
+    "LOAD NODE": (_keyed_lines((3).__le__, "expected LOAD NODE <node> FX= FY= MZ=", 3, (int, "node id"), (),
+                               {"FX": "0", "FY": "0", "MZ": "0"}), NodalForce),
+    "LOAD UDL": (_keyed_lines((4).__eq__, "expected LOAD UDL <beam_id> W=<N/m>", 3, (int, "beam id"), ("W",)),
+                 UniformLoad),
+    "LOAD MASS": (_keyed_lines((4).__eq__, "expected LOAD MASS <node> M=<kg>", 3, (int, "node id"), ("M",)), PointMass),
+    "LOAD SELFWEIGHT": (_keyed_lines(bool, "", 2, None, ("G",)), SelfWeight),  # any count: the line has its key
+}
+# The keywords of build_model's records, and of the loads in its order.
+_RECORDS = ("NODE", "MATERIAL", "SECTION", "BEAM", "CABLE", "SUPPORT")
+_LOADS = ("LOAD NODE", "LOAD UDL", "LOAD MASS", "LOAD SELFWEIGHT")
+_EMPTY = {key: ((),) * len(dataclasses.fields(record)) for key, (_, record) in _KINDS.items() if record}
+# Keywords that are known but have no place in a model file.
+_REJECTED = {"PLAN": "PLAN lines belong in a plan file, not a model file",
+             "LOAD": "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)"}
+
+
+def _convert(convert, linenos: list[int], rows: list[list[str]]) -> tuple:
+    """``convert(linenos, rows)``, or the error of the first line it rejects. A converter checks
+    every line for one field before the next, so when a check rejects line k, the lines before k
+    may fail a later check: they are converted again alone."""
+    try:
+        return convert(linenos, rows)
+    except ParseError as exc:
+        if k := bisect_left(linenos, exc.line):
+            _convert(convert, linenos[:k], rows[:k])
+        raise
+
+
+def _by(key: list, *columns: list) -> tuple[list, ...]:
+    """``key`` and ``columns`` stably sorted by ``key``, as ``build_model`` sorts their records."""
+    if sorted(key) == key:
+        return key, *columns
+    order = sorted(range(len(key)), key=key.__getitem__)
+    return tuple(list(map(column.__getitem__, order)) for column in (key, *columns))
 
 
 def parse_model_file(text: str) -> StructureModel:
     """Parse the model format; errors carry their line number.
 
-    The UNIT header is optional on input. Identifier and reference
-    problems surface as ``DuplicateId``/``UnknownReference`` from the
-    model builder.
+    Lines may come in any order; the first bad line in the file is the one
+    reported. The UNIT header is optional on input. Identifier and
+    reference problems surface as ``DuplicateId``/``UnknownReference``
+    from the model builder. The model's ``arrays`` are built from the
+    parsed columns, not from its records.
     """
-    acc = _ModelAccumulator()
-    for lineno, tokens in _content_lines(text):
-        if tokens[0] == "PLAN":
-            raise ParseError(lineno, "PLAN lines belong in a plan file, not a model file")
-        _parse_line(acc, lineno, tokens)
-    return build_model(
-        nodes=acc.nodes,
-        materials=acc.materials,
-        sections=acc.sections,
-        beams=acc.beams,
-        cables=acc.cables,
-        supports=acc.supports,
-        loads=acc.loads,
-    )
+    groups: dict[str, tuple[list[int], list[list[str]]]] = {}
+    for lineno, tokens in zip(*_content_lines(text)):
+        key = tokens[0] if tokens[0] != "LOAD" else " ".join(tokens[:2])  # LOAD lines by their subtype
+        group = groups.get(key) or groups.setdefault(key, ([], []))
+        group[0].append(lineno)
+        group[1].append(tokens)
+    fields, errors = {}, []
+    for key, (linenos, rows) in groups.items():
+        try:
+            if key not in _KINDS:
+                raise ParseError(linenos[0], _REJECTED[key]) if key in _REJECTED else UnknownKeyword(linenos[0], key)
+            fields[key] = _convert(_KINDS[key][0], linenos, rows)
+        except ParseError as exc:
+            errors.append(exc)
+        rows.clear()  # converted: free the tokens before the records are made
+    if errors:
+        raise min(errors, key=lambda exc: exc.line)
+
+    # The records in file order, so that build_model meets the duplicate or
+    # dangling reference that the lines one by one would have met first.
+    records = {key: list(map(_KINDS[key][1], *columns)) for key, columns in fields.items() if key != "UNIT"}
+    loads = sorted(chain.from_iterable(zip(groups[key][0], records[key]) for key in _LOADS if key in records))
+    model = build_model(*(records.get(key, ()) for key in _RECORDS), [load for _, load in loads])
+
+    # The same fields in the model's order; self-weights stay in file order.
+    node, material, section, beam, cable, support, force, udl, mass, (g,) = (
+        _by(*fields[key]) if key in fields and key != "LOAD SELFWEIGHT" else fields.get(key) or _EMPTY[key]
+        for key in (*_RECORDS, *_LOADS))
+    zero = [0.0] * (len(udl[0]) + len(mass[0]) + len(g))
+    return _with_arrays(model, Columns(node, material, section, beam, cable, support, (
+        [0] * len(force[0]) + [1] * len(udl[0]) + [2] * len(mass[0]) + [3] * len(g),
+        [*force[0], *udl[0], *mass[0], *[None] * len(g)], [*force[1], *udl[1], *mass[1], *g], [*force[2], *zero],
+        [*force[3], *zero],
+    )))
 
 
 # ---------------------------------------------------------------------------
 # Plan files
 
+# The PLAN keys and their types, in ErectionPlan's field order; INTERVAL and SAFETY are optional.
+_PLAN_KEYS = {"MODULE": float, "COUNT": int, "W": float, "CW": float, "LEVER": float, "INTERVAL": int, "SAFETY": float}
+
 
 def parse_plan_file(text: str):
     """Parse a PLAN line into an ErectionPlan; other keywords are rejected."""
     from .erection import ErectionPlan  # local import to keep modules acyclic
-
     plan = None
-    for lineno, tokens in _content_lines(text):
-        keyword = tokens[0]
-        if keyword == "UNIT":
-            _check_unit(tokens, lineno)
-        elif keyword == "PLAN":
+    for lineno, tokens in zip(*_content_lines(text)):
+        if tokens[0] == "UNIT":
+            _unit([lineno], [tokens])
+        elif tokens[0] == "PLAN":
             if plan is not None:
                 raise ParseError(lineno, "more than one PLAN line")
-            kv = _parse_kv(
-                tokens[1:], lineno, ("MODULE", "COUNT", "W", "CW", "LEVER"), optional=("INTERVAL", "SAFETY")
-            )
-            plan = ErectionPlan(
-                module_length=_parse_float(kv["MODULE"], lineno, "MODULE"),
-                module_count=_parse_int(kv["COUNT"], lineno, "COUNT"),
-                deck_weight_per_length=_parse_float(kv["W"], lineno, "W"),
-                counterweight=_parse_float(kv["CW"], lineno, "CW"),
-                counterweight_lever=_parse_float(kv["LEVER"], lineno, "LEVER"),
-                pillar_interval=_parse_int(kv.get("INTERVAL", "2"), lineno, "INTERVAL"),
-                safety_factor=_parse_float(kv.get("SAFETY", "1"), lineno, "SAFETY"),
-            )
+            kv = _parse_kv(tokens[1:], lineno, tuple(_PLAN_KEYS)[:5], {"INTERVAL": "2", "SAFETY": "1"})
+            plan = ErectionPlan(*(_number(convert, kv[key], lineno, key) for key, convert in _PLAN_KEYS.items()))
         else:
-            raise UnknownKeyword(lineno, keyword)
+            raise UnknownKeyword(lineno, tokens[0])
     if plan is None:
         raise ParseError(0, "plan file has no PLAN line")
     return plan

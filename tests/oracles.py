@@ -3,8 +3,8 @@ record, closed-form element matrices, written out case by case, a dense
 assembly, a dense rank-revealing solve, a dense null basis, the
 per-member utilization formula, erection plans run stage model by stage
 model, the support reactions filled dof by dof, self-weight lumped member
-by member, and the analysis report and SVG diagram built record by
-record.
+by member, the analysis report and SVG diagram built record by record,
+and the model file parsed line by line.
 
 They are independent of the model's column checks and numbering, of
 the solver's element table, which derives every
@@ -12,7 +12,8 @@ release pattern by static condensation of the clamped element, of its
 banded assembly and factorization, of its windowed null basis, of its
 vectorized utilization, reactions and gravity lumping, of the one banded
 solve of all of a plan's stages, and of the report and diagram written
-from the result's arrays by one template per record kind, and the tests
+from the result's arrays by one template per record kind, of the parser
+that converts each keyword's lines a field at a time, and the tests
 compare the two.
 """
 
@@ -27,7 +28,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
 from ponte.catalog import DECK_MATERIAL, DECK_SECTION
 from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _outcome, _Step
-from ponte.errors import NonPositiveProperty, SingularSystem
+from ponte.errors import NonPositiveProperty, ParseError, SingularSystem, UnknownKeyword
 from ponte.model import (
     DOF_RZ,
     DOF_X,
@@ -35,9 +36,13 @@ from ponte.model import (
     MATERIAL_PRESETS,
     MIN_ELEMENT_LENGTH,
     BeamElement,
+    CableElement,
+    Load,
+    Material,
     NodalForce,
     Node,
     PointMass,
+    Section,
     SelfWeight,
     StructureModel,
     Support,
@@ -741,3 +746,217 @@ def dof_map(model: StructureModel) -> DofMap:
             entries.append((n.id, comp))
 
     return DofMap(tuple(entries), frozenset(restrained), frozenset(dropped))
+
+
+# ---------------------------------------------------------------------------
+# The model file parsed line by line, the parent's parser: one call and one
+# record per line, the first bad line raising as it is met.
+
+
+def _parse_float(token: str, lineno: int, what: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ParseError(lineno, f"expected a number for {what}, got {token!r}") from None
+
+
+def _parse_int(token: str, lineno: int, what: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(lineno, f"expected an integer for {what}, got {token!r}") from None
+
+
+def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optional: tuple[str, ...] = ()) -> dict[str, str]:
+    values: dict[str, str] = {}
+    for token in tokens:
+        key, sep, val = token.partition("=")
+        if not sep or not val:
+            raise ParseError(lineno, f"expected KEY=VALUE, got {token!r}")
+        if key not in required and key not in optional:
+            raise UnknownKeyword(lineno, key)
+        if key in values:
+            raise ParseError(lineno, f"duplicate key {key!r}")
+        values[key] = val
+    for key in required:
+        if key not in values:
+            raise ParseError(lineno, f"missing {key}=")
+    return values
+
+
+def _expect(tokens: list[str], lineno: int, n: int, usage: str) -> None:
+    if len(tokens) != n:
+        raise ParseError(lineno, f"expected {usage}")
+
+
+def _check_unit(tokens: list[str], lineno: int) -> None:
+    _expect(tokens, lineno, 2, "UNIT SI")
+    if tokens[1] != "SI":
+        raise ParseError(lineno, f"only SI units are supported, got {tokens[1]!r}")
+
+
+class _ModelAccumulator:
+    def __init__(self):
+        self.nodes: list[Node] = []
+        self.materials: list[Material] = []
+        self.sections: list[Section] = []
+        self.beams: list[BeamElement] = []
+        self.cables: list[CableElement] = []
+        self.supports: list[Support] = []
+        self.loads: list[Load] = []
+
+
+def _parse_support_flags(token: str, lineno: int) -> set[str]:
+    seen = set()
+    for ch in token:
+        if ch not in "XYR" or ch in seen:
+            raise ParseError(lineno, f"bad support flags {token!r} (use X, Y, R)")
+        seen.add(ch)
+    if not seen:
+        raise ParseError(lineno, "support flags must not be empty")
+    return seen
+
+
+def _parse_line(acc: _ModelAccumulator, lineno: int, tokens: list[str]) -> None:
+    keyword = tokens[0]
+    rest = tokens[1:]
+    if keyword == "UNIT":
+        _check_unit(tokens, lineno)
+    elif keyword == "NODE":
+        _expect(tokens, lineno, 4, "NODE <id> <x> <y>")
+        acc.nodes.append(
+            Node(
+                _parse_int(rest[0], lineno, "node id"),
+                _parse_float(rest[1], lineno, "x"),
+                _parse_float(rest[2], lineno, "y"),
+            )
+        )
+    elif keyword == "MATERIAL":
+        if len(rest) < 1:
+            raise ParseError(lineno, "MATERIAL needs a name")
+        kv = _parse_kv(rest[1:], lineno, ("E", "RHO", "SIGMA"))
+        acc.materials.append(
+            Material(
+                rest[0],
+                _parse_float(kv["E"], lineno, "E"),
+                _parse_float(kv["RHO"], lineno, "RHO"),
+                _parse_float(kv["SIGMA"], lineno, "SIGMA"),
+            )
+        )
+    elif keyword == "SECTION":
+        if len(rest) < 1:
+            raise ParseError(lineno, "SECTION needs a name")
+        kv = _parse_kv(rest[1:], lineno, ("A", "I", "H"))
+        acc.sections.append(
+            Section(
+                rest[0],
+                _parse_float(kv["A"], lineno, "A"),
+                _parse_float(kv["I"], lineno, "I"),
+                _parse_float(kv["H"], lineno, "H"),
+            )
+        )
+    elif keyword == "BEAM":
+        if len(rest) not in (5, 6):
+            raise ParseError(lineno, "expected BEAM <id> <node_i> <node_j> <material> <section> [PIN=I|J|IJ]")
+        pin_i = pin_j = False
+        if len(rest) == 6:
+            key, sep, val = rest[5].partition("=")
+            if key != "PIN" or not sep or val not in ("I", "J", "IJ"):
+                raise ParseError(lineno, f"bad beam option {rest[5]!r} (expected PIN=I|J|IJ)")
+            pin_i = "I" in val
+            pin_j = "J" in val
+        acc.beams.append(
+            BeamElement(
+                _parse_int(rest[0], lineno, "beam id"),
+                _parse_int(rest[1], lineno, "node_i"),
+                _parse_int(rest[2], lineno, "node_j"),
+                rest[3],
+                rest[4],
+                pin_i=pin_i,
+                pin_j=pin_j,
+            )
+        )
+    elif keyword == "CABLE":
+        if len(rest) < 5:
+            raise ParseError(lineno, "expected CABLE <id> <node_i> <node_j> <material> A=<m2> [PRETENSION=<N>]")
+        kv = _parse_kv(rest[4:], lineno, ("A",), optional=("PRETENSION",))
+        acc.cables.append(
+            CableElement(
+                _parse_int(rest[0], lineno, "cable id"),
+                _parse_int(rest[1], lineno, "node_i"),
+                _parse_int(rest[2], lineno, "node_j"),
+                rest[3],
+                _parse_float(kv["A"], lineno, "A"),
+                pretension=_parse_float(kv.get("PRETENSION", "0"), lineno, "PRETENSION"),
+            )
+        )
+    elif keyword == "SUPPORT":
+        _expect(tokens, lineno, 3, "SUPPORT <node> <flags>")
+        flags = _parse_support_flags(rest[1], lineno)
+        acc.supports.append(
+            Support(
+                _parse_int(rest[0], lineno, "node id"),
+                restrain_x="X" in flags,
+                restrain_y="Y" in flags,
+                restrain_rz="R" in flags,
+            )
+        )
+    elif keyword == "LOAD":
+        if not rest:
+            raise ParseError(lineno, "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)")
+        sub = rest[0]
+        if sub == "NODE":
+            if len(rest) < 2:
+                raise ParseError(lineno, "expected LOAD NODE <node> FX= FY= MZ=")
+            kv = _parse_kv(rest[2:], lineno, (), optional=("FX", "FY", "MZ"))
+            acc.loads.append(
+                NodalForce(
+                    _parse_int(rest[1], lineno, "node id"),
+                    fx=_parse_float(kv.get("FX", "0"), lineno, "FX"),
+                    fy=_parse_float(kv.get("FY", "0"), lineno, "FY"),
+                    mz=_parse_float(kv.get("MZ", "0"), lineno, "MZ"),
+                )
+            )
+        elif sub == "UDL":
+            if len(rest) != 3:
+                raise ParseError(lineno, "expected LOAD UDL <beam_id> W=<N/m>")
+            kv = _parse_kv(rest[2:], lineno, ("W",))
+            acc.loads.append(
+                UniformLoad(_parse_int(rest[1], lineno, "beam id"), _parse_float(kv["W"], lineno, "W"))
+            )
+        elif sub == "MASS":
+            if len(rest) != 3:
+                raise ParseError(lineno, "expected LOAD MASS <node> M=<kg>")
+            kv = _parse_kv(rest[2:], lineno, ("M",))
+            acc.loads.append(
+                PointMass(_parse_int(rest[1], lineno, "node id"), _parse_float(kv["M"], lineno, "M"))
+            )
+        elif sub == "SELFWEIGHT":
+            kv = _parse_kv(rest[1:], lineno, ("G",))
+            acc.loads.append(SelfWeight(_parse_float(kv["G"], lineno, "G")))
+        else:
+            raise UnknownKeyword(lineno, f"LOAD {sub}")
+    else:
+        raise UnknownKeyword(lineno, keyword)
+
+
+def parse_model_file_by_line(text: str) -> StructureModel:
+    """``textio.parse_model_file`` one line at a time, lines ending at
+    ``\\n`` only: the same model, or the same error at the same line."""
+    acc = _ModelAccumulator()
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if tokens[0] == "PLAN":
+            raise ParseError(lineno, "PLAN lines belong in a plan file, not a model file")
+        _parse_line(acc, lineno, tokens)
+    return build_model(
+        nodes=acc.nodes,
+        materials=acc.materials,
+        sections=acc.sections,
+        beams=acc.beams,
+        cables=acc.cables,
+        supports=acc.supports,
+        loads=acc.loads,
+    )
