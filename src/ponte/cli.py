@@ -13,7 +13,6 @@ import argparse
 import functools
 import math
 import os
-import secrets
 import stat
 import sys
 from dataclasses import replace
@@ -70,7 +69,7 @@ def _write_atomic(path: str, text: str) -> None:
             mode = stat.S_IMODE(os.stat(path).st_mode) & 0o777
         except FileNotFoundError:
             mode = None
-        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ponte-{secrets.token_hex(8)}.tmp")
+        tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ponte-{os.urandom(8).hex()}.tmp")
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w") as handle:

@@ -19,19 +19,36 @@ far from both.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import os
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg.blas import dsbmv
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 
 from .errors import InvalidModel, NoConvergence, SingularSystem
 from .model import ModelArrays, StructureModel, check_gravity, lumped_weight, validate
+
+
+def _scipy_linalg(*names: str):
+    """scipy.linalg's extension modules ``names``, loaded without importing scipy.linalg, which loads numpy.f2py."""
+    if (scipy := importlib.util.find_spec("scipy")) is None:
+        raise ModuleNotFoundError("No module named 'scipy'", name="scipy")
+    finder = FileFinder(os.path.join(scipy.submodule_search_locations[0], "linalg"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    for name in (f"scipy.linalg.{name}" for name in names):
+        if (spec := finder.find_spec(name)) is None:
+            raise ImportError(f"no extension module {name} in {finder.path}", name=name)
+        spec.loader.exec_module(module := importlib.util.module_from_spec(spec))
+        yield module
+
+
+_flapack, _fblas = _scipy_linalg("_flapack", "_fblas")
+dpbtrf, dpbtrs, dtbtrs, dsbmv = _flapack.dpbtrf, _flapack.dpbtrs, _flapack.dtbtrs, _fblas.dsbmv
 
 EPS_FORCE = 1e-6  # N, dead band for taut/slack decisions
 MAX_ACTIVE_SET_ITERATIONS = 100

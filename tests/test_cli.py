@@ -395,3 +395,27 @@ class TestOneParser:
         src = os.path.dirname(os.path.dirname(ponte.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", script], env=env, check=True, capture_output=True)
+
+
+class TestStartUp:
+    def test_commands_leave_the_slow_imports_out(self, tmp_path):
+        # scipy.linalg (which brings numpy.f2py and numpy.testing) was half of
+        # every command's start, and secrets (hashlib, OpenSSL) about 5 ms more.
+        import ponte
+
+        model, plan = str(tmp_path / "m.txt"), write(tmp_path / "plan.txt", PLAN_TEXT)
+        commands = [
+            ["generate", "FLORENCE", "-o", model],
+            ["analyze", model, "--report", str(tmp_path / "r.json"), "--svg", str(tmp_path / "s.svg")],
+            ["stage", plan, "--report", str(tmp_path / "p.json")],
+        ]
+        script = (
+            "import sys\nimport ponte.cli as cli\n"
+            f"codes = [cli.main(argv) for argv in {commands!r}]\n"
+            "print(codes, sorted(m for m in ('scipy.linalg', 'numpy.f2py', 'numpy.testing', 'hashlib')"
+            " if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponte.__file__)))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "[0, 0, 3] []"
+        assert os.path.getsize(tmp_path / "s.svg") > 0 and json.loads((tmp_path / "p.json").read_text())

@@ -1494,3 +1494,104 @@ class TestAnalyticOracles:
         model = cantilever(1, length=L, loads=[NodalForce(2, fy=-P)])
         result = analyze(model)
         assert abs(result.node_displacements[2][1]) == approx(P * L**3 / (3 * E * I), rel=1e-9)
+
+
+def band_system(rng, n, kd, shift=0.0):
+    """A random symmetric band matrix in LAPACK lower band storage, positive
+    definite unless ``shift`` is taken off one diagonal entry, and a
+    right-hand side of three columns."""
+    ab = rng.standard_normal((kd + 1, n))
+    ab[np.arange(kd + 1)[:, None] + np.arange(n) >= n] = 0.0  # outside the matrix
+    ab[0] = 2.0 * (kd + 1) + np.abs(ab[0])
+    ab[0, n // 2] -= shift
+    return np.asfortranarray(ab), rng.standard_normal((n, 3))
+
+
+# Run in a fresh interpreter: the lines before ``import ponte.cli`` hide or
+# fake scipy; prints the error's type, name and text.
+LOADER_RUN = """
+import sys
+{setup}
+try:
+    import ponte.cli
+except Exception as exc:
+    print(type(exc).__name__, exc.name, exc, sep="|")
+"""
+
+
+class TestScipyRoutines:
+    """solver loads dpbtrf, dpbtrs, dtbtrs and dsbmv from scipy.linalg's
+    extension modules without importing scipy.linalg."""
+
+    @pytest.mark.parametrize("n,kd", [(1, 0), (7, 2), (40, 5), (200, 31), (300, 40)])
+    def test_the_same_bits_as_scipy_linalg(self, n, kd):
+        from scipy.linalg import blas, lapack
+
+        rng = np.random.default_rng(n * 100 + kd)
+        for shift in (0.0, 1e3):
+            ab, b = band_system(rng, n, kd, shift)
+            ours, theirs = solver.dpbtrf(ab.copy(), lower=1), lapack.dpbtrf(ab.copy(), lower=1)
+            assert ours[1] == theirs[1] == (0 if shift == 0 else n // 2 + 1)
+            assert ours[0].tobytes() == theirs[0].tobytes()
+            if shift:
+                continue
+            c = ours[0]
+            pairs = [
+                (solver.dpbtrs(c, b, lower=1), lapack.dpbtrs(c, b, lower=1)),
+                (solver.dtbtrs(c, b, "L", "T", "N"), lapack.dtbtrs(c, b, "L", "T", "N")),
+                (solver.dtbtrs(c, b[:, 0].copy(), "L", "T", "N", 1),
+                 lapack.dtbtrs(c, b[:, 0].copy(), "L", "T", "N", 1)),
+            ]
+            for (x, info), (y, info_y) in pairs:
+                assert info == info_y == 0 and x.tobytes() == y.tobytes()
+            for alpha in (1.0, -0.5):
+                ours = solver.dsbmv(kd, alpha, ab, b[:, 1], lower=1)
+                assert ours.tobytes() == blas.dsbmv(kd, alpha, ab, b[:, 1], lower=1).tobytes()
+
+    def test_scipy_linalg_imports_after_ponte(self):
+        script = (
+            "import numpy as np, sys\nimport ponte.solver as solver\n"
+            "assert 'scipy.linalg' not in sys.modules\n"
+            "import scipy.linalg\nfrom scipy.linalg import lapack\n"
+            "ab = np.array([[4.0, 5.0, 6.0], [1.0, 1.0, 0.0]])\n"
+            "x = scipy.linalg.solveh_banded(ab, np.ones(3), lower=True)\n"
+            "assert np.allclose(scipy.linalg.solve(np.diag([4.0, 5.0, 6.0]) + np.diag([1.0, 1.0], 1)"
+            " + np.diag([1.0, 1.0], -1), np.ones(3)), x)\n"
+            "print(lapack.dpbtrf is solver.dpbtrf, scipy.linalg.blas.dsbmv is solver.dsbmv)\n"
+        )
+        src = str(Path(solver.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        # CPython keeps a loaded extension module in sys.modules, so
+        # scipy.linalg re-exports the very routines ponte loaded.
+        assert done.stdout.split() == ["True", "True"]
+
+    def loader_error(self, setup, pythonpath=()):
+        src = str(Path(solver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([*pythonpath, src]))
+        done = subprocess.run([sys.executable, "-c", LOADER_RUN.format(setup=setup)], env=env,
+                              capture_output=True, text=True, check=True)
+        return done.stdout.rstrip("\n").split("|")
+
+    def test_a_blocked_scipy_is_named(self):
+        blocker = (
+            "class Blocker:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] == 'scipy':\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, Blocker())\n"
+        )
+        assert self.loader_error(blocker) == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+
+    def test_a_missing_scipy_is_named(self):
+        # importlib.util.find_spec returns None here, as it does when scipy
+        # is not installed at all.
+        assert self.loader_error("sys.modules['scipy'] = None\n") == [
+            "ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+
+    def test_a_scipy_without_the_extensions_is_named(self, tmp_path):
+        (tmp_path / "scipy" / "linalg").mkdir(parents=True)
+        (tmp_path / "scipy" / "__init__.py").write_text("")
+        directory = str(tmp_path / "scipy" / "linalg")
+        assert self.loader_error("", [str(tmp_path)]) == [
+            "ImportError", "scipy.linalg._flapack", f"no extension module scipy.linalg._flapack in {directory}"]
