@@ -86,6 +86,15 @@ def _write_atomic(path: str, text: str) -> None:
         raise _FileError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _write_json(path: str, render, *args) -> None:
+    """``_write_atomic`` of the JSON text ``render(*args)``; a value JSON cannot hold fails the write."""
+    try:
+        text = render(*args)
+    except ValueError as exc:
+        raise _FileError(f"cannot write {path}: {exc}") from exc
+    _write_atomic(path, text)
+
+
 def _cmd_analyze(args) -> int:
     if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
         raise InvalidSpec(f"scale must be finite and > 0, got {args.scale}")
@@ -100,7 +109,7 @@ def _cmd_analyze(args) -> int:
     print(f"total cable tension: {result.total_cable_tension:.6g} N")
 
     if args.report:
-        _write_atomic(args.report, write_report(result))
+        _write_json(args.report, write_report, result)
         print(f"wrote {args.report}")
     if args.svg:
         _write_atomic(args.svg, render_svg(build_diagram(result, scale=args.scale)))
@@ -157,7 +166,7 @@ def _cmd_stage(args) -> int:
     print(f"minimal stable counterweight: {w_min}")
 
     if args.report:
-        _write_atomic(args.report, json_text(plan_report_dict(report)))
+        _write_json(args.report, json_text, plan_report_dict(report))
         print(f"wrote {args.report}")
 
     if not report.stable:
@@ -174,7 +183,7 @@ def _cmd_compare(args) -> int:
     labels = (os.path.basename(args.model_a), os.path.basename(args.model_b))
     print(compare(result_a, result_b, labels), end="")
     if args.report:
-        _write_atomic(args.report, json_text(compare_dict(result_a, result_b, labels)))
+        _write_json(args.report, json_text, compare_dict(result_a, result_b, labels))
         print(f"wrote {args.report}")
     return EXIT_OK
 

@@ -305,16 +305,18 @@ def _factor(step: _Step, plan: ErectionPlan, outcome: _Outcome, counterweight: f
     Pure cantilever stages use the rigid-body ballast balance
     (W*a)/(w*c^2/2) about the abutment edge; the stabilizing self-weight
     of the back span is ignored (ballast-only restoring, conservative).
-    Indeterminate stages (planted pillars / landed) are judged from the
-    support reactions instead: any hold-down demand at a bearing fails,
-    reported as 1 + (most negative reaction)/(total load); no uplift
-    means the stage cannot tip and reports +inf.
+    One with no overturning moment (no overhang, or w*c^2/2 underflowing
+    to 0) cannot tip and reports +inf. Indeterminate stages (planted
+    pillars / landed) are judged from the support reactions instead: any
+    hold-down demand at a bearing fails, reported as 1 + (most negative
+    reaction)/(total load); no uplift means the stage cannot tip and
+    reports +inf.
     """
     c = step.cantilever_length
     if step.pure_cantilever:
-        if c <= 0:
-            return math.inf
         overturning = plan.deck_weight_per_length * c * c / 2.0
+        if overturning == 0.0:
+            return math.inf
         return counterweight * plan.counterweight_lever / overturning
     r_min = min(outcome.ballast + (counterweight - plan.counterweight), outcome.bearing)
     if r_min >= -EPS_FORCE:

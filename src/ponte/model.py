@@ -7,10 +7,9 @@ after construction and safe to share between concurrent analyses.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from operator import attrgetter
 from typing import Iterable, Union
 
@@ -136,14 +135,6 @@ def _load_sort_key(item: tuple[int, Load]):
     return (_LOAD_RANK[type(load)], target, pos)
 
 
-# A model's records as columns in model order: a list per field of each
-# record kind, and of the loads the kind (0-3, as ``load_kind``), target
-# (node or beam id, None for a self-weight) and values (fx, fy, mz, or w,
-# mass or g, 0, 0). ``_columns`` reads them off the records; the parser
-# converts them from the text and builds the records from them.
-Columns = namedtuple("Columns", "nodes materials sections beams cables supports loads")
-
-
 @dataclass(eq=False)
 class ModelArrays:
     """A model's records as columns in model order (``StructureModel.arrays``)
@@ -152,7 +143,6 @@ class ModelArrays:
     are the beams, then the cables. Read only, but not frozen: a frozen
     dataclass takes 9 us to set these fields, a fifth of a small view."""
 
-    index: dict[int, int]  # node id -> position in model.nodes
     node_ids: np.ndarray
     by_id: np.ndarray  # node positions in ascending id order
     # Every number of the records, three to a column: x, y, 0 of each node;
@@ -201,59 +191,47 @@ _LOAD_FIELDS = {
 }
 
 
-def _columns(model: StructureModel) -> Columns:
-    """The model's records, one list per field."""
-    nodes, mats, secs, beams, cables, sups = (
-        model.nodes, model.materials, model.sections, model.beams, model.cables, model.supports)
-    loads = zip(*(_LOAD_FIELDS[type(l)](l) for l in model.loads)) if model.loads else ((),) * 5
-    return Columns(
-        ([n.id for n in nodes], [n.x for n in nodes], [n.y for n in nodes]),
-        ([m.name for m in mats], [m.elastic_modulus for m in mats], [m.density for m in mats],
-         [m.allowable_stress for m in mats]),
-        ([s.name for s in secs], [s.area for s in secs], [s.second_moment for s in secs], [s.depth for s in secs]),
-        ([b.id for b in beams], [b.node_i for b in beams], [b.node_j for b in beams], [b.material for b in beams],
-         [b.section for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams]),
-        ([c.id for c in cables], [c.node_i for c in cables], [c.node_j for c in cables],
-         [c.material for c in cables], [c.area for c in cables], [c.pretension for c in cables]),
-        ([s.node for s in sups], [s.restrain_x for s in sups], [s.restrain_y for s in sups],
-         [s.restrain_rz for s in sups]),
-        list(loads))
-
-
-def _view(cols: Columns) -> ModelArrays:
-    """The model view of a model's columns; ``UnknownReference`` for a
+def _model_arrays(model: StructureModel) -> ModelArrays:
+    """The model view of a model's records; ``UnknownReference`` for a
     dangling reference, which only a model built without ``build_model``
     can hold."""
-    (node_id, x, y), mats, secs, beams, cables, (support, *flags), (kind, target, *load) = cols
-    n, nb, nc, ns, nl = len(node_id), len(beams[0]), len(cables[0]), len(support), len(kind)
+    nodes, mats, secs, beams, cables, sups = (
+        model.nodes, model.materials, model.sections, model.beams, model.cables, model.supports)
+    members = beams + cables
+    n, nb, nc, ns, nl = len(nodes), len(beams), len(cables), len(sups), len(model.loads)
+    kind, target, *load = zip(*(_LOAD_FIELDS[type(l)](l) for l in model.loads)) if nl else ((),) * 5
+    node_id = [nd.id for nd in nodes]
     index = dict(zip(node_id, range(n)))
-    at = (index, dict(zip(beams[0], range(nb))) if 1 in kind else {}, index)
+    at = (index, {b.id: k for k, b in enumerate(beams)} if 1 in kind else {}, index)
     try:
         load_at = [at[k][t] if k < 3 else 0 for k, t in zip(kind, target)]
     except KeyError:
         k, t = next((k, t) for k, t in zip(kind, target) if k < 3 and t not in at[k])
         raise UnknownReference(t, "beam" if k == 1 else "node") from None
-    materials, sections = dict(zip(mats[0], range(len(mats[0])))), dict(zip(secs[0], range(len(secs[0]))))
+    materials, sections = {m.name: k for k, m in enumerate(mats)}, {s.name: k for k, s in enumerate(secs)}
     # Each kind of number in one list, the columns one after another.
     try:
-        ends = map(map, repeat(index.__getitem__), (beams[1], cables[1], beams[2], cables[2]))
-        ints = list(chain(beams[0], cables[0], *ends, map(materials.__getitem__, beams[3]),
-                          map(materials.__getitem__, cables[3]), map(sections.__getitem__, beams[4]), *beams[5:],
-                          map(index.__getitem__, support), *flags, node_id, load_at, [4] * n, [5] * len(materials),
-                          [6] * len(sections), [7] * nc, kind))
+        ints = list(chain([e.id for e in members], [index[e.node_i] for e in members],
+                          [index[e.node_j] for e in members], [materials[e.material] for e in members],
+                          [sections[b.section] for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams],
+                          [index[s.node] for s in sups], [s.restrain_x for s in sups], [s.restrain_y for s in sups],
+                          [s.restrain_rz for s in sups], node_id, load_at, [4] * n, [5] * len(mats),
+                          [6] * len(secs), [7] * nc, kind))
     except KeyError as exc:  # a node id is an int, a material or section name a str
         key = exc.args[0]
-        named = key not in materials and (key in beams[3] or key in cables[3])  # as a member's material
+        named = key not in materials and any(e.material == key for e in members)
         raise UnknownReference(key, "material" if named else "section" if isinstance(key, str) else "node") from None
-    floats = list(chain(x, mats[1], secs[1], cables[4], load[0], y, mats[2], secs[2], cables[5], load[1], [0.0] * n,
-                        mats[3], secs[3], [0.0] * nc, load[2]))
+    floats = list(chain([nd.x for nd in nodes], [m.elastic_modulus for m in mats], [s.area for s in secs],
+                        [c.area for c in cables], load[0], [nd.y for nd in nodes], [m.density for m in mats],
+                        [s.second_moment for s in secs], [c.pretension for c in cables], load[1], [0.0] * n,
+                        [m.allowable_stress for m in mats], [s.depth for s in secs], [0.0] * nc, load[2]))
     ints, values = np.array(ints, dtype=int), np.array(floats, dtype=float).reshape(3, -1)
     bounds = list(accumulate((nm := nb + nc, 2 * nm, nm, nb, 2 * nb, ns, 3 * ns, n, nl)))
     ids, ends, material, section, pins, support_at, flags, node_ids, load_at, rule = (
         ints[lo:hi] for lo, hi in zip([0, *bounds], [*bounds, None]))
     i, j = ends = ends.reshape(2, nm)
     ends, pins, bits = ends.T, pins.reshape(2, nb).T == 1, _BITS @ flags.reshape(3, ns)
-    starts = a, b, c, d = tuple(accumulate((n, len(materials), len(sections), nc)))
+    starts = a, b, c, d = tuple(accumulate((n, len(mats), len(secs), nc)))
     x, y = values[0, :a], values[1, :a]
     with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
         dx, dy = x[j] - x[i], y[j] - y[i]
@@ -267,7 +245,7 @@ def _view(cols: Columns) -> ModelArrays:
     free = ~restrained
     free[:, 2] &= rz_stiff
     return ModelArrays(
-        index=index, node_ids=node_ids, by_id=by_id, values=values, starts=starts, x=x, y=y,
+        node_ids=node_ids, by_id=by_id, values=values, starts=starts, x=x, y=y,
         materials=values[:, a:b], sections=values[:, b:c], cables=values[:2, c:d], load_values=values[:, d:],
         rule=rule, load_kind=rule[d:], load_at=load_at, restrained=restrained, rz_stiff=rz_stiff, support_bits=bits,
         supported=node_ids[support_at].tolist(), support_at=support_at, member_ids=ids, ends=ends, dx=dx, dy=dy,
@@ -275,16 +253,6 @@ def _view(cols: Columns) -> ModelArrays:
         material=material, section=section, pins=pins, area=np.concatenate([values[0, b + section], values[0, c:d]]),
         free=free,
     )
-
-
-def _model_arrays(model: StructureModel) -> ModelArrays:
-    return _view(_columns(model))
-
-
-def _with_arrays(model: StructureModel, columns: Columns) -> StructureModel:
-    """``model`` with its ``arrays`` built from ``columns``, its records' ``_columns``."""
-    vars(model)["arrays"] = _view(columns)  # where the cached property keeps it
-    return model
 
 
 def _lookup(table: dict, key: int | str, kind: str):

@@ -660,12 +660,15 @@ class AnalysisResult:
     def max_utilization_member(self) -> int | None:
         """The most utilized member; among members within 1e-9 of the
         maximum (mirror images, say) the lowest id, so rounding in the
-        solve cannot pick between them."""
+        solve cannot pick between them. A maximum that is not finite (an
+        overflow, or a slack cable's 0/0) is the lowest id of the members
+        whose utilization is not finite."""
         util = self._recovered.utilization
         if not len(util):
             return None
         top = self.max_utilization
-        return min(self.model.arrays.member_ids[util >= top - 1e-9 * abs(top)].tolist())
+        at = util >= top - 1e-9 * abs(top) if math.isfinite(top) else ~np.isfinite(util)
+        return min(self.model.arrays.member_ids[at].tolist())
 
     @property
     def total_cable_tension(self) -> float:

@@ -21,7 +21,6 @@ byte-stable and ``parse(serialize(m))`` reproduces the model exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from bisect import bisect_left
 from collections.abc import Callable
 from itertools import chain, compress, count, permutations, repeat
@@ -31,7 +30,6 @@ from .errors import ParseError, UnknownKeyword
 from .model import (
     BeamElement,
     CableElement,
-    Columns,
     Load,
     Material,
     NodalForce,
@@ -42,7 +40,6 @@ from .model import (
     StructureModel,
     Support,
     UniformLoad,
-    _with_arrays,
     build_model,
 )
 
@@ -282,7 +279,6 @@ _KINDS = {
 # The keywords of build_model's records, and of the loads in its order.
 _RECORDS = ("NODE", "MATERIAL", "SECTION", "BEAM", "CABLE", "SUPPORT")
 _LOADS = ("LOAD NODE", "LOAD UDL", "LOAD MASS", "LOAD SELFWEIGHT")
-_EMPTY = {key: ((),) * len(dataclasses.fields(record)) for key, (_, record) in _KINDS.items() if record}
 # Keywords that are known but have no place in a model file.
 _REJECTED = {"PLAN": "PLAN lines belong in a plan file, not a model file",
              "LOAD": "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)"}
@@ -300,22 +296,13 @@ def _convert(convert, linenos: list[int], rows: list[list[str]]) -> tuple:
         raise
 
 
-def _by(key: list, *columns: list) -> tuple[list, ...]:
-    """``key`` and ``columns`` stably sorted by ``key``, as ``build_model`` sorts their records."""
-    if sorted(key) == key:
-        return key, *columns
-    order = sorted(range(len(key)), key=key.__getitem__)
-    return tuple(list(map(column.__getitem__, order)) for column in (key, *columns))
-
-
 def parse_model_file(text: str) -> StructureModel:
     """Parse the model format; errors carry their line number.
 
     Lines may come in any order; the first bad line in the file is the one
     reported. The UNIT header is optional on input. Identifier and
     reference problems surface as ``DuplicateId``/``UnknownReference``
-    from the model builder. The model's ``arrays`` are built from the
-    parsed columns, not from its records.
+    from the model builder.
     """
     groups: dict[str, tuple[list[int], list[list[str]]]] = {}
     for lineno, tokens in zip(*_content_lines(text)):
@@ -339,18 +326,7 @@ def parse_model_file(text: str) -> StructureModel:
     # dangling reference that the lines one by one would have met first.
     records = {key: list(map(_KINDS[key][1], *columns)) for key, columns in fields.items() if key != "UNIT"}
     loads = sorted(chain.from_iterable(zip(groups[key][0], records[key]) for key in _LOADS if key in records))
-    model = build_model(*(records.get(key, ()) for key in _RECORDS), [load for _, load in loads])
-
-    # The same fields in the model's order; self-weights stay in file order.
-    node, material, section, beam, cable, support, force, udl, mass, (g,) = (
-        _by(*fields[key]) if key in fields and key != "LOAD SELFWEIGHT" else fields.get(key) or _EMPTY[key]
-        for key in (*_RECORDS, *_LOADS))
-    zero = [0.0] * (len(udl[0]) + len(mass[0]) + len(g))
-    return _with_arrays(model, Columns(node, material, section, beam, cable, support, (
-        [0] * len(force[0]) + [1] * len(udl[0]) + [2] * len(mass[0]) + [3] * len(g),
-        [*force[0], *udl[0], *mass[0], *[None] * len(g)], [*force[1], *udl[1], *mass[1], *g], [*force[2], *zero],
-        [*force[3], *zero],
-    )))
+    return build_model(*(records.get(key, ()) for key in _RECORDS), [load for _, load in loads])
 
 
 # ---------------------------------------------------------------------------

@@ -333,10 +333,13 @@ def reactions_by_dof(result) -> dict[int, tuple]:
 
 def max_utilization_member(result) -> int | None:
     """The most utilized member by the per-member dict: among members
-    within 1e-9 of the maximum, the lowest id."""
+    within 1e-9 of the maximum, the lowest id; for a maximum that is not
+    finite, the lowest id of the members whose utilization is not finite."""
     if not result.utilization:
         return None
     top = result.max_utilization
+    if not math.isfinite(top):
+        return min(eid for eid, u in result.utilization.items() if not math.isfinite(u))
     return min(eid for eid, u in result.utilization.items() if u >= top - 1e-9 * abs(top))
 
 

@@ -197,6 +197,13 @@ class TestStage:
         assert data["minimal_verified"] is False
         assert data["minimal_counterweight"] == 9000.0
 
+    def test_an_overturning_moment_that_underflows_is_stable(self, tmp_path, capsys):
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=0.5 COUNT=10 W=5e-324 CW=3 LEVER=3 INTERVAL=2 SAFETY=1.5\n")
+        report_path = tmp_path / "s.json"
+        assert main(["stage", path, "--report", str(report_path)]) == 0
+        assert capsys.readouterr().out.endswith("overall: Stable\n")
+        assert json.loads(report_path.read_text())["stable"] is True
+
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")
         assert main(["stage", path]) == 4
@@ -216,6 +223,42 @@ class TestStage:
         assert "Traceback" not in done.stderr
         assert '"minimal_counterweight": null' in report_path.read_text()
         assert json.loads(report_path.read_text())["minimal_counterweight"] is None
+
+
+def _not_finite(tmp_path, material: str, sigma: str) -> str:
+    """GRANDE's model file with the allowable stress of ``material`` set
+    to ``sigma``, which validate accepts."""
+    path = tmp_path / f"{material}.txt"
+    main(["generate", "GRANDE", "-o", str(path)])
+    lines = [f"{line.rsplit(' ', 1)[0]} SIGMA={sigma}" if line.startswith(f"MATERIAL {material} ") else line
+             for line in path.read_text().splitlines()]
+    return write(path, "\n".join(lines) + "\n")
+
+
+class TestNonFiniteUtilization:
+    # Timber at SIGMA=1e-310 overflows the deck's utilization to inf; hemp
+    # rope at SIGMA=5e-324 makes a slack cable's 0/0 a NaN.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("material, sigma, line", [
+        ("timber", "1e-310", "max utilization: inf (member 1)\n"),
+        ("hemp-rope", "5e-324", "max utilization: nan (member 12)\n"),
+    ])
+    def test_analyze_names_the_lowest_non_finite_member(self, tmp_path, capsys, material, sigma, line):
+        capsys.readouterr()
+        assert main(["analyze", _not_finite(tmp_path, material, sigma)]) == 0
+        assert line in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("material, sigma", [("timber", "1e-310"), ("hemp-rope", "5e-324")])
+    @pytest.mark.parametrize("command", ["analyze", "compare"])
+    def test_a_report_json_cannot_hold_is_exit_4(self, tmp_path, capsys, material, sigma, command):
+        model, out = _not_finite(tmp_path, material, sigma), tmp_path / "r.json"
+        capsys.readouterr()
+        argv = ["analyze", model] if command == "analyze" else ["compare", model, model]
+        assert main([*argv, "--report", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Out of range float values are not JSON compliant\n"
+        assert not out.exists() and not list(tmp_path.glob(".ponte-*.tmp"))
 
 
 class TestCompare:

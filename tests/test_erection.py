@@ -276,6 +276,14 @@ class TestOverturningFactor:
     def test_zero_overhang_is_infinite(self):
         assert math.isinf(run_plan(PLAN).stages[0].overturning_factor)
 
+    def test_an_overturning_moment_that_underflows_is_infinite(self):
+        # w*c^2/2 of the smallest subnormal w is 0 at every overhang: no
+        # stage can tip, and none divides by its zero moment.
+        plan = ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 2, 1.5)
+        report = run_plan(plan)
+        assert report.stable
+        assert all(math.isinf(s.overturning_factor) for s in report.stages)
+
     def test_matches_formula_on_all_pure_stages(self):
         plan = replace(PLAN, counterweight=9000.0, module_count=6)
         for stage, report in zip(expand_plan(plan), run_plan(plan).stages):

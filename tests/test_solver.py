@@ -1260,10 +1260,10 @@ class TestElementTable:
         def reference(model) -> np.ndarray:
             weights = [l for l in model.loads if isinstance(l, SelfWeight)]
             el = _elements(replace(model, loads=tuple(l for l in model.loads if l not in weights)))
-            loads = el.loads.copy()
+            loads, index = el.loads.copy(), {nid: k for k, nid in enumerate(el.view.node_ids.tolist())}
             for weight in weights:
                 for force in self_weight_loads(model, weight.g):
-                    at = 3 * el.view.index[force.node]
+                    at = 3 * index[force.node]
                     loads[at : at + 3] += (force.fx, force.fy, force.mz)
             return loads
 
