@@ -126,6 +126,18 @@ def _check_plan(plan: ErectionPlan) -> None:
         value = getattr(plan, name)
         if not ok or not math.isfinite(float(value)):
             raise InvalidPlan(f"{name} out of range: {value}")
+    # A plan with an overhang needs a counterweight, and none can be 0 N.
+    if plan.module_count and _minimal_counterweight(plan) == 0.0:
+        raise InvalidPlan(f"deck_weight_per_length out of range: {plan.deck_weight_per_length}"
+                          " (the minimal counterweight underflows to 0 N)")
+
+
+def _minimal_counterweight(plan: ErectionPlan) -> float:
+    """The closed-form smallest counterweight keeping every pure-cantilever
+    stage at the safety factor: W_min = safety * (w c^2 / 2) / lever at the
+    longest such cantilever c, out to the first pillar or the far shore."""
+    w, c = plan.deck_weight_per_length, min(plan.pillar_interval, plan.module_count) * plan.module_length
+    return plan.safety_factor * (w * c * c / 2.0) / plan.counterweight_lever
 
 
 class _Step(NamedTuple):
@@ -358,12 +370,7 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
     """
     _check_plan(plan)
     deck = _Deck.of(plan)
-    # The closed-form smallest counterweight keeping every pure-cantilever
-    # stage at the safety factor: W_min = safety * max(w c^2 / 2) / lever.
-    w = plan.deck_weight_per_length
-    worst = max((w * s.cantilever_length * s.cantilever_length / 2.0 for s in deck.steps if s.pure_cantilever),
-                default=0.0)
-    w_min = plan.safety_factor * worst / plan.counterweight_lever
+    w_min = _minimal_counterweight(plan)
     reports, verified = [], True
     for step, outcome in zip(deck.steps, deck.outcomes()):
         if outcome is None:

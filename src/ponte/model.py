@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -23,8 +23,23 @@ MIN_ELEMENT_LENGTH = 1e-9  # m
 DOF_X, DOF_Y, DOF_RZ = 0, 1, 2
 
 
-@dataclass(frozen=True)
-class Node:
+def _record(cls: type) -> type:
+    """The named tuple ``cls`` as a model record: equal to, and hashed with,
+    records of its own type only (a ``UniformLoad`` never equals a
+    ``PointMass`` with the same fields), and unordered: ``<`` raises, also
+    against a plain tuple, whose own comparison would accept a record."""
+    def unordered(a, b):
+        raise TypeError(f"{cls.__name__} records have no order")
+
+    cls.__eq__ = lambda a, b: type(a) is type(b) and tuple.__eq__(a, b)
+    cls.__ne__ = lambda a, b: type(a) is not type(b) or tuple.__ne__(a, b)
+    cls.__hash__ = lambda a: hash((type(a), tuple.__hash__(a)))
+    cls.__lt__ = cls.__le__ = cls.__gt__ = cls.__ge__ = unordered
+    return cls
+
+
+@_record
+class Node(NamedTuple):
     """A point in the plane."""
 
     id: int
@@ -32,24 +47,24 @@ class Node:
     y: float
 
 
-@dataclass(frozen=True)
-class Material:
+@_record
+class Material(NamedTuple):
     name: str
     elastic_modulus: float  # Pa
     density: float  # kg/m^3
     allowable_stress: float  # Pa
 
 
-@dataclass(frozen=True)
-class Section:
+@_record
+class Section(NamedTuple):
     name: str
     area: float  # m^2
     second_moment: float  # m^4
     depth: float  # m, full depth used for extreme-fibre stress recovery
 
 
-@dataclass(frozen=True)
-class BeamElement:
+@_record
+class BeamElement(NamedTuple):
     """2D frame member carrying axial force, shear and bending.
 
     ``pin_i`` / ``pin_j`` release the bending moment at the corresponding
@@ -65,8 +80,8 @@ class BeamElement:
     pin_j: bool = False
 
 
-@dataclass(frozen=True)
-class CableElement:
+@_record
+class CableElement(NamedTuple):
     """Axial member that carries tension only; it goes slack in compression.
 
     ``pretension`` enters the analysis as an initial axial force offset.
@@ -80,24 +95,24 @@ class CableElement:
     pretension: float = 0.0  # N, >= 0
 
 
-@dataclass(frozen=True)
-class Support:
+@_record
+class Support(NamedTuple):
     node: int
     restrain_x: bool = False
     restrain_y: bool = False
     restrain_rz: bool = False
 
 
-@dataclass(frozen=True)
-class NodalForce:
+@_record
+class NodalForce(NamedTuple):
     node: int
     fx: float = 0.0  # N
     fy: float = 0.0  # N
     mz: float = 0.0  # N*m
 
 
-@dataclass(frozen=True)
-class UniformLoad:
+@_record
+class UniformLoad(NamedTuple):
     """Line load on one beam, per metre of member length.
 
     Positive ``w`` acts in global -y (downwards).
@@ -107,15 +122,15 @@ class UniformLoad:
     w: float  # N/m
 
 
-@dataclass(frozen=True)
-class SelfWeight:
+@_record
+class SelfWeight(NamedTuple):
     """Turns member densities and point masses into gravity loads."""
 
     g: float = 9.81  # m/s^2
 
 
-@dataclass(frozen=True)
-class PointMass:
+@_record
+class PointMass(NamedTuple):
     """A lumped mass (e.g. a counterweight wheel). It loads the structure
     only through a SelfWeight load case."""
 
@@ -191,41 +206,45 @@ _LOAD_FIELDS = {
 }
 
 
+def _columns(records: tuple, kind: type) -> tuple:
+    """The columns of ``records``, all of type ``kind``, as one ``kind``
+    whose fields are the columns: read by name, like the records."""
+    return kind._make(zip(*records) if records else ((),) * len(kind._fields))
+
+
 def _model_arrays(model: StructureModel) -> ModelArrays:
     """The model view of a model's records; ``UnknownReference`` for a
     dangling reference, which only a model built without ``build_model``
     can hold."""
     nodes, mats, secs, beams, cables, sups = (
         model.nodes, model.materials, model.sections, model.beams, model.cables, model.supports)
-    members = beams + cables
     n, nb, nc, ns, nl = len(nodes), len(beams), len(cables), len(sups), len(model.loads)
     kind, target, *load = zip(*(_LOAD_FIELDS[type(l)](l) for l in model.loads)) if nl else ((),) * 5
-    node_id = [nd.id for nd in nodes]
-    index = dict(zip(node_id, range(n)))
-    at = (index, {b.id: k for k, b in enumerate(beams)} if 1 in kind else {}, index)
+    nd, b, c, m, s, sp = map(_columns, (nodes, beams, cables, mats, secs, sups),
+                             (Node, BeamElement, CableElement, Material, Section, Support))
+    member_id, node_i, node_j, used = b.id + c.id, b.node_i + c.node_i, b.node_j + c.node_j, b.material + c.material
+    node_id, index = nd.id, dict(zip(nd.id, range(n)))
+    at = (index, dict(zip(member_id[:nb], range(nb))) if 1 in kind else {}, index)
     try:
         load_at = [at[k][t] if k < 3 else 0 for k, t in zip(kind, target)]
     except KeyError:
         k, t = next((k, t) for k, t in zip(kind, target) if k < 3 and t not in at[k])
         raise UnknownReference(t, "beam" if k == 1 else "node") from None
-    materials, sections = {m.name: k for k, m in enumerate(mats)}, {s.name: k for k, s in enumerate(secs)}
-    # Each kind of number in one list, the columns one after another.
+    materials, sections = dict(zip(m.name, range(len(mats)))), dict(zip(s.name, range(len(secs))))
+    # Each kind of number in one array, the columns one after another.
     try:
-        ints = list(chain([e.id for e in members], [index[e.node_i] for e in members],
-                          [index[e.node_j] for e in members], [materials[e.material] for e in members],
-                          [sections[b.section] for b in beams], [b.pin_i for b in beams], [b.pin_j for b in beams],
-                          [index[s.node] for s in sups], [s.restrain_x for s in sups], [s.restrain_y for s in sups],
-                          [s.restrain_rz for s in sups], node_id, load_at, [4] * n, [5] * len(mats),
-                          [6] * len(secs), [7] * nc, kind))
+        ints = np.fromiter(chain(member_id, map(index.__getitem__, node_i), map(index.__getitem__, node_j),
+                                 map(materials.__getitem__, used), map(sections.__getitem__, b.section), b.pin_i,
+                                 b.pin_j, map(index.__getitem__, sp.node), sp.restrain_x, sp.restrain_y,
+                                 sp.restrain_rz, node_id, load_at, [4] * n, [5] * len(mats), [6] * len(secs),
+                                 [7] * nc, kind), dtype=int)
     except KeyError as exc:  # a node id is an int, a material or section name a str
         key = exc.args[0]
-        named = key not in materials and any(e.material == key for e in members)
+        named = key not in materials and key in used
         raise UnknownReference(key, "material" if named else "section" if isinstance(key, str) else "node") from None
-    floats = list(chain([nd.x for nd in nodes], [m.elastic_modulus for m in mats], [s.area for s in secs],
-                        [c.area for c in cables], load[0], [nd.y for nd in nodes], [m.density for m in mats],
-                        [s.second_moment for s in secs], [c.pretension for c in cables], load[1], [0.0] * n,
-                        [m.allowable_stress for m in mats], [s.depth for s in secs], [0.0] * nc, load[2]))
-    ints, values = np.array(ints, dtype=int), np.array(floats, dtype=float).reshape(3, -1)
+    rows = zip((nd.x, nd.y, [0.0] * n), (m.elastic_modulus, m.density, m.allowable_stress),
+               (s.area, s.second_moment, s.depth), (c.area, c.pretension, [0.0] * nc), load)
+    values = np.fromiter(chain.from_iterable(chain.from_iterable(rows)), dtype=float).reshape(3, -1)
     bounds = list(accumulate((nm := nb + nc, 2 * nm, nm, nb, 2 * nb, ns, 3 * ns, n, nl)))
     ids, ends, material, section, pins, support_at, flags, node_ids, load_at, rule = (
         ints[lo:hi] for lo, hi in zip([0, *bounds], [*bounds, None]))

@@ -338,12 +338,16 @@ def _small_pivots(c: np.ndarray, diag: np.ndarray) -> np.ndarray:
 def _balanced(residual: np.ndarray, F: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """The residual rule, for each block of rows from ``starts``: a solve
     stands where ||K u - F|| <= ``RESIDUAL_RTOL`` * max(||F||, 1). Written
-    so a NaN residual fails. The norms sum squares by ``np.add.reduceat``,
-    so a block gets the same verdict alone and among others."""
-    def norm(v: np.ndarray) -> np.ndarray:
-        return np.sqrt(np.add.reduceat(v * v, starts))
-
-    return norm(residual) <= RESIDUAL_RTOL * np.maximum(norm(F), 1.0)
+    so a NaN fails. Each block's rows are divided by their largest magnitude
+    s before squaring, as BLAS dnrm2 does, so no square overflows: with the
+    scaled norms r and f, r <= RTOL * f or s * r <= RTOL. ``np.add.reduceat``
+    sums them, so a block gets the same verdict alone and among others."""
+    scale = np.maximum.reduceat(np.maximum(np.abs(residual), np.abs(F)), starts)
+    scale[scale == 0.0] = 1.0  # a block of zeros stands; a NaN stays, and fails
+    rows = scale.repeat(np.subtract([*starts[1:].tolist(), len(F)], starts))  # each block's scale on its rows
+    with np.errstate(over="ignore", invalid="ignore"):  # an s * r past the largest double, or inf / inf, fails
+        r, f = (np.sqrt(np.add.reduceat((v / rows) ** 2, starts)) for v in (residual, F))
+        return (r <= RESIDUAL_RTOL * f) | (scale * r <= RESIDUAL_RTOL)
 
 
 _ONE_BLOCK = np.zeros(1, dtype=int)

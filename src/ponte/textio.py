@@ -68,17 +68,6 @@ def _fmt(v: float) -> str:
     return format_float(float(v))
 
 
-def _support_flags(s: Support) -> str:
-    flags = ""
-    if s.restrain_x:
-        flags += "X"
-    if s.restrain_y:
-        flags += "Y"
-    if s.restrain_rz:
-        flags += "R"
-    return flags
-
-
 def _beam_line(b: BeamElement) -> str:
     line = f"BEAM {b.id} {b.node_i} {b.node_j} {b.material} {b.section}"
     if b.pin_i or b.pin_j:
@@ -116,7 +105,8 @@ def serialize_model(model: StructureModel) -> str:
         if c.pretension != 0.0:
             line += f" PRETENSION={_fmt(c.pretension)}"
         lines.append(line)
-    lines.extend(f"SUPPORT {s.node} {_support_flags(s)}" for s in model.supports)
+    lines.extend(f"SUPPORT {s.node} {''.join(compress('XYR', (s.restrain_x, s.restrain_y, s.restrain_rz)))}"
+                 for s in model.supports)
     lines.extend(_load_line(load) for load in model.loads)
     return "\n".join(lines) + "\n"
 
@@ -323,8 +313,10 @@ def parse_model_file(text: str) -> StructureModel:
         raise min(errors, key=lambda exc: exc.line)
 
     # The records in file order, so that build_model meets the duplicate or
-    # dangling reference that the lines one by one would have met first.
-    records = {key: list(map(_KINDS[key][1], *columns)) for key, columns in fields.items() if key != "UNIT"}
+    # dangling reference that the lines one by one would have met first: each
+    # a row of its columns, made a record by tuple.__new__ with no Python call.
+    records = {key: list(map(tuple.__new__, repeat(_KINDS[key][1]), zip(*columns)))
+               for key, columns in fields.items() if key != "UNIT"}
     loads = sorted(chain.from_iterable(zip(groups[key][0], records[key]) for key in _LOADS if key in records))
     return build_model(*(records.get(key, ()) for key in _RECORDS), [load for _, load in loads])
 

@@ -1,5 +1,5 @@
-"""Model validation, components and the free-dof numbering record by
-record, closed-form element matrices, written out case by case, a dense
+"""Model building and validation, components and the free-dof numbering
+record by record, closed-form element matrices, written out case by case, a dense
 assembly, a dense rank-revealing solve, a dense null basis, the
 per-member utilization formula, erection plans run stage model by stage
 model, the support reactions filled dof by dof, self-weight lumped member
@@ -28,7 +28,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
 from ponte.catalog import DECK_MATERIAL, DECK_SECTION
 from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _outcome, _Step
-from ponte.errors import NonPositiveProperty, ParseError, SingularSystem, UnknownKeyword
+from ponte.errors import DuplicateId, NonPositiveProperty, ParseError, SingularSystem, UnknownKeyword, UnknownReference
 from ponte.model import (
     DOF_RZ,
     DOF_X,
@@ -604,6 +604,56 @@ def connected_components(model: StructureModel) -> list[set[int]]:
     for nid in parent:
         groups.setdefault(find(nid), set()).add(nid)
     return list(groups.values())
+
+
+def build_model_by_record(nodes=(), materials=(), sections=(), beams=(), cables=(), supports=(), loads=()):
+    """``model.build_model`` record by record: every record is checked in
+    turn (nodes, materials, sections, the beams then the cables, supports,
+    loads), and the first duplicate id or name, bad name or dangling
+    reference raises; then the records are sorted into canonical order."""
+    node_ids: set = set()
+    for n in nodes:
+        if n.id in node_ids:
+            raise DuplicateId(n.id, "node id")
+        node_ids.add(n.id)
+    names: dict[str, set] = {"material": set(), "section": set()}
+    for kind, items in (("material", materials), ("section", sections)):
+        for item in items:
+            if not item.name or item.name.split() != [item.name] or "#" in item.name:
+                raise ValueError(f"{kind} name must be non-empty without whitespace or '#': {item.name!r}")
+            if item.name in names[kind]:
+                raise DuplicateId(item.name, f"{kind} name")
+            names[kind].add(item.name)
+    element_ids: set = set()
+    for kind, members in (("beam", beams), ("cable", cables)):
+        for e in members:
+            if e.id in element_ids:
+                raise DuplicateId(e.id, "element id")
+            element_ids.add(e.id)
+            for end in (e.node_i, e.node_j):
+                if end not in node_ids:
+                    raise UnknownReference(end, "node", f"{kind} {e.id}")
+            if e.material not in names["material"]:
+                raise UnknownReference(e.material, "material", f"{kind} {e.id}")
+            if kind == "beam" and e.section not in names["section"]:
+                raise UnknownReference(e.section, "section", f"beam {e.id}")
+    for s in supports:
+        if s.node not in node_ids:
+            raise UnknownReference(s.node, "node", "support")
+    beam_ids = {b.id for b in beams}
+    for load in loads:
+        if isinstance(load, (NodalForce, PointMass)) and load.node not in node_ids:
+            raise UnknownReference(load.node, "node", "load")
+        if isinstance(load, UniformLoad) and load.beam not in beam_ids:
+            raise UnknownReference(load.beam, "beam", "uniform load")
+    rank = {NodalForce: 0, UniformLoad: 1, PointMass: 2, SelfWeight: 3}
+    target = {NodalForce: "node", UniformLoad: "beam", PointMass: "node"}
+    return StructureModel(
+        tuple(sorted(nodes, key=lambda n: n.id)), tuple(sorted(materials, key=lambda m: m.name)),
+        tuple(sorted(sections, key=lambda s: s.name)), tuple(sorted(beams, key=lambda b: b.id)),
+        tuple(sorted(cables, key=lambda c: c.id)), tuple(sorted(supports, key=lambda s: s.node)),
+        tuple(l for _, l in sorted(enumerate(loads), key=lambda item: (
+            rank[type(item[1])], getattr(item[1], target.get(type(item[1]), ""), -1), item[0]))))
 
 
 def validate(model: StructureModel) -> ValidationReport:

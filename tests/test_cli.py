@@ -198,11 +198,25 @@ class TestStage:
         assert data["minimal_counterweight"] == 9000.0
 
     def test_an_overturning_moment_that_underflows_is_stable(self, tmp_path, capsys):
-        path = write(tmp_path / "plan.txt", "PLAN MODULE=0.5 COUNT=10 W=5e-324 CW=3 LEVER=3 INTERVAL=2 SAFETY=1.5\n")
+        # w c^2 / 2 underflows to 0 at the 0.5 and 1 m overhangs, but not at
+        # the 1.5 m one, so W_min is the smallest double and can be held.
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=0.5 COUNT=10 W=5e-324 CW=3 LEVER=3 INTERVAL=3 SAFETY=1.5\n")
         report_path = tmp_path / "s.json"
         assert main(["stage", path, "--report", str(report_path)]) == 0
-        assert capsys.readouterr().out.endswith("overall: Stable\n")
+        out = capsys.readouterr().out
+        assert "minimal stable counterweight: 4.94066e-324 N\n" in out and out.endswith("overall: Stable\n")
         assert json.loads(report_path.read_text())["stable"] is True
+
+    def test_a_minimal_counterweight_that_underflows_is_rejected(self, tmp_path, capsys):
+        # Here w c^2 / 2 underflows at every overhang, so W_min would be 0 N,
+        # a counterweight the plan file rejects: the deck weight is out of range.
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=0.5 COUNT=10 W=5e-324 CW=3 LEVER=3 INTERVAL=2 SAFETY=1.5\n")
+        report_path = tmp_path / "s.json"
+        assert main(["stage", path, "--report", str(report_path)]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: deck_weight_per_length out of range: 5e-324"
+                                  " (the minimal counterweight underflows to 0 N)\n")
+        assert not report_path.exists()
 
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -277,12 +278,46 @@ class TestOverturningFactor:
         assert math.isinf(run_plan(PLAN).stages[0].overturning_factor)
 
     def test_an_overturning_moment_that_underflows_is_infinite(self):
-        # w*c^2/2 of the smallest subnormal w is 0 at every overhang: no
-        # stage can tip, and none divides by its zero moment.
-        plan = ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 2, 1.5)
+        # w*c^2/2 of the smallest subnormal w is 0 at the 0.5 and 1 m
+        # overhangs: those stages cannot tip, and none divides by its zero
+        # moment. At 1.5 m it is not 0, so W_min is positive.
+        plan = ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 3, 1.5)
+        assert [s.cantilever_length for s in expand_plan(plan) if s.pure_cantilever] == [0.0, 0.5, 1.0, 1.5]
         report = run_plan(plan)
-        assert report.stable
+        assert report.stable and report.minimal_counterweight == 5e-324
         assert all(math.isinf(s.overturning_factor) for s in report.stages)
+
+    def test_a_minimal_counterweight_that_underflows_is_rejected(self):
+        # Below 1.5 m every w*c^2/2 of w = 5e-324 underflows, so W_min would
+        # be 0 N, a counterweight no plan can hold: the deck weight is out
+        # of range. With no overhang (COUNT=0) W_min stays 0 and the plan
+        # stands.
+        # expand_plan accepts the plans run_plan does.
+        for call in (run_plan, expand_plan):
+            with pytest.raises(InvalidPlan) as exc:
+                call(ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 2, 1.5))
+            assert str(exc.value) == (
+                "deck_weight_per_length out of range: 5e-324 (the minimal counterweight underflows to 0 N)")
+        assert run_plan(replace(PLAN, module_count=0)).minimal_counterweight == 0.0
+
+    def test_a_plan_of_1e300_newtons_keeps_its_moment_balance(self):
+        # Forces of 1e300 N square past the largest double. The residual rule
+        # scales before it squares, so no overflow warning is raised, and
+        # the stages balance as at 1 N/m: the same overturning factors and
+        # overturning verdicts, and utilizations and deflections scaled by
+        # 1e300 (which overstresses every stage).
+        small = ErectionPlan(2.0, 6, 1.0, 1e5, 2.0, 3, 1.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            big = run_plan(replace(small, deck_weight_per_length=1e300, counterweight=1e305))
+        small = run_plan(small)
+        assert len(big.stages) == len(small.stages) == 9
+        for a, b in zip(big.stages, small.stages):
+            assert a.overturning_factor == approx(b.overturning_factor, rel=1e-12)
+            assert (a.verdict is Verdict.OVERTURNS) == (b.verdict is Verdict.OVERTURNS)
+            assert a.max_utilization == approx(1e300 * b.max_utilization, rel=1e-12)
+            assert a.max_deflection == approx(1e300 * b.max_deflection, rel=1e-12)
+        assert big.minimal_counterweight == approx(1e300 * small.minimal_counterweight, rel=1e-12)
 
     def test_matches_formula_on_all_pure_stages(self):
         plan = replace(PLAN, counterweight=9000.0, module_count=6)
@@ -349,6 +384,16 @@ class TestRunPlan:
         report = run_plan(PLAN)
         assert report.minimal_counterweight == approx(4000.0, rel=1e-12)
         assert report.minimal_verified
+
+    @pytest.mark.parametrize("count", range(8))
+    def test_w_min_is_taken_at_the_longest_pure_cantilever_stage(self, count):
+        # The closed form reads the longest pure cantilever off the plan; it
+        # is the largest w*c^2/2 over the stages expand_plan makes, bit for bit.
+        for interval in range(1, 10):
+            plan = replace(PLAN, module_length=0.7, module_count=count, pillar_interval=interval, safety_factor=1.3)
+            worst = max(plan.deck_weight_per_length * s.cantilever_length * s.cantilever_length / 2.0
+                        for s in expand_plan(plan) if s.pure_cantilever)
+            assert run_plan(plan).minimal_counterweight == 1.3 * worst / plan.counterweight_lever
 
     def test_w_min_sharp(self):
         w_min = run_plan(PLAN).minimal_counterweight

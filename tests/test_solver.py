@@ -548,6 +548,31 @@ class TestSolveBlocks:
         u, ok = solver._solve_blocks(ab, F, starts)
         assert solver._solve(ab, F, str)[0].tobytes() == u.tobytes()
 
+    def test_the_residual_rule_does_not_overflow(self):
+        # ||F|| of about 1e300 squares past the largest double: summing the
+        # plain squares made both norms inf, and inf <= inf passed a
+        # residual of 1e-5 ||F||. Scaled norms keep every verdict.
+        F = np.array([3e299, -6e299, 7e299, 1e299])
+        norm = float(np.sqrt(np.sum((F / 1e299) ** 2))) * 1e299
+        blocks = {
+            "big, off": (F * (1e-5 * norm / 1e300), F),
+            "big, within": (F * 1e-12, F),
+            "zero": (np.zeros(3), np.zeros(3)),
+            "small, within": (np.array([5e-9, 0.0]), np.array([1e-3, 0.0])),  # under the 1 N floor
+            "small, off": (np.array([2e-8, 0.0]), np.array([1e-3, 0.0])),
+            "nan residual": (np.array([np.nan, 0.0]), np.array([1.0, 2.0])),
+            "nan load": (np.array([0.0, 0.0]), np.array([np.nan, 2.0])),
+            "inf and nan": (np.array([np.inf, np.nan]), np.array([np.inf, 2.0])),
+            "tiny": (np.array([5e-324, 0.0]), np.array([1e-310, 5e-324])),
+        }
+        expected = [False, True, True, True, False, False, False, False, True]
+        with np.errstate(over="raise", divide="raise", invalid="raise"):  # underflow stays harmless
+            alone = [solver._balanced(r, f, np.zeros(1, dtype=int))[0] for r, f in blocks.values()]
+            residual, F = (np.concatenate(v) for v in zip(*blocks.values()))
+            starts = np.cumsum([0] + [len(f) for _, f in blocks.values()])[:-1]
+            stacked = solver._balanced(residual, F, starts).tolist()
+        assert alone == stacked == expected
+
 
 class TestOneBlockBatch:
     # Each row of _analyze_prefixes is its sub-model's own analysis, bit
@@ -643,7 +668,7 @@ class TestOneBlockBatch:
         pinned, a uniform load on every deck beam and a nodal force at its
         middle node."""
         beams = list(model.beams)
-        beams[0], beams[-1] = replace(beams[0], pin_i=True), replace(beams[-1], pin_j=True)
+        beams[0], beams[-1] = beams[0]._replace(pin_i=True), beams[-1]._replace(pin_j=True)
         loads = [l for l in model.loads if not isinstance(l, SelfWeight)]
         model = build_model(model.nodes, model.materials, model.sections, beams, model.cables, model.supports, loads)
         middle = model.nodes[len(model.nodes) // 2].id
@@ -727,7 +752,7 @@ class TestBandedSolve:
             *random_models,
             # No generated model has pretension; these give every cable some.
             *(build_model(m.nodes, m.materials, m.sections, m.beams,
-                          [replace(c, pretension=100.0 * c.id) for c in m.cables], m.supports, m.loads)
+                          [c._replace(pretension=100.0 * c.id) for c in m.cables], m.supports, m.loads)
               for m in random_models if m.cables),
             *(replica(kind, pillars, crosswise) for pillars in (1, 2, 3, 7, 15, 31, 47, 63, 95, 120)
               for kind in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED) for crosswise in (False, True)),
@@ -902,9 +927,9 @@ def mirror(model):
     """The model's mirror image: x -> -x, with the nodal forces' fx and mz
     flipped. Uniform loads and self-weight act along y and stay."""
     def load(l):
-        return replace(l, fx=-l.fx, mz=-l.mz) if isinstance(l, NodalForce) else l
+        return l._replace(fx=-l.fx, mz=-l.mz) if isinstance(l, NodalForce) else l
 
-    return build_model([replace(n, x=0.0 - n.x) for n in model.nodes], model.materials, model.sections,
+    return build_model([n._replace(x=0.0 - n.x) for n in model.nodes], model.materials, model.sections,
                        model.beams, model.cables, model.supports, [load(l) for l in model.loads])
 
 
@@ -918,19 +943,19 @@ def relabel(model, seed: int):
     elements = dict(zip(members, rng.sample(range(1, 10 * len(members) + 1), len(members))))
 
     def member(e):
-        return replace(e, id=elements[e.id], node_i=nodes[e.node_i], node_j=nodes[e.node_j])
+        return e._replace(id=elements[e.id], node_i=nodes[e.node_i], node_j=nodes[e.node_j])
 
     def load(l):
         if isinstance(l, UniformLoad):
-            return replace(l, beam=elements[l.beam])
-        return replace(l, node=nodes[l.node]) if hasattr(l, "node") else l
+            return l._replace(beam=elements[l.beam])
+        return l._replace(node=nodes[l.node]) if hasattr(l, "node") else l
 
     loads = [load(l) for l in model.loads]
     rng.shuffle(loads)
     relabelled = build_model(
-        [replace(n, id=nodes[n.id]) for n in model.nodes], model.materials, model.sections,
+        [n._replace(id=nodes[n.id]) for n in model.nodes], model.materials, model.sections,
         [member(b) for b in model.beams], [member(c) for c in model.cables],
-        [replace(s, node=nodes[s.node]) for s in model.supports], loads,
+        [s._replace(node=nodes[s.node]) for s in model.supports], loads,
     )
     return relabelled, nodes, elements
 
