@@ -29,7 +29,7 @@ from .errors import (
     UnknownReference,
 )
 from .erection import run_plan
-from .reporting import build_diagram, compare, compare_dict, json_text, plan_report_dict, render_svg, write_report
+from .reporting import build_diagram, compare, compare_dict, json_text, render_svg, write_plan_report, write_report
 from .solver import analyze
 from .textio import parse_model_file, parse_plan_file, serialize_model
 
@@ -155,18 +155,17 @@ def _cmd_generate(args) -> int:
 def _cmd_stage(args) -> int:
     report = run_plan(_read(args.plan, parse_plan_file))
 
-    for stage in report.stages:
-        factor = "inf" if math.isinf(stage.overturning_factor) else f"{stage.overturning_factor:.6g}"
-        print(
-            f"stage {stage.index}: {stage.verdict.value:<12} factor={factor:>10} "
-            f"util={stage.max_utilization:.4g} defl={stage.max_deflection:.4g} m"
-        )
+    print("".join(
+        "stage %d: %-12s factor=%10s util=%.4g defl=%.4g m\n"
+        % (s.index, s.verdict.value, "inf" if math.isinf(s.overturning_factor) else "%.6g" % s.overturning_factor,
+           s.max_utilization, s.max_deflection)
+        for s in report.stages), end="")
     w_min = (f"{report.minimal_counterweight:.6g} N" if report.minimal_verified
              else "none (no counterweight passes every stage)")
     print(f"minimal stable counterweight: {w_min}")
 
     if args.report:
-        _write_json(args.report, json_text, plan_report_dict(report))
+        _write_json(args.report, write_plan_report, report)
         print(f"wrote {args.report}")
 
     if not report.stable:

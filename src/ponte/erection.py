@@ -12,7 +12,7 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 import numpy as np
@@ -240,7 +240,9 @@ class _Deck:
         deck nodes) stages. Each row is its stage's own analysis, bit for
         bit, whatever the batch, because the deck is a chain: its band and
         the stacked band have a half-bandwidth of 5, below the 16 from which
-        ``solver._solve_blocks`` gives a padded block other bits.
+        ``solver._solve_blocks`` gives a padded block other bits. A batch's
+        restraint mask is set from its stages' bearing modules flattened into
+        one array, not from one object per (stage, bearing) pair.
 
         Every stage is valid when the finished deck is: its nodes, beams and
         loads are prefixes of the deck's, each node of the prefix is on a
@@ -259,8 +261,9 @@ class _Deck:
             nodes = np.array([s.built + 2 for s in steps])
             # The stage's own bearings: module m's tip, node 2 + m, is at
             # node position 1 + m, and these restrain its y dof.
-            held = [(k, m) for k, s in enumerate(steps) for m in s.bearing_modules]
-            stage, module = np.array(held, dtype=int).reshape(-1, 2).T
+            held = [s.bearing_modules for s in steps]
+            stage = np.repeat(np.arange(len(steps)), list(map(len, held)))
+            module = np.fromiter(chain.from_iterable(held), dtype=int)
             restrained = np.zeros((len(steps), n), dtype=bool)
             restrained[stage, 3 * (module + 1) + 1] = True
             solved, done = _analyze_prefixes(el, nodes, nodes - 1, restrained)
@@ -336,6 +339,15 @@ def _factor(step: _Step, plan: ErectionPlan, outcome: _Outcome, counterweight: f
     return 1.0 + r_min / (plan.deck_weight_per_length * step.deck_length + counterweight)
 
 
+def _verdict(plan: ErectionPlan, factor: float, utilization: float) -> Verdict:
+    """The verdict on a solved stage of ``plan`` at this factor and utilization."""
+    if factor < plan.safety_factor * (1.0 - _FACTOR_RTOL):
+        return Verdict.OVERTURNS
+    if utilization >= 1.0:
+        return Verdict.OVERSTRESSED
+    return Verdict.STABLE
+
+
 def _judge(step: _Step, plan: ErectionPlan, outcome: _Outcome | None, counterweight: float) -> StageReport:
     """Report of stage ``step``, solved under ``plan``, with the ballast
     set to ``counterweight``.
@@ -351,13 +363,7 @@ def _judge(step: _Step, plan: ErectionPlan, outcome: _Outcome | None, counterwei
         return StageReport(step.index, 0.0, math.inf, math.inf, Verdict.OVERTURNS)
     factor = _factor(step, plan, outcome, counterweight)
     util = outcome.max_utilization
-    if factor < plan.safety_factor * (1.0 - _FACTOR_RTOL):
-        verdict = Verdict.OVERTURNS
-    elif util >= 1.0:
-        verdict = Verdict.OVERSTRESSED
-    else:
-        verdict = Verdict.STABLE
-    return StageReport(step.index, factor, util, outcome.max_deflection, verdict)
+    return StageReport(step.index, factor, util, outcome.max_deflection, _verdict(plan, factor, util))
 
 
 def run_plan(plan: ErectionPlan) -> PlanReport:
@@ -367,6 +373,8 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
     No stage model is built: the stages are prefixes of the plan's deck,
     solved together by ``_Deck.outcomes``. A stage that batch leaves out
     is analyzed on its own model, in stage order, exactly as one by one.
+    Each stage is reported at the plan's counterweight; at ``W_min`` only
+    its verdict is taken (``_verdict``), until one stage fails there.
     """
     _check_plan(plan)
     deck = _Deck.of(plan)
@@ -376,7 +384,8 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
         if outcome is None:
             outcome = _analyze(deck.model(step.built, step.bearing_modules))
         reports.append(_judge(step, plan, outcome, plan.counterweight))
-        if w_min > 0:
-            verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
+        if verified and w_min > 0:
+            verified = outcome is not None and _verdict(
+                plan, _factor(step, plan, outcome, w_min), outcome.max_utilization) is Verdict.STABLE
     stable = all(r.verdict is Verdict.STABLE for r in reports)
     return PlanReport(tuple(reports), stable, w_min, verified)

@@ -6,10 +6,11 @@ only the deck works while pillars and ropes stay idle.
 
 The analysis report and the SVG are written from the result's and the
 model's arrays, each kind of record by one %-template filled over
-``.tolist()`` columns. Their bytes are fixed by record-by-record oracles in
-``tests/oracles.py``: the report is ``json.dumps(report_dict(result),
-indent=2)`` and a newline, the SVG what its per-member ``build_diagram``
-and ``render_svg`` write; the tests hold both equal byte for byte.
+``.tolist()`` columns, the erection plan report by one per stage. Their
+bytes are fixed by record-by-record oracles in ``tests/oracles.py``: a
+report is ``json.dumps(..., indent=2)`` of its oracle dictionary
+(``report_dict``, ``plan_report_dict``) and a newline, the SVG what its
+per-member ``build_diagram`` and ``render_svg`` write.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ def _flat(values) -> bool:
 def _indented(value, pad: str) -> str:
     """``json.dumps(value, indent=2)`` with every line after the first
     prefixed by ``pad``. Python walks only containers of containers; an
-    all-scalar dict or list, or a list of all-scalar dicts (a table of
-    records), is one call of the C encoder."""
+    all-scalar dict or list is one call of the C encoder."""
     inner = pad + "  "
     items = value.values() if isinstance(value, dict) else value
     if not isinstance(value, (dict, list, tuple)) or _flat(items):
@@ -73,12 +73,6 @@ def _indented(value, pad: str) -> str:
         if len(text) < 3 or text[0] not in "[{":
             return text  # a scalar, [] or {}
         return text[0] + "\n" + inner + text[1:-1].replace("\n", "\n" + inner) + "\n" + pad + text[-1]
-    if not isinstance(value, dict) and all(type(v) is dict and v and _flat(v.values()) for v in items):
-        # '[{"a": 1,\n"b": 2},\n{"a": 3}]': a raw newline before "{" starts a record.
-        deep = inner + "  "
-        body = _encode(value)[2:-2].replace("\n", "\n" + deep)
-        body = body.replace("},\n" + deep + "{", "\n" + inner + "},\n" + inner + "{\n" + deep)
-        return "[\n" + inner + "{\n" + deep + body + "\n" + inner + "}\n" + pad + "]"
     if isinstance(value, dict):
         if not all(isinstance(k, str) for k in value):
             return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
@@ -109,13 +103,16 @@ def _json_list(items: list[str]) -> str:
     return "[\n    " + ",\n    ".join(items) + "\n  ]" if items else "[]"
 
 
-# Each kind of record in the report as json.dumps(indent=2) writes it, ints
-# and floats by their repr, which %r gives for plain Python ones.
+# Each kind of record in the reports as json.dumps(indent=2) writes it, ints
+# and floats by their repr, which %r gives for plain Python ones (a plan
+# report's stage takes its figures as JSON text).
 _NODE = '{\n      "id": %r,\n      "dx": %r,\n      "dy": %r,\n      "rz": %r\n    }'
 _BEAM = ('{\n      "id": %r,\n      "type": "beam",\n      "axial": %r,\n      "shear": %r,\n'
          '      "moment_i": %r,\n      "moment_j": %r,\n      "utilization": %r\n    }')
 _CABLE = '{\n      "id": %r,\n      "type": "cable",\n      "axial": %r,\n      "utilization": %r,\n      "state": "%s"\n    }'
 _REACTION = '{\n      "node": %r,\n      "fx": %r,\n      "fy": %r,\n      "mz": %r\n    }'
+_STAGE = ('{\n      "index": %d,\n      "verdict": "%s",\n      "overturning_factor": %s,\n'
+          '      "max_utilization": %s,\n      "max_deflection": %s\n    }')
 
 
 def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:
@@ -148,28 +145,23 @@ def write_report(result: AnalysisResult, model: StructureModel | None = None) ->
     )
 
 
-def _finite_or_none(value: float) -> float | None:
-    return None if math.isinf(value) else value
+def _figure(value: float) -> str:
+    """A plan figure in JSON: a finite float by its repr, an infinite one
+    as null; NaN raises the encoder's ValueError, as ``json_text`` does."""
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "null" if math.isinf(value) else _encode(value)
 
 
-def plan_report_dict(report: PlanReport) -> dict:
-    """The erection plan report as one JSON-ready dictionary; an infinite
-    stage figure or minimal counterweight becomes None."""
-    return {
-        "stages": [
-            {
-                "index": s.index,
-                "verdict": s.verdict.value,
-                "overturning_factor": _finite_or_none(s.overturning_factor),
-                "max_utilization": _finite_or_none(s.max_utilization),
-                "max_deflection": _finite_or_none(s.max_deflection),
-            }
-            for s in report.stages
-        ],
-        "stable": report.stable,
-        "minimal_counterweight": _finite_or_none(report.minimal_counterweight),
-        "minimal_verified": report.minimal_verified,
-    }
+def write_plan_report(report: PlanReport) -> str:
+    """The erection plan report as deterministic JSON text (see the module
+    docstring); an infinite stage figure or W_min is written as null."""
+    stages = [_STAGE % (s.index, s.verdict.value, _figure(s.overturning_factor), _figure(s.max_utilization),
+                        _figure(s.max_deflection)) for s in report.stages]
+    return ('{\n  "stages": ' + _json_list(stages)
+            + ',\n  "stable": ' + ("true" if report.stable else "false")
+            + ',\n  "minimal_counterweight": ' + _figure(report.minimal_counterweight)
+            + ',\n  "minimal_verified": ' + ("true" if report.minimal_verified else "false") + "\n}\n")
 
 
 # ---------------------------------------------------------------------------

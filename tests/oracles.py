@@ -3,8 +3,8 @@ record by record, closed-form element matrices, written out case by case, a dens
 assembly, a dense rank-revealing solve, a dense null basis, the
 per-member utilization formula, erection plans run stage model by stage
 model, the support reactions filled dof by dof, self-weight lumped member
-by member, the analysis report and SVG diagram built record by record,
-and the model file parsed line by line.
+by member, the analysis report, the erection plan report and SVG diagram
+built record by record, and the model file parsed line by line.
 
 They are independent of the model's column checks and numbering, of
 the solver's element table, which derives every
@@ -12,7 +12,8 @@ release pattern by static condensation of the clamped element, of its
 banded assembly and factorization, of its windowed null basis, of its
 vectorized utilization, reactions and gravity lumping, of the one banded
 solve of all of a plan's stages, and of the report and diagram written
-from the result's arrays by one template per record kind, of the parser
+from the result's arrays by one template per record kind (the plan
+report by one per stage), of the parser
 that converts each keyword's lines a field at a time, and the tests
 compare the two.
 """
@@ -395,6 +396,31 @@ def report_dict(result) -> dict:
         "active_cables": sorted(result.active_cables),
         "slack_cables": sorted(c.id for c in model.cables if c.id not in result.active_cables),
         "summary": summary,
+    }
+
+
+def _finite_or_none(value: float) -> float | None:
+    return None if math.isinf(value) else value
+
+
+def plan_report_dict(report: PlanReport) -> dict:
+    """The erection plan report as one JSON-ready dictionary, stage by
+    stage; an infinite stage figure or minimal counterweight becomes None.
+    ``write_plan_report`` writes ``json.dumps(plan_report_dict(r), indent=2)``."""
+    return {
+        "stages": [
+            {
+                "index": s.index,
+                "verdict": s.verdict.value,
+                "overturning_factor": _finite_or_none(s.overturning_factor),
+                "max_utilization": _finite_or_none(s.max_utilization),
+                "max_deflection": _finite_or_none(s.max_deflection),
+            }
+            for s in report.stages
+        ],
+        "stable": report.stable,
+        "minimal_counterweight": _finite_or_none(report.minimal_counterweight),
+        "minimal_verified": report.minimal_verified,
     }
 
 

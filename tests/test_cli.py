@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 import os
 import stat
 import subprocess
@@ -221,6 +223,19 @@ class TestStage:
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")
         assert main(["stage", path]) == 4
+
+    def test_a_report_json_cannot_hold_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        # No plan is known to give a NaN figure; one is put in its report.
+        import ponte.cli
+
+        run_plan = ponte.cli.run_plan
+        monkeypatch.setattr(ponte.cli, "run_plan",
+                            lambda plan: dataclasses.replace(run_plan(plan), minimal_counterweight=math.nan))
+        path, out = write(tmp_path / "plan.txt", PLAN_TEXT), tmp_path / "s.json"
+        assert main(["stage", path, "--report", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out}: Out of range float values are not JSON compliant\n"
+        assert not out.exists() and not list(tmp_path.glob(".ponte-*.tmp"))
 
     def test_infinite_minimal_counterweight_is_null(self, tmp_path):
         # W_min = w c^2 / (2 lever) overflows for 1e200 m modules; the

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
@@ -14,6 +15,8 @@ import ponte.erection
 from ponte import solver
 from ponte.erection import (
     ErectionPlan,
+    PlanReport,
+    StageReport,
     Verdict,
     _Deck,
     expand_plan,
@@ -21,9 +24,12 @@ from ponte.erection import (
 )
 from ponte.errors import InvalidModel, InvalidPlan
 from ponte.model import NodalForce, validate
-from ponte.reporting import json_text, plan_report_dict
+from ponte.reporting import json_text, write_plan_report
 
-from oracles import run_plan_one_by_one, stages_one_by_one
+from oracles import plan_report_dict, run_plan_one_by_one, stages_one_by_one
+
+# A numpy warning leaking out of erection fails the test that shows it.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 PLAN = ErectionPlan(
     module_length=2.0,
@@ -109,8 +115,7 @@ class TestSharedDeckParts:
         assert report_bytes(run_plan(plan)) == report_bytes(run_plan_one_by_one(plan))
 
 
-def report_bytes(report) -> str:
-    return json_text(plan_report_dict(report))
+report_bytes = write_plan_report
 
 
 def plan_around_w_min(module, count, w, lever, interval, safety, side) -> ErectionPlan:
@@ -484,3 +489,46 @@ class TestRunPlan:
             report = run_plan(replace(plan, counterweight=counterweight))
             assert not report.stable
             assert report.stages[-1].verdict is Verdict.OVERTURNS
+
+
+# Figures a hand-built report can hold: finite floats of every size, and
+# the infinite ones the report writes as null.
+_FIGURES = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, -0.0, 5e-324, 1e308])
+_REPORTS = st.builds(
+    PlanReport,
+    stages=st.lists(st.builds(StageReport, index=st.integers(0, 10**4), overturning_factor=_FIGURES,
+                              max_utilization=_FIGURES, max_deflection=_FIGURES, verdict=st.sampled_from(Verdict)),
+                    max_size=4).map(tuple),
+    stable=st.booleans(),
+    minimal_counterweight=_FIGURES,
+    minimal_verified=st.booleans(),
+)
+# What run_plan reports for a lone stage whose model is a mechanism.
+_MECHANISM = PlanReport((ponte.erection._judge(_Deck.of(PLAN).steps[0], PLAN, None, PLAN.counterweight),),
+                        False, math.inf, False)
+
+
+class TestPlanReportText:
+    # write_plan_report fills one template per stage; its bytes are those
+    # of json.dumps of the stage-by-stage dictionary in tests/oracles.py.
+    @given(plans.map(run_plan) | _REPORTS)
+    @example(_MECHANISM)
+    @example(run_plan(replace(PLAN, module_count=0)))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bytes_of_json_dumps_of_the_oracle(self, report):
+        assert write_plan_report(report) == json.dumps(plan_report_dict(report), indent=2, allow_nan=False) + "\n"
+
+    @pytest.mark.parametrize("field", ["overturning_factor", "max_utilization", "max_deflection", None])
+    def test_nan_raises_the_error_json_text_raises(self, field):
+        # None puts the NaN in the minimal counterweight.
+        stage = StageReport(0, 1.0, 0.5, 0.1, Verdict.STABLE)
+        report = PlanReport((stage,), True, 2.0, True)
+        if field is None:
+            report = replace(report, minimal_counterweight=math.nan)
+        else:
+            report = replace(report, stages=(replace(stage, **{field: math.nan}),))
+        with pytest.raises(ValueError) as expected:
+            json_text(plan_report_dict(report))
+        with pytest.raises(ValueError) as got:
+            write_plan_report(report)
+        assert str(got.value) == str(expected.value)
