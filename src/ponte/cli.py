@@ -29,7 +29,7 @@ from .errors import (
     UnknownReference,
 )
 from .erection import run_plan
-from .reporting import build_diagram, compare, compare_dict, json_text, render_svg, write_plan_report, write_report
+from .reporting import build_diagram, compare, render_svg, write_compare_report, write_plan_report, write_report
 from .solver import analyze
 from .textio import parse_model_file, parse_plan_file, serialize_model
 
@@ -182,7 +182,7 @@ def _cmd_compare(args) -> int:
     labels = (os.path.basename(args.model_a), os.path.basename(args.model_b))
     print(compare(result_a, result_b, labels), end="")
     if args.report:
-        _write_json(args.report, json_text, compare_dict(result_a, result_b, labels))
+        _write_json(args.report, write_compare_report, result_a, result_b, labels)
         print(f"wrote {args.report}")
     return EXIT_OK
 

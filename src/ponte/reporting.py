@@ -4,13 +4,15 @@ Utilization is mapped onto four color classes; class_red (>= 1.0) is pure
 red, and slack cables are drawn dashed: the picture makes it obvious when
 only the deck works while pillars and ropes stay idle.
 
-The analysis report and the SVG are written from the result's and the
-model's arrays, each kind of record by one %-template filled over
-``.tolist()`` columns, the erection plan report by one per stage. Their
-bytes are fixed by record-by-record oracles in ``tests/oracles.py``: a
-report is ``json.dumps(..., indent=2)`` of its oracle dictionary
-(``report_dict``, ``plan_report_dict``) and a newline, the SVG what its
-per-member ``build_diagram`` and ``render_svg`` write.
+Each output has one writer. The analysis report and the SVG are written
+from the result's and the model's arrays, each kind of record by one
+%-template filled over ``.tolist()`` columns, the erection plan report by
+one per stage, and the comparison report by ``json.dumps`` of
+``compare_dict``. Their bytes are fixed by record-by-record oracles in
+``tests/oracles.py``: a report is ``json.dumps(..., indent=2)`` of its
+oracle dictionary (``report_dict``, ``plan_report_dict``) and a newline,
+the SVG what its per-member ``build_diagram`` and ``render_svg`` write. A
+value JSON cannot hold raises the C encoder's ValueError in every writer.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -50,45 +51,16 @@ def color_class(utilization: float) -> str:
 # JSON report
 
 
-# The C encoder, which ``json`` uses only without indent, with a newline
-# in its item separator. It escapes every newline inside a string, so each
-# raw newline in its output is a separator, and indenting them is safe.
-_encode = json.JSONEncoder(separators=(",\n", ": "), allow_nan=False).encode
+# What the C encoder raises for inf or NaN. ``json.dumps(indent=2)`` encodes
+# in Python, whose error ends in the value; every writer checks first.
+_NOT_FINITE = "Out of range float values are not JSON compliant"
 
 
-def _flat(values) -> bool:
-    """Whether every value is a JSON scalar. Both encoders write a subclass
-    of str, int or float (a numpy float, say) as its base type."""
-    return all(v is None or isinstance(v, (str, int, float)) for v in values)
-
-
-def _indented(value, pad: str) -> str:
-    """``json.dumps(value, indent=2)`` with every line after the first
-    prefixed by ``pad``. Python walks only containers of containers; an
-    all-scalar dict or list is one call of the C encoder."""
-    inner = pad + "  "
-    items = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, (dict, list, tuple)) or _flat(items):
-        text = _encode(value)
-        if len(text) < 3 or text[0] not in "[{":
-            return text  # a scalar, [] or {}
-        return text[0] + "\n" + inner + text[1:-1].replace("\n", "\n" + inner) + "\n" + pad + text[-1]
-    if isinstance(value, dict):
-        if not all(isinstance(k, str) for k in value):
-            return json.dumps(value, indent=2, allow_nan=False).replace("\n", "\n" + pad)
-        parts = [_encode(k) + ": " + _indented(v, inner) for k, v in value.items()]
-        return "{\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "}"
-    parts = [_indented(v, inner) for v in value]
-    return "[\n" + inner + (",\n" + inner).join(parts) + "\n" + pad + "]"
-
-
-def json_text(payload: dict) -> str:
-    """Deterministic JSON text of a report dictionary: the bytes of
-    ``json.dumps(payload, indent=2, allow_nan=False)`` and a newline. A
-    non-finite float raises ValueError, so a producer that can hold inf
-    maps it first. The indenting encoder is pure Python, so the text is
-    built from C-encoded pieces (``_indented``)."""
-    return _indented(payload, "") + "\n"
+def _finite(*values) -> None:
+    """Raise the C encoder's ValueError unless every value, a float or an
+    array of them, is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        raise ValueError(_NOT_FINITE)
 
 
 def _fill(template: str, *columns: list) -> list[str]:
@@ -105,35 +77,32 @@ def _json_list(items: list[str]) -> str:
 
 # Each kind of record in the reports as json.dumps(indent=2) writes it, ints
 # and floats by their repr, which %r gives for plain Python ones (a plan
-# report's stage takes its figures as JSON text).
+# report's stage takes its figures as JSON text, the summary its member).
 _NODE = '{\n      "id": %r,\n      "dx": %r,\n      "dy": %r,\n      "rz": %r\n    }'
 _BEAM = ('{\n      "id": %r,\n      "type": "beam",\n      "axial": %r,\n      "shear": %r,\n'
          '      "moment_i": %r,\n      "moment_j": %r,\n      "utilization": %r\n    }')
 _CABLE = '{\n      "id": %r,\n      "type": "cable",\n      "axial": %r,\n      "utilization": %r,\n      "state": "%s"\n    }'
 _REACTION = '{\n      "node": %r,\n      "fx": %r,\n      "fy": %r,\n      "mz": %r\n    }'
+_SUMMARY = ('{\n    "max_deflection": %r,\n    "max_utilization": %r,\n    "max_utilization_member": %s,\n'
+            '    "total_cable_tension": %r,\n    "iterations": %r,\n    "active_cable_count": %r\n  }')
 _STAGE = ('{\n      "index": %d,\n      "verdict": "%s",\n      "overturning_factor": %s,\n'
           '      "max_utilization": %s,\n      "max_deflection": %s\n    }')
 
 
-def write_report(result: AnalysisResult, model: StructureModel | None = None) -> str:
+def write_report(result: AnalysisResult) -> str:
     """The analysis result as deterministic JSON text (see the module
     docstring); a non-finite value raises ValueError, as ``json`` does."""
-    if model is not None and model is not result.model:
-        raise ValueError("report model does not match the analyzed model")
     view, done = result.model.arrays, result._recovered
     u = result._node_u[view.by_id]
     reactions = np.array(list(result.reactions.values()), dtype=float).reshape(-1, 3)
-    if not all(np.isfinite(a).all() for a in (u, done.beam, done.cable, done.utilization, reactions)):
-        raise ValueError("Out of range float values are not JSON compliant")
+    total = result.total_cable_tension
+    _finite(u, done.beam, done.cable, done.utilization, reactions, result.max_deflection, result.max_utilization, total)
     nb = len(done.beam)
     ids = view.member_ids.tolist()
     util = done.utilization.tolist()
     active = result.active_cables
     states = ["taut" if c in active else "slack" for c in ids[nb:]]
-    summary = {"max_deflection": result.max_deflection, "max_utilization": result.max_utilization,
-               "max_utilization_member": result.max_utilization_member,
-               "total_cable_tension": result.total_cable_tension, "iterations": result.iterations_used,
-               "active_cable_count": len(active)}
+    member = result.max_utilization_member
     return (
         '{\n  "nodes": ' + _json_list(_fill(_NODE, view.node_ids[view.by_id].tolist(), *u.T.tolist()))
         + ',\n  "members": ' + _json_list(_fill(_BEAM, ids[:nb], *done.beam.T.tolist(), util[:nb])
@@ -141,16 +110,20 @@ def write_report(result: AnalysisResult, model: StructureModel | None = None) ->
         + ',\n  "reactions": ' + _json_list(_fill(_REACTION, list(result.reactions), *reactions.T.tolist()))
         + ',\n  "active_cables": ' + _json_list(list(map(repr, sorted(active))))
         + ',\n  "slack_cables": ' + _json_list(list(map(repr, sorted(c for c in ids[nb:] if c not in active))))
-        + ',\n  "summary": ' + _indented(summary, "  ") + "\n}\n"
+        + ',\n  "summary": ' + _SUMMARY % (result.max_deflection, result.max_utilization,
+                                            "null" if member is None else member, total,
+                                            result.iterations_used, len(active)) + "\n}\n"
     )
 
 
 def _figure(value: float) -> str:
     """A plan figure in JSON: a finite float by its repr, an infinite one
-    as null; NaN raises the encoder's ValueError, as ``json_text`` does."""
+    as null; NaN raises the C encoder's ValueError."""
     if math.isfinite(value):
         return float.__repr__(value)
-    return "null" if math.isinf(value) else _encode(value)
+    if math.isinf(value):
+        return "null"
+    raise ValueError(_NOT_FINITE)
 
 
 def write_plan_report(report: PlanReport) -> str:
@@ -204,29 +177,27 @@ def compare(result_a: AnalysisResult, result_b: AnalysisResult, labels: tuple[st
 
 
 def compare_dict(result_a: AnalysisResult, result_b: AnalysisResult, labels: tuple[str, str] = ("A", "B")) -> dict:
-    """The comparison as one JSON-ready dictionary; an infinite ratio is None."""
+    """The comparison as one JSON-ready dictionary: each metric's values
+    under "A" and "B", which ``labels`` names, and an infinite ratio None."""
     return {
         "labels": list(labels),
         "metrics": {
-            key: {labels[0]: va, labels[1]: vb, "ratio": ratio}
+            key: {"A": va, "B": vb, "ratio": ratio}
             for key, _, va, vb, ratio in _metric_rows(result_a, result_b)
         },
     }
 
 
+def write_compare_report(result_a: AnalysisResult, result_b: AnalysisResult, labels: tuple[str, str]) -> str:
+    """``compare_dict`` as deterministic JSON text; a non-finite value
+    raises ValueError, as ``json`` does."""
+    payload = compare_dict(result_a, result_b, labels)
+    _finite(*(v for metric in payload["metrics"].values() for v in metric.values() if v is not None))
+    return json.dumps(payload, indent=2) + "\n"
+
+
 # ---------------------------------------------------------------------------
 # Diagrams
-
-
-@dataclass(frozen=True)
-class MemberView:
-    id: int
-    kind: str  # "beam" | "cable"
-    color_class: str
-    original: tuple[tuple[float, float], tuple[float, float]]
-    deflected: tuple[tuple[float, float], tuple[float, float]]
-    dashed: bool
-    label: str | None
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,22 +212,10 @@ class Diagram:
     taut: np.ndarray  # (cables,) bool; a slack cable is drawn dashed
     cable_force: np.ndarray  # (cables,) axial
     scale: float
-    legend: tuple[tuple[str, str], ...]  # (class name, color)
 
     def labels(self) -> list[str]:
         """Each cable's label: its axial force if taut, else "slack"."""
         return [f"taut:{f:.4g}" if t else "slack" for t, f in zip(self.taut.tolist(), self.cable_force.tolist())]
-
-    @cached_property
-    def members(self) -> tuple[MemberView, ...]:
-        """The rows as ``MemberView`` records, built on first access."""
-        nb, nc = self.beam_count, len(self.taut)
-        return tuple(
-            MemberView(mid, kind, CLASS_NAMES[c], ((o[0], o[1]), (o[2], o[3])), ((d[0], d[1]), (d[2], d[3])), dash, label)
-            for mid, kind, c, o, d, dash, label in zip(
-                self.ids.tolist(), ["beam"] * nb + ["cable"] * nc, self.classes.tolist(), self.original.tolist(),
-                self.deflected.tolist(), [False] * nb + (~self.taut).tolist(), [None] * nb + self.labels())
-        )
 
 
 def build_diagram(result: AnalysisResult, scale: float | None = None) -> Diagram:
@@ -280,7 +239,7 @@ def build_diagram(result: AnalysisResult, scale: float | None = None) -> Diagram
         original=np.stack([view.x[i], view.y[i], view.x[j], view.y[j]], axis=1),
         deflected=np.stack([x[i], y[i], x[j], y[j]], axis=1),
         taut=np.array([c in result.active_cables for c in view.member_ids[nb:].tolist()], dtype=bool),
-        cable_force=done.cable, scale=scale, legend=tuple((name, CLASS_COLORS[name]) for name in CLASS_NAMES),
+        cable_force=done.cable, scale=scale,
     )
 
 
@@ -332,8 +291,8 @@ def render_svg(diagram: Diagram) -> str:
         '<g id="legend">',
         *('<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="%s"/>\n' % (x, ly, box, 0.3 * legend_h, color)
           + text % (x + 1.15 * box, ly + 0.25 * legend_h) + f"{name} {bounds}</text>"
-          for x, (name, color), bounds in zip([x0 + margin / 2 + k * 0.24 * w for k in range(len(diagram.legend))],
-                                              diagram.legend, _CLASS_RANGES)),
+          for x, (name, color), bounds in zip([x0 + margin / 2 + k * 0.24 * w for k in range(len(CLASS_NAMES))],
+                                              CLASS_COLORS.items(), _CLASS_RANGES)),
         text % (x0 + margin / 2, ly + 0.62 * legend_h)
         + "dashed = slack cable; deflection scale x%.6g</text>" % diagram.scale,
         "</g>",

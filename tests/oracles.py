@@ -52,7 +52,7 @@ from ponte.model import (
     ValidationReport,
     build_model,
 )
-from ponte.reporting import CLASS_COLORS, CLASS_NAMES, ORIGINAL_COLOR, MemberView, color_class
+from ponte.reporting import CLASS_COLORS, CLASS_NAMES, ORIGINAL_COLOR, color_class
 from ponte.solver import analyze
 from ponte.textio import quantize
 
@@ -422,6 +422,19 @@ def plan_report_dict(report: PlanReport) -> dict:
         "minimal_counterweight": _finite_or_none(report.minimal_counterweight),
         "minimal_verified": report.minimal_verified,
     }
+
+
+@dataclass(frozen=True)
+class MemberView:
+    """One member of a diagram as the oracle draws it."""
+
+    id: int
+    kind: str  # "beam" | "cable"
+    color_class: str
+    original: tuple[tuple[float, float], tuple[float, float]]
+    deflected: tuple[tuple[float, float], tuple[float, float]]
+    dashed: bool
+    label: str | None
 
 
 class MemberDiagram(NamedTuple):

@@ -305,6 +305,27 @@ class TestCompare:
             "max_deflection", "max_utilization", "total_cable_tension", "total_material_volume",
         }
 
+    @pytest.mark.parametrize("name_a", ["m.txt", "ratio"])
+    def test_report_keys_each_metric_by_a_and_b_not_by_file_name(self, tmp_path, capsys, name_a):
+        # A file of B's name in another directory, or one named like the
+        # ratio's key: each metric keeps A's value, B's value and B/A, and
+        # "labels" names A and B.
+        for directory in ("a", "b"):
+            (tmp_path / directory).mkdir()
+        a, b = tmp_path / "a" / name_a, tmp_path / "b" / "m.txt"
+        expected = []
+        for what, path in (("BARE_DECK", a), ("GRANDE", b)):
+            main(["generate", what, "-o", str(path)])
+            main(["analyze", str(path), "--report", str(tmp_path / "r.json")])
+            expected.append(json.loads((tmp_path / "r.json").read_text())["summary"]["max_deflection"])
+        report_path = tmp_path / "cmp.json"
+        assert main(["compare", str(a), str(b), "--report", str(report_path)]) == 0
+        data = json.loads(report_path.read_text())
+        assert data["labels"] == [name_a, "m.txt"]
+        assert all(set(entry) == {"A", "B", "ratio"} for entry in data["metrics"].values())
+        value_a, value_b = expected
+        assert data["metrics"]["max_deflection"] == {"A": value_a, "B": value_b, "ratio": value_b / value_a}
+
     @pytest.mark.parametrize("a, b, code", [
         # parse A, parse B, analyze A, analyze B: A's mechanism is found
         # before B's validation, and B's syntax error before A's.

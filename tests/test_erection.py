@@ -24,7 +24,7 @@ from ponte.erection import (
 )
 from ponte.errors import InvalidModel, InvalidPlan
 from ponte.model import NodalForce, validate
-from ponte.reporting import json_text, write_plan_report
+from ponte.reporting import write_plan_report
 
 from oracles import plan_report_dict, run_plan_one_by_one, stages_one_by_one
 
@@ -520,15 +520,14 @@ class TestPlanReportText:
 
     @pytest.mark.parametrize("field", ["overturning_factor", "max_utilization", "max_deflection", None])
     def test_nan_raises_the_error_json_text_raises(self, field):
-        # None puts the NaN in the minimal counterweight.
+        # The C encoder's text, as every report writer raises it. None puts
+        # the NaN in the minimal counterweight.
         stage = StageReport(0, 1.0, 0.5, 0.1, Verdict.STABLE)
         report = PlanReport((stage,), True, 2.0, True)
         if field is None:
             report = replace(report, minimal_counterweight=math.nan)
         else:
             report = replace(report, stages=(replace(stage, **{field: math.nan}),))
-        with pytest.raises(ValueError) as expected:
-            json_text(plan_report_dict(report))
         with pytest.raises(ValueError) as got:
             write_plan_report(report)
-        assert str(got.value) == str(expected.value)
+        assert str(got.value) == "Out of range float values are not JSON compliant"
