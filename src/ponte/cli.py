@@ -179,7 +179,7 @@ def _cmd_compare(args) -> int:
     model_a = _read(args.model_a, parse_model_file)
     model_b = _read(args.model_b, parse_model_file)
     result_a, result_b = analyze(model_a), analyze(model_b)
-    labels = (os.path.basename(args.model_a), os.path.basename(args.model_b))
+    labels = (args.model_a, args.model_b)
     print(compare(result_a, result_b, labels), end="")
     if args.report:
         _write_json(args.report, write_compare_report, result_a, result_b, labels)

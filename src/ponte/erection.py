@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .catalog import DECK_MATERIAL, DECK_SECTION
-from .errors import InvalidPlan, SingularSystem
+from .errors import InvalidModel, InvalidPlan
 from .model import (
     MATERIAL_PRESETS,
     BeamElement,
@@ -30,7 +30,7 @@ from .model import (
     build_model,
     validate,
 )
-from .solver import EPS_FORCE, AnalysisResult, _analyze_prefixes, _elements, analyze
+from .solver import EPS_FORCE, _analyze_prefixes, _elements
 from .textio import quantize
 
 # Relative slack on the factor >= safety_factor comparison, so a plan run
@@ -234,8 +234,8 @@ class _Deck:
                            sections=[DECK_SECTION])
 
     def outcomes(self) -> Iterator[_Outcome | None]:
-        """Every stage analyzed, in order, None where it is not: one table
-        for the finished deck, validated once, and one banded solve
+        """Every stage analyzed, in order, None where it is a mechanism: one
+        table for the finished deck, validated once, and one banded solve
         (``solver._analyze_prefixes``) per batch of ``_BATCH_ENTRIES`` // (3
         deck nodes) stages. Each row is its stage's own analysis, bit for
         bit, whatever the batch, because the deck is a chain: its band and
@@ -247,14 +247,14 @@ class _Deck:
         Every stage is valid when the finished deck is: its nodes, beams and
         loads are prefixes of the deck's, each node of the prefix is on a
         beam of it, and its bearings are a subset of the deck's, all with
-        the abutment's clamp. A stage the solve's pivot or residual rule
-        rejects gets None, and so do all stages of a deck that fails
-        ``validate``, so that each is analyzed on its own model and fails
-        with its own error, as one by one."""
+        the abutment's clamp. A deck that fails ``validate`` raises
+        ``InvalidModel`` with the report of its first stage that fails it,
+        as one by one: the last stage holds every deck record, and its
+        extra bearings add no issue, so there is one."""
         finished = self.model(len(self.nodes) - 2, ())
         if not validate(finished).ok:
-            yield from [None] * len(self.steps)
-            return
+            reports = (validate(self.model(s.built, s.bearing_modules)) for s in self.steps)
+            raise InvalidModel(next(r for r in reports if not r.ok))
         el, n = _elements(finished), 3 * len(self.nodes)
         size = max(1, _BATCH_ENTRIES // n)
         for steps in (self.steps[lo : lo + size] for lo in range(0, len(self.steps), size)):
@@ -285,32 +285,12 @@ def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
     appends one module, plants the current tip as a riverbed pillar, or
     lands the tip on the far shore. The stages are the plan deck's
     ``steps``, the sequence ``run_plan`` analyzes, and every stage's model
-    is built from the deck's parts, made once. ``run_plan`` builds none of
-    these models unless a stage leaves its batched solve.
+    is built from the deck's parts, made once; ``run_plan`` builds none.
     """
     _check_plan(plan)
     deck = _Deck.of(plan)
     return tuple(Stage(s.index, deck.model(s.built, s.bearing_modules), s.cantilever_length,
                        planted_modules=s.planted, landed=s.landed) for s in deck.steps)
-
-
-def _outcome(result: AnalysisResult) -> _Outcome:
-    """What judging reads from one stage's own analysis."""
-    # The reactions of the nodes whose y a support holds, by node id, so
-    # the ballast node 1 comes first.
-    view = result.model.arrays
-    held = view.restrained[view.support_at, 1].tolist()
-    vertical = [r[1] for r, y in zip(result.reactions.values(), held) if y]
-    return _Outcome(result.max_utilization, result.max_deflection, vertical[0], min(vertical[1:]))
-
-
-def _analyze(model: StructureModel) -> _Outcome | None:
-    """One stage analyzed on its own model; None when its statics model is
-    a mechanism."""
-    try:
-        return _outcome(analyze(model))
-    except SingularSystem:
-        return None
 
 
 def _factor(step: _Step, plan: ErectionPlan, outcome: _Outcome, counterweight: float) -> float:
@@ -370,19 +350,18 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
     """Analyze every stage once and report the overall feasibility, and
     whether the plan holds at its minimal counterweight.
 
-    No stage model is built: the stages are prefixes of the plan's deck,
-    solved together by ``_Deck.outcomes``. A stage that batch leaves out
-    is analyzed on its own model, in stage order, exactly as one by one.
-    Each stage is reported at the plan's counterweight; at ``W_min`` only
-    its verdict is taken (``_verdict``), until one stage fails there.
+    No stage model is built unless the deck fails ``validate``: the
+    stages are prefixes of the plan's deck, solved together by
+    ``_Deck.outcomes`` with the results of analyzing each stage model
+    alone. Each stage is reported at the plan's counterweight; at
+    ``W_min`` only its verdict is taken (``_verdict``), until one stage
+    fails there.
     """
     _check_plan(plan)
     deck = _Deck.of(plan)
     w_min = _minimal_counterweight(plan)
     reports, verified = [], True
     for step, outcome in zip(deck.steps, deck.outcomes()):
-        if outcome is None:
-            outcome = _analyze(deck.model(step.built, step.bearing_modules))
         reports.append(_judge(step, plan, outcome, plan.counterweight))
         if verified and w_min > 0:
             verified = outcome is not None and _verdict(

@@ -506,10 +506,11 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
     on the BLAS kernels split the sums otherwise, and a block padded to
     the stack's width can get other bits). A rejected block is replaced
     by the identity and its right-hand side by 0, in copies, and the rest
-    solved again. A non-finite entry reaches other blocks through the
-    zeros as NaN, which fails a rule there too, so at the first rejection
-    among several blocks the ones holding one, if any, are taken out
-    instead."""
+    solved again. A non-finite entry, or a solution that overflows, reaches
+    other blocks through the zeros as NaN (0 * inf: dpbtrs' back
+    substitution carries it into every earlier block) and fails a rule
+    there too, so those blocks are rejected with it: ``_analyze_prefixes``
+    solves each rejected block again alone."""
     ok = np.ones(len(starts), dtype=bool)
     a, b = ab, F
     while True:
@@ -524,11 +525,6 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
             bad = ok & ~_balanced(residual, b, starts)
             if not bad.any():
                 return u + dpbtrs(c, residual, lower=1)[0], ok
-        if len(ok) > 1 and ok.all():
-            # The first rejection, which a NaN from a block with a
-            # non-finite entry may have caused: those blocks go out first.
-            finite = np.logical_and.reduceat(np.isfinite(ab).all(axis=0) & np.isfinite(F), starts)
-            bad = bad if finite.all() else ~finite
         ok[bad] = False
         if not ok.any():
             return np.zeros(len(F)), ok
@@ -815,8 +811,9 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
                       restrained: np.ndarray) -> tuple[np.ndarray, _Recovered]:
     """Analyze sub-models of the cable-free model of the element table
     ``el`` with one banded factorization: which stand, and what
-    ``_recover`` finds for each, one row per sub-model. One the solve
-    rejects must be analyzed on its own.
+    ``_recover`` finds for each, one row per sub-model. A block the batch
+    rejects is solved again alone by ``_solve``, semi-definite branch
+    included, and stays unsolved if that raises ``SingularSystem``.
 
     Sub-model s is the first ``nodes[s]`` nodes and first ``beams[s]``
     beams, with the nodal loads at those nodes, the uniform loads on those
@@ -876,7 +873,15 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     del at, cut, stacked, placed, position  # the batch's largest temporaries go before the solve
 
     loads = el.prefix_loads(beams)
-    u, solved = _solve_blocks(ab, loads[row, dof], np.cumsum(sizes) - sizes)
+    F, starts = loads[row, dof], np.cumsum(sizes) - sizes
+    u, solved = _solve_blocks(ab, F, starts)
+    for k in np.flatnonzero(~solved):
+        lo, hi = starts[k], starts[k] + sizes[k]
+        try:
+            u[lo:hi] = _solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0]
+        except SingularSystem:
+            continue  # a mechanism; the error text is not read
+        solved[k] = True
     del ab  # and the band before the recovery
     full_u = np.zeros((count, n))
     full_u[row, dof] = u

@@ -28,7 +28,7 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
 from ponte.catalog import DECK_MATERIAL, DECK_SECTION
-from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _outcome, _Step
+from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _Outcome, _Step
 from ponte.errors import DuplicateId, NonPositiveProperty, ParseError, SingularSystem, UnknownKeyword, UnknownReference
 from ponte.model import (
     DOF_RZ,
@@ -291,6 +291,15 @@ def stages_one_by_one(plan: ErectionPlan) -> tuple[Stage, ...]:
     if plan.module_count > 0:
         stages.append(Stage(len(stages), model(built, planted, True), 0.0, planted, landed=True))
     return tuple(stages)
+
+
+def _outcome(result) -> _Outcome:
+    """What judging reads from one stage's own analysis: the vertical
+    reactions of the supports that hold y, read record by record in node
+    id order, so the ballast node 1's comes first."""
+    held = {s.node for s in result.model.supports if s.restrain_y}
+    vertical = [reaction[1] for node, reaction in sorted(result.reactions.items()) if node in held]
+    return _Outcome(result.max_utilization, result.max_deflection, vertical[0], min(vertical[1:]))
 
 
 def run_plan_one_by_one(plan: ErectionPlan) -> PlanReport:

