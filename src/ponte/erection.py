@@ -27,6 +27,7 @@ from .model import (
     StructureModel,
     Support,
     UniformLoad,
+    _record,
     build_model,
     validate,
 )
@@ -83,8 +84,8 @@ class Stage:
         return not self.planted_modules and not self.landed
 
 
-@dataclass(frozen=True)
-class StageReport:
+@_record
+class StageReport(NamedTuple):
     index: int
     overturning_factor: float
     max_utilization: float
@@ -363,7 +364,7 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
     reports, verified = [], True
     for step, outcome in zip(deck.steps, deck.outcomes()):
         reports.append(_judge(step, plan, outcome, plan.counterweight))
-        if verified and w_min > 0:
+        if verified:
             verified = outcome is not None and _verdict(
                 plan, _factor(step, plan, outcome, w_min), outcome.max_utilization) is Verdict.STABLE
     stable = all(r.verdict is Verdict.STABLE for r in reports)

@@ -24,7 +24,7 @@ DOF_X, DOF_Y, DOF_RZ = 0, 1, 2
 
 
 def _record(cls: type) -> type:
-    """The named tuple ``cls`` as a model record: equal to, and hashed with,
+    """The named tuple ``cls`` as a record: equal to, and hashed with,
     records of its own type only (a ``UniformLoad`` never equals a
     ``PointMass`` with the same fields), and unordered: ``<`` raises, also
     against a plain tuple, whose own comparison would accept a record."""

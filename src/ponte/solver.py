@@ -483,11 +483,11 @@ def _gram_band(rows: np.ndarray, mode: np.ndarray, values: np.ndarray, m: int) -
     return np.bincount(at, np.concatenate(terms), minlength=m * (int(at.max()) // m + 1)).reshape(-1, m)
 
 
-def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
     """Solve a block-diagonal K u = F, K in lower band storage ``ab`` and
     block k from row ``starts[k]``, by one banded Cholesky factorization
-    (dpbtrf), and say which blocks stand; u is 0 on the others. A single
-    model's full-rank solve is one block. ``ab`` and ``F`` are only read.
+    (dpbtrf), or return None unless every block stands. A single model's
+    full-rank solve is one block. ``ab`` and ``F`` are only read.
 
     A block stands if the pivot rule (``_small_pivots``) accepts its factor
     and the residual rule (``_balanced``) its solution; one step of
@@ -504,35 +504,18 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> tuple[np
     (32) dpbtrf runs unblocked, and below a half-bandwidth of 16 the
     padding zeros add nothing (the tests check this bit for bit; from 16
     on the BLAS kernels split the sums otherwise, and a block padded to
-    the stack's width can get other bits). A rejected block is replaced
-    by the identity and its right-hand side by 0, in copies, and the rest
-    solved again. A non-finite entry, or a solution that overflows, reaches
-    other blocks through the zeros as NaN (0 * inf: dpbtrs' back
-    substitution carries it into every earlier block) and fails a rule
-    there too, so those blocks are rejected with it: ``_analyze_prefixes``
-    solves each rejected block again alone."""
-    ok = np.ones(len(starts), dtype=bool)
-    a, b = ab, F
-    while True:
-        c, info = dpbtrf(a, lower=1)
-        if info != 0:
-            bad = np.arange(len(ok)) == np.searchsorted(starts, info - 1, side="right") - 1
-        elif (small := _small_pivots(c, a[0])).any():
-            bad = np.logical_or.reduceat(small, starts)
-        else:
-            u, _ = dpbtrs(c, b, lower=1)
-            residual = b - dsbmv(len(a) - 1, 1.0, a, u, lower=1)
-            bad = ok & ~_balanced(residual, b, starts)
-            if not bad.any():
-                return u + dpbtrs(c, residual, lower=1)[0], ok
-        ok[bad] = False
-        if not ok.any():
-            return np.zeros(len(F)), ok
-        out = np.repeat(~ok, np.diff(starts, append=len(F)))
-        a = ab.copy(order="F")
-        a[:, out] = 0.0
-        a[0, out] = 1.0
-        b = np.where(out, 0.0, F)
+    the stack's width can get other bits). Yet the batch stands or falls
+    whole, since a block can fail for a neighbour: a non-finite entry,
+    or a solution that overflows, reaches the other blocks as NaN (0 * inf:
+    dpbtrs' back substitution carries it into every earlier block)."""
+    c, info = dpbtrf(ab, lower=1)
+    if info != 0 or _small_pivots(c, ab[0]).any():
+        return None
+    u, _ = dpbtrs(c, F, lower=1)
+    residual = F - dsbmv(len(ab) - 1, 1.0, ab, u, lower=1)
+    if not _balanced(residual, F, starts).all():
+        return None
+    return u + dpbtrs(c, residual, lower=1)[0]
 
 
 def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) -> tuple[np.ndarray, np.ndarray]:
@@ -541,7 +524,7 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     positions of its zero-energy pivots (n - rank of them).
 
     A full-rank K is the one-block case of ``_solve_blocks``. If that
-    rejects K, ``_semidefinite_factor`` factors it again with its
+    returns None, ``_semidefinite_factor`` factors it again with its
     zero-energy modes decoupled (raising ``SingularSystem`` for non-finite
     entries or a negative pivot): slack cables can leave a part free to
     swing, e.g. a pinned pillar whose ropes all went slack. Solving on the
@@ -555,8 +538,7 @@ def _solve(ab: np.ndarray, F: np.ndarray, names: Callable[[np.ndarray], str]) ->
     """
     if len(F) == 0:
         return np.zeros(0), np.zeros(0, dtype=int)
-    u, ok = _solve_blocks(ab, F, _ONE_BLOCK)
-    if ok[0]:
+    if (u := _solve_blocks(ab, F, _ONE_BLOCK)) is not None:
         return u, np.zeros(0, dtype=int)
     c, dropped = _semidefinite_factor(ab)
     if len(dropped):
@@ -811,8 +793,9 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
                       restrained: np.ndarray) -> tuple[np.ndarray, _Recovered]:
     """Analyze sub-models of the cable-free model of the element table
     ``el`` with one banded factorization: which stand, and what
-    ``_recover`` finds for each, one row per sub-model. A block the batch
-    rejects is solved again alone by ``_solve``, semi-definite branch
+    ``_recover`` finds for each, one row per sub-model. If the batch does
+    not stand whole (``_solve_blocks``), every block is solved alone by
+    ``_solve`` on its columns of the stacked band, semi-definite branch
     included, and stays unsolved if that raises ``SingularSystem``.
 
     Sub-model s is the first ``nodes[s]`` nodes and first ``beams[s]``
@@ -874,14 +857,14 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
 
     loads = el.prefix_loads(beams)
     F, starts = loads[row, dof], np.cumsum(sizes) - sizes
-    u, solved = _solve_blocks(ab, F, starts)
-    for k in np.flatnonzero(~solved):
-        lo, hi = starts[k], starts[k] + sizes[k]
-        try:
-            u[lo:hi] = _solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0]
-        except SingularSystem:
-            continue  # a mechanism; the error text is not read
-        solved[k] = True
+    u, solved = _solve_blocks(ab, F, starts), np.ones(count, dtype=bool)
+    if u is None:
+        u = np.zeros(len(F))
+        for k, (lo, hi) in enumerate(zip(starts.tolist(), (starts + sizes).tolist())):
+            try:
+                u[lo:hi] = _solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0]
+            except SingularSystem:
+                solved[k] = False  # a mechanism; the error text is not read
     del ab  # and the band before the recovery
     full_u = np.zeros((count, n))
     full_u[row, dof] = u

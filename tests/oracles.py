@@ -323,8 +323,7 @@ def run_plan_one_by_one(plan: ErectionPlan) -> PlanReport:
         step = _Step(stage.index, len(model.beams) - 1, stage.planted_modules, stage.landed,
                      stage.cantilever_length, sum(model.element_length(b) for b in model.beams))
         reports.append(_judge(step, plan, outcome, plan.counterweight))
-        if w_min > 0:
-            verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
+        verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE
     return PlanReport(tuple(reports), all(r.verdict is Verdict.STABLE for r in reports), w_min, verified)
 
 

@@ -199,6 +199,21 @@ class TestStage:
         assert data["minimal_verified"] is False
         assert data["minimal_counterweight"] == 9000.0
 
+    @pytest.mark.parametrize("plan, code, verdict, w_min", [
+        ("PLAN MODULE=2 COUNT=0 W=500 CW=1000 LEVER=1", 0, "Stable", "0 N"),
+        # W_min is 0 N without an overhang, but no counterweight lowers the
+        # overstressed ballast span's utilization.
+        ("PLAN MODULE=2 COUNT=0 W=100000 CW=1000 LEVER=10", 3, "Overstressed",
+         "none (no counterweight passes every stage)"),
+    ])
+    def test_a_plan_without_modules_needs_no_counterweight_if_its_stage_stands(self, tmp_path, capsys, plan,
+                                                                               code, verdict, w_min):
+        path, report_path = write(tmp_path / "plan.txt", plan + "\n"), tmp_path / "s.json"
+        assert main(["stage", path, "--report", str(report_path)]) == code
+        out = capsys.readouterr().out
+        assert out.startswith(f"stage 0: {verdict} ") and f"minimal stable counterweight: {w_min}\n" in out
+        assert json.loads(report_path.read_text())["minimal_verified"] is (code == 0)
+
     def test_an_overturning_moment_that_underflows_is_stable(self, tmp_path, capsys):
         # w c^2 / 2 underflows to 0 at the 0.5 and 1 m overhangs, but not at
         # the 1.5 m one, so W_min is the smallest double and can be held.

@@ -138,8 +138,9 @@ plans = st.builds(
 
 class TestOneSolvePerPlan:
     # run_plan solves every stage of a plan in one banded factorization of
-    # one element table, and solves a stage block the pivot or residual
-    # rule rejects again on its own; its bytes are the oracle's.
+    # one element table, and solves each stage again on its own if the
+    # pivot or residual rule rejects any block of the batch; its bytes are
+    # the oracle's.
     @given(plans)
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_report_bytes_equal_the_stage_by_stage_oracle(self, plan):
@@ -244,6 +245,8 @@ class TestOneSolvePerPlan:
 
     @pytest.mark.parametrize("every", [1, 3])
     def test_stages_the_residual_rule_rejects_are_analyzed_alone(self, every, monkeypatch):
+        # The batch falls whole: rejecting every stage, or one in three,
+        # sends every stage to its own solve.
         plan = replace(PLAN, module_count=9, counterweight=9000.0)
         sizes = self.free_dofs(plan)
         rejected = list(range(0, len(sizes), every))
@@ -259,7 +262,7 @@ class TestOneSolvePerPlan:
         monkeypatch.setattr(solver, "_balanced", rejecting)
         resolved = self.resolved(monkeypatch)
         assert report_bytes(run_plan(plan)) == reference
-        assert resolved == [sizes[k] for k in rejected]
+        assert resolved == sizes
 
     def test_stages_the_pivot_rule_rejects_are_analyzed_alone(self, monkeypatch):
         # The first factor the batch checks has all its pivots rejected;
@@ -285,16 +288,16 @@ class TestOneSolvePerPlan:
     def test_stages_an_overflowing_neighbour_rejects_are_solved_alone(self, plan, monkeypatch):
         # The landed stage's solution overflows, and dpbtrs' back
         # substitution carries 0 * inf = NaN into the earlier blocks: the
-        # batch rejects them, and each is solved again on its own.
+        # batch falls, and each stage is solved again on its own.
         reference, sizes = report_bytes(run_plan_one_by_one(plan)), self.free_dofs(plan)
-        rejected, models = [], []
+        fallen, models = [], []
         solve_blocks, build_model = solver._solve_blocks, ponte.erection.build_model
 
         def batch(ab, F, starts):
-            u, ok = solve_blocks(ab, F, starts)
+            u = solve_blocks(ab, F, starts)
             if len(starts) > 1:
-                rejected.extend(np.flatnonzero(~ok).tolist())
-            return u, ok
+                fallen.append(u is None)
+            return u
 
         monkeypatch.setattr(solver, "_solve_blocks", batch)
         monkeypatch.setattr(ponte.erection, "build_model", lambda **parts: models.append(1) or build_model(**parts))
@@ -302,9 +305,7 @@ class TestOneSolvePerPlan:
         report = run_plan(plan)
         assert report_bytes(report) == reference
         assert report.stages[0].verdict is Verdict.STABLE
-        # Which blocks the NaN reaches is up to the BLAS kernels; with
-        # OpenBLAS, all but the landed stage's.
-        assert rejected and resolved == [sizes[k] for k in rejected]
+        assert fallen == [True] and resolved == sizes
         assert len(models) == 1
 
 
@@ -515,6 +516,15 @@ class TestRunPlan:
         assert report.minimal_verified is verified
         assert run_plan(replace(plan, counterweight=report.minimal_counterweight)).stable is verified
 
+    @pytest.mark.parametrize("w, lever, stable", [(500.0, 1.0, True), (1e5, 10.0, False)])
+    def test_a_plan_without_modules_holds_at_w_min_only_if_its_stage_stands(self, w, lever, stable):
+        # W_min is 0 N without an overhang, and no counterweight lowers the
+        # ballast span's utilization.
+        report = run_plan(ErectionPlan(2.0, 0, w, 1000.0, lever))
+        assert report.minimal_counterweight == 0.0
+        assert report.stable is report.minimal_verified is stable
+        assert report_bytes(report) == report_bytes(run_plan_one_by_one(ErectionPlan(2.0, 0, w, 1000.0, lever)))
+
     def test_unverified_plan_fails_at_any_counterweight(self):
         # Node 2 is clamped, so the ballast reaction at node 1 is never the
         # hold-down one: more counterweight cannot save the landed stage.
@@ -564,7 +574,16 @@ class TestPlanReportText:
         if field is None:
             report = replace(report, minimal_counterweight=math.nan)
         else:
-            report = replace(report, stages=(replace(stage, **{field: math.nan}),))
+            report = replace(report, stages=(stage._replace(**{field: math.nan}),))
         with pytest.raises(ValueError) as got:
             write_plan_report(report)
         assert str(got.value) == "Out of range float values are not JSON compliant"
+
+    def test_a_stage_report_is_a_record(self):
+        # Equal only to stage reports, and unordered, as the model records.
+        stage = StageReport(0, 1.0, 0.5, 0.1, Verdict.STABLE)
+        assert stage != tuple(stage) and not stage == tuple(stage)
+        assert stage == StageReport(*stage) and hash(stage) == hash(StageReport(*stage))
+        for other in (stage._replace(index=1), tuple(stage)):
+            with pytest.raises(TypeError):
+                stage < other

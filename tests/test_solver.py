@@ -502,8 +502,9 @@ def erection_stages():
 
 class TestSolveBlocks:
     # A single model's full-rank solve is the one-block case of
-    # _solve_blocks: each block stands or falls as it would alone, and the
-    # system handed in is only read.
+    # _solve_blocks: a stack stands only if each block does, a block
+    # stands stacked as it would alone, and the system handed in is only
+    # read.
     NAN = (np.array([[2.0, -1.0], [-1.0, np.nan]]), np.array([1.0, 1.0]))
     NAN_LOAD = (np.array([[2.0, -1.0], [-1.0, 2.0]]), np.array([np.nan, 1.0]))
     ZERO_PIVOT = (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([1.0, -1.0]))
@@ -526,36 +527,29 @@ class TestSolveBlocks:
     def test_rejected_blocks_leave_the_system_alone(self, names):
         ab, F, starts = self.stack(*(getattr(self, name) for name in names))
         before = ab.copy(order="F"), F.copy()
-        u, ok = solver._solve_blocks(ab, F, starts)
-        assert not ok.any() and len(ok) == len(names)
+        assert solver._solve_blocks(ab, F, starts) is None
         assert ab.tobytes() == before[0].tobytes() and F.tobytes() == before[1].tobytes()
-        assert not u.any()
 
     @pytest.mark.parametrize("rejected", REJECTED)
     def test_a_standing_block_is_the_same_alone_and_stacked(self, rejected):
-        # A NaN reaches the other blocks through the zeros and may get a
-        # good one rejected too; solved again on its own columns, as
-        # _analyze_prefixes does, that one is the same as alone.
-        alone, ok = solver._solve_blocks(*self.stack(self.GOOD))
-        assert ok.tolist() == [True]
+        # A stack that holds a bad block falls whole; each good block,
+        # solved again on its own columns as _analyze_prefixes does, is the
+        # same as alone, and so is each block of a stack of good ones.
+        alone = solver._solve_blocks(*self.stack(self.GOOD))
         bad = getattr(self, rejected)
         blocks = [bad, self.GOOD, self.ZERO_PIVOT, self.GOOD, bad, self.UNBALANCED, self.GOOD, bad]
         ab, F, starts = self.stack(*blocks)
-        u, ok = solver._solve_blocks(ab, F, starts)
-        good = [block is self.GOOD for block in blocks]
-        if rejected.startswith("NAN"):
-            assert not (ok & ~np.array(good)).any()
-        else:
-            assert ok.tolist() == good
-        for k in np.flatnonzero(good):
+        assert solver._solve_blocks(ab, F, starts) is None
+        for k in [k for k, block in enumerate(blocks) if block is self.GOOD]:
             lo, hi = starts[k], starts[k] + 3
-            got = u[lo:hi] if ok[k] else solver._solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0]
-            assert got.tobytes() == alone.tobytes()
+            assert solver._solve(np.asfortranarray(ab[:, lo:hi]), F[lo:hi], str)[0].tobytes() == alone.tobytes()
+        u = solver._solve_blocks(*self.stack(self.GOOD, self.GOOD, self.GOOD))
+        assert [block.tobytes() for block in u.reshape(3, 3)] == [alone.tobytes()] * 3
 
     def test_the_full_rank_solve_is_one_block(self):
         ab, F, starts = self.stack(self.GOOD)
-        u, ok = solver._solve_blocks(ab, F, starts)
-        assert solver._solve(ab, F, str)[0].tobytes() == u.tobytes()
+        u, dropped = solver._solve(ab, F, str)
+        assert u.tobytes() == solver._solve_blocks(ab, F, starts).tobytes() and not len(dropped)
 
     def test_the_residual_rule_does_not_overflow(self):
         # ||F|| of about 1e300 squares past the largest double: summing the
