@@ -21,103 +21,44 @@ or from the shell::
     ponte analyze grande.txt --svg grande.svg --report grande.json
 """
 
-from . import catalog, erection, reporting, solver, textio
-from .catalog import BridgeKind, BridgeSpec, PresetId, Wheels, generate, generate_preset, presets, strip_to_bare_deck
-from .erection import ErectionPlan, PlanReport, Stage, StageReport, Verdict, expand_plan, run_plan
-from .errors import (
-    DuplicateId,
-    InvalidModel,
-    InvalidPlan,
-    InvalidSpec,
-    NoConvergence,
-    NonPositiveProperty,
-    NotAReplica,
-    ParseError,
-    PonteError,
-    SingularSystem,
-    UnknownKeyword,
-    UnknownReference,
-)
-from .model import (
-    MATERIAL_PRESETS,
-    BeamElement,
-    CableElement,
-    Material,
-    NodalForce,
-    Node,
-    PointMass,
-    Section,
-    SelfWeight,
-    StructureModel,
-    Support,
-    UniformLoad,
-    build_model,
-    self_weight_loads,
-    validate,
-)
-from .reporting import build_diagram, color_class, compare, render_svg, write_report
-from .solver import AnalysisResult, analyze, tension_only_analyze
-from .textio import parse_model_file, parse_plan_file, serialize_model
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisResult",
-    "BeamElement",
-    "BridgeKind",
-    "BridgeSpec",
-    "CableElement",
-    "DuplicateId",
-    "ErectionPlan",
-    "InvalidModel",
-    "InvalidPlan",
-    "InvalidSpec",
-    "MATERIAL_PRESETS",
-    "Material",
-    "NoConvergence",
-    "NodalForce",
-    "Node",
-    "NonPositiveProperty",
-    "NotAReplica",
-    "ParseError",
-    "PlanReport",
-    "PointMass",
-    "PonteError",
-    "PresetId",
-    "Section",
-    "SelfWeight",
-    "SingularSystem",
-    "Stage",
-    "StageReport",
-    "StructureModel",
-    "Support",
-    "UniformLoad",
-    "UnknownKeyword",
-    "UnknownReference",
-    "Verdict",
-    "Wheels",
-    "analyze",
-    "build_diagram",
-    "build_model",
-    "catalog",
-    "color_class",
-    "compare",
-    "erection",
-    "expand_plan",
-    "generate",
-    "generate_preset",
-    "parse_model_file",
-    "parse_plan_file",
-    "presets",
-    "render_svg",
-    "reporting",
-    "run_plan",
-    "self_weight_loads",
-    "serialize_model",
-    "solver",
-    "strip_to_bare_deck",
-    "tension_only_analyze",
-    "textio",
-    "validate",
-    "write_report",
-]
+# Each public name by the submodule that defines it. A name is imported on
+# its first read (PEP 562), so ``import ponte.cli`` or ``ponte generate``
+# loads neither numpy nor the solver. ``__all__`` and ``dir(ponte)`` are
+# read from this table too.
+_EXPORTS = {
+    "catalog": ("BridgeKind", "BridgeSpec", "PresetId", "Wheels", "generate", "generate_preset", "presets",
+                "strip_to_bare_deck"),
+    "erection": ("ErectionPlan", "PlanReport", "Stage", "StageReport", "Verdict", "expand_plan", "run_plan"),
+    "errors": ("DuplicateId", "InvalidModel", "InvalidPlan", "InvalidSpec", "NoConvergence", "NonPositiveProperty",
+               "NotAReplica", "ParseError", "PonteError", "SingularSystem", "UnknownKeyword", "UnknownReference"),
+    "model": ("MATERIAL_PRESETS", "BeamElement", "CableElement", "Material", "NodalForce", "Node", "PointMass",
+              "Section", "SelfWeight", "StructureModel", "Support", "UniformLoad", "build_model", "self_weight_loads",
+              "validate"),
+    "reporting": ("build_diagram", "color_class", "compare", "render_svg", "write_report"),
+    "solver": ("AnalysisResult", "analyze", "tension_only_analyze"),
+    "textio": ("parse_model_file", "parse_plan_file", "serialize_model"),
+}
+# The public submodules, read as ``ponte.catalog`` and so on, and every name's submodule.
+_ORIGIN = {
+    **{module: module for module in ("catalog", "erection", "reporting", "solver", "textio")},
+    **{name: module for module, names in _EXPORTS.items() for name in names},
+}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f"{__name__}.{_ORIGIN[name]}")
+    value = module if _ORIGIN[name] == name else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -230,6 +230,12 @@ def _check_spec(spec: BridgeSpec) -> int:
         raise InvalidSpec(f"span must be > 0, got {spec.span}")
     if spec.pillar_count < 0:
         raise InvalidSpec(f"pillar_count must be >= 0, got {spec.pillar_count}")
+    if spec.kind not in _REPLICA_KINDS:
+        # Only the replicas have pillars; a deck kind would drop them unsaid.
+        for option, value in (("pillar_count", spec.pillar_count), ("crosswise_top_ropes", spec.crosswise_top_ropes)):
+            if value:
+                raise InvalidSpec(f"{option} applies to LeonardoReplica and LeonardoGrounded only, "
+                                  f"not {spec.kind.value} (got {value})")
     nseg = spec.resolved_deck_segments()
     if nseg < spec.pillar_count + 1:
         raise InvalidSpec(f"deck_segments ({nseg}) must be >= pillar_count + 1 ({spec.pillar_count + 1})")

@@ -15,9 +15,9 @@ import math
 import os
 import stat
 import sys
-from dataclasses import replace
 
-from . import catalog
+# Each command imports the modules it uses when it runs, so the parser and
+# ``ponte generate`` load no numpy; only the errors are needed up front.
 from .errors import (
     DuplicateId,
     InvalidModel,
@@ -28,16 +28,15 @@ from .errors import (
     SingularSystem,
     UnknownReference,
 )
-from .erection import run_plan
-from .reporting import build_diagram, compare, render_svg, write_compare_report, write_plan_report, write_report
-from .solver import analyze
-from .textio import parse_model_file, parse_plan_file, serialize_model
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_SINGULAR = 2
 EXIT_PLAN_FAILS = 3
 EXIT_IO = 4
+
+# The values of ``catalog.Wheels``, spelled out so the parser loads no catalog.
+_WHEELS = ("none", "right", "both")
 
 
 class _FileError(Exception):
@@ -96,6 +95,10 @@ def _write_json(path: str, render, *args) -> None:
 
 
 def _cmd_analyze(args) -> int:
+    from .reporting import build_diagram, render_svg, write_report
+    from .solver import analyze
+    from .textio import parse_model_file
+
     if args.scale is not None and not (math.isfinite(args.scale) and args.scale > 0):
         raise InvalidSpec(f"scale must be finite and > 0, got {args.scale}")
     model = _read(args.model, parse_model_file)
@@ -117,7 +120,10 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _resolve_spec(name: str) -> catalog.BridgeSpec:
+def _resolve_spec(name: str):
+    """The spec of the preset or the bridge kind ``name``."""
+    from . import catalog
+
     try:
         return catalog.preset(name).spec
     except ValueError:
@@ -134,6 +140,11 @@ def _resolve_spec(name: str) -> catalog.BridgeSpec:
 
 
 def _cmd_generate(args) -> int:
+    from dataclasses import replace
+
+    from . import catalog
+    from .textio import serialize_model
+
     overrides = {
         "pillar_count": args.pillars,
         "wheels": None if args.wheels is None else catalog.Wheels(args.wheels),
@@ -153,6 +164,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_stage(args) -> int:
+    from .erection import run_plan
+    from .reporting import write_plan_report
+    from .textio import parse_plan_file
+
     report = run_plan(_read(args.plan, parse_plan_file))
 
     print("".join(
@@ -176,6 +191,10 @@ def _cmd_stage(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .reporting import compare, write_compare_report
+    from .solver import analyze
+    from .textio import parse_model_file
+
     model_a = _read(args.model_a, parse_model_file)
     model_b = _read(args.model_b, parse_model_file)
     result_a, result_b = analyze(model_a), analyze(model_b)
@@ -214,7 +233,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("what", metavar="preset|kind")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--pillars", type=int, default=None)
-    p.add_argument("--wheels", choices=[w.value for w in catalog.Wheels], default=None)
+    p.add_argument("--wheels", choices=_WHEELS, default=None)
     p.add_argument("--span", type=float, default=None)
     p.add_argument("--segments", type=int, default=None)
     p.add_argument("--mid-support", action="store_true")

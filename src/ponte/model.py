@@ -11,11 +11,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Union
 
 from .errors import DuplicateId, UnknownReference
+
+if TYPE_CHECKING:
+    import numpy as np
 
 MIN_ELEMENT_LENGTH = 1e-9  # m
 
@@ -193,10 +194,6 @@ class ModelArrays:
     free: np.ndarray  # (nodes, 3): the dofs no support holds, less the rotations no beam end stiffens
 
 
-# Which of x, y and rz are restrained, for each 3-bit mask of components,
-# and the bit of each component.
-_HELD = (np.arange(8)[:, None] >> np.arange(3) & 1) == 1
-_BITS = np.array([1, 2, 4])
 # A load record's kind, its target and its three values.
 _LOAD_FIELDS = {
     NodalForce: lambda l: (0, l.node, l.fx, l.fy, l.mz),
@@ -216,6 +213,8 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     """The model view of a model's records; ``UnknownReference`` for a
     dangling reference, which only a model built without ``build_model``
     can hold."""
+    import numpy as np
+
     nodes, mats, secs, beams, cables, sups = (
         model.nodes, model.materials, model.sections, model.beams, model.cables, model.supports)
     n, nb, nc, ns, nl = len(nodes), len(beams), len(cables), len(sups), len(model.loads)
@@ -249,7 +248,8 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     ids, ends, material, section, pins, support_at, flags, node_ids, load_at, rule = (
         ints[lo:hi] for lo, hi in zip([0, *bounds], [*bounds, None]))
     i, j = ends = ends.reshape(2, nm)
-    ends, pins, bits = ends.T, pins.reshape(2, nb).T == 1, _BITS @ flags.reshape(3, ns)
+    # The bit of each component: x 1, y 2, rz 4.
+    ends, pins, bits = ends.T, pins.reshape(2, nb).T == 1, np.array([1, 2, 4]) @ flags.reshape(3, ns)
     starts = a, b, c, d = tuple(accumulate((n, len(mats), len(secs), nc)))
     x, y = values[0, :a], values[1, :a]
     with np.errstate(all="ignore"):  # a non-finite coordinate is for validate to report
@@ -260,7 +260,7 @@ def _model_arrays(model: StructureModel) -> ModelArrays:
     rz_stiff[ends[:nb][~pins]] = True
     by_id = node_ids.argsort(kind="stable")
     support_at = by_id[held[by_id] != 0]
-    restrained = _HELD[held]
+    restrained = (held[:, None] >> np.arange(3) & 1) == 1
     free = ~restrained
     free[:, 2] &= rz_stiff
     return ModelArrays(
@@ -451,16 +451,16 @@ class ValidationReport:
 # -inf for any finite value. One row per load kind, then one for the
 # nodes, the materials, the sections and the cables.
 _AT_LEAST_ZERO = -5e-324
-_BOUND = np.array([
-    [-np.inf, -np.inf, -np.inf],  # nodal force: fx, fy, mz
-    [-np.inf, -np.inf, -np.inf],  # uniform load: w
-    [_AT_LEAST_ZERO, -np.inf, -np.inf],  # point mass: mass
-    [0.0, -np.inf, -np.inf],  # self-weight: g
-    [-np.inf, -np.inf, -np.inf],  # node: x, y
-    [0.0, _AT_LEAST_ZERO, 0.0],  # material: E, density, allowable stress
-    [0.0, 0.0, 0.0],  # section: A, I, H
-    [0.0, _AT_LEAST_ZERO, -np.inf],  # cable: area, pretension
-])
+_BOUND = (
+    (-math.inf, -math.inf, -math.inf),  # nodal force: fx, fy, mz
+    (-math.inf, -math.inf, -math.inf),  # uniform load: w
+    (_AT_LEAST_ZERO, -math.inf, -math.inf),  # point mass: mass
+    (0.0, -math.inf, -math.inf),  # self-weight: g
+    (-math.inf, -math.inf, -math.inf),  # node: x, y
+    (0.0, _AT_LEAST_ZERO, 0.0),  # material: E, density, allowable stress
+    (0.0, 0.0, 0.0),  # section: A, I, H
+    (0.0, _AT_LEAST_ZERO, -math.inf),  # cable: area, pretension
+)
 _MATERIAL_RULES = ("E must be > 0", "density must be >= 0", "allowable stress must be > 0")
 _LOAD_ISSUES = {
     NodalForce: lambda l: ("NonFiniteLoad", f"load at node {l.node}", f"nodal force at node {l.node} is non-finite"),
@@ -481,6 +481,8 @@ def _components(count: int, ends: np.ndarray) -> np.ndarray:
     chain takes log2 of its length jumps, not a pass per node. Labels only
     fall, each to a position in its component, so they end at the
     component's first position."""
+    import numpy as np
+
     label = np.arange(count)
     a, b = i, j = ends.T
     while True:
@@ -499,6 +501,8 @@ def validate(model: StructureModel) -> ValidationReport:
     analyzable. Each check reads the model's columns (``model.arrays``),
     and only the records that fail one are visited, to word their issues.
     """
+    import numpy as np
+
     view, nodes, members, nb = model.arrays, model.nodes, model.beams + model.cables, len(model.beams)
     issues: list[ValidationIssue] = []
 
@@ -509,7 +513,7 @@ def validate(model: StructureModel) -> ValidationReport:
         err("EmptyModel", "model", "model has no nodes")
 
     # Every number against its rule at once; the failures, record by record.
-    ok = (view.values.T > _BOUND[view.rule]) & (view.values.T < np.inf)
+    ok = (view.values.T > np.array(_BOUND)[view.rule]) & (view.values.T < np.inf)
     failed = list(zip(*(v.tolist() for v in np.nonzero(~ok)))) if np.count_nonzero(ok) < ok.size else []
     a, b, c, d = view.starts
     for k in dict.fromkeys(row for row, _ in failed if row < a):
@@ -594,6 +598,8 @@ def lumped_weight(model: StructureModel, g: float) -> np.ndarray:
     """The nodal fy, in model order, of self-weight under gravity ``g``:
     rho*A*L*g/2 at each end of each member, the beams, then the cables,
     then m*g at each point mass, summed per node in that order."""
+    import numpy as np
+
     view = model.arrays
     half = view.materials[1, view.material] * view.area * view.length * g / 2.0
     mass = view.load_kind == 2

@@ -21,12 +21,15 @@ import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .erection import PlanReport
 from .model import StructureModel
 from .solver import AnalysisResult
+
+if TYPE_CHECKING:  # erection is loaded by ``ponte stage``, not by ``ponte analyze``
+    from .erection import PlanReport
 
 # Utilization classes partition [0, inf): [0,.25) [.25,.5) [.5,1) [1,inf).
 CLASS_BOUNDS = (0.25, 0.5, 1.0)

@@ -115,6 +115,24 @@ class TestGenerate:
         with pytest.raises(InvalidSpec):
             generate(BridgeSpec(BridgeKind.BEAM, deck_segments=5, mid_support=True))
 
+    @pytest.mark.parametrize("kind", [k for k in BridgeKind
+                                      if k not in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED)])
+    def test_pillars_on_a_deck_kind_are_rejected(self, kind):
+        # A deck kind has no pillars to place: the option is named, not
+        # dropped (which wrote the plain deck) or misread as too few segments.
+        with pytest.raises(InvalidSpec) as raised:
+            generate(BridgeSpec(kind, pillar_count=10))
+        assert str(raised.value) == (f"pillar_count applies to LeonardoReplica and LeonardoGrounded only, "
+                                     f"not {kind.value} (got 10)")
+
+    @pytest.mark.parametrize("kind", [k for k in BridgeKind
+                                      if k not in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED)])
+    def test_crosswise_ropes_on_a_deck_kind_are_rejected(self, kind):
+        with pytest.raises(InvalidSpec) as raised:
+            generate(BridgeSpec(kind, crosswise_top_ropes=True))
+        assert str(raised.value) == (f"crosswise_top_ropes applies to LeonardoReplica and LeonardoGrounded only, "
+                                     f"not {kind.value} (got True)")
+
     def test_truss_needs_two_segments(self):
         with pytest.raises(InvalidSpec, match="TrussBridge"):
             generate(BridgeSpec(BridgeKind.TRUSS, deck_segments=1))

@@ -66,6 +66,20 @@ class TestGenerate:
     def test_bad_spec_is_invalid(self, tmp_path):
         assert main(["generate", "BeamBridge", "-o", str(tmp_path / "x.txt"), "--span", "-3"]) == 1
 
+    @pytest.mark.parametrize("kind,options,message", [
+        ("BeamBridge", ["--pillars", "3", "--crosswise"], "pillar_count applies to LeonardoReplica and "
+                                                          "LeonardoGrounded only, not BeamBridge (got 3)"),
+        ("BeamBridge", ["--crosswise"], "crosswise_top_ropes applies to LeonardoReplica and "
+                                        "LeonardoGrounded only, not BeamBridge (got True)"),
+        ("SuspensionBridge", ["--pillars", "10"], "pillar_count applies to LeonardoReplica and "
+                                                  "LeonardoGrounded only, not SuspensionBridge (got 10)"),
+    ])
+    def test_pillar_options_on_a_deck_kind_are_invalid(self, tmp_path, capsys, kind, options, message):
+        out = tmp_path / "x.txt"
+        assert main(["generate", kind, "-o", str(out), *options]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_truss_of_one_segment_is_invalid(self, tmp_path, capsys):
         assert main(["generate", "TrussBridge", "-o", str(tmp_path / "x.txt"), "--segments", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")
@@ -241,10 +255,11 @@ class TestStage:
 
     def test_a_report_json_cannot_hold_is_exit_4(self, tmp_path, capsys, monkeypatch):
         # No plan is known to give a NaN figure; one is put in its report.
-        import ponte.cli
+        # ``ponte stage`` looks run_plan up in erection when it runs.
+        import ponte.erection
 
-        run_plan = ponte.cli.run_plan
-        monkeypatch.setattr(ponte.cli, "run_plan",
+        run_plan = ponte.erection.run_plan
+        monkeypatch.setattr(ponte.erection, "run_plan",
                             lambda plan: dataclasses.replace(run_plan(plan), minimal_counterweight=math.nan))
         path, out = write(tmp_path / "plan.txt", PLAN_TEXT), tmp_path / "s.json"
         assert main(["stage", path, "--report", str(out)]) == 4
@@ -530,3 +545,107 @@ class TestStartUp:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "[0, 0, 3] []"
         assert os.path.getsize(tmp_path / "s.svg") > 0 and json.loads((tmp_path / "p.json").read_text())
+
+    # The modules of ponte, and numpy, that each command loads in a fresh
+    # interpreter: every command imports its own modules when it runs.
+    BASE = {"ponte", "ponte.cli", "ponte.errors"}
+    READ = BASE | {"numpy", "ponte.model", "ponte.reporting", "ponte.solver", "ponte.textio"}
+
+    @staticmethod
+    def run_fresh(script: str) -> subprocess.CompletedProcess:
+        import ponte
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponte.__file__)))
+        return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+
+    def loaded(self, argv) -> tuple[int | None, set[str]]:
+        """The exit code of ``ponte argv`` (None for no command) and the
+        modules it loaded."""
+        done = self.run_fresh(
+            "import sys\nimport ponte.cli\n"
+            f"code = ponte.cli.main({argv!r}) if {argv!r} else None\n"
+            "print(code, *sorted(m for m in sys.modules if m == 'numpy' or m.partition('.')[0] == 'ponte'))\n")
+        code, *modules = done.stdout.splitlines()[-1].split()
+        return None if code == "None" else int(code), set(modules)
+
+    def test_each_command_loads_only_its_modules(self, tmp_path):
+        model, plan = str(tmp_path / "m.txt"), write(tmp_path / "plan.txt", PLAN_TEXT)
+        assert main(["generate", "GRANDE", "-o", model]) == 0
+        cases = [
+            ([], None, self.BASE),
+            (["generate", "GRANDE", "-o", str(tmp_path / "g.txt")], 0,
+             self.BASE | {"ponte.catalog", "ponte.model", "ponte.textio"}),
+            (["analyze", model, "--report", str(tmp_path / "r.json"), "--svg", str(tmp_path / "s.svg")], 0,
+             self.READ),
+            (["compare", model, model], 0, self.READ),
+            (["stage", plan, "--report", str(tmp_path / "p.json")], 3,
+             self.READ | {"ponte.catalog", "ponte.erection"}),
+        ]
+        for argv, code, modules in cases:
+            assert self.loaded(argv) == (code, modules), argv
+
+    def test_generate_needs_no_numpy(self, tmp_path):
+        # With numpy and scipy unimportable, generate writes the same bytes.
+        blocked, free = tmp_path / "blocked.txt", tmp_path / "free.txt"
+        argvs = [["generate", what, *options] for what, options in (
+            ("FLORENCE", []), ("AMBOISE_PARK", []),
+            ("LeonardoGrounded", ["--pillars", "7", "--span", "16", "--wheels", "both", "--crosswise"]),
+            ("CantileverBridge", ["--segments", "12", "--mid-support"]), ("SuspensionBridge", []))]
+        self.run_fresh(
+            "import sys\n"
+            "class Blocker:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.partition('.')[0] in ('numpy', 'scipy'):\n"
+            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+            "sys.meta_path.insert(0, Blocker())\n"
+            "import ponte.cli\n"
+            f"for k, argv in enumerate({argvs!r}):\n"
+            f"    assert ponte.cli.main(argv + ['-o', {str(blocked)!r} + str(k)]) == 0\n")
+        for k, argv in enumerate(argvs):
+            assert main(argv + ["-o", f"{free}{k}"]) == 0
+            assert (tmp_path / f"blocked.txt{k}").read_bytes() == (tmp_path / f"free.txt{k}").read_bytes(), argv
+
+    def test_the_wheels_choices_are_the_catalog_s(self):
+        from ponte import catalog, cli
+
+        assert cli._WHEELS == tuple(w.value for w in catalog.Wheels)
+
+
+class TestPublicNames:
+    """``ponte`` imports each public name from its submodule on first use."""
+
+    def test_every_name_is_its_module_s_object(self):
+        import importlib
+
+        import ponte
+
+        for name in ponte.__all__:
+            value = getattr(ponte, name)
+            if isinstance(value, type(ponte)):
+                assert value is importlib.import_module(f"ponte.{name}"), name
+            else:
+                home = getattr(value, "__module__", "ponte.model")  # MATERIAL_PRESETS is a dict
+                assert home.startswith("ponte.") and getattr(importlib.import_module(home), name) is value, name
+
+    def test_dir_and_star_import_list_the_names(self):
+        # In a fresh interpreter dir(ponte) lists every public name before
+        # any is imported, and ``from ponte import *`` imports them all.
+        done = TestStartUp.run_fresh(
+            "import sys, ponte\n"
+            "listed = set(ponte.__all__) <= set(dir(ponte))\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('ponte.'))\n"
+            "from ponte import *\n"
+            "print(listed, loaded, len(ponte.__all__), all(globals()[n] is getattr(ponte, n) for n in ponte.__all__))\n")
+        assert done.stdout == "True [] 58 True\n"
+
+    def test_an_unknown_name_is_the_standard_attribute_error(self):
+        import types
+
+        import ponte
+
+        with pytest.raises(AttributeError) as raised:
+            ponte.no_such_name
+        with pytest.raises(AttributeError) as plain:
+            types.ModuleType("ponte").no_such_name
+        assert str(raised.value) == str(plain.value) == "module 'ponte' has no attribute 'no_such_name'"
+        assert not hasattr(ponte, "no_such_name")

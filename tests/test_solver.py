@@ -1535,16 +1535,24 @@ def band_system(rng, n, kd, shift=0.0):
     return np.asfortranarray(ab), rng.standard_normal((n, 3))
 
 
-# Run in a fresh interpreter: the lines before ``import ponte.cli`` hide or
-# fake scipy; prints the error's type, name and text.
+# Run in a fresh interpreter: the lines before ``import ponte.solver`` hide
+# or fake scipy; prints the error's type, name and text.
 LOADER_RUN = """
 import sys
 {setup}
 try:
-    import ponte.cli
+    import ponte.solver
 except Exception as exc:
     print(type(exc).__name__, exc.name, exc, sep="|")
 """
+# A finder that makes every scipy module fail to import, as if uninstalled.
+SCIPY_BLOCKER = (
+    "class Blocker:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'scipy':\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, Blocker())\n"
+)
 
 
 class TestScipyRoutines:
@@ -1602,14 +1610,23 @@ class TestScipyRoutines:
         return done.stdout.rstrip("\n").split("|")
 
     def test_a_blocked_scipy_is_named(self):
-        blocker = (
-            "class Blocker:\n"
-            "    def find_spec(self, name, path=None, target=None):\n"
-            "        if name.partition('.')[0] == 'scipy':\n"
-            "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
-            "sys.meta_path.insert(0, Blocker())\n"
-        )
-        assert self.loader_error(blocker) == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+        assert self.loader_error(SCIPY_BLOCKER) == ["ModuleNotFoundError", "scipy", "No module named 'scipy'"]
+
+    def test_generate_runs_with_scipy_blocked(self, tmp_path):
+        # Only the solver needs scipy: ``ponte generate`` writes the same
+        # file without it, and ``ponte analyze`` raises the named error.
+        from ponte.textio import serialize_model
+
+        out = str(tmp_path / "grande.txt")
+        script = ("import sys\n" + SCIPY_BLOCKER + "import ponte.cli\n"
+                  f"assert ponte.cli.main(['generate', 'GRANDE', '-o', {out!r}]) == 0\n"
+                  f"ponte.cli.main(['analyze', {out!r}])\n")
+        src = str(Path(solver.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True)
+        assert done.returncode == 1
+        assert done.stderr.endswith("\nModuleNotFoundError: No module named 'scipy'\n")
+        assert Path(out).read_text() == serialize_model(generate_preset("GRANDE"))
 
     def test_a_missing_scipy_is_named(self):
         # importlib.util.find_spec returns None here, as it does when scipy
