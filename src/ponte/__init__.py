@@ -32,9 +32,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "catalog": ("BridgeKind", "BridgeSpec", "PresetId", "Wheels", "generate", "generate_preset", "presets",
                 "strip_to_bare_deck"),
-    "erection": ("ErectionPlan", "PlanReport", "Stage", "StageReport", "Verdict", "expand_plan", "run_plan"),
-    "errors": ("DuplicateId", "InvalidModel", "InvalidPlan", "InvalidSpec", "NoConvergence", "NonPositiveProperty",
-               "NotAReplica", "ParseError", "PonteError", "SingularSystem", "UnknownKeyword", "UnknownReference"),
+    "erection": ("ErectionPlan", "PlanReport", "StageReport", "Verdict", "run_plan"),
+    "errors": ("DuplicateId", "InvalidModel", "InvalidPlan", "InvalidSpec", "NoConvergence", "NotAReplica",
+               "ParseError", "PonteError", "SingularSystem", "UnknownKeyword", "UnknownReference"),
     "model": ("MATERIAL_PRESETS", "BeamElement", "CableElement", "Material", "NodalForce", "Node", "PointMass",
               "Section", "SelfWeight", "StructureModel", "Support", "UniformLoad", "build_model", "self_weight_loads",
               "validate"),

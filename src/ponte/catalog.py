@@ -9,6 +9,7 @@ digits so that model files round-trip exactly.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -225,9 +226,21 @@ class _Ids:
         return eid
 
 
+def _is_index(value) -> bool:
+    """True for an int, or any value ``operator.index`` takes as one."""
+    try:
+        return operator.index(value) is not None
+    except TypeError:
+        return False
+
+
 def _check_spec(spec: BridgeSpec) -> int:
     if not (spec.span > 0 and math.isfinite(spec.span)):
         raise InvalidSpec(f"span must be > 0, got {spec.span}")
+    if not _is_index(spec.pillar_count):
+        raise InvalidSpec(f"pillar_count must be an integer, got {spec.pillar_count}")
+    if spec.deck_segments is not None and not _is_index(spec.deck_segments):
+        raise InvalidSpec(f"deck_segments must be an integer, got {spec.deck_segments}")
     if spec.pillar_count < 0:
         raise InvalidSpec(f"pillar_count must be >= 0, got {spec.pillar_count}")
     if spec.kind not in _REPLICA_KINDS:

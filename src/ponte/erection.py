@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import DECK_MATERIAL, DECK_SECTION
+from .catalog import DECK_MATERIAL, DECK_SECTION, _is_index
 from .errors import InvalidModel, InvalidPlan
 from .model import (
     MATERIAL_PRESETS,
@@ -70,20 +70,6 @@ class ErectionPlan:
     safety_factor: float = 1.0
 
 
-@dataclass(frozen=True)
-class Stage:
-    index: int
-    model: StructureModel
-    cantilever_length: float  # m beyond the outermost support
-    planted_modules: tuple[int, ...] = ()
-    landed: bool = False
-
-    @property
-    def pure_cantilever(self) -> bool:
-        """True while the abutment is the only support line."""
-        return not self.planted_modules and not self.landed
-
-
 @_record
 class StageReport(NamedTuple):
     index: int
@@ -116,11 +102,11 @@ class PlanReport:
 def _check_plan(plan: ErectionPlan) -> None:
     checks = (
         ("module_length", plan.module_length > 0),
-        ("module_count", plan.module_count >= 0),
+        ("module_count", _is_index(plan.module_count) and plan.module_count >= 0),
         ("deck_weight_per_length", plan.deck_weight_per_length > 0),
         ("counterweight", plan.counterweight > 0),
         ("counterweight_lever", plan.counterweight_lever > 0),
-        ("pillar_interval", plan.pillar_interval >= 1),
+        ("pillar_interval", _is_index(plan.pillar_interval) and plan.pillar_interval >= 1),
         ("safety_factor", plan.safety_factor >= 1),
     )
     for name, ok in checks:
@@ -144,8 +130,8 @@ def _minimal_counterweight(plan: ErectionPlan) -> float:
 class _Step(NamedTuple):
     """One stage of a plan before any model is built: the deck out to
     module ``built``, pillars under the modules ``planted`` and, if
-    ``landed``, a bearing under the tip. ``expand_plan`` and ``run_plan``
-    both read the plan's stages from ``_Deck.steps``."""
+    ``landed``, a bearing under the tip. A plan's stages are its
+    ``_Deck.steps``, and ``_Deck.model`` builds a stage's model."""
 
     index: int
     built: int
@@ -173,23 +159,19 @@ class _Outcome(NamedTuple):
     bearing: float  # the smallest vertical reaction of the other bearings
 
 
-@dataclass(frozen=True)
-class _Deck:
-    """The parts every stage of a plan shares, built once: the nodes from
-    the ballast node (x=+lever) out to the last module, the beams joining
-    them with their self-weight, the ballast force, a bearing for each
-    module's tip, and the stages. Stage ``built`` takes the first built + 2
-    nodes and the first built + 1 beams and uniform loads.
+class _Deck(NamedTuple):
+    """A plan's finished deck and its stages, built once. The deck runs
+    from the ballast node (x=+lever) out to the last module: its beams
+    carry their self-weight, node 1 the ballast force, and it rests on the
+    ballast and abutment supports alone. Stage ``built`` is the deck's
+    first built + 2 nodes and loads and first built + 1 beams.
 
     The abutment clamps the deck at x=0 (pin plus rotation: the deck is
     held between the shore block and the ballast span); planted pillars,
     and the far shore once the tip lands, are ideal vertical bearings.
     """
 
-    nodes: tuple[Node, ...]
-    beams: tuple[BeamElement, ...]
-    loads: tuple[NodalForce | UniformLoad, ...]  # the ballast force, then the uniform loads
-    bearings: tuple[Support, ...]  # the ballast and abutment supports, then one per module tip
+    finished: StructureModel
     steps: tuple[_Step, ...]
 
     @classmethod
@@ -200,8 +182,9 @@ class _Deck:
         beams = tuple(BeamElement(k, k, k + 1, DECK_MATERIAL, DECK_SECTION.name) for k in range(1, count + 2))
         loads = (NodalForce(1, fy=-plan.counterweight),
                  *(UniformLoad(b.id, plan.deck_weight_per_length) for b in beams))
-        bearings = (Support(1, restrain_y=True), Support(2, restrain_x=True, restrain_y=True, restrain_rz=True),
-                    *(Support(2 + m, restrain_y=True) for m in range(1, count + 1)))
+        supports = (Support(1, restrain_y=True), Support(2, restrain_x=True, restrain_y=True, restrain_rz=True))
+        finished = build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
+                               materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
         # The deck length of each stage, summed beam by beam as
         # sum(model.element_length(b) for b in model.beams) sums it.
         lengths = list(accumulate(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(nodes, nodes[1:])))
@@ -223,16 +206,16 @@ class _Deck:
                 stage(built, planted, False, 0.0)
         if count > 0:
             stage(count, planted, True, 0.0)
-        return cls(nodes, beams, loads, bearings, tuple(steps))
+        return cls(finished, tuple(steps))
 
     def model(self, built: int, bearing_modules: tuple[int, ...]) -> StructureModel:
         """Deck chain out to module ``built``, with the ballast and
         abutment supports and a bearing under the tip of each module of
         ``bearing_modules``."""
-        supports = [*self.bearings[:2], *(self.bearings[1 + m] for m in bearing_modules)]
-        return build_model(nodes=self.nodes[: built + 2], beams=self.beams[: built + 1], supports=supports,
-                           loads=self.loads[: built + 2], materials=[MATERIAL_PRESETS[DECK_MATERIAL]],
-                           sections=[DECK_SECTION])
+        deck = self.finished
+        supports = (*deck.supports, *(Support(2 + m, restrain_y=True) for m in bearing_modules))
+        return build_model(nodes=deck.nodes[: built + 2], beams=deck.beams[: built + 1], supports=supports,
+                           loads=deck.loads[: built + 2], materials=deck.materials, sections=deck.sections)
 
     def outcomes(self) -> Iterator[_Outcome | None]:
         """Every stage analyzed, in order, None where it is a mechanism: one
@@ -247,16 +230,15 @@ class _Deck:
 
         Every stage is valid when the finished deck is: its nodes, beams and
         loads are prefixes of the deck's, each node of the prefix is on a
-        beam of it, and its bearings are a subset of the deck's, all with
-        the abutment's clamp. A deck that fails ``validate`` raises
+        beam of it, and its bearings add vertical ones to the deck's
+        ballast and abutment supports. A deck that fails ``validate`` raises
         ``InvalidModel`` with the report of its first stage that fails it,
         as one by one: the last stage holds every deck record, and its
         extra bearings add no issue, so there is one."""
-        finished = self.model(len(self.nodes) - 2, ())
-        if not validate(finished).ok:
+        if not validate(self.finished).ok:
             reports = (validate(self.model(s.built, s.bearing_modules)) for s in self.steps)
             raise InvalidModel(next(r for r in reports if not r.ok))
-        el, n = _elements(finished), 3 * len(self.nodes)
+        el, n = _elements(self.finished), 3 * len(self.finished.nodes)
         size = max(1, _BATCH_ENTRIES // n)
         for steps in (self.steps[lo : lo + size] for lo in range(0, len(self.steps), size)):
             nodes = np.array([s.built + 2 for s in steps])
@@ -271,27 +253,11 @@ class _Deck:
             vertical = done.residual[:, 1::3]
             # The bearings besides the ballast: the abutment, at node
             # position 1, and the stage's own.
-            others = restrained[:, 1::3] | (np.arange(len(self.nodes)) == 1)
+            others = restrained[:, 1::3] | (np.arange(len(self.finished.nodes)) == 1)
             bearing = np.where(others, vertical, np.inf).min(axis=1)
             rows = zip(solved.tolist(), done.max_utilization.tolist(), done.max_deflection.tolist(),
                        vertical[:, 0].tolist(), bearing.tolist())
             yield from (_Outcome(*row) if ok else None for ok, *row in rows)
-
-
-def expand_plan(plan: ErectionPlan) -> tuple[Stage, ...]:
-    """Enumerate the construction stages, deterministically, with their
-    models.
-
-    Stage 0 is the counterweighted abutment alone; each later stage either
-    appends one module, plants the current tip as a riverbed pillar, or
-    lands the tip on the far shore. The stages are the plan deck's
-    ``steps``, the sequence ``run_plan`` analyzes, and every stage's model
-    is built from the deck's parts, made once; ``run_plan`` builds none.
-    """
-    _check_plan(plan)
-    deck = _Deck.of(plan)
-    return tuple(Stage(s.index, deck.model(s.built, s.bearing_modules), s.cantilever_length,
-                       planted_modules=s.planted, landed=s.landed) for s in deck.steps)
 
 
 def _factor(step: _Step, plan: ErectionPlan, outcome: _Outcome, counterweight: float) -> float:

@@ -28,10 +28,6 @@ class UnknownReference(PonteError):
         self.kind = kind
 
 
-class NonPositiveProperty(PonteError):
-    """A stiffness property (E, A, I, L) that must be positive is not."""
-
-
 class InvalidModel(PonteError):
     """Analysis was requested on a model that fails validation."""
 

@@ -28,8 +28,8 @@ from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs, dpstrf, dtbtrs
 
 from ponte.catalog import DECK_MATERIAL, DECK_SECTION
-from ponte.erection import ErectionPlan, PlanReport, Stage, Verdict, _judge, _Outcome, _Step
-from ponte.errors import DuplicateId, NonPositiveProperty, ParseError, SingularSystem, UnknownKeyword, UnknownReference
+from ponte.erection import ErectionPlan, PlanReport, Verdict, _judge, _Outcome, _Step
+from ponte.errors import DuplicateId, ParseError, SingularSystem, UnknownKeyword, UnknownReference
 from ponte.model import (
     DOF_RZ,
     DOF_X,
@@ -64,7 +64,7 @@ def beam_stiffness_local(E: float, A: float, I: float, L: float) -> np.ndarray:
     """
     for name, val in (("E", E), ("A", A), ("I", I), ("L", L)):
         if not (val > 0 and math.isfinite(val)):
-            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
+            raise ValueError(f"{name} must be > 0, got {val}")
     return beam_local(E, A, I, L, False, False)
 
 
@@ -130,7 +130,7 @@ def cable_stiffness_global(E: float, A: float, L: float, cx: float, cy: float) -
     """
     for name, val in (("E", E), ("A", A), ("L", L)):
         if not (val > 0 and math.isfinite(val)):
-            raise NonPositiveProperty(f"{name} must be > 0, got {val}")
+            raise ValueError(f"{name} must be > 0, got {val}")
     if abs(math.hypot(cx, cy) - 1.0) > 1e-9:
         raise ValueError(f"direction cosines must be a unit vector, got ({cx}, {cy})")
     d = np.array([-cx, -cy, cx, cy])
@@ -261,9 +261,26 @@ def utilization(forces, material, section=None, area: float | None = None) -> fl
     return forces.axial / (area * sigma)
 
 
+class Stage(NamedTuple):
+    """One erection stage with its own model: the overhang beyond its
+    outermost support, the modules planted as pillars, and whether the tip
+    has landed on the far shore."""
+
+    index: int
+    model: StructureModel
+    cantilever_length: float  # m
+    planted: tuple[int, ...] = ()
+    landed: bool = False
+
+    @property
+    def pure_cantilever(self) -> bool:
+        """True while the abutment is the only support line."""
+        return not self.planted and not self.landed
+
+
 def stages_one_by_one(plan: ErectionPlan) -> tuple[Stage, ...]:
-    """The stages of ``expand_plan`` with every model built on its own,
-    as they were before the stages shared the plan's deck parts."""
+    """A plan's stages, in ``run_plan``'s order, with every model built on
+    its own from the plan, not cut from a finished deck."""
 
     def model(built, planted, landed):
         mod = plan.module_length
@@ -320,7 +337,7 @@ def run_plan_one_by_one(plan: ErectionPlan) -> PlanReport:
         except SingularSystem:
             outcome = None
         model = stage.model
-        step = _Step(stage.index, len(model.beams) - 1, stage.planted_modules, stage.landed,
+        step = _Step(stage.index, len(model.beams) - 1, stage.planted, stage.landed,
                      stage.cantilever_length, sum(model.element_length(b) for b in model.beams))
         reports.append(_judge(step, plan, outcome, plan.counterweight))
         verified &= _judge(step, plan, outcome, w_min).verdict is Verdict.STABLE

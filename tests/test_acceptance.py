@@ -16,7 +16,7 @@ from pytest import approx
 from ponte import catalog
 from ponte.catalog import PresetId, deck_beam_ids, deck_node_ids, generate, generate_preset, presets, strip_to_bare_deck, with_deck_udl
 from ponte.cli import main
-from ponte.erection import ErectionPlan, Verdict, expand_plan, run_plan
+from ponte.erection import ErectionPlan, Verdict, _Deck, run_plan
 from ponte.model import (
     BeamElement,
     CableElement,
@@ -222,7 +222,7 @@ def test_a6_erection():
         module_length=2.0, module_count=4, deck_weight_per_length=500.0,
         counterweight=2000.0, counterweight_lever=1.0,
     )
-    stages = expand_plan(plan)
+    stages = _Deck.of(plan).steps
     report = run_plan(plan)
 
     # factor = (W a) / (w c^2 / 2) on every pure-cantilever stage.

@@ -133,6 +133,16 @@ class TestGenerate:
         assert str(raised.value) == (f"crosswise_top_ropes applies to LeonardoReplica and LeonardoGrounded only, "
                                      f"not {kind.value} (got True)")
 
+    @pytest.mark.parametrize("spec, text", [
+        (BridgeSpec(BridgeKind.LEONARDO_REPLICA, pillar_count=2.0), "pillar_count must be an integer, got 2.0"),
+        (BridgeSpec(BridgeKind.BEAM, deck_segments=3.0), "deck_segments must be an integer, got 3.0"),
+    ])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, spec, text):
+        # A float count would reach range() and raise a bare TypeError.
+        with pytest.raises(InvalidSpec) as raised:
+            generate(spec)
+        assert str(raised.value) == text
+
     def test_truss_needs_two_segments(self):
         with pytest.raises(InvalidSpec, match="TrussBridge"):
             generate(BridgeSpec(BridgeKind.TRUSS, deck_segments=1))

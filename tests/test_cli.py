@@ -636,7 +636,7 @@ class TestPublicNames:
             "loaded = sorted(m for m in sys.modules if m.startswith('ponte.'))\n"
             "from ponte import *\n"
             "print(listed, loaded, len(ponte.__all__), all(globals()[n] is getattr(ponte, n) for n in ponte.__all__))\n")
-        assert done.stdout == "True [] 58 True\n"
+        assert done.stdout == "True [] 55 True\n"
 
     def test_an_unknown_name_is_the_standard_attribute_error(self):
         import types

@@ -19,7 +19,6 @@ from ponte.erection import (
     StageReport,
     Verdict,
     _Deck,
-    expand_plan,
     run_plan,
 )
 from ponte.errors import InvalidModel, InvalidPlan
@@ -39,49 +38,71 @@ PLAN = ErectionPlan(
 )
 
 
+def steps(plan: ErectionPlan):
+    """The plan's stages, in order, before any model is built."""
+    return _Deck.of(plan).steps
+
+
+def stage_models(plan: ErectionPlan) -> list:
+    """Each stage's model, cut from the plan's finished deck."""
+    deck = _Deck.of(plan)
+    return [deck.model(s.built, s.bearing_modules) for s in deck.steps]
+
+
 class TestExpandPlan:
+    # The stage sequence of a plan (_Deck.steps) and the models cut for it.
     def test_empty_plan_single_stage(self):
-        stages = expand_plan(replace(PLAN, module_count=0))
+        stages = steps(replace(PLAN, module_count=0))
         assert len(stages) == 1
         assert stages[0].cantilever_length == 0.0
 
     def test_four_module_sequence(self):
-        stages = expand_plan(PLAN)
+        stages = steps(PLAN)
         # abutment, +1, +2, plant, +1, +2, land: 7 stages.
         assert len(stages) == 7
+        assert [s.index for s in stages] == list(range(7))
         assert [s.cantilever_length for s in stages] == [0.0, 2.0, 4.0, 0.0, 2.0, 4.0, 0.0]
         assert [s.pure_cantilever for s in stages] == [True, True, True, False, False, False, False]
-        assert stages[3].planted_modules == (2,)
+        assert stages[3].planted == (2,)
         assert stages[6].landed
 
     def test_counterweight_present_in_every_stage(self):
-        for stage in expand_plan(PLAN):
-            forces = [l for l in stage.model.loads if isinstance(l, NodalForce)]
+        for model in stage_models(PLAN):
+            forces = [l for l in model.loads if isinstance(l, NodalForce)]
             assert any(f.fy == -PLAN.counterweight for f in forces)
-            ballast = stage.model.node(1)
+            ballast = model.node(1)
             assert ballast.x == approx(PLAN.counterweight_lever)
 
     def test_stage_nodes_grow_monotonically(self):
-        stages = expand_plan(PLAN)
-        for a, b in zip(stages, stages[1:]):
-            ids_a = {n.id for n in a.model.nodes}
-            ids_b = {n.id for n in b.model.nodes}
+        models = stage_models(PLAN)
+        for a, b in zip(models, models[1:]):
+            ids_a = {n.id for n in a.nodes}
+            ids_b = {n.id for n in b.nodes}
             assert ids_a <= ids_b
 
     def test_invalid_plans_rejected(self):
         with pytest.raises(InvalidPlan):
-            expand_plan(replace(PLAN, module_length=0.0))
+            run_plan(replace(PLAN, module_length=0.0))
         with pytest.raises(InvalidPlan):
-            expand_plan(replace(PLAN, counterweight=-1.0))
+            run_plan(replace(PLAN, counterweight=-1.0))
         with pytest.raises(InvalidPlan):
-            expand_plan(replace(PLAN, pillar_interval=0))
+            run_plan(replace(PLAN, pillar_interval=0))
         with pytest.raises(InvalidPlan):
-            expand_plan(replace(PLAN, safety_factor=0.5))
+            run_plan(replace(PLAN, safety_factor=0.5))
+
+    @pytest.mark.parametrize("field, value", [("module_count", 3.0), ("pillar_interval", 1.5)])
+    def test_a_count_that_is_not_an_integer_is_rejected(self, field, value):
+        # 3.0 modules would reach range() and raise a bare TypeError; an
+        # interval of 1.5 would plant no pillar and misplace W_min's
+        # cantilever.
+        with pytest.raises(InvalidPlan) as exc:
+            run_plan(replace(PLAN, **{field: value}))
+        assert str(exc.value) == f"{field} out of range: {value}"
 
 
 class TestSharedDeckParts:
-    # expand_plan builds a plan's nodes, beams and loads once and gives each
-    # stage prefixes of them; the stages must be the ones built one by one.
+    # _Deck.of builds a plan's finished deck once and cuts each stage's
+    # model from its records; the stages must be the ones built one by one.
     PLANS = [
         replace(PLAN, module_count=0),
         replace(PLAN, module_count=1),
@@ -93,17 +114,18 @@ class TestSharedDeckParts:
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_stages_equal_the_ones_built_one_by_one(self, plan):
-        shared, reference = expand_plan(plan), stages_one_by_one(plan)
-        assert len(shared) == len(reference)
-        assert shared[-1].landed is (plan.module_count > 0)
-        for a, b in zip(shared, reference):
-            assert (a.index, a.cantilever_length, a.planted_modules, a.landed) == (
-                b.index, b.cantilever_length, b.planted_modules, b.landed)
-            assert [(n.id, n.x.hex(), n.y.hex()) for n in a.model.nodes] == [
+        deck, reference = _Deck.of(plan), stages_one_by_one(plan)
+        assert len(deck.steps) == len(reference)
+        assert deck.steps[-1].landed is (plan.module_count > 0)
+        for a, b in zip(deck.steps, reference):
+            assert (a.index, a.cantilever_length, a.planted, a.landed, a.pure_cantilever) == (
+                b.index, b.cantilever_length, b.planted, b.landed, b.pure_cantilever)
+            model = deck.model(a.built, a.bearing_modules)
+            assert [(n.id, n.x.hex(), n.y.hex()) for n in model.nodes] == [
                 (n.id, n.x.hex(), n.y.hex()) for n in b.model.nodes]
             for part in ("beams", "supports", "loads", "materials", "sections", "cables"):
-                assert getattr(a.model, part) == getattr(b.model, part), part
-            assert a.model == b.model
+                assert getattr(model, part) == getattr(b.model, part), part
+            assert model == b.model
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_plan_report_is_unchanged(self, plan):
@@ -188,7 +210,7 @@ class TestOneSolvePerPlan:
             patch.setattr(solver, "_solve_blocks",
                           lambda ab, F, starts: stacked.append(len(ab) - 1) or solve_blocks(ab, F, starts))
             run_plan(plan)
-        return solver._elements(_Deck.of(plan).model(plan.module_count, ())).bandwidth, stacked
+        return solver._elements(_Deck.of(plan).finished).bandwidth, stacked
 
     # Each batch row is its stage's own analysis only below a stacked
     # half-bandwidth of 16: from there on _solve_blocks gives a block padded
@@ -215,8 +237,8 @@ class TestOneSolvePerPlan:
     @settings(max_examples=300, deadline=None, derandomize=True)
     def test_every_stage_is_valid(self, plan):
         # What lets run_plan validate only the finished deck.
-        assert validate(_Deck.of(plan).model(plan.module_count, ())).ok
-        for stage in expand_plan(plan):
+        assert validate(_Deck.of(plan).finished).ok
+        for stage in stages_one_by_one(plan):
             assert validate(stage.model).ok, stage.index
 
     def test_an_invalid_deck_raises_the_stage_error(self):
@@ -241,7 +263,7 @@ class TestOneSolvePerPlan:
     @staticmethod
     def free_dofs(plan) -> list[int]:
         """Each stage's count of free dofs, from its own model."""
-        return [len(solver._elements(stage.model).dofs) for stage in expand_plan(plan)]
+        return [len(solver._elements(stage.model).dofs) for stage in stages_one_by_one(plan)]
 
     @pytest.mark.parametrize("every", [1, 3])
     def test_stages_the_residual_rule_rejects_are_analyzed_alone(self, every, monkeypatch):
@@ -312,8 +334,7 @@ class TestOneSolvePerPlan:
 class TestOverturningFactor:
     def test_hand_moment_balance(self):
         # w=500 N/m, c=4 m: overturning 4000 Nm; W=2000, a=1: resisting 2000.
-        stage = expand_plan(PLAN)[2]
-        assert stage.cantilever_length == 4.0
+        assert steps(PLAN)[2].cantilever_length == 4.0
         assert run_plan(PLAN).stages[2].overturning_factor == approx(0.5, rel=1e-9)
         assert run_plan(replace(PLAN, counterweight=8000.0)).stages[2].overturning_factor == approx(2.0, rel=1e-9)
 
@@ -325,7 +346,7 @@ class TestOverturningFactor:
         # overhangs: those stages cannot tip, and none divides by its zero
         # moment. At 1.5 m it is not 0, so W_min is positive.
         plan = ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 3, 1.5)
-        assert [s.cantilever_length for s in expand_plan(plan) if s.pure_cantilever] == [0.0, 0.5, 1.0, 1.5]
+        assert [s.cantilever_length for s in steps(plan) if s.pure_cantilever] == [0.0, 0.5, 1.0, 1.5]
         report = run_plan(plan)
         assert report.stable and report.minimal_counterweight == 5e-324
         assert all(math.isinf(s.overturning_factor) for s in report.stages)
@@ -335,12 +356,10 @@ class TestOverturningFactor:
         # be 0 N, a counterweight no plan can hold: the deck weight is out
         # of range. With no overhang (COUNT=0) W_min stays 0 and the plan
         # stands.
-        # expand_plan accepts the plans run_plan does.
-        for call in (run_plan, expand_plan):
-            with pytest.raises(InvalidPlan) as exc:
-                call(ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 2, 1.5))
-            assert str(exc.value) == (
-                "deck_weight_per_length out of range: 5e-324 (the minimal counterweight underflows to 0 N)")
+        with pytest.raises(InvalidPlan) as exc:
+            run_plan(ErectionPlan(0.5, 10, 5e-324, 3.0, 3.0, 2, 1.5))
+        assert str(exc.value) == (
+            "deck_weight_per_length out of range: 5e-324 (the minimal counterweight underflows to 0 N)")
         assert run_plan(replace(PLAN, module_count=0)).minimal_counterweight == 0.0
 
     def test_a_plan_of_1e300_newtons_keeps_its_moment_balance(self):
@@ -364,7 +383,7 @@ class TestOverturningFactor:
 
     def test_matches_formula_on_all_pure_stages(self):
         plan = replace(PLAN, counterweight=9000.0, module_count=6)
-        for stage, report in zip(expand_plan(plan), run_plan(plan).stages):
+        for stage, report in zip(steps(plan), run_plan(plan).stages):
             if stage.pure_cantilever and stage.cantilever_length > 0:
                 c = stage.cantilever_length
                 expected = plan.counterweight * plan.counterweight_lever / (plan.deck_weight_per_length * c * c / 2)
@@ -375,7 +394,7 @@ class TestOverturningFactor:
         # do not change with W.
         plan_a = replace(PLAN, counterweight=8000.0)
         plan_b = replace(PLAN, counterweight=80000.0)
-        assert not expand_plan(plan_a)[4].pure_cantilever
+        assert not steps(plan_a)[4].pure_cantilever
         assert run_plan(plan_a).stages[4].overturning_factor == run_plan(plan_b).stages[4].overturning_factor
 
 
@@ -387,7 +406,7 @@ class TestAnalyzeStage:
 
     def test_two_module_tip_deflection_oracle(self):
         plan = replace(PLAN, counterweight=50000.0)
-        stage = expand_plan(plan)[2]
+        stage = steps(plan)[2]
         report = run_plan(plan).stages[2]
         assert report.verdict is Verdict.STABLE
         E, I = 10e9, 4.5e-4
@@ -431,11 +450,11 @@ class TestRunPlan:
     @pytest.mark.parametrize("count", range(8))
     def test_w_min_is_taken_at_the_longest_pure_cantilever_stage(self, count):
         # The closed form reads the longest pure cantilever off the plan; it
-        # is the largest w*c^2/2 over the stages expand_plan makes, bit for bit.
+        # is the largest w*c^2/2 over the plan's stages, bit for bit.
         for interval in range(1, 10):
             plan = replace(PLAN, module_length=0.7, module_count=count, pillar_interval=interval, safety_factor=1.3)
             worst = max(plan.deck_weight_per_length * s.cantilever_length * s.cantilever_length / 2.0
-                        for s in expand_plan(plan) if s.pure_cantilever)
+                        for s in steps(plan) if s.pure_cantilever)
             assert run_plan(plan).minimal_counterweight == 1.3 * worst / plan.counterweight_lever
 
     def test_w_min_sharp(self):
@@ -488,7 +507,7 @@ class TestRunPlan:
         # restrained vertical dof, so it changes no displacement and shifts
         # only node 1's vertical reaction, one for one.
         light, heavy = PLAN, replace(PLAN, counterweight=9000.0)
-        for stage_l, stage_h in zip(expand_plan(light), expand_plan(heavy)):
+        for stage_l, stage_h in zip(stages_one_by_one(light), stages_one_by_one(heavy)):
             a, b = solver.analyze(stage_l.model), solver.analyze(stage_h.model)
             assert np.array_equal(a.displacements, b.displacements)
             assert a.utilization == b.utilization
