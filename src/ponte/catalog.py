@@ -8,6 +8,8 @@ digits so that model files round-trip exactly.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -82,8 +84,6 @@ class BridgeSpec:
             return self.deck_segments
         if self.kind in _REPLICA_KINDS:
             return self.pillar_count + 1
-        if self.kind is BridgeKind.SUSPENSION:
-            return 8
         if self.kind in (BridgeKind.CANTILEVER, BridgeKind.TRUSS, BridgeKind.CABLE_STAYED):
             return 6
         return 8
@@ -208,24 +208,6 @@ def preset(preset_id: PresetId | str) -> Preset:
 # Generation
 
 
-class _Ids:
-    """Monotonic id allocators for nodes and elements."""
-
-    def __init__(self):
-        self.next_node = 1
-        self.next_element = 1
-
-    def node(self) -> int:
-        nid = self.next_node
-        self.next_node += 1
-        return nid
-
-    def element(self) -> int:
-        eid = self.next_element
-        self.next_element += 1
-        return eid
-
-
 def _is_index(value) -> bool:
     """True for an int, or any value ``operator.index`` takes as one."""
     try:
@@ -235,6 +217,8 @@ def _is_index(value) -> bool:
 
 
 def _check_spec(spec: BridgeSpec) -> int:
+    if not isinstance(spec.kind, BridgeKind):
+        raise InvalidSpec(f"unknown bridge kind {spec.kind!r}")
     if not (spec.span > 0 and math.isfinite(spec.span)):
         raise InvalidSpec(f"span must be > 0, got {spec.span}")
     if not _is_index(spec.pillar_count):
@@ -264,221 +248,174 @@ def _check_spec(spec: BridgeSpec) -> int:
         raise InvalidSpec("mid_support needs an even number of deck segments")
     if spec.kind is BridgeKind.TRUSS and nseg < 2:
         raise InvalidSpec(f"TrussBridge needs deck_segments >= 2 for a top chord node, got {nseg}")
+    if spec.kind is BridgeKind.CANTILEVER and nseg % 3 != 0:
+        raise InvalidSpec("CantileverBridge needs deck_segments divisible by 3")
     return nseg
 
 
-def _deck(spec: BridgeSpec, ids: _Ids, nseg: int):
-    """Deck chain on pin + roller shore supports."""
-    nodes = [Node(ids.node(), quantize(spec.span * k / nseg), 0.0) for k in range(nseg + 1)]
-    beams = [
-        BeamElement(ids.element(), nodes[k].id, nodes[k + 1].id, DECK_MATERIAL, DECK_SECTION.name)
-        for k in range(nseg)
-    ]
-    supports = [
-        Support(nodes[0].id, restrain_x=True, restrain_y=True),
-        Support(nodes[-1].id, restrain_y=True),
-    ]
-    return nodes, beams, supports
+class _Builder:
+    """The records of one model as they are made. Nodes take their ids from
+    one source, beams and ropes theirs from another, in the order made."""
+
+    def __init__(self):
+        self.nodes: list[Node] = []
+        self.beams: list[BeamElement] = []
+        self.cables: list[CableElement] = []
+        self.supports: list[Support] = []
+        self.loads: list[Load] = []
+        self._node_ids, self._element_ids = itertools.count(1), itertools.count(1)
+
+    def node(self, x: float, y: float) -> Node:
+        node = Node(next(self._node_ids), x, y)
+        self.nodes.append(node)
+        return node
+
+    def beam(self, a: Node, b: Node, section: Section = PILLAR_SECTION, **pins: bool) -> None:
+        self.beams.append(BeamElement(next(self._element_ids), a.id, b.id, DECK_MATERIAL, section.name, **pins))
+
+    def rope(self, a: Node, b: Node) -> None:
+        self.cables.append(CableElement(next(self._element_ids), a.id, b.id, ROPE_MATERIAL, ROPE_AREA))
 
 
-def _wheel_loads(spec: BridgeSpec, deck_nodes) -> list[Load]:
-    loads: list[Load] = []
-    if spec.wheels is Wheels.RIGHT_ONLY:
-        loads.append(PointMass(deck_nodes[-1].id, WHEEL_MASS))
-    elif spec.wheels is Wheels.BOTH_SIDES:
-        loads.append(PointMass(deck_nodes[-1].id, WHEEL_MASS))
-        loads.append(PointMass(deck_nodes[0].id, WHEEL_MASS))
-    return loads
+def _beam(b: _Builder, spec: BridgeSpec, deck: list[Node]) -> None:
+    """The deck alone."""
 
 
-def _replica(spec: BridgeSpec, ids: _Ids, nseg: int, grounded: bool):
-    nodes, beams, supports = _deck(spec, ids, nseg)
-    cables: list[CableElement] = []
-    loads: list[Load] = list(_wheel_loads(spec, nodes))
-
-    stations = []
-    if spec.pillar_count:
-        step = nseg // (spec.pillar_count + 1)
-        stations = [s * step for s in range(1, spec.pillar_count + 1)]
-
-    tops: list[Node] = []
+def _replica(b: _Builder, spec: BridgeSpec, deck: list[Node], grounded: bool = False) -> None:
+    nseg = len(deck) - 1
+    step = nseg // (spec.pillar_count + 1)
+    stations = [s * step for s in range(1, spec.pillar_count + 1)]
+    tops = []
     for k in stations:
-        base = nodes[k]
-        top = Node(ids.node(), base.x, quantize(spec.pillar_height))
-        tops.append(top)
+        tops.append(b.node(deck[k].x, quantize(spec.pillar_height)))
         # Pillar pin-connected at its base: moment release toward the deck.
-        beams.append(
-            BeamElement(ids.element(), base.id, top.id, DECK_MATERIAL, PILLAR_SECTION.name, pin_i=True)
-        )
-    nodes.extend(tops)
-
+        b.beam(deck[k], tops[-1], pin_i=True)
     if grounded:
-        for k, top in zip(stations, tops):
-            base = nodes[k]
-            bed = Node(ids.node(), base.x, quantize(-abs(spec.pillar_height)))
-            nodes.append(bed)
+        for k in stations:
+            bed = b.node(deck[k].x, quantize(-abs(spec.pillar_height)))
             # The below-deck strut is a two-force link: pinned at the bed
             # and at the deck joint.
-            beams.append(
-                BeamElement(
-                    ids.element(), bed.id, base.id, DECK_MATERIAL, PILLAR_SECTION.name,
-                    pin_i=True, pin_j=True,
-                )
-            )
-            supports.append(Support(bed.id, restrain_x=True, restrain_y=True))
-
+            b.beam(bed, deck[k], pin_i=True, pin_j=True)
+            b.supports.append(Support(bed.id, restrain_x=True, restrain_y=True))
     for k, top in zip(stations, tops):
-        for anchor_idx in (k - 1, k + 1):
-            cables.append(
-                CableElement(ids.element(), top.id, nodes[anchor_idx].id, ROPE_MATERIAL, ROPE_AREA)
-            )
+        b.rope(top, deck[k - 1])
+        b.rope(top, deck[k + 1])
     if spec.crosswise_top_ropes:
         for (ka, ta), (kb, tb) in zip(zip(stations, tops), zip(stations[1:], tops[1:])):
-            cables.append(CableElement(ids.element(), ta.id, tb.id, ROPE_MATERIAL, ROPE_AREA))
-            cables.append(CableElement(ids.element(), ta.id, nodes[kb].id, ROPE_MATERIAL, ROPE_AREA))
-            cables.append(CableElement(ids.element(), tb.id, nodes[ka].id, ROPE_MATERIAL, ROPE_AREA))
-
-    return nodes, beams, cables, supports, loads
+            b.rope(ta, tb)
+            b.rope(ta, deck[kb])
+            b.rope(tb, deck[ka])
 
 
-def _cantilever(spec: BridgeSpec, ids: _Ids, nseg: int):
-    if nseg % 3 != 0:
-        raise InvalidSpec("CantileverBridge needs deck_segments divisible by 3")
-    nodes, beams, supports = _deck(spec, ids, nseg)
+def _cantilever(b: _Builder, spec: BridgeSpec, deck: list[Node]) -> None:
     # River piers at the third points; counterweights on both shores.
-    supports.append(Support(nodes[nseg // 3].id, restrain_y=True))
-    supports.append(Support(nodes[2 * nseg // 3].id, restrain_y=True))
-    loads: list[Load] = [
-        PointMass(nodes[0].id, WHEEL_MASS),
-        PointMass(nodes[-1].id, WHEEL_MASS),
-    ]
-    return nodes, beams, [], supports, loads
+    nseg = len(deck) - 1
+    b.supports.append(Support(deck[nseg // 3].id, restrain_y=True))
+    b.supports.append(Support(deck[2 * nseg // 3].id, restrain_y=True))
+    b.loads += [PointMass(deck[0].id, WHEEL_MASS), PointMass(deck[-1].id, WHEEL_MASS)]
 
 
-def _truss(spec: BridgeSpec, ids: _Ids, nseg: int):
-    nodes, beams, supports = _deck(spec, ids, nseg)
+def _truss(b: _Builder, spec: BridgeSpec, deck: list[Node]) -> None:
+    nseg = len(deck) - 1
     height = quantize(spec.span / 6.0)
-    tops = [Node(ids.node(), nodes[k].x, height) for k in range(1, nseg)]
-    nodes.extend(tops)
-
-    def top(k: int) -> Node:  # k in 1..nseg-1
-        return tops[k - 1]
-
+    # top[k] stands over deck[k], for k in 1..nseg-1.
+    top = [None] + [b.node(deck[k].x, height) for k in range(1, nseg)]
     for k in range(1, nseg - 1):
-        beams.append(BeamElement(ids.element(), top(k).id, top(k + 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
+        b.beam(top[k], top[k + 1])
     for k in range(1, nseg):
-        beams.append(BeamElement(ids.element(), nodes[k].id, top(k).id, DECK_MATERIAL, PILLAR_SECTION.name))
-    beams.append(BeamElement(ids.element(), nodes[0].id, top(1).id, DECK_MATERIAL, PILLAR_SECTION.name))
-    beams.append(BeamElement(ids.element(), nodes[nseg].id, top(nseg - 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
+        b.beam(deck[k], top[k])
+    b.beam(deck[0], top[1])
+    b.beam(deck[nseg], top[nseg - 1])
     for k in range(1, nseg - 1):
-        if top(k).x < spec.span / 2.0:
-            beams.append(BeamElement(ids.element(), top(k).id, nodes[k + 1].id, DECK_MATERIAL, PILLAR_SECTION.name))
+        if top[k].x < spec.span / 2.0:
+            b.beam(top[k], deck[k + 1])
         else:
-            beams.append(BeamElement(ids.element(), nodes[k].id, top(k + 1).id, DECK_MATERIAL, PILLAR_SECTION.name))
-    return nodes, beams, [], supports, []
+            b.beam(deck[k], top[k + 1])
 
 
-def _cable_stayed(spec: BridgeSpec, ids: _Ids, nseg: int):
-    nodes, beams, supports = _deck(spec, ids, nseg)
-    cables: list[CableElement] = []
+def _tower(b: _Builder, shore: Node, height: float) -> Node:
+    """A tower on a clamped base node of its own at ``shore``'s place, not
+    joined to the deck; returns its top."""
+    base = b.node(shore.x, 0.0)
+    top = b.node(shore.x, height)
+    b.beam(base, top)
+    b.supports.append(Support(base.id, restrain_x=True, restrain_y=True, restrain_rz=True))
+    return top
+
+
+def _cable_stayed(b: _Builder, spec: BridgeSpec, deck: list[Node]) -> None:
+    nseg = len(deck) - 1
     height = quantize(spec.span / 4.0)
     for shore, fan in ((0, range(1, nseg // 2 + 1)), (nseg, range(nseg - 1, nseg // 2 - 1, -1))):
-        base = Node(ids.node(), nodes[shore].x, 0.0)
-        topn = Node(ids.node(), nodes[shore].x, height)
-        nodes.extend([base, topn])
-        beams.append(BeamElement(ids.element(), base.id, topn.id, DECK_MATERIAL, PILLAR_SECTION.name))
-        supports.append(Support(base.id, restrain_x=True, restrain_y=True, restrain_rz=True))
+        top = _tower(b, deck[shore], height)
         for k in fan:
-            cables.append(CableElement(ids.element(), topn.id, nodes[k].id, ROPE_MATERIAL, ROPE_AREA))
-    return nodes, beams, cables, supports, []
+            b.rope(top, deck[k])
 
 
-def _suspension(spec: BridgeSpec, ids: _Ids, nseg: int):
-    nodes, beams, supports = _deck(spec, ids, nseg)
-    cables: list[CableElement] = []
+def _suspension(b: _Builder, spec: BridgeSpec, deck: list[Node]) -> None:
+    nseg = len(deck) - 1
     height = quantize(spec.span / 4.0)
     sag = quantize(spec.span / 10.0)
     back = quantize(spec.span / 8.0)
-
-    towers = []
-    for shore in (0, nseg):
-        base = Node(ids.node(), nodes[shore].x, 0.0)
-        topn = Node(ids.node(), nodes[shore].x, height)
-        nodes.extend([base, topn])
-        beams.append(BeamElement(ids.element(), base.id, topn.id, DECK_MATERIAL, PILLAR_SECTION.name))
-        supports.append(Support(base.id, restrain_x=True, restrain_y=True, restrain_rz=True))
-        towers.append(topn)
-
+    towers = [_tower(b, deck[0], height), _tower(b, deck[nseg], height)]
     # Main chain sampled over each interior deck node, sagging between towers.
     chain = [towers[0]]
     for k in range(1, nseg):
         t = k / nseg
-        y = quantize(height - 4.0 * sag * t * (1.0 - t))
-        pt = Node(ids.node(), nodes[k].x, y)
-        nodes.append(pt)
-        chain.append(pt)
+        chain.append(b.node(deck[k].x, quantize(height - 4.0 * sag * t * (1.0 - t))))
     chain.append(towers[1])
-    for a, b in zip(chain, chain[1:]):
-        cables.append(CableElement(ids.element(), a.id, b.id, ROPE_MATERIAL, ROPE_AREA))
+    for left, right in zip(chain, chain[1:]):
+        b.rope(left, right)
     for k in range(1, nseg):
-        cables.append(CableElement(ids.element(), chain[k].id, nodes[k].id, ROPE_MATERIAL, ROPE_AREA))
+        b.rope(chain[k], deck[k])
+    for tower, x_anchor in zip(towers, (quantize(-back), quantize(spec.span + back))):
+        anchor = b.node(x_anchor, 0.0)
+        b.supports.append(Support(anchor.id, restrain_x=True, restrain_y=True))
+        b.rope(tower, anchor)
 
-    for shore, x_anchor in ((0, quantize(-back)), (nseg, quantize(spec.span + back))):
-        anchor = Node(ids.node(), x_anchor, 0.0)
-        nodes.append(anchor)
-        supports.append(Support(anchor.id, restrain_x=True, restrain_y=True))
-        tower_top = towers[0] if shore == 0 else towers[1]
-        cables.append(CableElement(ids.element(), tower_top.id, anchor.id, ROPE_MATERIAL, ROPE_AREA))
-    return nodes, beams, cables, supports, []
+
+# What each kind adds to the deck.
+_GENERATORS = {
+    BridgeKind.BEAM: _beam,
+    BridgeKind.CANTILEVER: _cantilever,
+    BridgeKind.SUSPENSION: _suspension,
+    BridgeKind.TRUSS: _truss,
+    BridgeKind.CABLE_STAYED: _cable_stayed,
+    BridgeKind.LEONARDO_REPLICA: _replica,
+    BridgeKind.LEONARDO_GROUNDED: functools.partial(_replica, grounded=True),
+}
 
 
 def generate(spec: BridgeSpec) -> StructureModel:
     """Build the structural model for one bridge spec.
 
-    Every generated model carries a SelfWeight load case; wheels become
-    point masses at the deck ends.
+    Every kind stands on the same deck: a chain of beams on pin and roller
+    shore supports, wheels as point masses at its ends, the ``mid_support``
+    prop under its middle node and a SelfWeight load case. The kind's
+    generator then adds its own members.
     """
     nseg = _check_spec(spec)
-    ids = _Ids()
-
-    if spec.kind in _REPLICA_KINDS:
-        nodes, beams, cables, supports, loads = _replica(
-            spec, ids, nseg, grounded=spec.kind is BridgeKind.LEONARDO_GROUNDED
-        )
-    elif spec.kind is BridgeKind.BEAM:
-        nodes, beams, supports = _deck(spec, ids, nseg)
-        cables, loads = [], list(_wheel_loads(spec, nodes))
-    elif spec.kind is BridgeKind.CANTILEVER:
-        nodes, beams, cables, supports, loads = _cantilever(spec, ids, nseg)
-    elif spec.kind is BridgeKind.TRUSS:
-        nodes, beams, cables, supports, loads = _truss(spec, ids, nseg)
-    elif spec.kind is BridgeKind.CABLE_STAYED:
-        nodes, beams, cables, supports, loads = _cable_stayed(spec, ids, nseg)
-    elif spec.kind is BridgeKind.SUSPENSION:
-        nodes, beams, cables, supports, loads = _suspension(spec, ids, nseg)
-    else:  # pragma: no cover
-        raise InvalidSpec(f"unknown bridge kind {spec.kind!r}")
-
+    b = _Builder()
+    deck = [b.node(quantize(spec.span * k / nseg), 0.0) for k in range(nseg + 1)]
+    for k in range(nseg):
+        b.beam(deck[k], deck[k + 1], DECK_SECTION)
+    b.supports += [Support(deck[0].id, restrain_x=True, restrain_y=True), Support(deck[-1].id, restrain_y=True)]
+    if spec.wheels is Wheels.RIGHT_ONLY or spec.wheels is Wheels.BOTH_SIDES:
+        b.loads.append(PointMass(deck[-1].id, WHEEL_MASS))
+    if spec.wheels is Wheels.BOTH_SIDES:
+        b.loads.append(PointMass(deck[0].id, WHEEL_MASS))
     if spec.mid_support:
-        # Deck nodes are allocated first, so the central one is nseg//2 + 1.
-        supports = list(supports) + [Support(nseg // 2 + 1, restrain_y=True)]
-    loads = list(loads) + [SelfWeight(DEFAULT_G)]
+        b.supports.append(Support(deck[nseg // 2].id, restrain_y=True))
+    b.loads.append(SelfWeight(DEFAULT_G))
+    _GENERATORS[spec.kind](b, spec, deck)
+
     materials = [MATERIAL_PRESETS[DECK_MATERIAL]]
-    if cables:
+    if b.cables:
         materials.append(MATERIAL_PRESETS[ROPE_MATERIAL])
     sections = [DECK_SECTION]
-    if any(b.section == PILLAR_SECTION.name for b in beams):
+    if any(beam.section == PILLAR_SECTION.name for beam in b.beams):
         sections.append(PILLAR_SECTION)
-
-    return build_model(
-        nodes=nodes,
-        materials=materials,
-        sections=sections,
-        beams=beams,
-        cables=cables,
-        supports=supports,
-        loads=loads,
-    )
+    return build_model(b.nodes, materials, sections, b.beams, b.cables, b.supports, b.loads)
 
 
 def generate_preset(preset_id: PresetId | str) -> StructureModel:

@@ -111,12 +111,20 @@ def _check_plan(plan: ErectionPlan) -> None:
     )
     for name, ok in checks:
         value = getattr(plan, name)
-        if not ok or not math.isfinite(float(value)):
+        if not ok or not _finite(value):
             raise InvalidPlan(f"{name} out of range: {value}")
     # A plan with an overhang needs a counterweight, and none can be 0 N.
     if plan.module_count and _minimal_counterweight(plan) == 0.0:
         raise InvalidPlan(f"deck_weight_per_length out of range: {plan.deck_weight_per_length}"
                           " (the minimal counterweight underflows to 0 N)")
+
+
+def _finite(value) -> bool:
+    """``math.isfinite``, False for an int past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _minimal_counterweight(plan: ErectionPlan) -> float:

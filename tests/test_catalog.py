@@ -19,6 +19,7 @@ from ponte.catalog import (
 from ponte.errors import InvalidSpec, NotAReplica
 from ponte.model import PointMass, validate
 from ponte.solver import analyze
+from ponte.textio import serialize_model
 
 
 def max_deck_deflection(model, result) -> float:
@@ -76,6 +77,19 @@ class TestGenerate:
         deck = deck_node_ids(florence)
         assert sorted(masses) == [min(deck), max(deck)]
 
+    @pytest.mark.parametrize("kind", [BridgeKind.TRUSS, BridgeKind.CABLE_STAYED, BridgeKind.SUSPENSION,
+                                      BridgeKind.CANTILEVER])
+    @pytest.mark.parametrize("wheels", [Wheels.RIGHT_ONLY, Wheels.BOTH_SIDES])
+    def test_wheels_only_add_masses_at_the_deck_ends(self, kind, wheels):
+        # Every kind stands on the same deck, so every kind takes wheels.
+        plain = serialize_model(generate(BridgeSpec(kind))).splitlines()
+        added = serialize_model(generate(BridgeSpec(kind, wheels=wheels))).splitlines()
+        for line in plain:
+            added.remove(line)
+        last = BridgeSpec(kind).resolved_deck_segments() + 1  # the deck's nodes are 1..last
+        ends = [last] if wheels is Wheels.RIGHT_ONLY else [1, last]
+        assert added == [f"LOAD MASS {node} M=300" for node in ends]
+
     def test_mid_support_adds_central_roller(self):
         model = generate_preset(PresetId.AMBOISE_SCALE)
         mid = model.node(6)  # 10 segments, node 6 at midspan
@@ -114,6 +128,20 @@ class TestGenerate:
             generate(BridgeSpec(BridgeKind.LEONARDO_REPLICA, pillar_count=2, deck_segments=7))
         with pytest.raises(InvalidSpec):
             generate(BridgeSpec(BridgeKind.BEAM, deck_segments=5, mid_support=True))
+
+    @pytest.mark.parametrize("spec, text", [
+        (BridgeSpec(BridgeKind.LEONARDO_REPLICA, pillar_count=-1), "pillar_count must be >= 0, got -1"),
+        (BridgeSpec(BridgeKind.LEONARDO_GROUNDED, pillar_count=2, pillar_height=0.0),
+         "pillar_height must be non-zero for replica kinds"),
+        (BridgeSpec(BridgeKind.CANTILEVER, deck_segments=8), "CantileverBridge needs deck_segments divisible by 3"),
+        (BridgeSpec("Bogus"), "unknown bridge kind 'Bogus'"),
+        (BridgeSpec("BeamBridge"), "unknown bridge kind 'BeamBridge'"),
+    ])
+    def test_each_spec_rule_names_itself(self, spec, text):
+        # A kind is a BridgeKind member: the plain str equal to one is not.
+        with pytest.raises(InvalidSpec) as raised:
+            generate(spec)
+        assert str(raised.value) == text
 
     @pytest.mark.parametrize("kind", [k for k in BridgeKind
                                       if k not in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED)])

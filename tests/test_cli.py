@@ -170,6 +170,16 @@ class TestAnalyze:
         assert capsys.readouterr().err.startswith("error: scale must be finite and > 0")
         assert not svg.exists()
 
+    def test_no_convergence_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        from ponte import solver
+
+        model_path = tmp_path / "m.txt"
+        assert main(["generate", "GRANDE", "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(solver, "MAX_ACTIVE_SET_ITERATIONS", 1)
+        assert main(["analyze", str(model_path)]) == 2
+        assert capsys.readouterr() == ("", "error: active set did not stabilize in 1 iterations\n")
+
     def test_suspension_with_mid_support_is_exit_2(self, tmp_path, capsys):
         # The prop drives every hanger into compression on the first
         # iteration; with the hangers slack the main cable's free nodes
@@ -248,6 +258,14 @@ class TestStage:
         assert (out, err) == ("", "error: deck_weight_per_length out of range: 5e-324"
                                   " (the minimal counterweight underflows to 0 N)\n")
         assert not report_path.exists()
+
+    @pytest.mark.parametrize("key, name", [("COUNT", "module_count"), ("INTERVAL", "pillar_interval")])
+    def test_a_count_past_the_float_range_is_invalid(self, tmp_path, capsys, key, name):
+        fields = {"MODULE": "2", "COUNT": "1", "W": "500", "CW": "2000", "LEVER": "1", "INTERVAL": "2"}
+        fields[key] = "1" + "0" * 400
+        path = write(tmp_path / "plan.txt", "PLAN " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
+        assert main(["stage", path]) == 1
+        assert capsys.readouterr() == ("", f"error: {name} out of range: 1{'0' * 400}\n")
 
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")

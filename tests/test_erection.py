@@ -99,6 +99,13 @@ class TestExpandPlan:
             run_plan(replace(PLAN, **{field: value}))
         assert str(exc.value) == f"{field} out of range: {value}"
 
+    @pytest.mark.parametrize("field", ["module_count", "pillar_interval", "deck_weight_per_length"])
+    def test_an_int_past_the_float_range_is_rejected(self, field):
+        # No float holds 10**400: the finiteness check must not convert it.
+        with pytest.raises(InvalidPlan) as exc:
+            run_plan(replace(PLAN, **{field: 10**400}))
+        assert str(exc.value) == f"{field} out of range: {10**400}"
+
 
 class TestSharedDeckParts:
     # _Deck.of builds a plan's finished deck once and cuts each stage's

@@ -29,7 +29,7 @@ from ponte.catalog import (
     strip_to_bare_deck,
     with_deck_udl,
 )
-from ponte.errors import SingularSystem
+from ponte.errors import NoConvergence, SingularSystem
 from ponte.model import (
     BeamElement,
     CableElement,
@@ -1208,6 +1208,15 @@ class TestTensionOnly:
         assert result.reactions[3][0] == approx(axial, rel=1e-12)
         assert result.reactions[1][0] + result.reactions[3][0] + Fx == approx(0.0, abs=1e-12 * (Fx + P))
         assert result.reactions[1][1] == result.reactions[3][1] == 0.0
+
+    def test_the_iteration_cap_raises_with_the_sets_it_tried(self, monkeypatch):
+        # GRANDE converges in 3 iterations: every rope taut, then none.
+        model = generate_preset("GRANDE")
+        monkeypatch.setattr(solver, "MAX_ACTIVE_SET_ITERATIONS", 1)
+        with pytest.raises(NoConvergence) as raised:
+            tension_only_analyze(model)
+        assert str(raised.value) == "active set did not stabilize in 1 iterations"
+        assert raised.value.cycle == (frozenset(c.id for c in model.cables), frozenset())
 
     def test_complementarity_on_random_models(self, random_models):
         for model in random_models[:30]:

@@ -145,6 +145,13 @@ class TestSerialize:
         assert "PIN=I" in text
         assert parse_model_file(text).beam(7).pin_i
 
+    def test_pretension_round_trips(self):
+        model = parse_model_file(MINIMAL + "NODE 3 5 2\nCABLE 2 1 3 timber A=0.0005 PRETENSION=120\n")
+        text = serialize_model(model)
+        assert "CABLE 2 1 3 timber A=0.0005 PRETENSION=120\n" in text
+        again = parse_model_file(text)
+        assert again == model and again.cable(2).pretension == 120.0
+
 
 class TestQuantize:
     @given(st.floats(min_value=-1e12, max_value=1e12, allow_nan=False))
