@@ -219,6 +219,8 @@ def _is_index(value) -> bool:
 def _check_spec(spec: BridgeSpec) -> int:
     if not isinstance(spec.kind, BridgeKind):
         raise InvalidSpec(f"unknown bridge kind {spec.kind!r}")
+    if not isinstance(spec.wheels, Wheels):
+        raise InvalidSpec(f"unknown wheels {spec.wheels!r}")
     if not (spec.span > 0 and math.isfinite(spec.span)):
         raise InvalidSpec(f"span must be > 0, got {spec.span}")
     if not _is_index(spec.pillar_count):
@@ -392,7 +394,8 @@ def generate(spec: BridgeSpec) -> StructureModel:
     Every kind stands on the same deck: a chain of beams on pin and roller
     shore supports, wheels as point masses at its ends, the ``mid_support``
     prop under its middle node and a SelfWeight load case. The kind's
-    generator then adds its own members.
+    generator then adds its own members. A spec that puts a node at a
+    coordinate that is not finite raises ``InvalidSpec``.
     """
     nseg = _check_spec(spec)
     b = _Builder()
@@ -408,6 +411,9 @@ def generate(spec: BridgeSpec) -> StructureModel:
         b.supports.append(Support(deck[nseg // 2].id, restrain_y=True))
     b.loads.append(SelfWeight(DEFAULT_G))
     _GENERATORS[spec.kind](b, spec, deck)
+    # A span or pillar height near the largest double can put a node past it.
+    if (far := next((n for n in b.nodes if not (math.isfinite(n.x) and math.isfinite(n.y))), None)) is not None:
+        raise InvalidSpec(f"node {far.id} lies at ({far.x}, {far.y}): a coordinate is not finite")
 
     materials = [MATERIAL_PRESETS[DECK_MATERIAL]]
     if b.cables:

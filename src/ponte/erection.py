@@ -39,8 +39,8 @@ from .textio import quantize
 _FACTOR_RTOL = 1e-12
 
 # Stacked entries per batch of stages, as stages x (3 deck nodes): a batch's
-# load, displacement and residual tables and its recovery's (stages, beams,
-# 6) products grow with it. Plans of up to 60 modules (121 stages of 186
+# load, displacement and residual tables and its recovery's (beams, 6,
+# stages) products grow with it. Plans of up to 60 modules (121 stages of 186
 # dofs at most) stay one batch; a longer plan's peak memory stays near theirs.
 _BATCH_ENTRIES = 2**15
 
@@ -230,9 +230,12 @@ class _Deck(NamedTuple):
         table for the finished deck, validated once, and one banded solve
         (``solver._analyze_prefixes``) per batch of ``_BATCH_ENTRIES`` // (3
         deck nodes) stages. Each row is its stage's own analysis, bit for
-        bit, whatever the batch, because the deck is a chain: its band and
-        the stacked band have a half-bandwidth of 5, below the 16 from which
-        ``solver._solve_blocks`` gives a padded block other bits. A batch's
+        bit, whatever the batch. The deck is a chain: its band and the
+        stacked band have a half-bandwidth of 5, below the 16 from which
+        ``solver._solve_blocks`` gives a padded block other bits. And the
+        recovery runs each beam's products as one gemm with the batch's
+        stages as columns, the gemm a single analysis runs with one column
+        and a zero one (``solver._end_forces``). A batch's
         restraint mask is set from its stages' bearing modules flattened into
         one array, not from one object per (stage, bearing) pair.
 

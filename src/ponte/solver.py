@@ -8,6 +8,14 @@ band (``_solve_blocks``), one load sum (``_load_sum``) and
 one recovery (``_recover``), whose one-block, one-row case is a single
 analysis. All functions are pure; models are shared read-only.
 
+Recovery lays the rows (the stages of a stack, or the one analysis)
+along the columns of each member's products, so a member's end forces
+over every row are one BLAS gemm (``_end_forces``). A lone row gets a
+zero column beside it: numpy would run its one column as a gemv, which
+sums otherwise, and the gemm gives a column the same bits whatever the
+column count. So a row of a stack is its sub-model's own analysis, bit
+for bit.
+
 Each analysis numbers the free dofs along the structure (nodes by x, then
 y) and scatters K straight into LAPACK lower band storage; every
 active-set iteration is one banded Cholesky factorization (dpbtrf). A
@@ -668,6 +676,28 @@ class _Recovered(NamedTuple):
     residual: np.ndarray  # (..., 3 nodes): end forces less loads; the reactions on restrained dofs
 
 
+def _end_forces(el: _Elements, full_u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each member's end forces at the all-dof displacements ``full_u``,
+    one vector or rows of them, as (members, end dofs, rows) arrays: the
+    beams' local k_local T u and global k_global u, and the cables' global
+    cable_k u.
+
+    The rows lie along the columns of the products: a member's end
+    displacements are a (6, rows) matrix, (4, rows) for a cable, and each
+    of its products is one BLAS gemm over all rows, not one gemv per row.
+    A lone row gets a zero column beside it, dropped after: numpy runs a
+    one-column product as a gemv, which splits its sums otherwise than the
+    gemm, and the gemm gives a column the same bits whatever the column
+    count. So a row of a stack gets the bits it gets alone."""
+    *lead, n = full_u.shape
+    rows = math.prod(lead)
+    u = np.zeros((n, max(rows, 2)))
+    u[:, :rows] = full_u.reshape(rows, n).T
+    ub = u.take(el.beam_dofs, axis=0)
+    return ((el.k_local @ (el.T @ ub))[..., :rows], (el.k_global @ ub)[..., :rows],
+            (el.cable_k @ u.take(el.cable_dofs, axis=0))[..., :rows])
+
+
 def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarray, active: np.ndarray,
              axial: np.ndarray) -> _Recovered:
     """Forces, utilizations, deflections and support residuals of analyses
@@ -681,28 +711,38 @@ def _recover(el: _Elements, full_u: np.ndarray, F: np.ndarray, present: np.ndarr
     red-alarm class) repeats the per-member ``utilization`` of
     ``tests/oracles.py`` in its order, so bit for bit. The residual sums
     the global end forces of the beams, then of the cables, on their dofs
-    in element order, less the loads."""
-    *rows, n = full_u.shape
-    ub = full_u[..., el.beam_dofs, None]
-    f = (el.k_local @ (el.T @ ub))[..., 0] - el.fixed_end
-    shear = np.where(np.abs(f[..., 1]) >= np.abs(f[..., 4]), f[..., 1], -f[..., 4])
-    beam = f[..., [3, 1, 2, 5]]
-    beam[..., 1] = shear
-    cable = np.where(axial > 0.0, axial, 0.0)
-    area, half_depth, inertia, sigma = el.beam_strength
-    m_max = np.maximum(np.abs(beam[..., 2]), np.abs(beam[..., 3]))
-    stress = np.abs(beam[..., 0]) / area + m_max * half_depth / inertia
-    util = np.concatenate([np.where(present, stress / sigma, 0.0), cable / el.cable_strength], axis=-1)
+    in element order, less the loads.
 
+    The end forces are ``_end_forces``', so a row of a stack is the single
+    analysis of its sub-model, bit for bit. Their (member, end dof, row)
+    order is the summing order: each (row, dof) bin of the residual gets
+    its terms in element order."""
+    *lead, n = full_u.shape
+    rows = math.prod(lead)
+    local, beam_ends, cable_ends = _end_forces(el, full_u)
+    absent, slack = ~present.reshape(rows, -1).T[:, None], ~active.reshape(rows, -1).T[:, None]  # (members, 1, rows)
     # The global end forces of the beams, then of the cables, summed on
     # their dofs; a member outside the stiffness adds exact zeros.
-    forces = np.concatenate([np.where(present[..., None], (el.k_global @ ub)[..., 0], 0.0).reshape(*rows, -1),
-                             np.where(active[..., None], (el.cable_k @ full_u[..., el.cable_dofs, None])[..., 0],
-                                      0.0).reshape(*rows, -1)], axis=-1)
-    ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs.ravel()]) + n * np.arange(math.prod(rows))[:, None]
-    residual = np.bincount(ends.ravel(), forces.ravel(), minlength=full_u.size).reshape(full_u.shape) - F
-    return _Recovered(beam, cable, util, util.max(axis=-1, initial=0.0),
-                      np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0), residual)
+    np.copyto(beam_ends, 0.0, where=absent)
+    np.copyto(cable_ends, 0.0, where=slack)
+    ends = np.concatenate([el.beam_dofs.ravel(), el.cable_dofs.ravel()])[:, None] + n * np.arange(rows)
+    residual = np.bincount(ends.ravel(), np.concatenate([beam_ends.ravel(), cable_ends.ravel()]),
+                           minlength=full_u.size).reshape(full_u.shape) - F
+    del beam_ends, cable_ends, ends  # the batch's largest temporaries go before the beam forces
+
+    local -= el.fixed_end[..., None]
+    shear = np.where(np.abs(local[:, 1]) >= np.abs(local[:, 4]), local[:, 1], -local[:, 4])
+    beam = local[:, [3, 1, 2, 5]]  # (beams, 4, rows)
+    beam[:, 1] = shear
+    cable = np.where(axial > 0.0, axial, 0.0)
+    area, half_depth, inertia, sigma = el.beam_strength[..., None]
+    m_max = np.maximum(np.abs(beam[:, 2]), np.abs(beam[:, 3]))
+    stress = np.abs(beam[:, 0]) / area + m_max * half_depth / inertia
+    util = np.concatenate([np.where(absent[:, 0], 0.0, stress / sigma),
+                           cable.reshape(rows, -1).T / el.cable_strength[:, None]])  # (members, rows)
+    return _Recovered(beam.transpose(2, 0, 1).reshape(*lead, -1, 4), cable, util.T.reshape(*lead, -1),
+                      util.max(axis=0, initial=0.0).reshape(lead), np.abs(full_u[..., 1::3]).max(axis=-1, initial=0.0),
+                      residual)
 
 
 def _reactions(view: ModelArrays, residual: np.ndarray) -> dict[int, tuple]:
@@ -814,11 +854,14 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     erection deck, the tip); those entries alone are summed again from its
     own beams, in that order. So its block is the one ``_band`` assembles
     for it, bit for bit, and the stacked band is as wide as the widest beam
-    in it. Band, loads and recovery are then its own analysis', and so is
-    the solve while the stacked half-bandwidth stays below 16: from 16 on,
-    the BLAS kernels sum a block padded to the stack's width otherwise than
-    the block alone (``_solve_blocks``), and a row may differ from its
-    sub-model's analysis in the last bits. An erection deck's is 5."""
+    in it. Band, loads and recovery are then its own analysis' (the
+    recovery runs one gemm per beam over the sub-models as columns, and a
+    single analysis the same gemm with a zero column: ``_end_forces``), and
+    so is the solve while the stacked half-bandwidth stays below 16: from
+    16 on, the BLAS kernels sum a block padded to the stack's width
+    otherwise than the block alone (``_solve_blocks``), and a row may
+    differ from its sub-model's analysis in the last bits. An erection
+    deck's is 5."""
     count, n, bw = len(nodes), 3 * len(el.view.x), el.bandwidth
     # The stacked system's dofs, block after block: band position g[j] of
     # sub-model row[j].

@@ -171,6 +171,29 @@ class TestGenerate:
             generate(spec)
         assert str(raised.value) == text
 
+    @pytest.mark.parametrize("kind", [k for k in BridgeKind
+                                      if k not in (BridgeKind.LEONARDO_REPLICA, BridgeKind.LEONARDO_GROUNDED)])
+    def test_a_span_that_overflows_a_coordinate_is_rejected(self, kind):
+        # 1.7e308 is finite, but span * k / segments passes the largest
+        # double at the third deck node (id 3): that node is named, and no
+        # model with an inf coordinate is returned.
+        with pytest.raises(InvalidSpec) as raised:
+            generate(BridgeSpec(kind, span=1.7e308))
+        assert str(raised.value) == "node 3 lies at (inf, 0.0): a coordinate is not finite"
+        generate(BridgeSpec(kind, span=1e300))  # every coordinate finite
+
+    def test_a_pillar_height_that_overflows_is_rejected(self):
+        with pytest.raises(InvalidSpec, match=r"^node 5 lies at \(4\.0, inf\): a coordinate is not finite$"):
+            generate(BridgeSpec(BridgeKind.LEONARDO_REPLICA, span=12.0, pillar_count=2, pillar_height=1e309))
+
+    @pytest.mark.parametrize("wheels", ["both", "none", None, 1])
+    def test_wheels_that_are_not_a_wheels_member_are_rejected(self, wheels):
+        # Wheels is a str enum: the plain str equal to a member is not one,
+        # and was dropped unsaid (no wheel masses).
+        with pytest.raises(InvalidSpec) as raised:
+            generate(BridgeSpec(BridgeKind.BEAM, wheels=wheels))
+        assert str(raised.value) == f"unknown wheels {wheels!r}"
+
     def test_truss_needs_two_segments(self):
         with pytest.raises(InvalidSpec, match="TrussBridge"):
             generate(BridgeSpec(BridgeKind.TRUSS, deck_segments=1))

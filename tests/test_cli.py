@@ -80,6 +80,14 @@ class TestGenerate:
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["BeamBridge", "CantileverBridge", "SuspensionBridge", "TrussBridge",
+                                      "CableStayedBridge"])
+    def test_a_span_that_overflows_a_coordinate_is_invalid(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.txt"
+        assert main(["generate", kind, "-o", str(out), "--span", "1.7e308"]) == 1
+        assert capsys.readouterr() == ("", "error: node 3 lies at (inf, 0.0): a coordinate is not finite\n")
+        assert not out.exists()
+
     def test_truss_of_one_segment_is_invalid(self, tmp_path, capsys):
         assert main(["generate", "TrussBridge", "-o", str(tmp_path / "x.txt"), "--segments", "1"]) == 1
         assert capsys.readouterr().err.startswith("error: ")

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -1054,10 +1055,9 @@ def dynamic_openblas(package) -> bool:
     return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
 
 
-@pytest.fixture(scope="module")
-def kernel_runs():
-    """The corpus analyzed in one subprocess per OpenBLAS kernel, and one
-    with the kernel OpenBLAS picks itself (key None)."""
+def under_each_kernel(script: str) -> dict:
+    """The JSON that ``script`` prints, from one subprocess per OpenBLAS
+    kernel and one with the kernel OpenBLAS picks itself (key None)."""
     if not (dynamic_openblas(np) and dynamic_openblas(scipy)):
         pytest.skip("numpy or scipy is not linked to a DYNAMIC_ARCH OpenBLAS")
     src = str(Path(solver.__file__).resolve().parents[1])
@@ -1068,9 +1068,14 @@ def kernel_runs():
         env.pop("OPENBLAS_CORETYPE", None)
         if kernel:
             env["OPENBLAS_CORETYPE"] = kernel
-        runs[kernel] = subprocess.Popen([sys.executable, "-c", KERNEL_RUN], env=env, stdout=subprocess.PIPE,
-                                        text=True)
+        runs[kernel] = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True)
     return {kernel: json.loads(run.communicate()[0]) for kernel, run in runs.items()}
+
+
+@pytest.fixture(scope="module")
+def kernel_runs():
+    """The corpus analyzed under each kernel."""
+    return under_each_kernel(KERNEL_RUN)
 
 
 class TestBlasKernels:
@@ -1093,6 +1098,56 @@ class TestBlasKernels:
             u, v = np.array(u), np.array(got[3])
             bound = 4 * eps * np.linalg.norm(K, 1) * np.linalg.norm(u) ** 2 / np.linalg.norm(F)
             assert np.linalg.norm(u - v) <= bound, name
+
+
+# Prints, per case, how many rows a stack of _recover has and which of them
+# differ from _recover of that row alone in the fields compared. The cases:
+# the erection batch of a 60-module plan, 121 stages in one _recover call,
+# and two presets with taut ropes, their converged displacements repeated
+# as 13 rows, each scaled a little.
+RECOVERY_RUN = """
+import json
+import numpy as np
+from ponte import erection, solver
+from ponte.catalog import generate_preset
+
+calls, recover = [], solver._recover
+solver._recover = lambda *args: calls.append(args) or recover(*args)
+erection.run_plan(erection.ErectionPlan(1.5, 60, 1200.0, 4e4, 2.0, 1))
+presets = ("UNDERSLUNG", "AMBOISE_SCALE")
+for name in presets:
+    solver.analyze(generate_preset(name))
+solver._recover = recover
+cases = {"erection": calls[0]}
+for name, (el, u, F, present, active, _) in zip(presets, calls[1:]):
+    u = u * (1.0 + 1e-3 * np.arange(13))[:, None]
+    cases[name] = el, u, np.tile(F, (13, 1)), np.tile(present, (13, 1)), np.tile(active, (13, 1)), el.axial(u)
+out = {}
+for name, (el, *rows) in cases.items():
+    stack = recover(el, *rows)
+    fields = ("beam", "utilization", "max_utilization", "max_deflection", "residual")
+    differ = [r for r in range(len(rows[0]))
+              if any(getattr(stack, f)[r].tobytes() != getattr(recover(el, *(a[r] for a in rows)), f).tobytes()
+                     for f in fields)]
+    out[name] = [len(rows[0]), differ]
+print(json.dumps(out))
+"""
+
+
+@pytest.fixture(scope="module")
+def recovery_runs():
+    return under_each_kernel(RECOVERY_RUN)
+
+
+class TestRecoveryColumns:
+    @pytest.mark.parametrize("kernel", [None, *KERNELS])
+    def test_a_stacked_row_is_recovered_as_alone(self, recovery_runs, kernel):
+        """_recover runs each member's products as one gemm over the rows,
+        and a lone row as a gemm with a zero column beside it. Under each
+        kernel, a column's bits do not depend on how many columns there
+        are, so a row of a stack recovers the same forces, utilizations,
+        maxima and residual as that row alone, bit for bit."""
+        assert recovery_runs[kernel] == {"erection": [121, []], "UNDERSLUNG": [13, []], "AMBOISE_SCALE": [13, []]}
 
 
 class TestMirrorImage:
@@ -1451,6 +1506,57 @@ class TestForceRecovery:
         assert rotations[1] == approx(rotations[2], rel=1e-9)
         assert rotations[2] == approx(rotations[4], rel=1e-9)
         assert deflections[2] == approx(deflections[4], rel=1e-9)
+
+
+class TestEndForceBound:
+    # ROADMAP item 8 asks the per-member products to be bounded against
+    # exact arithmetic. A product of 6 terms rounds to within 3 eps of the
+    # sum of their magnitudes, two in a row to within 6 eps, so 12 eps has
+    # room twice over; the largest error measured on these cases was
+    # 0.63 eps of |k| |T| |u|, about 1/19 of the bound.
+    @staticmethod
+    def captured(monkeypatch, run) -> list:
+        """The (element table, displacements) of each _recover call ``run`` makes."""
+        calls, recover = [], solver._recover
+        monkeypatch.setattr(solver, "_recover", lambda el, full_u, *rest: calls.append((el, full_u))
+                            or recover(el, full_u, *rest))
+        run()
+        return calls
+
+    @staticmethod
+    def check(el, full_u):
+        """Entrywise |f - f_exact| <= 12 eps |k| |T| |u| for k_local (T u),
+        and 12 eps |k| |u| for k_global u and cable_k u, f_exact in
+        ``Fraction`` from the same float inputs."""
+        eps = np.finfo(float).eps
+        rows = full_u.reshape(-1, full_u.shape[-1])
+        local, beam_ends, cable_ends = solver._end_forces(el, full_u)
+
+        def exact(k, x):
+            return [sum((Fraction(a) * b for a, b in zip(row, x) if a), Fraction(0)) for row in k.tolist()]
+
+        cases = [(local, el.beam_dofs, [el.T, el.k_local]), (beam_ends, el.beam_dofs, [el.k_global]),
+                 (cable_ends, el.cable_dofs, [el.cable_k])]
+        checked = 0
+        for got, dofs, factors in cases:
+            for m in range(len(dofs)):
+                for r, u in enumerate(rows[:, dofs[m]]):
+                    x, bound = [Fraction(v) for v in u.tolist()], np.abs(u)
+                    for k in factors:
+                        x, bound = exact(k[m], x), np.abs(k[m]) @ bound
+                    for f, e, b in zip(got[m, :, r].tolist(), x, (12 * eps * bound).tolist()):
+                        assert abs(Fraction(f) - e) <= Fraction(b)
+                        checked += e != 0
+        return checked
+
+    def test_presets(self, monkeypatch):
+        calls = self.captured(monkeypatch, lambda: [analyze(generate_preset(p.id)) for p in presets()])
+        assert len(calls) == 8 and sum(self.check(*call) for call in calls) > 1000
+
+    def test_an_erection_batch(self, monkeypatch):
+        calls = self.captured(monkeypatch, lambda: erection.run_plan(erection.ErectionPlan(1.5, 12, 1200.0, 4e4, 2.0, 3)))
+        (el, full_u), = calls
+        assert full_u.shape[0] > 1 and self.check(el, full_u) > 1000
 
 
 class TestReactions:
