@@ -43,6 +43,10 @@ _FACTOR_RTOL = 1e-12
 # stages) products grow with it. Plans of up to 60 modules (121 stages of 186
 # dofs at most) stay one batch; a longer plan's peak memory stays near theirs.
 _BATCH_ENTRIES = 2**15
+# The most modules whose finished deck, 3 (modules + 2) dofs, fits one
+# batch: 10 920. A longer plan is rejected, since its work grows with the
+# square of its modules and the longest accepted takes about 100 s.
+_MAX_MODULES = _BATCH_ENTRIES // 3 - 2
 
 
 class Verdict(str, Enum):
@@ -102,7 +106,7 @@ class PlanReport:
 def _check_plan(plan: ErectionPlan) -> None:
     checks = (
         ("module_length", plan.module_length > 0),
-        ("module_count", _is_index(plan.module_count) and plan.module_count >= 0),
+        ("module_count", _is_index(plan.module_count) and 0 <= plan.module_count <= _MAX_MODULES),
         ("deck_weight_per_length", plan.deck_weight_per_length > 0),
         ("counterweight", plan.counterweight > 0),
         ("counterweight_lever", plan.counterweight_lever > 0),

@@ -18,7 +18,9 @@ for bit.
 
 Each analysis numbers the free dofs along the structure (nodes by x, then
 y) and scatters K straight into LAPACK lower band storage; every
-active-set iteration is one banded Cholesky factorization (dpbtrf). A
+active-set iteration is one banded Cholesky factorization (dpbtrf) of a
+band exactly as wide as the beams and its taut cables make it, so a
+cable that went slack no longer widens the factor (dpbtrf costs n kd^2). A
 pivot at or below 1e-10 of its own diagonal is a zero-energy mode, which
 is decoupled and projected off (``_solve``): kept pivots measure 2e-3 of
 their diagonal or more and zero ones rounding level, so the threshold is
@@ -128,13 +130,18 @@ class _Elements:
     read by assembly, the taut/slack check and force recovery. Dofs index
     the 3*n candidate vector, node k of ``view`` owning 3k to 3k + 2, and
     ``dofs`` lists the free ones in band order. ``beam_at``/``beam_k`` and
-    ``cable_at`` place the element matrices in lower band storage. Beam
+    ``cable_at`` place the element matrices in lower band storage of
+    ``bandwidth`` + 1 rows, the all-taut band; ``beam_width`` and
+    ``cable_span`` are how far below the diagonal the beams' and each
+    cable's entries reach, so ``_band`` knows each taut set's width. Beam
     ``fixed_end`` vectors are local, and exactly 0 without a uniform
     load."""
 
     view: ModelArrays
     dofs: np.ndarray  # candidate dof of each band position
     bandwidth: int  # of K over the free dofs in band order, every cable taut
+    beam_width: int  # widest r - c the beams place
+    cable_span: np.ndarray  # (cables,): widest r - c each cable places
     beam_dofs: np.ndarray  # (beams, 6)
     k_local: np.ndarray  # (beams, 6, 6)
     T: np.ndarray  # (beams, 6, 6), global -> local
@@ -218,19 +225,20 @@ _MEMBER_DOFS = np.tile(_XYZ, 2)
 _CABLE = np.array([0, 1, 3, 4])
 
 
-def _placement(p: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, int]:
+def _placement(p: np.ndarray, bandwidth: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Lower band storage position of each entry (r, c) of the element
     blocks whose dofs have the band positions ``p`` (elements, m), -1 for
-    a restrained dof or an upper-triangle entry, and the widest r - c of
-    the entries placed, the blocks' half-bandwidth. Entry (r, c) with
+    a restrained dof or an upper-triangle entry, and each block's span,
+    the widest r - c of its entries placed (0 if none). Entry (r, c) with
     r >= c sits at [r - c, c] of the band: position r + bandwidth * c of
-    its Fortran-order buffer; the band is as wide as the blocks unless
-    ``bandwidth`` is given."""
+    its Fortran-order buffer; the band is as wide as the widest block
+    unless ``bandwidth`` is given."""
     r, c = p[:, :, None], p[:, None, :]
     below = r - c
     placed = (c >= 0) & (below >= 0)
-    spread = int(np.maximum.reduce(below, axis=None, where=placed, initial=0))
-    return np.where(placed, r + (spread if bandwidth is None else bandwidth) * c, -1), spread
+    spans = np.where(placed, below, 0).max(axis=(1, 2), initial=0)
+    stride = int(spans.max(initial=0)) if bandwidth is None else bandwidth
+    return np.where(placed, r + stride * c, -1), spans
 
 
 def _elements(model: StructureModel) -> _Elements:
@@ -273,7 +281,7 @@ def _elements(model: StructureModel) -> _Elements:
     member_dofs = 3 * view.ends.repeat(3, axis=1) + _MEMBER_DOFS
     p = band[member_dofs]
     p[nb:, 2::3] = -1  # a cable has no rotation dofs
-    at, bandwidth = _placement(p)
+    at, spans = _placement(p)
     beam_at, cable_at = at[:nb], at[nb:, _CABLE[:, None], _CABLE]
     kept = beam_at >= 0
     beam_dofs, cable_dofs = member_dofs[:nb], member_dofs[nb:, _CABLE]
@@ -300,7 +308,8 @@ def _elements(model: StructureModel) -> _Elements:
 
     return _Elements(
         view=view, dofs=dofs,
-        bandwidth=bandwidth, beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
+        bandwidth=int(spans.max(initial=0)), beam_width=int(spans[:nb].max(initial=0)), cable_span=spans[nb:],
+        beam_dofs=beam_dofs, k_local=k_local, T=T, k_global=k_global,
         fixed_end=fixed_end, beam_strength=np.array([A[:nb], depth / 2.0, inertia, sigma[:nb]]),
         beam_at=beam_at[kept], beam_k=k_global[kept],
         cable_ids=view.member_ids[nb:], cable_dofs=cable_dofs,
@@ -312,16 +321,20 @@ def _elements(model: StructureModel) -> _Elements:
 
 
 def _band(el: _Elements, active: np.ndarray) -> np.ndarray:
-    """Lower band storage (bandwidth + 1, free dofs), in Fortran order, of
-    the free-dof K in band order with the cables of the mask ``active``
-    taut. The beam blocks, then the taut cables' rank-1 blocks, are summed
-    in element order at their ``_placement`` positions, so each entry is
-    the one the full-dof K holds."""
+    """Lower band storage (w + 1, free dofs), in Fortran order, of the
+    free-dof K in band order with the cables of the mask ``active`` taut,
+    w the widest r - c the beams and those cables place. The beam blocks,
+    then the taut cables' rank-1 blocks, are summed in element order at
+    their ``_placement`` positions in the all-taut band, so each entry is
+    the one the full-dof K holds; where slack cables leave w narrower, the
+    rows past it hold no entry and only the first w + 1 are kept."""
     at, k = el.cable_at[active], el.cable_k[active]
     inside = at >= 0
     shape = (el.bandwidth + 1, len(el.dofs))
-    return np.bincount(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
-                       minlength=math.prod(shape)).reshape(shape, order="F")
+    ab = np.bincount(np.concatenate([el.beam_at, at[inside]]), np.concatenate([el.beam_k, k[inside]]),
+                     minlength=math.prod(shape)).reshape(shape, order="F")
+    width = int(el.cable_span.max(initial=el.beam_width, where=active))
+    return ab if width == el.bandwidth else np.asfortranarray(ab[: width + 1])
 
 
 def _loads(el: _Elements, active: np.ndarray) -> np.ndarray:
@@ -512,7 +525,10 @@ def _solve_blocks(ab: np.ndarray, F: np.ndarray, starts: np.ndarray) -> np.ndarr
     (32) dpbtrf runs unblocked, and below a half-bandwidth of 16 the
     padding zeros add nothing (the tests check this bit for bit; from 16
     on the BLAS kernels split the sums otherwise, and a block padded to
-    the stack's width can get other bits). Yet the batch stands or falls
+    the stack's width can get other bits). So do the zero rows ``_band``
+    leaves off past a taut set's width: below 16 the trimmed band solves
+    to the all-taut band's bits, and from 16 on (a cable-stayed deck) it
+    may differ in the last bits. Yet the batch stands or falls
     whole, since a block can fail for a neighbour: a non-finite entry,
     or a solution that overflows, reaches the other blocks as NaN (0 * inf:
     dpbtrs' back substitution carries it into every earlier block)."""
@@ -862,7 +878,10 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     otherwise than the block alone (``_solve_blocks``), and a row may
     differ from its sub-model's analysis in the last bits. An erection
     deck's is 5."""
-    count, n, bw = len(nodes), 3 * len(el.view.x), el.bandwidth
+    # The band the blocks are cut from sets the stride of every position.
+    band = _band(el, np.zeros(len(el.cable_ids), dtype=bool))
+    count, n, bw = len(nodes), 3 * len(el.view.x), len(band) - 1
+    band = band.ravel(order="F")
     # The stacked system's dofs, block after block: band position g[j] of
     # sub-model row[j].
     row, g = np.nonzero((el.dofs < 3 * nodes[:, None]) & ~restrained[:, el.dofs])
@@ -881,7 +900,6 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     cut = (at <= bw) & ~(sliding_window_view(np.append(touched, np.zeros(bw, dtype=bool)), bw + 1)
                          & touched[:, None])
     at = np.minimum(at, bw, out=at) + (bw + 1) * g[:, None]
-    band = _band(el, np.zeros(len(el.cable_ids), dtype=bool)).ravel(order="F")
     stacked = band[at]  # (dofs, bandwidth + 1): the stacked band, transposed
     stacked[~cut] = 0.0
     placed = np.zeros(len(band), dtype=bool)
@@ -892,10 +910,10 @@ def _analyze_prefixes(el: _Elements, nodes: np.ndarray, beams: np.ndarray,
     position = np.full((count, n), -1)
     position[row[touched], dof[touched]] = np.flatnonzero(touched)
     p = position[s[:, None], el.beam_dofs[b]]
-    at, spread = _placement(p, bw)
+    at, spans = _placement(p, bw)
     kept = at >= 0
     np.add.at(stacked.reshape(-1), at[kept], el.k_global[b][kept])
-    ab = np.asfortranarray(stacked[:, : max(width, spread) + 1].T)
+    ab = np.asfortranarray(stacked[:, : max(width, int(spans.max(initial=0))) + 1].T)
     del at, cut, stacked, placed, position  # the batch's largest temporaries go before the solve
 
     loads = el.prefix_loads(beams)

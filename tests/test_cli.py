@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
@@ -274,6 +275,16 @@ class TestStage:
         path = write(tmp_path / "plan.txt", "PLAN " + " ".join(f"{k}={v}" for k, v in fields.items()) + "\n")
         assert main(["stage", path]) == 1
         assert capsys.readouterr() == ("", f"error: {name} out of range: 1{'0' * 400}\n")
+
+    def test_a_count_past_one_batch_is_invalid(self, tmp_path, capsys):
+        # The plan is rejected before any stage is built.
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=2 COUNT=100000000 W=500 CW=2000 LEVER=1\n")
+        report_path = tmp_path / "s.json"
+        start = time.perf_counter()
+        assert main(["stage", path, "--report", str(report_path)]) == 1
+        assert time.perf_counter() - start < 5.0
+        assert capsys.readouterr() == ("", "error: module_count out of range: 100000000\n")
+        assert not report_path.exists()
 
     def test_bad_plan_file_exit_4(self, tmp_path):
         path = write(tmp_path / "plan.txt", "PLAN MODULE=2\n")

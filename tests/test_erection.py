@@ -106,6 +106,20 @@ class TestExpandPlan:
             run_plan(replace(PLAN, **{field: 10**400}))
         assert str(exc.value) == f"{field} out of range: {10**400}"
 
+    @pytest.mark.parametrize("count", [10_921, 100_000_000])
+    def test_a_deck_past_one_batch_is_rejected(self, count):
+        # Its stages would be built and analyzed for hours.
+        with pytest.raises(InvalidPlan) as exc:
+            run_plan(replace(PLAN, module_count=count))
+        assert str(exc.value) == f"module_count out of range: {count}"
+
+    def test_the_longest_deck_of_one_batch_is_accepted(self):
+        # The finished deck's 3 (10 920 + 2) dofs fill one batch; the plan
+        # is checked, not run.
+        plan = replace(PLAN, module_count=10_920)
+        assert 3 * (plan.module_count + 2) <= ponte.erection._BATCH_ENTRIES < 3 * (plan.module_count + 3)
+        ponte.erection._check_plan(plan)
+
 
 class TestSharedDeckParts:
     # _Deck.of builds a plan's finished deck once and cuts each stage's

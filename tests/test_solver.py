@@ -721,6 +721,27 @@ def planted_band(seed: int, n: int, width: int, zero: list[int], scale: list[int
     return s[:, None] * (L @ L.T) * s, rng
 
 
+def placed_width(el, active) -> int:
+    """The widest r - c, in band order, between two free dofs of one beam
+    or of one cable of the mask ``active``: the half-bandwidth their
+    blocks place."""
+    position = np.full(3 * len(el.view.x), -1)
+    position[el.dofs] = np.arange(len(el.dofs))
+    width = 0
+    for dofs in [*el.beam_dofs, *el.cable_dofs[active]]:
+        p = position[dofs]
+        p = p[p >= 0]
+        if len(p):
+            width = max(width, int(p.max() - p.min()))
+    return width
+
+
+def stayed_deck(segments: int):
+    """A cable-stayed deck of 1.5 m bays, its stays fanned from each tower
+    top over half the deck."""
+    return generate(BridgeSpec(BridgeKind.CABLE_STAYED, span=1.5 * segments, deck_segments=segments))
+
+
 class TestBandedSolve:
     # The banded factorization against the dense pivoted Cholesky it
     # replaced: the same rank, the same number of dropped dofs, and the
@@ -744,16 +765,27 @@ class TestBandedSolve:
     def test_presets(self, preset_id, taut):
         self.check(generate_preset(preset_id), taut)
 
+    @pytest.mark.parametrize("taut", [True, False])
+    def test_a_cable_stayed_deck(self, taut):
+        # Its all-taut half-bandwidth is half its 150 free dofs; slack, the
+        # stays leave the deck's and towers' band of 5.
+        model = stayed_deck(48)
+        assert _elements(model).bandwidth == 75
+        self.check(model, taut)
+
     @pytest.mark.parametrize("cables", ["taut", "slack", "random"])
     def test_band_is_the_dense_stiffness(self, cables, random_models):
         # Summed in the same element order, every entry of the band is
         # bitwise the dense K's, nothing lies outside the band, and the
         # loads are the dense F: what the tests check on the dense K
         # (symmetry, rigid-body nullity, A7) holds for the band analyzed.
+        # The band is exactly as wide as the beams and the taut cables
+        # place entries, however wide the slack cables' would be.
         rng = np.random.default_rng(7)
         models = [
             *(generate_preset(p.id) for p in presets()),
             *(generate(BridgeSpec(kind)) for kind in BridgeKind),
+            stayed_deck(48),
             *random_models,
             # No generated model has pretension; these give every cable some.
             *(build_model(m.nodes, m.materials, m.sections, m.beams,
@@ -768,6 +800,7 @@ class TestBandedSolve:
             K, F = dense_system(el, active)
             K = K[np.ix_(el.dofs, el.dofs)]
             ab = solver._band(el, active)
+            assert len(ab) - 1 == placed_width(el, active)
             dense = lower_band(K)
             assert len(dense) <= len(ab) and not np.triu(K, len(ab)).any()
             expected = np.zeros(ab.shape)
@@ -821,6 +854,70 @@ class TestBandedSolve:
         assert deficiency == len(zero)
         assert sorted(dropped.tolist()) == sorted(zero)
         assert np.linalg.norm(u - expected) <= 1e-9 * np.linalg.norm(expected)
+
+
+class TestTrimmedBand:
+    # Each iteration factors the band its taut set fills, not the all-taut
+    # one. Below a half-bandwidth of 16 the zero rows past a narrower band
+    # add nothing to dpbtrf, dpbtrs or dsbmv, so the result is the one a
+    # band padded to the all-taut width gives, bit for bit, and the reports
+    # of these models do not depend on the trim.
+    @staticmethod
+    def models():
+        yield from (pytest.param(generate_preset(p.id), id=p.id.value) for p in presets())
+        for pillars in (23, 95, 383):
+            yield pytest.param(replica(BridgeKind.LEONARDO_GROUNDED, pillars), id=f"grounded-{pillars}")
+        yield pytest.param(replica(BridgeKind.LEONARDO_REPLICA, 23), id="floating-23")
+        for kind in BridgeKind:
+            if kind is not BridgeKind.CABLE_STAYED:
+                yield pytest.param(generate(BridgeSpec(kind)), id=kind.value)
+
+    @staticmethod
+    def bits(result) -> tuple[list[str], list[str]]:
+        return ([v.hex() for v in result.displacements.tolist()],
+                [v.hex() for xyz in result.reactions.values() for v in xyz])
+
+    @pytest.mark.parametrize("model", models())
+    def test_a_band_padded_to_the_all_taut_width_gives_the_same_bits(self, model, monkeypatch):
+        el = _elements(model)
+        assert el.bandwidth < 16
+        trimmed = self.bits(tension_only_analyze(model))
+        band = solver._band
+
+        def padded(el, active):
+            ab = band(el, active)
+            wide = np.zeros((el.bandwidth + 1, ab.shape[1]), order="F")
+            wide[: len(ab)] = ab
+            return wide
+
+        monkeypatch.setattr(solver, "_band", padded)
+        assert self.bits(tension_only_analyze(model)) == trimmed
+
+    @staticmethod
+    def heights(model, monkeypatch) -> list[int]:
+        """The height of the band ``_solve`` receives in each iteration."""
+        heights = []
+        solve = solver._solve
+
+        def recording(ab, F, names):
+            heights.append(len(ab))
+            return solve(ab, F, names)
+
+        monkeypatch.setattr(solver, "_solve", recording)
+        assert tension_only_analyze(model).iterations_used == len(heights)
+        return heights
+
+    def test_slack_ropes_narrow_a_replica_band(self, monkeypatch):
+        # The ropes, all slack in the second iteration, reach wider than
+        # the pillars and the deck: the padded bands above were wider.
+        assert self.heights(replica(BridgeKind.LEONARDO_GROUNDED, 23), monkeypatch) == [11, 9]
+
+    def test_the_band_narrows_as_stays_go_slack(self, monkeypatch):
+        # At 96 segments the all-taut half-bandwidth is 147, and the long
+        # stays go slack iteration by iteration.
+        heights = self.heights(stayed_deck(96), monkeypatch)
+        assert len(heights) > 2 and heights[0] == 148
+        assert heights == sorted(heights, reverse=True) and heights[-1] < heights[0] / 2
 
 
 def slack_system(model) -> tuple[np.ndarray, np.ndarray]:
