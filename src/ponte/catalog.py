@@ -198,10 +198,7 @@ def presets() -> tuple[Preset, ...]:
 
 def preset(preset_id: PresetId | str) -> Preset:
     key = PresetId(preset_id)
-    for p in presets():
-        if p.id is key:
-            return p
-    raise InvalidSpec(f"unknown preset {preset_id!r}")  # pragma: no cover
+    return next(p for p in presets() if p.id is key)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ in -x, and the counterweight sits on a shore bearing at x = +lever.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
@@ -45,7 +45,9 @@ _FACTOR_RTOL = 1e-12
 _BATCH_ENTRIES = 2**15
 # The most modules whose finished deck, 3 (modules + 2) dofs, fits one
 # batch: 10 920. A longer plan is rejected, since its work grows with the
-# square of its modules and the longest accepted takes about 100 s.
+# square of its modules: on a 2-core Xeon VM with one BLAS thread the
+# longest accepted took 210 s at INTERVAL 1 and 162 s at INTERVAL 3, with
+# tracemalloc peaks of 40 and 38 MB.
 _MAX_MODULES = _BATCH_ENTRIES // 3 - 2
 
 
@@ -140,14 +142,15 @@ def _minimal_counterweight(plan: ErectionPlan) -> float:
 
 
 class _Step(NamedTuple):
-    """One stage of a plan before any model is built: the deck out to
-    module ``built``, pillars under the modules ``planted`` and, if
-    ``landed``, a bearing under the tip. A plan's stages are its
-    ``_Deck.steps``, and ``_Deck.model`` builds a stage's model."""
+    """One stage of a plan, as a prefix of its finished deck: the deck out
+    to module ``built``, pillars under the modules ``planted`` (every
+    ``pillar_interval``-th, as a range) and, if ``landed``, a bearing under
+    the tip. A plan's stages are its ``_Deck.steps``; no stage has a model
+    of its own."""
 
     index: int
     built: int
-    planted: tuple[int, ...]
+    planted: Sequence[int]
     landed: bool
     cantilever_length: float  # m beyond the outermost support
     deck_length: float  # m of beams, the ballast span included
@@ -157,9 +160,9 @@ class _Step(NamedTuple):
         return not self.planted and not self.landed
 
     @property
-    def bearing_modules(self) -> tuple[int, ...]:
+    def bearing_modules(self) -> Sequence[int]:
         """The modules whose tips bear on a pillar or on the far shore."""
-        return self.planted + ((self.built,) if self.landed else ())
+        return (*self.planted, self.built) if self.landed else self.planted
 
 
 class _Outcome(NamedTuple):
@@ -172,11 +175,13 @@ class _Outcome(NamedTuple):
 
 
 class _Deck(NamedTuple):
-    """A plan's finished deck and its stages, built once. The deck runs
-    from the ballast node (x=+lever) out to the last module: its beams
-    carry their self-weight, node 1 the ballast force, and it rests on the
-    ballast and abutment supports alone. Stage ``built`` is the deck's
-    first built + 2 nodes and loads and first built + 1 beams.
+    """A plan's finished deck and its stages, built once: the deck is the
+    only model a plan builds. It runs from the ballast node (x=+lever) out
+    to the last module: its beams carry their self-weight, node 1 the
+    ballast force, and it rests on the ballast and abutment supports alone.
+    Stage ``built`` is the deck's first built + 2 nodes and loads and first
+    built + 1 beams, with a vertical bearing under each of its
+    ``bearing_modules``.
 
     The abutment clamps the deck at x=0 (pin plus rotation: the deck is
     held between the shore block and the ballast span); planted pillars,
@@ -197,37 +202,27 @@ class _Deck(NamedTuple):
         supports = (Support(1, restrain_y=True), Support(2, restrain_x=True, restrain_y=True, restrain_rz=True))
         finished = build_model(nodes=nodes, beams=beams, supports=supports, loads=loads,
                                materials=[MATERIAL_PRESETS[DECK_MATERIAL]], sections=[DECK_SECTION])
-        # The deck length of each stage, summed beam by beam as
-        # sum(model.element_length(b) for b in model.beams) sums it.
-        lengths = list(accumulate(math.hypot(b.x - a.x, b.y - a.y) for a, b in zip(nodes, nodes[1:])))
+        lengths = list(accumulate(finished.arrays.length.tolist()))
 
         # Stage 0 is the counterweighted abutment alone; each later stage
         # either appends one module, plants the current tip as a riverbed
         # pillar, or lands the tip on the far shore.
         steps: list[_Step] = []
 
-        def stage(built: int, planted: tuple[int, ...], landed: bool, cantilever: float) -> None:
+        def stage(built: int, planted: range, landed: bool, cantilever: float) -> None:
             steps.append(_Step(len(steps), built, planted, landed, cantilever, lengths[built]))
 
-        stage(0, (), False, 0.0)
-        planted: tuple[int, ...] = ()
+        every = plan.pillar_interval
+        planted = range(0)
+        stage(0, planted, False, 0.0)
         for built in range(1, count + 1):
-            stage(built, planted, False, (built - max(planted, default=0)) * mod)
-            if built < count and built % plan.pillar_interval == 0:
-                planted = planted + (built,)
+            stage(built, planted, False, (built - (planted[-1] if planted else 0)) * mod)
+            if built < count and built % every == 0:
+                planted = range(every, built + 1, every)
                 stage(built, planted, False, 0.0)
         if count > 0:
             stage(count, planted, True, 0.0)
         return cls(finished, tuple(steps))
-
-    def model(self, built: int, bearing_modules: tuple[int, ...]) -> StructureModel:
-        """Deck chain out to module ``built``, with the ballast and
-        abutment supports and a bearing under the tip of each module of
-        ``bearing_modules``."""
-        deck = self.finished
-        supports = (*deck.supports, *(Support(2 + m, restrain_y=True) for m in bearing_modules))
-        return build_model(nodes=deck.nodes[: built + 2], beams=deck.beams[: built + 1], supports=supports,
-                           loads=deck.loads[: built + 2], materials=deck.materials, sections=deck.sections)
 
     def outcomes(self) -> Iterator[_Outcome | None]:
         """Every stage analyzed, in order, None where it is a mechanism: one
@@ -243,16 +238,15 @@ class _Deck(NamedTuple):
         restraint mask is set from its stages' bearing modules flattened into
         one array, not from one object per (stage, bearing) pair.
 
-        Every stage is valid when the finished deck is: its nodes, beams and
-        loads are prefixes of the deck's, each node of the prefix is on a
-        beam of it, and its bearings add vertical ones to the deck's
-        ballast and abutment supports. A deck that fails ``validate`` raises
-        ``InvalidModel`` with the report of its first stage that fails it,
-        as one by one: the last stage holds every deck record, and its
-        extra bearings add no issue, so there is one."""
-        if not validate(self.finished).ok:
-            reports = (validate(self.model(s.built, s.bearing_modules)) for s in self.steps)
-            raise InvalidModel(next(r for r in reports if not r.ok))
+        Every stage is valid exactly when the finished deck is: its nodes,
+        beams and loads are prefixes of the deck's, each node of the prefix
+        is on a beam of it, and its bearings add vertical ones to the deck's
+        ballast and abutment supports. So the deck is validated once, and a
+        deck that fails raises ``InvalidModel`` with its own report, as
+        ``solver.analyze`` does for a model."""
+        report = validate(self.finished)
+        if not report.ok:
+            raise InvalidModel(report)
         el, n = _elements(self.finished), 3 * len(self.finished.nodes)
         size = max(1, _BATCH_ENTRIES // n)
         for steps in (self.steps[lo : lo + size] for lo in range(0, len(self.steps), size)):
@@ -332,12 +326,11 @@ def run_plan(plan: ErectionPlan) -> PlanReport:
     """Analyze every stage once and report the overall feasibility, and
     whether the plan holds at its minimal counterweight.
 
-    No stage model is built unless the deck fails ``validate``: the
-    stages are prefixes of the plan's deck, solved together by
-    ``_Deck.outcomes`` with the results of analyzing each stage model
-    alone. Each stage is reported at the plan's counterweight; at
-    ``W_min`` only its verdict is taken (``_verdict``), until one stage
-    fails there.
+    No stage model is built: the stages are prefixes of the plan's deck,
+    validated once and solved together by ``_Deck.outcomes`` with the
+    results of analyzing each stage model alone. Each stage is reported
+    at the plan's counterweight; at ``W_min`` only its verdict is taken
+    (``_verdict``), until one stage fails there.
     """
     _check_plan(plan)
     deck = _Deck.of(plan)

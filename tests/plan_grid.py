@@ -9,16 +9,20 @@ LEVER takes 6 values log-spaced over 1e-8..1e100 m, COUNT is 0, 3 or 7,
 INTERVAL 1 or 3, and SAFETY 1: 5 616 plans. Each plan's output is its plan
 report (``run_plan``, then ``write_plan_report``), or ``ErrorType: text``
 if either raises. The script prints the plan count, a SHA-256 digest of
-all outputs in grid order, how many plans call ``solver._solve`` and how
-many calls there are in all, how many plans emit a ``RuntimeWarning``
-(counted, not silenced), and the seconds the grid took. Two checkouts
-whose digests agree write the same bytes for every plan of the grid.
+all outputs in grid order, and the count and digest of each outcome class
+(plan reports, and each error type by name), so that two checkouts show
+which outputs moved. It then prints how many plans call ``solver._solve``
+and how many calls there are in all, how many plans emit a
+``RuntimeWarning`` (counted, not silenced), and the seconds the grid took.
+Two checkouts whose digests agree write the same bytes for every plan of
+the grid.
 
 Not a test module: pytest does not collect it, and it asserts nothing.
 """
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import sys
@@ -53,12 +57,14 @@ def plans() -> list[ErectionPlan]:
             in itertools.product(MODULES, WEIGHTS, COUNTERWEIGHTS, LEVERS, COUNTS, INTERVALS)]
 
 
-def output(plan: ErectionPlan) -> str:
-    """The plan report, or the error it raises as ``ErrorType: text``."""
+def output(plan: ErectionPlan) -> tuple[str, str]:
+    """The outcome class and output of ``plan``: ``report`` and the plan
+    report, or the error type's name and ``ErrorType: text``."""
     try:
-        return write_plan_report(run_plan(plan))
+        return "report", write_plan_report(run_plan(plan))
     except Exception as error:  # noqa: BLE001 - every error text is part of the output
-        return f"{type(error).__name__}: {error}\n"
+        name = type(error).__name__
+        return name, f"{name}: {error}\n"
 
 
 def main() -> None:
@@ -71,20 +77,25 @@ def main() -> None:
         return solve(ab, F, names)
 
     solver._solve = counted
-    digest, warned = hashlib.sha256(), 0
+    digest, counts, digests, warned = hashlib.sha256(), collections.Counter(), {}, 0
     start = time.perf_counter()
     try:
         for plan in grid:
             calls.append(0)
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                digest.update(output(plan).encode())
+                outcome, text = output(plan)
+            digest.update(text.encode())
+            counts[outcome] += 1
+            digests.setdefault(outcome, hashlib.sha256()).update(text.encode())
             warned += any(issubclass(w.category, RuntimeWarning) for w in caught)
     finally:
         solver._solve = solve
     seconds = time.perf_counter() - start
     print(f"plans: {len(grid)}")
     print(f"sha256: {digest.hexdigest()}")
+    for outcome in sorted(digests):
+        print(f"  {outcome}: {counts[outcome]} plans, sha256 {digests[outcome].hexdigest()}")
     print(f"plans calling _solve: {sum(map(bool, calls))}")
     print(f"_solve calls: {sum(calls)}")
     print(f"plans with a RuntimeWarning: {warned}")

@@ -12,6 +12,7 @@ from ponte.catalog import (
     deck_node_ids,
     generate,
     generate_preset,
+    preset,
     presets,
     strip_to_bare_deck,
     with_deck_udl,
@@ -47,6 +48,17 @@ class TestPresets:
         notes = {p.id: p.note for p in presets()}
         assert "Florence" in notes[PresetId.FLORENCE]
         assert "Amboise" in notes[PresetId.AMBOISE_SCALE]
+
+    def test_every_preset_id_has_one_preset(self):
+        assert sorted(p.id for p in presets()) == sorted(PresetId)
+        for key in PresetId:
+            assert preset(key).id is key
+            assert preset(key.value) == preset(key)
+
+    def test_an_unknown_preset_id_raises_value_error(self):
+        # cli._resolve_spec relies on it to try the bridge kinds next.
+        with pytest.raises(ValueError):
+            preset("no-such-preset")
 
     def test_every_preset_validates_clean(self):
         for p in presets():

@@ -320,6 +320,20 @@ class TestStage:
         assert '"minimal_counterweight": null' in report_path.read_text()
         assert json.loads(report_path.read_text())["minimal_counterweight"] is None
 
+    def test_a_deck_with_short_beams_lists_every_one(self, tmp_path):
+        # Modules of 1e-10 m: beams 2 to 8 are shorter than 1e-9 m. The
+        # finished deck is validated, so each is listed, not only the
+        # first stage's.
+        import ponte
+
+        path = write(tmp_path / "plan.txt", "PLAN MODULE=1e-10 COUNT=7 W=500 CW=10000 LEVER=2 INTERVAL=2\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ponte.__file__)))
+        done = subprocess.run([sys.executable, "-m", "ponte", "stage", path], env=env, capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert done.stderr.splitlines() == [
+            f"error: ZeroLengthElement at beam {k}: beam {k} is shorter than 1e-09 m" for k in range(2, 9)]
+
 
 def _not_finite(tmp_path, material: str, sigma: str) -> str:
     """GRANDE's model file with the allowable stress of ``material`` set

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -22,7 +23,7 @@ from ponte.erection import (
     run_plan,
 )
 from ponte.errors import InvalidModel, InvalidPlan
-from ponte.model import NodalForce, validate
+from ponte.model import NodalForce, Support, validate
 from ponte.reporting import write_plan_report
 
 from oracles import plan_report_dict, run_plan_one_by_one, stages_one_by_one
@@ -44,13 +45,12 @@ def steps(plan: ErectionPlan):
 
 
 def stage_models(plan: ErectionPlan) -> list:
-    """Each stage's model, cut from the plan's finished deck."""
-    deck = _Deck.of(plan)
-    return [deck.model(s.built, s.bearing_modules) for s in deck.steps]
+    """Each stage's model, built on its own."""
+    return [stage.model for stage in stages_one_by_one(plan)]
 
 
 class TestExpandPlan:
-    # The stage sequence of a plan (_Deck.steps) and the models cut for it.
+    # The stage sequence of a plan (_Deck.steps) and the stage models.
     def test_empty_plan_single_stage(self):
         stages = steps(replace(PLAN, module_count=0))
         assert len(stages) == 1
@@ -63,7 +63,7 @@ class TestExpandPlan:
         assert [s.index for s in stages] == list(range(7))
         assert [s.cantilever_length for s in stages] == [0.0, 2.0, 4.0, 0.0, 2.0, 4.0, 0.0]
         assert [s.pure_cantilever for s in stages] == [True, True, True, False, False, False, False]
-        assert stages[3].planted == (2,)
+        assert tuple(stages[3].planted) == (2,)
         assert stages[6].landed
 
     def test_counterweight_present_in_every_stage(self):
@@ -122,8 +122,8 @@ class TestExpandPlan:
 
 
 class TestSharedDeckParts:
-    # _Deck.of builds a plan's finished deck once and cuts each stage's
-    # model from its records; the stages must be the ones built one by one.
+    # _Deck.of builds a plan's finished deck once, and each stage is a
+    # prefix of it: the stages must be the ones built one by one.
     PLANS = [
         replace(PLAN, module_count=0),
         replace(PLAN, module_count=1),
@@ -139,14 +139,21 @@ class TestSharedDeckParts:
         assert len(deck.steps) == len(reference)
         assert deck.steps[-1].landed is (plan.module_count > 0)
         for a, b in zip(deck.steps, reference):
-            assert (a.index, a.cantilever_length, a.planted, a.landed, a.pure_cantilever) == (
+            assert (a.index, a.cantilever_length, tuple(a.planted), a.landed, a.pure_cantilever) == (
                 b.index, b.cantilever_length, b.planted, b.landed, b.pure_cantilever)
-            model = deck.model(a.built, a.bearing_modules)
-            assert [(n.id, n.x.hex(), n.y.hex()) for n in model.nodes] == [
-                (n.id, n.x.hex(), n.y.hex()) for n in b.model.nodes]
-            for part in ("beams", "supports", "loads", "materials", "sections", "cables"):
-                assert getattr(model, part) == getattr(b.model, part), part
-            assert model == b.model
+            # The stage model is the deck's first built + 2 nodes and loads
+            # and first built + 1 beams, with a bearing under each of the
+            # step's bearing modules.
+            finished, model = deck.finished, b.model
+            assert [(n.id, n.x.hex(), n.y.hex()) for n in finished.nodes[: a.built + 2]] == [
+                (n.id, n.x.hex(), n.y.hex()) for n in model.nodes]
+            assert finished.beams[: a.built + 1] == model.beams
+            assert set(finished.loads[: a.built + 2]) == set(model.loads)
+            bearings = (Support(2 + m, restrain_y=True) for m in a.bearing_modules)
+            assert {*finished.supports, *bearings} == set(model.supports)
+            assert (finished.materials, finished.sections, finished.cables) == (
+                model.materials, model.sections, model.cables)
+            assert a.deck_length.hex() == sum(model.element_length(e) for e in model.beams).hex()
 
     @pytest.mark.parametrize("plan", PLANS)
     def test_plan_report_is_unchanged(self, plan):
@@ -262,16 +269,36 @@ class TestOneSolvePerPlan:
         for stage in stages_one_by_one(plan):
             assert validate(stage.model).ok, stage.index
 
-    def test_an_invalid_deck_raises_the_stage_error(self):
-        # The finished deck fails validate, so the first stage model that
-        # fails it raises its own report, as one by one.
-        plan = ErectionPlan(1e-9, 5, 500, 1e4, 2, 2)
-        with pytest.raises(InvalidModel) as expected:
-            run_plan_one_by_one(plan)
+    @pytest.mark.parametrize("plan, first", [
+        (ErectionPlan(1e-9, 5, 500, 1e4, 2, 2), 4),
+        # Stage by stage, the about 1 000 stages before beam 1 003 are valid.
+        (ErectionPlan(1.000001e-9, 1500, 500, 1e4, 2, 2), 1003),
+    ])
+    def test_an_invalid_deck_raises_its_own_report(self, plan, first, monkeypatch):
+        # The finished deck is the only model validated: a deck that fails
+        # raises its report, every short beam of it, in one validate call.
+        expected = validate(_Deck.of(plan).finished)
+        calls = []
+        monkeypatch.setattr(ponte.erection, "validate", lambda model: calls.append(model) or validate(model))
         with pytest.raises(InvalidModel) as got:
             run_plan(plan)
-        assert str(got.value) == str(expected.value)
-        assert "beam 4 is shorter than 1e-09 m" in str(got.value)
+        assert len(calls) == 1
+        assert got.value.report == expected and not expected.ok
+        assert {issue.code for issue in expected} == {"ZeroLengthElement"}
+        assert expected.issues[0].location == f"beam {first}"
+
+    def test_the_stages_of_a_long_deck_hold_no_tuple_per_stage(self):
+        # Each stage's planted modules are a range into the deck: the stage
+        # list grows with the modules, not with their square.
+        plan = ErectionPlan(2, 4000, 500, 1e9, 2, 1)
+        tracemalloc.start()
+        try:
+            deck = _Deck.of(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(deck.steps) == 2 * 4000 + 1 and tuple(deck.steps[-1].planted) == tuple(range(1, 4000))
+        assert peak < 10e6
 
     @staticmethod
     def resolved(monkeypatch) -> list[int]:

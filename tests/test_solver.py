@@ -606,9 +606,8 @@ class TestOneBlockBatch:
         solved, done = solver._analyze_prefixes(_elements(deck.finished.with_loads(forces)),
                                                 nodes, nodes - 1, restrained)
         assert solved.all()
-        for step in deck.steps:
-            model = deck.model(step.built, step.bearing_modules).with_loads(forces[: step.built + 2])
-            self.same(done, step.index, tension_only_analyze(model))
+        for step, stage in zip(deck.steps, stages_one_by_one(plan), strict=True):
+            self.same(done, step.index, tension_only_analyze(stage.model.with_loads(forces[: step.built + 2])))
     @staticmethod
     def rows_are_their_analyses(model, subs):
         """Each row of the batch of ``subs`` (node count, beam count, extra
