@@ -41,7 +41,8 @@ _FACTOR_RTOL = 1e-12
 # Stacked entries per batch of stages, as stages x (3 deck nodes): a batch's
 # load, displacement and residual tables and its recovery's (beams, 6,
 # stages) products grow with it. Plans of up to 60 modules (121 stages of 186
-# dofs at most) stay one batch; a longer plan's peak memory stays near theirs.
+# dofs at most) stay one batch. Measured tracemalloc peaks: at most 7.3 MB up
+# to 480 modules, and 40 MB at 10 920 modules, where a batch holds one stage.
 _BATCH_ENTRIES = 2**15
 # The most modules whose finished deck, 3 (modules + 2) dofs, fits one
 # batch: 10 920. A longer plan is rejected, since its work grows with the

@@ -17,13 +17,14 @@ Grammar (whitespace separated, ``#`` starts a comment):
 
 Numbers are written with 9 significant digits; serialization is
 byte-stable and ``parse(serialize(m))`` reproduces the model exactly.
+The parser reads a file one line at a time, and each line becomes its
+record as it is read, so an error names the file's first bad line.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Callable
-from itertools import chain, compress, count, permutations, repeat
+from itertools import compress, count, permutations, repeat
 from operator import itemgetter
 
 from .errors import ParseError, UnknownKeyword
@@ -112,20 +113,19 @@ def serialize_model(model: StructureModel) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Parsing. The model parser groups the lines by keyword and converts each
-# group a field at a time: a keyword's converter takes its lines' numbers
-# and tokens and returns a list per field of its record, or raises the error
-# of the first line it rejects.
+# Parsing. Each model line becomes its record as it is read. Its keyword's
+# converter checks the token count, then the option and KEY=VALUE tokens,
+# then the numbers, and raises the line's first error.
 
 
-def _content_lines(text: str) -> tuple[list[int], list[list[str]]]:
-    """The number and the tokens of each line with content. Lines end at ``\n``
-    only: every other character ``str.splitlines`` breaks at is whitespace."""
+def _content_lines(text: str):
+    """The number and the tokens of each line with content, one line at a time.
+    Lines end at ``\n`` only: every other character ``str.splitlines`` breaks
+    at is whitespace."""
     lines = text.split("\n")
     if "#" in text:
         lines = map(itemgetter(0), map(str.partition, lines, repeat("#")))
-    rows = list(map(str.split, lines))
-    return list(compress(count(1), rows)), list(filter(None, rows))
+    return filter(itemgetter(1), zip(count(1), map(str.split, lines)))
 
 
 def _number(convert: Callable[[str], int | float], token: str, lineno: int, what: str):
@@ -136,27 +136,12 @@ def _number(convert: Callable[[str], int | float], token: str, lineno: int, what
                                  f"got {token!r}") from None
 
 
-def _numbers(convert: Callable[[str], int | float], column, linenos: list[int], what: str) -> list:
-    """``convert`` of each token, Python's own int or float, so that every
-    accepted spelling and every bit is the same as token by token."""
-    try:
-        return list(map(convert, column))
-    except ValueError:  # raises at the first bad token
-        return [_number(convert, token, lineno, what) for token, lineno in zip(column, linenos)]
-
-
-def _shape(linenos: list[int], rows: list[list[str]], ok: Callable[[int], bool], message: str) -> None:
-    """``message`` at the first line whose token count ``ok`` rejects."""
-    if not all(map(ok, set(map(len, rows)))):
-        raise ParseError(next(n for n, tokens in zip(linenos, rows) if not ok(len(tokens))), message)
-
-
-def _table(table: dict, column, linenos: list[int], message: str) -> list:
-    """``table[token]`` of each token; ``message % token`` at the first it lacks."""
-    values = list(map(table.get, column))
-    if None in values:
-        raise ParseError(linenos[values.index(None)], message % (column[values.index(None)],))
-    return values
+def _first_bad(lineno: int, converts, tokens, whats) -> None:
+    """Convert ``tokens`` one by one through ``_number``, after a direct
+    conversion failed: the first one its converter rejects raises the error
+    that names its field."""
+    for convert, token, what in zip(converts, tokens, whats):
+        _number(convert, token, lineno, what)
 
 
 def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optional: dict[str, str]) -> dict[str, str]:
@@ -177,148 +162,130 @@ def _parse_kv(tokens: list[str], lineno: int, required: tuple[str, ...], optiona
     return {**optional, **values}
 
 
-# Lines of one keyword from which splitting a key's tokens a column at a time
-# is faster than line by line (measured: the two take as long at 4-6 lines).
-_COLUMNS_FROM = 6
-
-
-def _keyed(linenos, rows, start: int, required: tuple[str, ...], optional: dict[str, str]) -> list[list[str]]:
-    """The column of each key's values, required then optional, in the
-    KEY=VALUE tokens from ``start`` on: a column at a time where every line
-    has the same keys in that order, as written, else line by line."""
-    keys, n = (*required, *optional), len(rows[0]) - start
-    if len(rows) >= _COLUMNS_FROM and len(set(map(len, rows))) == 1 and len(required) <= n <= len(keys):
-        columns, prefixes = [*zip(*rows)][start:], [key + "=" for key in keys[:n]]
-        if all(all(map(str.startswith, column, repeat(p))) for column, p in zip(columns, prefixes)):
-            values = [list(map(str.removeprefix, column, repeat(p))) for column, p in zip(columns, prefixes)]
-            if not any("" in column for column in values):
-                return values + [[optional[key]] * len(rows) for key in keys[n:]]
-    found = [_parse_kv(tokens[start:], lineno, required, optional) for lineno, tokens in zip(linenos, rows)]
-    return [list(map(itemgetter(key), found)) for key in keys]
-
-
-_PINS = {"": (False, False), "PIN=I": (True, False), "PIN=J": (False, True), "PIN=IJ": (True, True)}
+_PINS = {"PIN=I": (True, False), "PIN=J": (False, True), "PIN=IJ": (True, True)}
 # Every spelling of a non-empty set of support flags: whether it holds x, y and rz.
 _FLAGS = {"".join(p): ("X" in p, "Y" in p, "R" in p) for r in (1, 2, 3) for p in permutations("XYR", r)}
+_new = tuple.__new__  # a record from the tuple of its fields, with no Python call
 
 
-def _unit(linenos, rows):
-    _shape(linenos, rows, (2).__eq__, "expected UNIT SI")
-    return (_table({"SI": "SI"}, [tokens[1] for tokens in rows], linenos, "only SI units are supported, got %r"),)
+def _unit(lineno: int, tokens: list[str]) -> None:
+    if len(tokens) != 2:
+        raise ParseError(lineno, "expected UNIT SI")
+    if tokens[1] != "SI":
+        raise ParseError(lineno, f"only SI units are supported, got {tokens[1]!r}")
 
 
-def _nodes(linenos, rows):
-    _shape(linenos, rows, (4).__eq__, "expected NODE <id> <x> <y>")
-    _, ids, x, y = zip(*rows)
-    return _numbers(int, ids, linenos, "node id"), _numbers(float, x, linenos, "x"), _numbers(float, y, linenos, "y")
+def _node(lineno: int, tokens: list[str]) -> Node:
+    if len(tokens) != 4:
+        raise ParseError(lineno, "expected NODE <id> <x> <y>")
+    try:
+        return _new(Node, (int(tokens[1]), float(tokens[2]), float(tokens[3])))
+    except ValueError:
+        _first_bad(lineno, (int, float, float), tokens[1:], ("node id", "x", "y"))
+        raise
 
 
-def _beams(linenos, rows):
-    _shape(linenos, rows, {6, 7}.__contains__, "expected BEAM <id> <node_i> <node_j> <material> <section> [PIN=I|J|IJ]")
-    pins = _table(_PINS, [tokens[6] if len(tokens) == 7 else "" for tokens in rows], linenos,
-                  "bad beam option %r (expected PIN=I|J|IJ)")
-    _, ids, ni, nj, materials, sections, *_ = zip(*rows)
-    return (_numbers(int, ids, linenos, "beam id"), _numbers(int, ni, linenos, "node_i"),
-            _numbers(int, nj, linenos, "node_j"), list(materials), list(sections), *map(list, zip(*pins)))
+def _beam(lineno: int, tokens: list[str]) -> BeamElement:
+    if not 6 <= len(tokens) <= 7:
+        raise ParseError(lineno, "expected BEAM <id> <node_i> <node_j> <material> <section> [PIN=I|J|IJ]")
+    pins = _PINS.get(tokens[6]) if len(tokens) == 7 else (False, False)
+    if pins is None:
+        raise ParseError(lineno, f"bad beam option {tokens[6]!r} (expected PIN=I|J|IJ)")
+    try:
+        return _new(BeamElement, (int(tokens[1]), int(tokens[2]), int(tokens[3]), tokens[4], tokens[5]) + pins)
+    except ValueError:
+        _first_bad(lineno, (int, int, int), tokens[1:], ("beam id", "node_i", "node_j"))
+        raise
 
 
-def _cables(linenos, rows):
-    _shape(linenos, rows, (6).__le__, "expected CABLE <id> <node_i> <node_j> <material> A=<m2> [PRETENSION=<N>]")
-    area, pretension = _keyed(linenos, rows, 5, ("A",), {"PRETENSION": "0"})
-    _, ids, ni, nj, materials, *_ = zip(*rows)
-    return (_numbers(int, ids, linenos, "cable id"), _numbers(int, ni, linenos, "node_i"),
-            _numbers(int, nj, linenos, "node_j"), list(materials), _numbers(float, area, linenos, "A"),
-            _numbers(float, pretension, linenos, "PRETENSION"))
+def _cable(lineno: int, tokens: list[str]) -> CableElement:
+    if len(tokens) < 6:
+        raise ParseError(lineno, "expected CABLE <id> <node_i> <node_j> <material> A=<m2> [PRETENSION=<N>]")
+    if len(tokens) == 6 and tokens[5].startswith("A=") and len(tokens[5]) > 2:  # the usual cable: A= alone
+        area, pretension = tokens[5][2:], "0"
+    else:
+        kv = _parse_kv(tokens[5:], lineno, ("A",), {"PRETENSION": "0"})
+        area, pretension = kv["A"], kv["PRETENSION"]
+    try:
+        return _new(CableElement, (int(tokens[1]), int(tokens[2]), int(tokens[3]), tokens[4],
+                                   float(area), float(pretension)))
+    except ValueError:
+        _first_bad(lineno, (int, int, int, float, float), (*tokens[1:4], area, pretension),
+                   ("cable id", "node_i", "node_j", "A", "PRETENSION"))
+        raise
 
 
-def _supports(linenos, rows):
-    _shape(linenos, rows, (3).__eq__, "expected SUPPORT <node> <flags>")
-    _, nodes, flags = zip(*rows)
-    flags = _table(_FLAGS, flags, linenos, "bad support flags %r (use X, Y, R)")
-    return _numbers(int, nodes, linenos, "node id"), *map(list, zip(*flags))
+def _support(lineno: int, tokens: list[str]) -> Support:
+    if len(tokens) != 3:
+        raise ParseError(lineno, "expected SUPPORT <node> <flags>")
+    if tokens[2] not in _FLAGS:
+        raise ParseError(lineno, f"bad support flags {tokens[2]!r} (use X, Y, R)")
+    return _new(Support, (_number(int, tokens[1], lineno, "node id"), *_FLAGS[tokens[2]]))
 
 
-def _keyed_lines(ok: Callable[[int], bool], message: str, start: int, ident: tuple[type, str] | None,
-                 required: tuple[str, ...], optional: dict[str, str] = {}):
+def _keyed(record: type, ok: Callable[[int], bool], message: str, start: int, ident: tuple[type, str] | None,
+           required: tuple[str, ...], optional: dict[str, str] = {}):
     """The converter of lines with KEY=VALUE tokens from ``start`` on, after
     a name or id (``ident``: its type and what it is) or nothing (None)."""
-    def convert(linenos, rows):
-        _shape(linenos, rows, ok, message)
-        values = _keyed(linenos, rows, start, required, optional)
-        ids = [] if ident is None else [_numbers(ident[0], [tokens[start - 1] for tokens in rows], linenos, ident[1])]
-        return *ids, *[_numbers(float, v, linenos, key) for key, v in zip((*required, *optional), values)]
+    keys = (*required, *optional)
+
+    def convert(lineno: int, tokens: list[str]):
+        if not ok(len(tokens)):
+            raise ParseError(lineno, message)
+        kv = _parse_kv(tokens[start:], lineno, required, optional)
+        values = [kv[key] for key in keys]
+        lead = () if ident is None else (_number(ident[0], tokens[start - 1], lineno, ident[1]),)
+        try:
+            return _new(record, (*lead, *map(float, values)))
+        except ValueError:
+            _first_bad(lineno, repeat(float), values, keys)
+            raise
     return convert
 
 
-# Each keyword's converter, and the record a row of its fields is.
-_KINDS = {
-    "UNIT": (_unit, None),
-    "NODE": (_nodes, Node),
-    "MATERIAL": (_keyed_lines((2).__le__, "MATERIAL needs a name", 2, (str, "name"), ("E", "RHO", "SIGMA")), Material),
-    "SECTION": (_keyed_lines((2).__le__, "SECTION needs a name", 2, (str, "name"), ("A", "I", "H")), Section),
-    "BEAM": (_beams, BeamElement),
-    "CABLE": (_cables, CableElement),
-    "SUPPORT": (_supports, Support),
-    "LOAD NODE": (_keyed_lines((3).__le__, "expected LOAD NODE <node> FX= FY= MZ=", 3, (int, "node id"), (),
-                               {"FX": "0", "FY": "0", "MZ": "0"}), NodalForce),
-    "LOAD UDL": (_keyed_lines((4).__eq__, "expected LOAD UDL <beam_id> W=<N/m>", 3, (int, "beam id"), ("W",)),
-                 UniformLoad),
-    "LOAD MASS": (_keyed_lines((4).__eq__, "expected LOAD MASS <node> M=<kg>", 3, (int, "node id"), ("M",)), PointMass),
-    "LOAD SELFWEIGHT": (_keyed_lines(bool, "", 2, None, ("G",)), SelfWeight),  # any count: the line has its key
+# Each keyword's converter, and the build_model argument its records join.
+_LINES = {
+    "NODE": (_node, "nodes"),
+    "MATERIAL": (_keyed(Material, (2).__le__, "MATERIAL needs a name", 2, (str, "name"), ("E", "RHO", "SIGMA")),
+                 "materials"),
+    "SECTION": (_keyed(Section, (2).__le__, "SECTION needs a name", 2, (str, "name"), ("A", "I", "H")), "sections"),
+    "BEAM": (_beam, "beams"),
+    "CABLE": (_cable, "cables"),
+    "SUPPORT": (_support, "supports"),
+    "LOAD NODE": (_keyed(NodalForce, (3).__le__, "expected LOAD NODE <node> FX= FY= MZ=", 3, (int, "node id"), (),
+                         {"FX": "0", "FY": "0", "MZ": "0"}), "loads"),
+    "LOAD UDL": (_keyed(UniformLoad, (4).__eq__, "expected LOAD UDL <beam_id> W=<N/m>", 3, (int, "beam id"), ("W",)),
+                 "loads"),
+    "LOAD MASS": (_keyed(PointMass, (4).__eq__, "expected LOAD MASS <node> M=<kg>", 3, (int, "node id"), ("M",)),
+                  "loads"),
+    "LOAD SELFWEIGHT": (_keyed(SelfWeight, bool, "", 2, None, ("G",)), "loads"),  # any count: the line has its key
 }
-# The keywords of build_model's records, and of the loads in its order.
-_RECORDS = ("NODE", "MATERIAL", "SECTION", "BEAM", "CABLE", "SUPPORT")
-_LOADS = ("LOAD NODE", "LOAD UDL", "LOAD MASS", "LOAD SELFWEIGHT")
-# Keywords that are known but have no place in a model file.
-_REJECTED = {"PLAN": "PLAN lines belong in a plan file, not a model file",
-             "LOAD": "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)"}
-
-
-def _convert(convert, linenos: list[int], rows: list[list[str]]) -> tuple:
-    """``convert(linenos, rows)``, or the error of the first line it rejects. A converter checks
-    every line for one field before the next, so when a check rejects line k, the lines before k
-    may fail a later check: they are converted again alone."""
-    try:
-        return convert(linenos, rows)
-    except ParseError as exc:
-        if k := bisect_left(linenos, exc.line):
-            _convert(convert, linenos[:k], rows[:k])
-        raise
 
 
 def parse_model_file(text: str) -> StructureModel:
     """Parse the model format; errors carry their line number.
 
-    Lines may come in any order; the first bad line in the file is the one
-    reported. The UNIT header is optional on input. Identifier and
-    reference problems surface as ``DuplicateId``/``UnknownReference``
-    from the model builder.
+    Lines may come in any order; each becomes its record as it is read, so
+    the first bad line in the file is the one reported. The UNIT header is
+    optional on input. Identifier and reference problems surface as
+    ``DuplicateId``/``UnknownReference`` from the model builder.
     """
-    groups: dict[str, tuple[list[int], list[list[str]]]] = {}
-    for lineno, tokens in zip(*_content_lines(text)):
-        key = tokens[0] if tokens[0] != "LOAD" else " ".join(tokens[:2])  # LOAD lines by their subtype
-        group = groups.get(key) or groups.setdefault(key, ([], []))
-        group[0].append(lineno)
-        group[1].append(tokens)
-    fields, errors = {}, []
-    for key, (linenos, rows) in groups.items():
-        try:
-            if key not in _KINDS:
-                raise ParseError(linenos[0], _REJECTED[key]) if key in _REJECTED else UnknownKeyword(linenos[0], key)
-            fields[key] = _convert(_KINDS[key][0], linenos, rows)
-        except ParseError as exc:
-            errors.append(exc)
-        rows.clear()  # converted: free the tokens before the records are made
-    if errors:
-        raise min(errors, key=lambda exc: exc.line)
-
-    # The records in file order, so that build_model meets the duplicate or
-    # dangling reference that the lines one by one would have met first: each
-    # a row of its columns, made a record by tuple.__new__ with no Python call.
-    records = {key: list(map(tuple.__new__, repeat(_KINDS[key][1]), zip(*columns)))
-               for key, columns in fields.items() if key != "UNIT"}
-    loads = sorted(chain.from_iterable(zip(groups[key][0], records[key]) for key in _LOADS if key in records))
-    return build_model(*(records.get(key, ()) for key in _RECORDS), [load for _, load in loads])
+    records = {"nodes": [], "materials": [], "sections": [], "beams": [], "cables": [], "supports": [], "loads": []}
+    for lineno, tokens in _content_lines(text):
+        keyword = tokens[0] if tokens[0] != "LOAD" else " ".join(tokens[:2])  # LOAD lines by their subtype
+        line = _LINES.get(keyword)
+        if line is not None:
+            convert, kind = line
+            records[kind].append(convert(lineno, tokens))
+        elif keyword == "UNIT":
+            _unit(lineno, tokens)
+        elif keyword == "PLAN":
+            raise ParseError(lineno, "PLAN lines belong in a plan file, not a model file")
+        elif keyword == "LOAD":
+            raise ParseError(lineno, "LOAD needs a subtype (NODE, UDL, MASS, SELFWEIGHT)")
+        else:
+            raise UnknownKeyword(lineno, keyword)
+    return build_model(**records)
 
 
 # ---------------------------------------------------------------------------
@@ -332,9 +299,9 @@ def parse_plan_file(text: str):
     """Parse a PLAN line into an ErectionPlan; other keywords are rejected."""
     from .erection import ErectionPlan  # local import to keep modules acyclic
     plan = None
-    for lineno, tokens in zip(*_content_lines(text)):
+    for lineno, tokens in _content_lines(text):
         if tokens[0] == "UNIT":
-            _unit([lineno], [tokens])
+            _unit(lineno, tokens)
         elif tokens[0] == "PLAN":
             if plan is not None:
                 raise ParseError(lineno, "more than one PLAN line")

@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,14 @@ BAD_LINES = [
     ("LOAD SELFWEIGHT G=x", ParseError, "expected a number for G, got 'x'"),
     ("PLAN MODULE=2 COUNT=4 W=500 CW=2000 LEVER=1", ParseError, "PLAN lines belong in a plan file, not a model file"),
     ("BEM 2 1 2 timber deck", UnknownKeyword, "unknown keyword 'BEM'"),
+    # Two faults in one line: the token count, then the option and KEY=VALUE
+    # tokens, then the numbers.
+    ("SUPPORT x XX", ParseError, "bad support flags 'XX' (use X, Y, R)"),
+    ("BEAM x 1 2 timber deck PIN=K", ParseError, "bad beam option 'PIN=K' (expected PIN=I|J|IJ)"),
+    ("CABLE x 1 2 timber B=1", UnknownKeyword, "unknown keyword 'B'"),
+    ("LOAD NODE x FQ=1", UnknownKeyword, "unknown keyword 'FQ'"),
+    ("LOAD UDL x W=", ParseError, "expected KEY=VALUE, got 'W='"),
+    ("LOAD MASS x M=y", ParseError, "expected an integer for node id, got 'x'"),
 ]
 
 # (lines appended to MINIMAL, error type, message)
@@ -430,7 +439,7 @@ class TestNames:
         assert parse_model_file(serialize_model(model)) == model
 
 
-class TestColumnarParse:
+class TestLineParse:
     def test_oracle_on_the_presets_and_the_ladder(self):
         for name, text in _ladder_texts().items():
             model = parse_model_file(text)
@@ -455,7 +464,21 @@ class TestColumnarParse:
                 _same_view(model.arrays, _model_arrays(model))
         assert set(kinds) == {"ok", "ParseError", "UnknownKeyword", "DuplicateId", "UnknownReference"}, kinds
 
-    def test_seeded_view_of_random_models(self, random_models):
+    def test_a_top_rung_parse_keeps_no_line_tokens(self):
+        # Each line's tokens are freed once its record is made: the peak is
+        # the file's lines and the records, not every line's token list.
+        spec = BridgeSpec(BridgeKind.LEONARDO_GROUNDED, span=768.0, pillar_count=383)
+        text = serialize_model(catalog.generate(spec))
+        assert text.count("\n") == 3458
+        tracemalloc.start()
+        try:
+            parse_model_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+
+    def test_view_of_parsed_random_models(self, random_models):
         for model in random_models:
             parsed = parse_model_file(serialize_model(model))
             _same_view(parsed.arrays, _model_arrays(model))
